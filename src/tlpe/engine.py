@@ -24,6 +24,7 @@ conditional answers that simplification later repairs.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .errors import EvalError
@@ -32,13 +33,14 @@ from .program import (Clause, Literal, PredicateInfo, Program, conj_items,
                       split_clause)
 from .sccs import tarjan_sccs
 from .tables import DelayLit, SubgoalTable, TableSpace
-from .terms import (NIL, Atom, Int, OrderKey, Struct, Term, Var, canonicalize,
-                    canonical_key, compare, functor_of, is_callable,
-                    is_ground, list_parts, make_list, match, rename, resolve,
-                    term_to_str, term_vars, unify)
+from .terms import (NIL, Atom, CyclicTermError, Int, OrderKey, Struct, Term,
+                    Var, canonicalize, canonical_key, compare, functor_of,
+                    is_callable, is_ground, list_parts, make_list, match,
+                    rename, resolve, term_to_str, term_vars, unify)
 from . import subsumption
 
 QUERY_PRED = "$query"
+_BODY_HEAD = Atom("$body")
 
 
 class CutOp:
@@ -172,7 +174,6 @@ class Engine:
         self._sdg_version = 0
         self._scc_cache = None
         self.query_active = False
-        self.incr_buffer: List[Tuple[str, Term]] = []
         self._as_states: Dict[int, dict] = {}
 
         self.trace_enabled = False
@@ -237,8 +238,21 @@ class Engine:
         """Evaluate a goal to quiescence; list its answers in derivation
         order.  Undefined answers are those still carrying delay lists."""
         if isinstance(goal, str):
-            item = parse_goal(goal)
-            goal = item.term
+            goal = parse_goal(goal).term
+        with self._evaluation() as watermark:
+            out = self._collect_query_answers(self._eval_wrapper(goal), goal)
+        if self.query_level_tabling:
+            self.space.discard_from(watermark)
+        return out
+
+    @contextmanager
+    def _evaluation(self):
+        """Guard one top-level evaluation; yields the table watermark.
+
+        Only one evaluation runs at a time.  Whatever it raises, the run
+        state and the tables it created are dropped, and every live
+        table is left COMPLETE or INVALID; a cyclic term surfaces as
+        ``EvalError("cyclic_term")``."""
         if self.query_active:
             raise EvalError("nested_query",
                             "a query is already being evaluated")
@@ -246,24 +260,38 @@ class Engine:
         watermark = self.space._dfn
         self.query_active = True
         try:
-            table = self._eval_wrapper(goal)
-            out = self._collect_query_answers(table, goal)
-        except (EvalError, KeyboardInterrupt):
+            yield watermark
+        except CyclicTermError as exc:
+            self._recover(watermark)
+            raise EvalError("cyclic_term", str(exc)) from None
+        except BaseException:
             self._recover(watermark)
             raise
         finally:
             self.query_active = False
-        if self.query_level_tabling:
-            self.space.discard_from(watermark)
-        return out
 
     def _recover(self, watermark: int) -> None:
-        """Drop the run state and tables of an evaluation that raised."""
+        """Drop the run state and tables of an evaluation that raised.
+
+        An older table that the evaluation reset and left incomplete,
+        or that read a table dropped here, becomes INVALID again, and so
+        does every table that reads it: each is recomputed at its next
+        call."""
         self.stack = []
         self.comp = []
         self.consumers = []
         self.waiters = []
         self.ctx = 0
+        stale = [t for t in self.space.tables
+                 if t.dfn <= watermark and not t.abolished
+                 and (t.status == SubgoalTable.INCOMPLETE
+                      or any(d.dfn > watermark for d in t.dep_out))]
+        while stale:
+            t = stale.pop()
+            if t.status != SubgoalTable.INVALID:
+                t.status = SubgoalTable.INVALID
+                stale.extend(c for c in t.dep_in
+                             if c.dfn <= watermark and not c.abolished)
         self.space.discard_from(watermark, force=True)
 
     def answers(self, goal):
@@ -271,19 +299,8 @@ class Engine:
         the iterator is closed (deferred space reclamation)."""
         if isinstance(goal, str):
             goal = parse_goal(goal).term
-        if self.query_active:
-            raise EvalError("nested_query",
-                            "a query is already being evaluated")
-        self.program.finalize()
-        watermark = self.space._dfn
-        self.query_active = True
-        try:
+        with self._evaluation():
             table = self._eval_wrapper(goal)
-        except (EvalError, KeyboardInterrupt):
-            self._recover(watermark)
-            raise
-        finally:
-            self.query_active = False
         table.refcount += 1
         self.space.open_streams += 1
         try:
@@ -298,16 +315,10 @@ class Engine:
             self.space.sweep()
 
     def _eval_wrapper(self, goal: Term) -> SubgoalTable:
-        wrapper = Struct(QUERY_PRED, (goal,))
         qpi = self.program.info(QUERY_PRED, 1, create=True)
         qpi.tabling = "variant"
         qpi.incremental_table = True
-        table, is_new = self.space.check_insert_subgoal(qpi, wrapper)
-        if table.status == SubgoalTable.INVALID:
-            self.reset_for_recompute(table)
-            is_new = True
-        if is_new:
-            self._activate(table)
+        table = self._intern(qpi, Struct(QUERY_PRED, (goal,)))
         self._run()
         return table
 
@@ -463,15 +474,14 @@ class Engine:
     def _call_tabled(self, pi: PredicateInfo, cont: Cont, goal: Term,
                      rest) -> None:
         table = self._intern(pi, goal)
-        owner = cont.owner
-        caller = owner if isinstance(owner, SubgoalTable) \
-            else owner.owner_table
+        caller = self._owner_of(cont)
         if caller is not None:
             self.space.note_call_edge(caller, table, neg=False)
         after = self._advance(cont, rest)
         if table.complete:
             self.stack.append(("answers", after, goal, table, 0))
             return
+        owner = cont.owner
         if isinstance(owner, SubgoalTable) and not owner.complete:
             if table not in owner.sdg_pos:
                 owner.sdg_pos.add(table)
@@ -489,7 +499,7 @@ class Engine:
         if is_new:
             self._activate(table)
         elif table.status == SubgoalTable.INCOMPLETE \
-                and getattr(table, "ctx", self.ctx) != self.ctx:
+                and table.ctx != self.ctx:
             raise EvalError(
                 "incomplete_outer",
                 f"call to {term_to_str(table.subgoal)} whose table is "
@@ -528,8 +538,15 @@ class Engine:
             self.stack.append(("clause", table, clause))
 
     def _push_query_root(self, table: SubgoalTable) -> None:
-        goal = table.subgoal.args[0]
-        _, lits = split_clause(Struct(":-", (table.subgoal, goal)))
+        goals, scopes = self._body_goals(table.subgoal.args[0])
+        cont = Cont(table, table.subgoal, goals, (), scopes,
+                    self.K, table.nvars)
+        self.stack.append(("run", cont))
+
+    def _body_goals(self, body: Term):
+        """Goal list of a clause body, with the cut scope it opens:
+        ``(goals, scopes)``."""
+        _, lits = split_clause(Struct(":-", (_BODY_HEAD, body)))
         scope = None
         if any(type(l.goal) is Atom and l.goal.name == "!" for l in lits):
             self._scope_seq += 1
@@ -540,10 +557,7 @@ class Engine:
                 goals = (CutOp(scope), goals)
             else:
                 goals = ((lit.neg, lit.goal), goals)
-        scopes = (scope,) if scope is not None else ()
-        cont = Cont(table, table.subgoal, goals, (), scopes,
-                    self.K, table.nvars)
-        self.stack.append(("run", cont))
+        return goals, (scope,) if scope is not None else ()
 
     def _clause_resolution(self, table: SubgoalTable,
                            clause: Clause) -> None:
@@ -569,9 +583,7 @@ class Engine:
         self.consumers.append(consumer)
         owner = consumer.owner_table()
         if owner is not None and owner is not consumer.target:
-            owned = getattr(owner, "owned_consumers", None)
-            if owned is not None:
-                owned.append(consumer)
+            owner.owned_consumers.append(consumer)
 
     # ------------------------------------------------------------------
     # answer return
@@ -699,9 +711,7 @@ class Engine:
         if pi is None:
             return      # undefined predicate: no clauses, fails quietly
         if pi.dynamic or pi.incremental_source:
-            owner = cont.owner
-            caller = owner if isinstance(owner, SubgoalTable) \
-                else owner.owner_table
+            caller = self._owner_of(cont)
             if caller is not None:
                 self.space.note_dyn_read(caller, pi.key)
         clauses = self.program.lookup_clauses(goal)
@@ -793,15 +803,14 @@ class Engine:
                 f"tnot {term_to_str(goal)}: predicate {name}/{arity} is "
                 "not tabled")
         table = self._intern(pi, goal)
-        owner = cont.owner
-        caller = owner if isinstance(owner, SubgoalTable) \
-            else owner.owner_table
+        caller = self._owner_of(cont)
         if caller is not None:
             self.space.note_call_edge(caller, table, neg=True)
         after = self._advance(cont, rest)
         if table.complete:
             self._negative_return(after, table)
             return
+        owner = cont.owner
         if isinstance(owner, SubgoalTable) and not owner.complete:
             if table not in owner.sdg_neg:
                 owner.sdg_neg.add(table)
@@ -1068,7 +1077,7 @@ class Engine:
             self.space._pump()
 
     def _post_complete(self, table: SubgoalTable) -> None:
-        for c in getattr(table, "owned_consumers", ()):
+        for c in table.owned_consumers:
             c.dead = True
         for w in table.neg_waiters:
             if w.dead:
@@ -1095,19 +1104,8 @@ class Engine:
 
         The caller's variables are shared: the goal and template arrive
         already instantiated, fresh variables start at nv."""
-        _, lits = split_clause(Struct(":-", (Atom("$collect"), goal)))
+        goals, scopes = self._body_goals(goal)
         collector = Collector(owner_table)
-        scope = None
-        if any(type(l.goal) is Atom and l.goal.name == "!" for l in lits):
-            self._scope_seq += 1
-            scope = self._scope_seq
-        goals = None
-        for lit in reversed(lits):
-            if type(lit.goal) is Atom and lit.goal.name == "!":
-                goals = (CutOp(scope), goals)
-            else:
-                goals = ((lit.neg, lit.goal), goals)
-        scopes = (scope,) if scope is not None else ()
         cont = Cont(collector, template, goals, (), scopes, self.K, nv)
 
         saved_stack, saved_comp = self.stack, self.comp
@@ -1134,18 +1132,6 @@ class Engine:
     def reset_for_recompute(self, table: SubgoalTable) -> None:
         self._as_states.pop(id(table), None)
         self.space.reset_table(table)
-
-    def _drain_incr_buffer(self) -> list:
-        changes = list(self.incr_buffer)
-        self.incr_buffer.clear()
-        return changes
-
-    def recompute_table(self, table: SubgoalTable) -> None:
-        """Re-evaluate one previously reset table to completion."""
-        if table.status != SubgoalTable.INCOMPLETE:
-            return
-        self._activate(table)
-        self._run()
 
     def as_state(self, table: SubgoalTable) -> dict:
         st = self._as_states.get(id(table))

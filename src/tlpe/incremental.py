@@ -2,11 +2,18 @@
 
 Dynamic predicates declared with use_incremental_dynamic feed an
 invalidation graph: every table records which dynamic predicates it
-consulted and which tables it called.  A change to a fact then walks
-callers backwards to find the affected tables, which are either
-recomputed immediately (eager update), recomputed once for a whole
-batch of buffered changes, or merely marked invalid so the next call
-recomputes them lazily.
+consulted and which tables it called.  A change to a fact walks callers
+backwards from the tables that read it and marks each affected complete
+table INVALID.
+
+A table is recomputed in one way only: a call that finds it INVALID
+resets it and evaluates it afresh (``Engine._intern``).  After
+``incr_invalidate`` that call is the next query that reaches the table.
+``incr_assert`` and ``incr_retract`` make that call at once for each
+table their change marked; ``incr_table_update`` makes it for every
+table still invalid, so several invalidations followed by one update
+recompute each table once.  A table that an earlier call has already
+recomputed is skipped, so the order of the calls does not matter.
 """
 
 from typing import Iterable, List, Set, Tuple
@@ -34,31 +41,24 @@ def _source_info(engine: Engine, fact: Term):
 
 
 def incr_assert(engine: Engine, fact) -> List[SubgoalTable]:
-    """Add a fact and immediately recompute what it touches (any
-    buffered changes are flushed first).  Returns the recomputed
-    tables in dependency order."""
-    return _update(engine, engine._drain_incr_buffer()
-                   + [("assert", _as_term(fact))])
+    """Add a fact and recompute now every table it invalidates.
+    Returns those tables."""
+    return _recompute(engine, incr_invalidate(
+        engine, Struct("assert", (_as_term(fact),))))
 
 
 def incr_retract(engine: Engine, fact) -> List[SubgoalTable]:
-    return _update(engine, engine._drain_incr_buffer()
-                   + [("retract", _as_term(fact))])
-
-
-def buffer_change(engine: Engine, op: str, fact) -> None:
-    """Queue a change without triggering recomputation."""
-    if op not in ("assert", "retract"):
-        raise ValueError(f"unknown change op: {op}")
-    fact = _as_term(fact)
-    _source_info(engine, fact)
-    engine.incr_buffer.append((op, fact))
+    """Remove a fact and recompute now every table it invalidates."""
+    return _recompute(engine, incr_invalidate(
+        engine, Struct("retract", (_as_term(fact),))))
 
 
 def incr_table_update(engine: Engine) -> List[SubgoalTable]:
-    """Apply all buffered changes with one recomputation pass over the
-    union of affected tables."""
-    return _update(engine, engine._drain_incr_buffer())
+    """Recompute every invalid table now; returns them."""
+    engine._guard_no_query("incremental update")
+    return _recompute(engine, [t for t in engine.space.tables
+                               if t.status == SubgoalTable.INVALID
+                               and not t.abolished])
 
 
 def _as_change(change) -> Tuple[str, Term]:
@@ -71,55 +71,38 @@ def _as_change(change) -> Tuple[str, Term]:
 
 def incr_invalidate(engine: Engine, change) -> List[SubgoalTable]:
     """Apply a change but only mark the affected tables invalid; each
-    is recomputed at its next call, not now.
+    is recomputed at its next call, not now.  Returns the marked tables
+    in creation order.
 
     ``change`` is ``assert(Fact)`` or ``retract(Fact)``; a bare fact
-    means assert."""
-    if engine.query_active:
-        raise EvalError("query_active",
-                        "incremental update during query evaluation")
+    means assert.  A change that some affected table cannot follow is
+    rejected before it touches the program."""
+    engine._guard_no_query("incremental update")
     op, fact = _as_change(change)
     pi = _source_info(engine, fact)
+    affected = _affected(engine, [pi.key])
+    _validate(affected)
     if op == "assert":
         engine.program.add_clause(fact, at_load=False)
     else:
         engine.program.retract_clause(fact)
-    affected = _affected(engine, [pi.key])
-    _validate(affected)
     marked = []
-    for table in affected:
+    for table in sorted(affected, key=lambda t: t.dfn):
         if table.status == SubgoalTable.COMPLETE:
             table.status = SubgoalTable.INVALID
             marked.append(table)
     return marked
 
 
-def _update(engine: Engine,
-            changes: List[Tuple[str, Term]]) -> List[SubgoalTable]:
-    if engine.query_active:
-        raise EvalError("query_active",
-                        "incremental update during query evaluation")
-    if not changes:
-        return []
-    keys = []
-    for op, fact in changes:
-        pi = _source_info(engine, fact)
-        keys.append(pi.key)
-    for op, fact in changes:
-        if op == "assert":
-            engine.program.add_clause(fact, at_load=False)
-        else:
-            engine.program.retract_clause(fact)
-    affected = _affected(engine, keys)
-    if not affected:
-        return []
-    _validate(affected)
-    order = _topo_order(affected)
-    for table in order:
-        engine.reset_for_recompute(table)
-    for table in order:
-        engine.recompute_table(table)
-    return order
+def _recompute(engine: Engine,
+               tables: List[SubgoalTable]) -> List[SubgoalTable]:
+    """Call each table of ``tables`` that is still invalid."""
+    with engine._evaluation():
+        for table in tables:
+            if table.status == SubgoalTable.INVALID and not table.abolished:
+                engine._intern(table.pred, table.subgoal)
+                engine._run()
+    return tables
 
 
 def _affected(engine: Engine, keys: Iterable[Tuple[str, int]]
@@ -166,14 +149,3 @@ def _validate(affected: Set[SubgoalTable]) -> None:
                         "incremental_nonstratified",
                         f"update would recompute through a negative loop "
                         f"at {term_to_str(t.subgoal)}")
-
-
-def _topo_order(affected: Set[SubgoalTable]) -> List[SubgoalTable]:
-    """Callees before callers, so recomputation reads fresh tables."""
-    in_set = set(id(t) for t in affected)
-    sccs = tarjan_sccs(sorted(affected, key=lambda t: t.dfn),
-                       lambda t: [d for d in t.dep_out if id(d) in in_set])
-    order: List[SubgoalTable] = []
-    for scc in sccs:
-        order.extend(sorted(scc, key=lambda t: t.dfn))
-    return order

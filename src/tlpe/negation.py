@@ -1,16 +1,16 @@
 """Well-founded negation utilities on top of the engine.
 
-Three-valued truth queries, residual-program extraction for undefined
-answers, and negative-loop detection over the live dependency graph.
+Three-valued truth queries and residual-program extraction for
+undefined answers.
 """
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .engine import Engine
 from .errors import EvalError
 from .parser import parse_goal
-from .sccs import tarjan_sccs
-from .tables import SubgoalTable
+# unused here, but bench/spans.py wraps tlpe.negation.tarjan_sccs by name
+from .sccs import tarjan_sccs  # noqa: F401
 from .terms import Struct, Term, is_ground, term_to_str
 
 
@@ -60,45 +60,3 @@ def get_residual(engine: Engine, goal) -> List[Tuple[Term, List[Term]]]:
                     body.append(lit.ans.term)
             out.append((ans.term, body))
     return out
-
-
-def _scc_snapshot(engine: Engine):
-    """SCC partition of the incomplete-table dependency graph with a
-    negative-edge flag per component, cached until the SDG changes."""
-    cached = getattr(engine, "_negloop_cache", None)
-    if cached is not None and cached[0] == engine._sdg_version:
-        return cached[1], cached[2]
-    vertices = [t for t in engine.space.tables
-                if not t.complete and not t.abolished]
-    in_set = set(id(t) for t in vertices)
-
-    def edges(t: SubgoalTable):
-        return [d for d in (t.sdg_pos | t.sdg_neg) if id(d) in in_set]
-
-    comp_of = {}
-    flags = {}
-    for i, scc in enumerate(tarjan_sccs(vertices, edges)):
-        members = set(id(t) for t in scc)
-        flags[i] = any(id(d) in members
-                       for t in scc for d in t.sdg_neg)
-        for t in scc:
-            comp_of[id(t)] = i
-    engine._negloop_cache = (engine._sdg_version, comp_of, flags)
-    return comp_of, flags
-
-
-def detect_negative_loop(engine: Engine, caller, goal) -> bool:
-    """True iff caller and goal share an SDG SCC crossing a negative
-    edge (the call would close a loop through negation)."""
-    caller_table = caller if isinstance(caller, SubgoalTable) \
-        else engine.space.lookup_variant(_as_term(caller))
-    table = goal if isinstance(goal, SubgoalTable) \
-        else engine.space.lookup_variant(_as_term(goal))
-    if table is None or table.complete:
-        return False
-    if caller_table is None or caller_table.complete:
-        return False
-    comp_of, flags = _scc_snapshot(engine)
-    ci = comp_of.get(id(caller_table))
-    gi = comp_of.get(id(table))
-    return ci is not None and ci == gi and flags[ci]

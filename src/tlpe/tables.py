@@ -119,8 +119,9 @@ class SubgoalTable:
         self.on_complete_hooks: list = []
         self.sdg_pos: Set["SubgoalTable"] = set()
         self.sdg_neg: Set["SubgoalTable"] = set()
-        self.min_link: int = dfn
-        self.scc_id: int = -1
+        self.ctx = 0                    # evaluation context of its run
+        self.owned_consumers: list = []  # consumers its continuations made
+        self.leaf_node = None           # its leaf in the subgoal trie
         # incremental dependency graph
         self.dep_in: Set["SubgoalTable"] = set()
         self.dep_out: Set["SubgoalTable"] = set()
@@ -521,7 +522,7 @@ class TableSpace:
         remaining: List[SubgoalTable] = []
         for table in self.tables:
             if table.abolished and table.refcount == 0:
-                node = getattr(table, "leaf_node", None)
+                node = table.leaf_node
                 trie = self.tries.get(table.pred.key)
                 if node is not None and trie is not None and node.leaf is table:
                     trie.remove_leaf(node)
