@@ -1,0 +1,129 @@
+"""Characterization: answers in order, truth values, trace lines, the
+node counter K and the operation counters of fixed programs.
+
+The expected values in ``golden_traces.json`` were recorded from the
+engine and pin its observable behaviour byte for byte, so a refactor of
+the SLG machinery that changes any of them fails here.  Record them
+again (``run_case`` over ``CASES``) only for a deliberate change of
+behaviour.
+"""
+
+import json
+import os
+
+import pytest
+
+from tlpe.engine import Engine
+from tlpe.incremental import incr_assert, incr_retract
+from tlpe.terms import term_to_str
+
+WIN = """
+:- table win/1.
+win(X) :- move(X,Y), tnot win(Y).
+move(1,2). move(2,3). move(3,1). move(3,4). move(4,5).
+move(6,7). move(7,6). move(7,8).
+"""
+
+INCR = """
+:- use_incremental_dynamic e/2.
+:- table reach/2 as incremental.
+:- table un/1 as incremental.
+reach(X,Y) :- e(X,Y).
+reach(X,Y) :- e(X,Z), reach(Z,Y).
+node(N) :- e(N,_).
+node(N) :- e(_,N).
+un(X) :- node(X), tnot reach(1,X).
+e(1,2). e(2,3). e(3,1). e(4,5).
+"""
+
+# name -> (program, engine options, steps); a step is a goal to query
+# or ("assert" | "retract", fact) for an eager incremental update
+CASES = {
+    "reach_left": ("""
+        :- table reach/2.
+        reach(X,Y) :- reach(X,Z), edge(Z,Y).
+        reach(X,Y) :- edge(X,Y).
+        edge(1,2). edge(2,3). edge(3,1). edge(3,4).
+        """, {}, ["reach(1,Y).", "reach(X,Y)."]),
+    "win_local": (WIN, {"strategy": "local"}, ["win(X).", "win(6)."]),
+    "win_batched": (WIN, {"strategy": "batched"}, ["win(X).", "win(6)."]),
+    "pqr_negation": ("""
+        :- table p/1, q/1, r/1.
+        p(X) :- q(X), tnot r(X).
+        q(1). q(2). q(3).
+        r(2).
+        r(X) :- q(X), X > 2, tnot p(X).
+        """, {}, ["p(X).", "r(X)."]),
+    "inline_cut_findall": ("""
+        :- table t/1.
+        t(X) :- first(X).
+        t(X) :- all(L), len(L, X).
+        first(X) :- p(X), !.
+        p(1). p(2). p(3).
+        all(L) :- findall(X, p(X), L).
+        len([], 0).
+        len([_|T], N) :- len(T, M), N is M + 1.
+        g(X) :- p(X), X > 1, !, q(X).
+        q(2). q(3).
+        """, {}, ["first(X).", "all(L).", "t(X).", "g(X).",
+                  "findall(X, first(X), L).", "p(X), !.",
+                  "findall(X, (p(X), !), L)."]),
+    "subsumptive": ("""
+        :- table p/2 as subsumptive.
+        p(a,1). p(a,2). p(b,3).
+        p(X,Y) :- q(X,Y).
+        q(c,4).
+        """, {}, ["p(X,Y).", "p(a,Z).", "p(c,Z).", "p(d,Z)."]),
+    "min_subsumption": ("""
+        :- table sp(_,_,min).
+        sp(X,Y,C) :- e(X,Y,C).
+        sp(X,Y,C) :- sp(X,Z,C1), e(Z,Y,C2), C is C1 + C2.
+        e(1,2,4). e(1,3,1). e(3,2,1). e(2,4,1). e(4,1,2). e(3,4,7).
+        """, {}, ["sp(1,Y,C).", "sp(3,4,C)."]),
+    "simplification": ("""
+        :- table p/1.
+        p(b).
+        p(c) :- tnot p(a).
+        p(X) :- t(X,Y,Z), tnot p(Y), tnot p(Z).
+        t(a,a,b). t(a,b,a).
+        """, {}, ["p(X).", "p(a)."]),
+    "delayed_support": ("""
+        :- table p/0, q/0, s/0.
+        p :- tnot q.
+        q :- tnot p.
+        s :- p.
+        s :- s.
+        """, {}, ["s.", "p.", "q."]),
+    "eager_incr_assert": (INCR, {}, [
+        "reach(1,Y).", "un(X).", ("assert", "e(3,4)."), "reach(1,Y).",
+        "un(X).", ("retract", "e(2,3)."), "un(X)."]),
+}
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden_traces.json")
+
+
+def run_case(name):
+    src, options, steps = CASES[name]
+    eng = Engine(**options)
+    eng.consult(src)
+    eng.trace_enabled = True
+    results = []
+    for step in steps:
+        if isinstance(step, tuple):
+            update = incr_assert if step[0] == "assert" else incr_retract
+            results.append([term_to_str(t.subgoal)
+                            for t in update(eng, step[1])])
+        else:
+            results.append([[term_to_str(a.goal), a.truth]
+                             for a in eng.query(step)])
+    return {"results": results, "trace_lines": eng.trace_lines,
+            "K": eng.K, "counters": eng.counters}
+
+
+with open(GOLDEN, encoding="utf-8") as fh:
+    EXPECTED = json.load(fh)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name):
+    assert run_case(name) == EXPECTED[name]
