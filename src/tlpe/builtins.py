@@ -1,0 +1,252 @@
+"""Builtin predicates: the one registry of their handlers.
+
+``BUILTINS`` maps name/arity to a handler ``(engine, cont, goal, rest)``.
+The clause store reads its keys (no program may define a builtin, and
+builtins other than findall/3 add no call-graph edges); the engine
+dispatches calls through it.  A handler that succeeds hands its
+bindings to ``engine._continue``, so only the engine knows how the run
+stack holds a continuation.
+"""
+
+from typing import Callable, Dict, List, Tuple
+
+from .errors import EvalError
+from .terms import (Atom, Int, OrderKey, Struct, Term, Var, canonicalize,
+                    compare, is_callable, list_parts, make_list, rename,
+                    term_to_str, unify)
+
+
+# ---------------------------------------------------------------------------
+# arithmetic
+# ---------------------------------------------------------------------------
+
+def eval_arith(t: Term) -> int:
+    tt = type(t)
+    if tt is Int:
+        return t.value
+    if tt is Var:
+        raise EvalError("arith_instantiation",
+                        "arithmetic on an unbound variable")
+    if tt is Struct:
+        name, n = t.name, len(t.args)
+        if n == 2:
+            a = eval_arith(t.args[0])
+            b = eval_arith(t.args[1])
+            if name == "+":
+                return a + b
+            if name == "-":
+                return a - b
+            if name == "*":
+                return a * b
+            if name in ("//", "/"):
+                if b == 0:
+                    raise EvalError("zero_divisor", "division by zero")
+                q = abs(a) // abs(b)
+                return q if (a >= 0) == (b >= 0) else -q
+            if name == "mod":
+                if b == 0:
+                    raise EvalError("zero_divisor", "division by zero")
+                return a % b
+            if name == "min":
+                return min(a, b)
+            if name == "max":
+                return max(a, b)
+        elif n == 1:
+            a = eval_arith(t.args[0])
+            if name == "-":
+                return -a
+            if name == "+":
+                return a
+            if name == "abs":
+                return abs(a)
+    raise EvalError("arith_type",
+                    f"not an arithmetic expression: {term_to_str(t)}")
+
+
+# ---------------------------------------------------------------------------
+# builtins
+# ---------------------------------------------------------------------------
+
+def _bi_true(engine, cont, goal, rest):
+    engine._continue(cont, rest)
+
+
+def _bi_fail(engine, cont, goal, rest):
+    return
+
+
+def _bi_unify(engine, cont, goal, rest):
+    env = unify(goal.args[0], goal.args[1],
+                occurs_check=engine.occurs_check)
+    if env is not None:
+        engine._continue(cont, rest, env)
+
+
+def _bi_not_unify(engine, cont, goal, rest):
+    if unify(goal.args[0], goal.args[1],
+             occurs_check=engine.occurs_check) is None:
+        engine._continue(cont, rest)
+
+
+def _bi_eq(engine, cont, goal, rest):
+    if compare(goal.args[0], goal.args[1]) == 0:
+        engine._continue(cont, rest)
+
+
+def _bi_neq(engine, cont, goal, rest):
+    if compare(goal.args[0], goal.args[1]) != 0:
+        engine._continue(cont, rest)
+
+
+def _bi_is(engine, cont, goal, rest):
+    val = Int(eval_arith(goal.args[1]))
+    env = unify(goal.args[0], val, occurs_check=engine.occurs_check)
+    if env is not None:
+        engine._continue(cont, rest, env)
+
+
+def _cmp(op):
+    def run(engine, cont, goal, rest):
+        a = eval_arith(goal.args[0])
+        b = eval_arith(goal.args[1])
+        if op(a, b):
+            engine._continue(cont, rest)
+    return run
+
+
+def _bi_cut_bare(engine, cont, goal, rest):
+    # a bare ! outside any clause context commits nothing
+    engine._continue(cont, rest)
+
+
+def _bi_findall(engine, cont, goal, rest):
+    template, sub, out = goal.args
+    if type(sub) is Var or not is_callable(sub):
+        raise EvalError("instantiation", "findall/3 goal is not callable")
+    results = engine._sub_eval(engine._owner_of(cont), template, sub,
+                               cont.nv)
+    items = []
+    nv = cont.nv
+    for sol in results:
+        csol, n = canonicalize(sol)
+        items.append(rename(csol, nv))
+        nv += n
+    env = unify(out, make_list(items), occurs_check=engine.occurs_check)
+    if env is not None:
+        engine._continue(cont, rest, env, nv)
+
+
+def _proper_list(t: Term, what: str) -> List[Term]:
+    elems, tail = list_parts(t)
+    if type(tail) is Var:
+        raise EvalError("instantiation", f"{what}: open-ended list")
+    if not (type(tail) is Atom and tail.name == "[]"):
+        raise EvalError("type_error", f"{what}: not a proper list")
+    return elems
+
+
+def _bi_sort(engine, cont, goal, rest):
+    items = _proper_list(goal.args[0], "sort/2")
+    ordered = sorted(items, key=OrderKey)
+    dedup: List[Term] = []
+    for x in ordered:
+        if not dedup or compare(dedup[-1], x) != 0:
+            dedup.append(x)
+    env = unify(goal.args[1], make_list(dedup),
+                occurs_check=engine.occurs_check)
+    if env is not None:
+        engine._continue(cont, rest, env)
+
+
+def _flatten_into(t: Term, out: List[Term]) -> None:
+    if type(t) is Atom and t.name == "[]":
+        return
+    elems, tail = list_parts(t)
+    if type(tail) is Var:
+        raise EvalError("instantiation", "flatten/2: open-ended list")
+    if not (type(tail) is Atom and tail.name == "[]"):
+        raise EvalError("type_error", "flatten/2: not a proper list")
+    for e in elems:
+        if (type(e) is Struct and e.name == "." and len(e.args) == 2) \
+                or (type(e) is Atom and e.name == "[]"):
+            _flatten_into(e, out)
+        else:
+            out.append(e)
+
+
+def _bi_flatten(engine, cont, goal, rest):
+    flat: List[Term] = []
+    _flatten_into(goal.args[0], flat)
+    env = unify(goal.args[1], make_list(flat),
+                occurs_check=engine.occurs_check)
+    if env is not None:
+        engine._continue(cont, rest, env)
+
+
+def _bi_ord_subset(engine, cont, goal, rest):
+    sub = _proper_list(goal.args[0], "ord_subset/2")
+    sup = _proper_list(goal.args[1], "ord_subset/2")
+    i = 0
+    for x in sub:
+        while i < len(sup) and compare(sup[i], x) < 0:
+            i += 1
+        if i >= len(sup) or compare(sup[i], x) != 0:
+            return
+        i += 1
+    engine._continue(cont, rest)
+
+
+def _bi_ord_disjoint(engine, cont, goal, rest):
+    a = _proper_list(goal.args[0], "ord_disjoint/2")
+    b = _proper_list(goal.args[1], "ord_disjoint/2")
+    i = j = 0
+    while i < len(a) and j < len(b):
+        c = compare(a[i], b[j])
+        if c == 0:
+            return
+        if c < 0:
+            i += 1
+        else:
+            j += 1
+    engine._continue(cont, rest)
+
+
+def _bi_ord_subtract(engine, cont, goal, rest):
+    a = _proper_list(goal.args[0], "ord_subtract/3")
+    b = _proper_list(goal.args[1], "ord_subtract/3")
+    out: List[Term] = []
+    j = 0
+    for x in a:
+        while j < len(b) and compare(b[j], x) < 0:
+            j += 1
+        if j < len(b) and compare(b[j], x) == 0:
+            continue
+        out.append(x)
+    env = unify(goal.args[2], make_list(out),
+                occurs_check=engine.occurs_check)
+    if env is not None:
+        engine._continue(cont, rest, env)
+
+
+BUILTINS: Dict[Tuple[str, int], Callable] = {
+    ("true", 0): _bi_true,
+    ("fail", 0): _bi_fail,
+    ("!", 0): _bi_cut_bare,
+    ("=", 2): _bi_unify,
+    ("\\=", 2): _bi_not_unify,
+    ("==", 2): _bi_eq,
+    ("\\==", 2): _bi_neq,
+    ("is", 2): _bi_is,
+    ("<", 2): _cmp(lambda a, b: a < b),
+    (">", 2): _cmp(lambda a, b: a > b),
+    ("=<", 2): _cmp(lambda a, b: a <= b),
+    (">=", 2): _cmp(lambda a, b: a >= b),
+    ("=:=", 2): _cmp(lambda a, b: a == b),
+    ("=\\=", 2): _cmp(lambda a, b: a != b),
+    ("findall", 3): _bi_findall,
+    ("sort", 2): _bi_sort,
+    ("flatten", 2): _bi_flatten,
+    ("ord_subset", 2): _bi_ord_subset,
+    ("ord_disjoint", 2): _bi_ord_disjoint,
+    ("ord_subtract", 3): _bi_ord_subtract,
+}

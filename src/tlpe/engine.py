@@ -25,17 +25,16 @@ conditional answers that simplification later repairs.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
+from .builtins import BUILTINS
 from .errors import EvalError
 from .parser import ParsedItem, parse_goal, parse_program
-from .program import (Clause, Literal, PredicateInfo, Program, conj_items,
-                      split_clause)
+from .program import Clause, PredicateInfo, Program, split_clause
 from .sccs import tarjan_sccs
 from .tables import DelayLit, SubgoalTable, TableSpace
-from .terms import (NIL, Atom, CyclicTermError, Int, OrderKey, Struct, Term,
-                    Var, canonicalize, canonical_key, compare, functor_of,
-                    is_callable, is_ground, list_parts, make_list, match,
+from .terms import (Atom, CyclicTermError, OrderKey, Struct, Term, Var,
+                    canonical_key, functor_of, is_callable, is_ground, match,
                     rename, resolve, term_to_str, term_vars, unify)
 from . import subsumption
 
@@ -155,7 +154,7 @@ class Engine:
         self.program = program if program is not None \
             else Program(default_tabling=default_tabling)
         self.space = TableSpace(self.program, gc_action=gc_action)
-        self.space.trace_hook = self._simplification_hook
+        self.space.trace_hook = self._trace
         self.strategy = strategy
         self.occurs_check = occurs_check
         self.query_level_tabling = query_level_tabling
@@ -174,7 +173,6 @@ class Engine:
         self._sdg_version = 0
         self._scc_cache = None
         self.query_active = False
-        self._as_states: Dict[int, dict] = {}
 
         self.trace_enabled = False
         self.trace_lines: List[str] = []
@@ -201,25 +199,22 @@ class Engine:
     # ------------------------------------------------------------------
     # trace / instrumentation
 
-    def _node(self) -> int:
+    def _op(self, counter: str, op: str, table: SubgoalTable) -> int:
+        """One SLG operation on ``table``: a new forest node, counted and
+        traced.  Returns the node number K."""
         self.K += 1
+        self.counters[counter] += 1
+        self._trace(op, table)
         return self.K
 
-    def _trace(self, op: str, subgoal: Term) -> None:
-        if not self.trace_enabled:
+    def _trace(self, op: str, table: SubgoalTable) -> None:
+        """Trace line of an operation; internal ``$`` tables are silent."""
+        if not self.trace_enabled or table.pred.name.startswith("$"):
             return
-        line = f"OP {op} {term_to_str(subgoal)} [K={self.K}]"
+        line = f"OP {op} {term_to_str(table.subgoal)} [K={self.K}]"
         self.trace_lines.append(line)
         if self.trace_sink is not None:
             self.trace_sink(line)
-
-    def _simplification_hook(self, op: str, table: SubgoalTable) -> None:
-        if not table.pred.name.startswith("$"):
-            self._trace(op, table.subgoal)
-
-    @property
-    def n_simplifications(self) -> int:
-        return self.space.n_simplifications
 
     def statistics(self) -> dict:
         return {"tables": self.space.statistics(),
@@ -249,8 +244,9 @@ class Engine:
     def _evaluation(self):
         """Guard one top-level evaluation; yields the table watermark.
 
-        Only one evaluation runs at a time.  Whatever it raises, the run
-        state and the tables it created are dropped, and every live
+        Only one evaluation runs at a time, and its run state is dropped
+        when it ends, so nothing of it outlives the evaluation.  Whatever
+        it raises, the tables it created are dropped too, and every live
         table is left COMPLETE or INVALID; a cyclic term surfaces as
         ``EvalError("cyclic_term")``."""
         if self.query_active:
@@ -268,20 +264,21 @@ class Engine:
             self._recover(watermark)
             raise
         finally:
+            self.stack = []
+            self.comp = []
+            self.consumers = []
+            self.waiters = []
+            self.ctx = 0
+            self._scc_cache = None
             self.query_active = False
 
     def _recover(self, watermark: int) -> None:
-        """Drop the run state and tables of an evaluation that raised.
+        """Drop the tables of an evaluation that raised.
 
         An older table that the evaluation reset and left incomplete,
         or that read a table dropped here, becomes INVALID again, and so
         does every table that reads it: each is recomputed at its next
         call."""
-        self.stack = []
-        self.comp = []
-        self.consumers = []
-        self.waiters = []
-        self.ctx = 0
         stale = [t for t in self.space.tables
                  if t.dfn <= watermark and not t.abolished
                  and (t.status == SubgoalTable.INCOMPLETE
@@ -296,10 +293,11 @@ class Engine:
 
     def answers(self, goal):
         """Iterate answers of a goal; the table survives abolish until
-        the iterator is closed (deferred space reclamation)."""
+        the iterator is closed (deferred space reclamation).  Under
+        query-level tabling, closing it discards the tables it made."""
         if isinstance(goal, str):
             goal = parse_goal(goal).term
-        with self._evaluation():
+        with self._evaluation() as watermark:
             table = self._eval_wrapper(goal)
         table.refcount += 1
         self.space.open_streams += 1
@@ -312,7 +310,10 @@ class Engine:
         finally:
             table.refcount -= 1
             self.space.open_streams -= 1
-            self.space.sweep()
+            if self.query_level_tabling:
+                self.space.discard_from(watermark)
+            else:
+                self.space.sweep()
 
     def _eval_wrapper(self, goal: Term) -> SubgoalTable:
         qpi = self.program.info(QUERY_PRED, 1, create=True)
@@ -356,12 +357,13 @@ class Engine:
         elif kind == "answers":
             self._reader_step(entry)
         elif kind == "inline":
-            self._inline_expand(entry)
+            _, after, goal, clause, scope = entry
+            env = unify(rename(clause.head, after.nv), goal,
+                        occurs_check=self.occurs_check)
+            if env is not None:
+                self._push_body(after, clause, env, scope, after.k)
         else:  # "clause"
-            _, table, clause = entry
-            if table.complete:
-                return
-            self._clause_resolution(table, clause)
+            self._clause_resolution(entry[1], entry[2])
 
     # ------------------------------------------------------------------
     # continuation stepping
@@ -393,7 +395,7 @@ class Engine:
             raise EvalError("type_error",
                             f"not a callable goal: {term_to_str(goal)}")
         name, arity = functor_of(goal)
-        handler = _BUILTINS.get((name, arity))
+        handler = BUILTINS.get((name, arity))
         if handler is not None:
             handler(self, cont, goal, rest)
             return
@@ -402,6 +404,11 @@ class Engine:
             self._call_tabled(pi, cont, goal, rest)
         else:
             self._call_inline(pi, cont, goal, rest)
+
+    def _continue(self, cont: Cont, rest, env=None,
+                  nv: Optional[int] = None) -> None:
+        """Run the goals after a builtin that succeeded with ``env``."""
+        self.stack.append(("run", self._advance(cont, rest, env=env, nv=nv)))
 
     def _advance(self, cont: Cont, rest, env=None, extra_delay=None,
                  nv: Optional[int] = None, k: Optional[int] = None) -> Cont:
@@ -462,9 +469,7 @@ class Engine:
             for w in table.neg_waiters:
                 if not w.dead:
                     w.dead = True
-                    self._node()
-                    self.counters["negative_return"] += 1
-                    self._trace("NEGATIVE_RETURN", table.subgoal)
+                    self._op("negative_return", "NEGATIVE_RETURN", table)
             table.neg_waiters = []
         return status, rec
 
@@ -510,10 +515,7 @@ class Engine:
         """First call of a subgoal: set up its producers."""
         table.ctx = self.ctx
         table.owned_consumers = []
-        self._node()
-        self.counters["new_subgoal"] += 1
-        if not table.pred.name.startswith("$"):
-            self._trace("NEW_SUBGOAL", table.subgoal)
+        self._op("new_subgoal", "NEW_SUBGOAL", table)
         producer = table.producer
         if producer is not None and producer.complete:
             self._materialize_all(table)
@@ -534,8 +536,11 @@ class Engine:
         if table.pred.name == QUERY_PRED:
             self._push_query_root(table)
             return
+        # the root continuation of the table's producers: no goals, no
+        # cut scopes (a tabled clause cannot cut), answers are the subgoal
+        root = Cont(table, table.subgoal, None, (), (), self.K, table.nvars)
         for clause in reversed(self.program.lookup_clauses(table.subgoal)):
-            self.stack.append(("clause", table, clause))
+            self.stack.append(("clause", root, clause))
 
     def _push_query_root(self, table: SubgoalTable) -> None:
         goals, scopes = self._body_goals(table.subgoal.args[0])
@@ -551,31 +556,30 @@ class Engine:
         if any(type(l.goal) is Atom and l.goal.name == "!" for l in lits):
             self._scope_seq += 1
             scope = self._scope_seq
-        goals = None
-        for lit in reversed(lits):
-            if type(lit.goal) is Atom and lit.goal.name == "!":
-                goals = (CutOp(scope), goals)
-            else:
-                goals = ((lit.neg, lit.goal), goals)
+        goals = _expand_body(lits, 0, {}, scope, None)
         return goals, (scope,) if scope is not None else ()
 
-    def _clause_resolution(self, table: SubgoalTable,
-                           clause: Clause) -> None:
-        off = table.nvars
-        env = unify(rename(clause.head, off), table.subgoal,
+    def _clause_resolution(self, root: Cont, clause: Clause) -> None:
+        """Resolve a table's subgoal against one of its clauses."""
+        table = root.owner
+        if table.complete:
+            return
+        env = unify(rename(clause.head, root.nv), table.subgoal,
                     occurs_check=self.occurs_check)
         if env is None:
             return
-        k = self._node()
-        self.counters["clause_resolution"] += 1
-        if not table.pred.name.startswith("$"):
-            self._trace("PROGRAM_CLAUSE_RESOLUTION", table.subgoal)
-        goals = None
-        for lit in reversed(clause.body):
-            goals = ((lit.neg, resolve(rename(lit.goal, off), env)), goals)
-        cont = Cont(table, resolve(table.subgoal, env), goals, (), (),
-                    k, off + clause.nvars)
-        self.stack.append(("run", cont))
+        k = self._op("clause_resolution", "PROGRAM_CLAUSE_RESOLUTION", table)
+        self._push_body(root, clause, env, None, k)
+
+    def _push_body(self, cont: Cont, clause: Clause, env, scope, k: int):
+        """Run a clause whose head unified under ``env``, its variables
+        renamed above ``cont.nv``, ahead of the goals of ``cont``."""
+        off = cont.nv
+        goals = _expand_body(clause.body, off, env, scope,
+                             _resolve_goals(cont.goals, env))
+        self.stack.append(("run", Cont(
+            cont.owner, resolve(cont.ans, env), goals, cont.delays,
+            cont.scopes, k, off + clause.nvars)))
 
     def _register_consumer(self, table: SubgoalTable,
                            consumer: Consumer) -> None:
@@ -645,10 +649,7 @@ class Engine:
         env = unify(goal, inst, occurs_check=self.occurs_check)
         if env is None:
             return
-        k = self._node()
-        self.counters["positive_return"] += 1
-        if not table.pred.name.startswith("$"):
-            self._trace("POSITIVE_RETURN", table.subgoal)
+        k = self._op("positive_return", "POSITIVE_RETURN", table)
         extra = DelayLit(False, table, ans) if ans.conditional else None
         ncont = self._advance(cont, cont.goals, env=env, extra_delay=extra,
                               nv=cont.nv + ans.nvars, k=k)
@@ -674,9 +675,7 @@ class Engine:
         env = unify(target.subgoal, inst, occurs_check=self.occurs_check)
         if env is None:
             return
-        self._node()
-        self.counters["positive_return"] += 1
-        self._trace("POSITIVE_RETURN", producer.subgoal)
+        self._op("positive_return", "POSITIVE_RETURN", producer)
         bindings = tuple(resolve(Var(i), env) for i in range(target.nvars))
         delays = (DelayLit(False, producer, ans),) if ans.conditional else ()
         self._deliver_answer(target, bindings, delays)
@@ -689,7 +688,7 @@ class Engine:
         table.status = SubgoalTable.COMPLETE
         self.space.note_call_edge(table, table.producer, neg=False)
         self.space.on_completed(table)
-        self._trace("COMPLETION", table.subgoal)
+        self._trace("COMPLETION", table)
 
     def _finish_consumer_table(self, table: SubgoalTable,
                                mat: Consumer) -> None:
@@ -718,42 +717,24 @@ class Engine:
         if not clauses:
             return
         scope = None
+        after = self._advance(cont, rest)
         if pi.any_cut:
+            # the call opens a cut scope: a ! in one of its clauses
+            # discards every entry still carrying it, its other clauses
+            # first of all
             self._scope_seq += 1
             scope = self._scope_seq
-        after = self._advance(cont, rest)
+            after.scopes = cont.scopes + (scope,)
         for clause in reversed(clauses):
             self.stack.append(("inline", after, goal, clause, scope))
-
-    def _inline_expand(self, entry) -> None:
-        _, cont, goal, clause, scope = entry
-        off = cont.nv
-        env = unify(rename(clause.head, off), goal,
-                    occurs_check=self.occurs_check)
-        if env is None:
-            return
-        scopes = cont.scopes + (scope,) if scope is not None else cont.scopes
-        goals = _resolve_goals(cont.goals, env)
-        for lit in reversed(clause.body):
-            if type(lit.goal) is Atom and lit.goal.name == "!":
-                goals = (CutOp(scope), goals)
-            else:
-                goals = ((lit.neg, resolve(rename(lit.goal, off), env)),
-                         goals)
-        ncont = Cont(cont.owner, resolve(cont.ans, env), goals, cont.delays,
-                     scopes, cont.k, off + clause.nvars)
-        self.stack.append(("run", ncont))
 
     # ------------------------------------------------------------------
     # cut
 
     def _cut(self, scope: int) -> None:
-        kept = []
-        for entry in self.stack:
-            if scope in self._entry_scopes(entry):
-                continue
-            kept.append(entry)
-        self.stack[:] = kept
+        # element 1 of every run-stack entry carries the cut scopes it
+        # runs under; a producer's root continuation carries none
+        self.stack[:] = [e for e in self.stack if scope not in e[1].scopes]
         for c in self.consumers:
             if not c.dead and scope in c.scopes:
                 if not c.table.complete:
@@ -768,21 +749,6 @@ class Engine:
                     "cut_over_incomplete_table",
                     f"! would discard a negation suspended on incomplete "
                     f"table {term_to_str(w.table.subgoal)}")
-
-    @staticmethod
-    def _entry_scopes(entry) -> tuple:
-        kind = entry[0]
-        if kind == "run":
-            return entry[1].scopes
-        if kind == "resume":
-            return entry[1].scopes
-        if kind == "answers":
-            return entry[1].scopes
-        if kind == "inline":
-            cont, scope = entry[1], entry[4]
-            return cont.scopes + (scope,) if scope is not None \
-                else cont.scopes
-        return ()   # "clause": producers are never cut
 
     # ------------------------------------------------------------------
     # negation
@@ -816,9 +782,7 @@ class Engine:
                 owner.sdg_neg.add(table)
                 self._sdg_version += 1
         if table.has_unconditional:
-            self._node()
-            self.counters["negative_return"] += 1
-            self._trace("NEGATIVE_RETURN", table.subgoal)
+            self._op("negative_return", "NEGATIVE_RETURN", table)
             return      # the path fails now: an answer already exists
         waiter = NegWaiter(table, after)
         table.neg_waiters.append(waiter)
@@ -826,9 +790,7 @@ class Engine:
 
     def _negative_return(self, cont: Cont, table: SubgoalTable) -> None:
         """Resolve tnot against a completed table."""
-        k = self._node()
-        self.counters["negative_return"] += 1
-        self._trace("NEGATIVE_RETURN", table.subgoal)
+        k = self._op("negative_return", "NEGATIVE_RETURN", table)
         if not table.has_answers:
             self.stack.append(("run", self._advance(cont, cont.goals, k=k)))
         elif table.has_unconditional:
@@ -1006,12 +968,10 @@ class Engine:
         if best is None:
             raise EvalError("internal", "blocked region without waiters")
         best.dead = True
-        self._node()
-        self.counters["delaying"] += 1
-        self._trace("DELAYING", best.table.subgoal)
+        k = self._op("delaying", "DELAYING", best.table)
         extra = DelayLit(True, best.table, None)
         self.stack.append(("run", self._advance(
-            best.cont, best.cont.goals, extra_delay=extra, k=self.K)))
+            best.cont, best.cont.goals, extra_delay=extra, k=k)))
 
     # ------------------------------------------------------------------
     # completion
@@ -1021,8 +981,7 @@ class Engine:
             t.status = SubgoalTable.COMPLETE
         self._sdg_version += 1
         for t in scc:
-            if not t.pred.name.startswith("$"):
-                self._trace("COMPLETION", t.subgoal)
+            self._trace("COMPLETION", t)
             self.space.on_completed(t)
         self._answer_completion(scc)
         for t in scc:
@@ -1130,14 +1089,7 @@ class Engine:
     # incremental support hooks
 
     def reset_for_recompute(self, table: SubgoalTable) -> None:
-        self._as_states.pop(id(table), None)
         self.space.reset_table(table)
-
-    def as_state(self, table: SubgoalTable) -> dict:
-        st = self._as_states.get(id(table))
-        if st is None:
-            st = self._as_states[id(table)] = {"map": {}, "seen": set()}
-        return st
 
     # ------------------------------------------------------------------
     # join / leq evaluation for answer subsumption
@@ -1176,7 +1128,6 @@ class Engine:
     def abolish_all(self) -> None:
         self._guard_no_query("abolish")
         self.space.abolish_all()
-        self._as_states.clear()
 
     def abolish_pred(self, name: str, arity: int) -> None:
         self._guard_no_query("abolish")
@@ -1198,6 +1149,17 @@ class Engine:
 # goal-list helpers
 # ---------------------------------------------------------------------------
 
+def _expand_body(lits, off: int, env, scope: Optional[int], goals):
+    """Put a clause body, renamed by ``off`` and instantiated by ``env``,
+    ahead of the cons list ``goals``; each ``!`` cuts to ``scope``."""
+    for lit in reversed(lits):
+        if type(lit.goal) is Atom and lit.goal.name == "!":
+            goals = (CutOp(scope), goals)
+        else:
+            goals = ((lit.neg, resolve(rename(lit.goal, off), env)), goals)
+    return goals
+
+
 def _resolve_goals(goals, env):
     """Apply env to every goal term of a cons list."""
     if not env or goals is None:
@@ -1214,244 +1176,3 @@ def _resolve_goals(goals, env):
         else:
             out = ((item[0], resolve(item[1], env)), out)
     return out
-
-
-# ---------------------------------------------------------------------------
-# arithmetic
-# ---------------------------------------------------------------------------
-
-def eval_arith(t: Term) -> int:
-    tt = type(t)
-    if tt is Int:
-        return t.value
-    if tt is Var:
-        raise EvalError("arith_instantiation",
-                        "arithmetic on an unbound variable")
-    if tt is Struct:
-        name, n = t.name, len(t.args)
-        if n == 2:
-            a = eval_arith(t.args[0])
-            b = eval_arith(t.args[1])
-            if name == "+":
-                return a + b
-            if name == "-":
-                return a - b
-            if name == "*":
-                return a * b
-            if name in ("//", "/"):
-                if b == 0:
-                    raise EvalError("zero_divisor", "division by zero")
-                q = abs(a) // abs(b)
-                return q if (a >= 0) == (b >= 0) else -q
-            if name == "mod":
-                if b == 0:
-                    raise EvalError("zero_divisor", "division by zero")
-                return a % b
-            if name == "min":
-                return min(a, b)
-            if name == "max":
-                return max(a, b)
-        elif n == 1:
-            a = eval_arith(t.args[0])
-            if name == "-":
-                return -a
-            if name == "+":
-                return a
-            if name == "abs":
-                return abs(a)
-    raise EvalError("arith_type",
-                    f"not an arithmetic expression: {term_to_str(t)}")
-
-
-# ---------------------------------------------------------------------------
-# builtins
-# ---------------------------------------------------------------------------
-
-def _continue(engine: Engine, cont: Cont, rest, env=None) -> None:
-    engine.stack.append(("run", engine._advance(cont, rest, env=env)))
-
-
-def _bi_true(engine, cont, goal, rest):
-    _continue(engine, cont, rest)
-
-
-def _bi_fail(engine, cont, goal, rest):
-    return
-
-
-def _bi_unify(engine, cont, goal, rest):
-    env = unify(goal.args[0], goal.args[1],
-                occurs_check=engine.occurs_check)
-    if env is not None:
-        _continue(engine, cont, rest, env)
-
-
-def _bi_not_unify(engine, cont, goal, rest):
-    if unify(goal.args[0], goal.args[1],
-             occurs_check=engine.occurs_check) is None:
-        _continue(engine, cont, rest)
-
-
-def _bi_eq(engine, cont, goal, rest):
-    if compare(goal.args[0], goal.args[1]) == 0:
-        _continue(engine, cont, rest)
-
-
-def _bi_neq(engine, cont, goal, rest):
-    if compare(goal.args[0], goal.args[1]) != 0:
-        _continue(engine, cont, rest)
-
-
-def _bi_is(engine, cont, goal, rest):
-    val = Int(eval_arith(goal.args[1]))
-    env = unify(goal.args[0], val, occurs_check=engine.occurs_check)
-    if env is not None:
-        _continue(engine, cont, rest, env)
-
-
-def _cmp(op):
-    def run(engine, cont, goal, rest):
-        a = eval_arith(goal.args[0])
-        b = eval_arith(goal.args[1])
-        if op(a, b):
-            _continue(engine, cont, rest)
-    return run
-
-
-def _bi_cut_bare(engine, cont, goal, rest):
-    # a bare ! outside any clause context commits nothing
-    _continue(engine, cont, rest)
-
-
-def _bi_findall(engine: Engine, cont: Cont, goal, rest):
-    template, sub, out = goal.args
-    if type(sub) is Var or not is_callable(sub):
-        raise EvalError("instantiation", "findall/3 goal is not callable")
-    results = engine._sub_eval(engine._owner_of(cont), template, sub,
-                               cont.nv)
-    items = []
-    nv = cont.nv
-    for sol in results:
-        csol, n = canonicalize(sol)
-        items.append(rename(csol, nv))
-        nv += n
-    env = unify(out, make_list(items), occurs_check=engine.occurs_check)
-    if env is not None:
-        engine.stack.append(("run", engine._advance(cont, rest, env=env,
-                                                    nv=nv)))
-
-
-def _proper_list(t: Term, what: str) -> List[Term]:
-    elems, tail = list_parts(t)
-    if type(tail) is Var:
-        raise EvalError("instantiation", f"{what}: open-ended list")
-    if not (type(tail) is Atom and tail.name == "[]"):
-        raise EvalError("type_error", f"{what}: not a proper list")
-    return elems
-
-
-def _bi_sort(engine, cont, goal, rest):
-    items = _proper_list(goal.args[0], "sort/2")
-    ordered = sorted(items, key=OrderKey)
-    dedup: List[Term] = []
-    for x in ordered:
-        if not dedup or compare(dedup[-1], x) != 0:
-            dedup.append(x)
-    env = unify(goal.args[1], make_list(dedup),
-                occurs_check=engine.occurs_check)
-    if env is not None:
-        _continue(engine, cont, rest, env)
-
-
-def _flatten_into(t: Term, out: List[Term]) -> None:
-    if type(t) is Atom and t.name == "[]":
-        return
-    elems, tail = list_parts(t)
-    if type(tail) is Var:
-        raise EvalError("instantiation", "flatten/2: open-ended list")
-    if not (type(tail) is Atom and tail.name == "[]"):
-        raise EvalError("type_error", "flatten/2: not a proper list")
-    for e in elems:
-        if (type(e) is Struct and e.name == "." and len(e.args) == 2) \
-                or (type(e) is Atom and e.name == "[]"):
-            _flatten_into(e, out)
-        else:
-            out.append(e)
-
-
-def _bi_flatten(engine, cont, goal, rest):
-    flat: List[Term] = []
-    _flatten_into(goal.args[0], flat)
-    env = unify(goal.args[1], make_list(flat),
-                occurs_check=engine.occurs_check)
-    if env is not None:
-        _continue(engine, cont, rest, env)
-
-
-def _bi_ord_subset(engine, cont, goal, rest):
-    sub = _proper_list(goal.args[0], "ord_subset/2")
-    sup = _proper_list(goal.args[1], "ord_subset/2")
-    i = 0
-    for x in sub:
-        while i < len(sup) and compare(sup[i], x) < 0:
-            i += 1
-        if i >= len(sup) or compare(sup[i], x) != 0:
-            return
-        i += 1
-    _continue(engine, cont, rest)
-
-
-def _bi_ord_disjoint(engine, cont, goal, rest):
-    a = _proper_list(goal.args[0], "ord_disjoint/2")
-    b = _proper_list(goal.args[1], "ord_disjoint/2")
-    i = j = 0
-    while i < len(a) and j < len(b):
-        c = compare(a[i], b[j])
-        if c == 0:
-            return
-        if c < 0:
-            i += 1
-        else:
-            j += 1
-    _continue(engine, cont, rest)
-
-
-def _bi_ord_subtract(engine, cont, goal, rest):
-    a = _proper_list(goal.args[0], "ord_subtract/3")
-    b = _proper_list(goal.args[1], "ord_subtract/3")
-    out: List[Term] = []
-    j = 0
-    for x in a:
-        while j < len(b) and compare(b[j], x) < 0:
-            j += 1
-        if j < len(b) and compare(b[j], x) == 0:
-            continue
-        out.append(x)
-    env = unify(goal.args[2], make_list(out),
-                occurs_check=engine.occurs_check)
-    if env is not None:
-        _continue(engine, cont, rest, env)
-
-
-_BUILTINS: Dict[Tuple[str, int], Callable] = {
-    ("true", 0): _bi_true,
-    ("fail", 0): _bi_fail,
-    ("!", 0): _bi_cut_bare,
-    ("=", 2): _bi_unify,
-    ("\\=", 2): _bi_not_unify,
-    ("==", 2): _bi_eq,
-    ("\\==", 2): _bi_neq,
-    ("is", 2): _bi_is,
-    ("<", 2): _cmp(lambda a, b: a < b),
-    (">", 2): _cmp(lambda a, b: a > b),
-    ("=<", 2): _cmp(lambda a, b: a <= b),
-    (">=", 2): _cmp(lambda a, b: a >= b),
-    ("=:=", 2): _cmp(lambda a, b: a == b),
-    ("=\\=", 2): _cmp(lambda a, b: a != b),
-    ("findall", 3): _bi_findall,
-    ("sort", 2): _bi_sort,
-    ("flatten", 2): _bi_flatten,
-    ("ord_subset", 2): _bi_ord_subset,
-    ("ord_disjoint", 2): _bi_ord_disjoint,
-    ("ord_subtract", 3): _bi_ord_subtract,
-}

@@ -76,16 +76,20 @@ def incr_invalidate(engine: Engine, change) -> List[SubgoalTable]:
 
     ``change`` is ``assert(Fact)`` or ``retract(Fact)``; a bare fact
     means assert.  A change that some affected table cannot follow is
-    rejected before it touches the program."""
+    rejected before it touches the program, and a change that leaves
+    the program as it was (a retract that matches nothing, a duplicate
+    fact of a trie-indexed predicate) marks nothing."""
     engine._guard_no_query("incremental update")
     op, fact = _as_change(change)
     pi = _source_info(engine, fact)
     affected = _affected(engine, [pi.key])
     _validate(affected)
     if op == "assert":
-        engine.program.add_clause(fact, at_load=False)
+        changed = engine.program.add_clause(fact, at_load=False) is not None
     else:
-        engine.program.retract_clause(fact)
+        changed = engine.program.retract_clause(fact)
+    if not changed:
+        return []
     marked = []
     for table in sorted(affected, key=lambda t: t.dfn):
         if table.status == SubgoalTable.COMPLETE:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from .builtins import BUILTINS
 from .errors import DirectiveError, StoreError
 from .sccs import cyclic_vertices
 from .terms import (
@@ -23,16 +24,7 @@ from .tries import Trie, term_path
 
 PredKey = Tuple[str, int]
 
-BUILTINS: Set[PredKey] = {
-    ("true", 0), ("fail", 0), ("!", 0),
-    ("=", 2), ("\\=", 2), ("==", 2), ("\\==", 2),
-    ("is", 2), ("<", 2), (">", 2), ("=<", 2), (">=", 2),
-    ("=:=", 2), ("=\\=", 2),
-    ("findall", 3), ("sort", 2), ("flatten", 2),
-    ("ord_subset", 2), ("ord_disjoint", 2), ("ord_subtract", 3),
-}
-
-_RESERVED_HEADS = BUILTINS | {("tnot", 1), (",", 2), (":-", 2)}
+_RESERVED_HEADS = set(BUILTINS) | {("tnot", 1), (",", 2), (":-", 2)}
 
 STAR_CAP = 5
 _VSTOP = "\x00V"  # boundary: stored component truncated at a variable

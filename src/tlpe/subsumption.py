@@ -30,7 +30,9 @@ def apply(engine, table, ans_term: Term) -> str:
             f"{term_to_str(ans_term)}")
     plain = args[:pos] + args[pos + 1:]
     key = canonical_key(Struct("$p", plain)) if plain else ()
-    state = engine.as_state(table)
+    state = table.as_state
+    if state is None:   # made on first use: most tables never need one
+        state = table.as_state = {"map": {}, "seen": set()}
 
     if spec.kind == "po":
         return _apply_po(engine, table, state, key, args, pos, val, spec)

@@ -122,6 +122,7 @@ class SubgoalTable:
         self.ctx = 0                    # evaluation context of its run
         self.owned_consumers: list = []  # consumers its continuations made
         self.leaf_node = None           # its leaf in the subgoal trie
+        self.as_state: Optional[dict] = None   # answer-subsumption index
         # incremental dependency graph
         self.dep_in: Set["SubgoalTable"] = set()
         self.dep_out: Set["SubgoalTable"] = set()
@@ -340,6 +341,7 @@ class TableSpace:
         for key in table.consulted_dyn:
             self.dyn_readers.get(key, set()).discard(table)
         table.consulted_dyn = set()
+        table.as_state = None
         table.pred.recomputations += 1
 
     def delete_answer(self, table: SubgoalTable, ans: AnswerRecord) -> None:

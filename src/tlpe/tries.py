@@ -114,10 +114,8 @@ class Trie:
                 # subsumption: a goal variable only matches a stored variable
                 for s, child in node.children.items():
                     if s[0] == "v":
-                        if not self._bind(env, s[1], g):
-                            continue
-                        self._walk(child, rest, env, mode, out)
-                        self._unbind(env, s[1], g)
+                        self._walk_bound(child, s[1], g, rest, env, mode,
+                                         out)
             return
         # non-variable goal position: exact edge first, then stored-var edges
         s = _head_symbol(g)
@@ -129,23 +127,21 @@ class Trie:
                 self._walk(child, rest, env, mode, out)
         for sym, vchild in node.children.items():
             if sym[0] == "v":
-                if not self._bind(env, sym[1], g):
-                    continue
-                self._walk(vchild, rest, env, mode, out)
-                self._unbind(env, sym[1], g)
+                self._walk_bound(vchild, sym[1], g, rest, env, mode, out)
 
-    @staticmethod
-    def _bind(env: dict, vid: int, value: Term) -> bool:
+    def _walk_bound(self, child: TrieNode, vid: int, value: Term,
+                    rest: tuple, env: dict, mode: str, out: list) -> None:
+        """Walk a stored-variable edge with ``vid`` bound to ``value``.
+
+        Only a binding made here is undone afterwards: an equal earlier
+        binding belongs to an enclosing edge and must survive."""
         prev = env.get(vid)
         if prev is None:
             env[vid] = value
-            return True
-        return term_eq(prev, value)
-
-    @staticmethod
-    def _unbind(env: dict, vid: int, value: Term) -> None:
-        if env.get(vid) is value:
+            self._walk(child, rest, env, mode, out)
             del env[vid]
+        elif term_eq(prev, value):
+            self._walk(child, rest, env, mode, out)
 
     def _complete_one(self, node: TrieNode) -> Iterator[TrieNode]:
         """Nodes reached by consuming exactly one stored term below node."""

@@ -1,7 +1,9 @@
 """Engine behavior: resolution, tabling, scheduling, traces, statistics."""
 
+import gc
 import random
 import sys
+import weakref
 
 import pytest
 
@@ -181,6 +183,23 @@ class TestCallSubsumption:
         # the specific call could not reuse anything, so two producers
         assert eng.statistics()["tables"]["p/2"]["producers"] == 2
 
+    def test_producer_subsumes_the_call(self):
+        # p(V0,V0,c) and p(V0,V1,V0) share a trie prefix; the producer
+        # lookup for p(a,a,b) must not take p(V0,V1,V0), which does not
+        # subsume it
+        eng = make("""
+        :- table p/3 as subsumptive.
+        p(a,a,b).
+        p(X,Y,X) :- e(X,Y).
+        p(X,X,c) :- e(X,_).
+        e(a,a).
+        """)
+        eng.query("p(A,A,c).")
+        eng.query("p(A,B,A).")
+        answers = eng.query("Y = a, p(Y,Y,b).")
+        assert [term_to_str(a.goal.args[1]) for a in answers] == \
+            ["p(a,a,b)"]
+
 
 class TestTableCountShape:
     @pytest.mark.parametrize("n", [3, 10])
@@ -236,6 +255,39 @@ class TestQueryLevelTabling:
         eng = make(REACH_L)
         eng.query("reach(1,Y).")
         assert eng.statistics()["tables"]["reach/2"]["tables"] == 1
+
+    def test_answer_stream_discards_its_tables(self):
+        eng = make(REACH_L, query_level_tabling=True)
+        for _ in range(3):
+            got = [term_to_str(a.goal) for a in eng.answers("reach(1,Y).")]
+            assert got == ["reach(1,2)", "reach(1,3)"]
+        assert eng.space.tables == []
+
+    @pytest.mark.parametrize("src,goal", [
+        (":- table sp(_,_,min).\n"
+         "sp(X,Y,C) :- e(X,Y,C).\n"
+         "sp(X,Y,C) :- sp(X,Z,C1), e(Z,Y,C2), C is C1 + C2.\n"
+         "e(1,2,3). e(2,3,1). e(1,3,5). e(3,1,1).", "sp(1,Y,C)."),
+        (":- table win/1.\n"
+         "win(X) :- move(X,Y), tnot win(Y).\n"
+         "move(1,2). move(2,3). move(3,1). move(3,4).", "win(1)."),
+    ], ids=["min", "win"])
+    def test_no_table_outlives_its_query(self, src, goal):
+        eng = make(src, query_level_tabling=True)
+        made = []
+        new_table = eng.space._new_table
+
+        def spy(*args, **kw):
+            table = new_table(*args, **kw)
+            made.append(weakref.ref(table))
+            return table
+
+        eng.space._new_table = spy
+        for _ in range(3):
+            assert eng.query(goal)
+        gc.collect()
+        assert made
+        assert [r for r in made if r() is not None] == []
 
 
 class TestEngineGuards:

@@ -120,6 +120,27 @@ class TestBatchUpdate:
         assert incr_table_update(eng) == []
 
 
+class TestNoOpChange:
+    SRC = """
+    :- use_incremental_dynamic e/2.
+    :- use_incremental_dynamic f/1.
+    :- index(f/1, trie).
+    :- table r/1 as incremental.
+    r(X) :- e(X,_).
+    r(X) :- f(X).
+    e(1,2).
+    f(3).
+    """
+
+    @pytest.mark.parametrize("change", ["retract(e(9,9)).", "assert(f(3))."])
+    def test_change_that_changes_nothing_marks_nothing(self, change):
+        eng = make(self.SRC)
+        before = answer_set(eng, "r(X).")
+        assert incr_invalidate(eng, change) == []
+        assert all(t.complete for t in eng.space.tables)
+        assert answer_set(eng, "r(X).") == before
+
+
 class TestRejectedUpdate:
     SRC = """
     :- use_incremental_dynamic e/2.

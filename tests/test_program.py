@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from tlpe.builtins import BUILTINS
 from tlpe.errors import DirectiveError, StoreError
 from tlpe.parser import parse_program, parse_term_text
 from tlpe.program import Program
@@ -164,9 +165,13 @@ class TestAssertRetract:
         with pytest.raises(StoreError):
             load("p(X) :- q(X), !.\n:- table p/1.")
 
-    def test_cannot_define_builtins(self):
+    @pytest.mark.parametrize("name,arity", sorted(BUILTINS),
+                             ids=[f"{n}/{a}" for n, a in sorted(BUILTINS)])
+    def test_cannot_define_builtins(self, name, arity):
+        head = Struct(name, tuple(Var(i) for i in range(arity))) \
+            if arity else Atom(name)
         with pytest.raises(StoreError):
-            load("sort(_, _) :- fail.")
+            Program().add_clause(Struct(":-", (head, Atom("fail"))))
 
     def test_body_variable_goal_rejected(self):
         with pytest.raises(StoreError):
