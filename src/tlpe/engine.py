@@ -6,9 +6,12 @@ Negative calls suspend on incomplete tables and are resolved at
 completion, delayed inside negative loops, or failed eagerly as soon as
 an unconditional answer shows up.
 
-Scheduling maintains a completion stack of incomplete tables.  When the
-run stack drains, the topmost closed segment of the completion stack is
-partitioned into SCCs of the subgoal dependency graph:
+Scheduling maintains a completion stack of incomplete tables, the
+scheduler's only registry of them.  Tables record one call graph,
+``SubgoalTable.dep_out``, which scheduling shares with incremental
+invalidation and error recovery.  When the run stack drains, the
+topmost closed segment of the completion stack is partitioned into
+SCCs of that graph restricted to incomplete tables:
 
 * under the local strategy, answers are fed to consumers inside their
   own SCC first; sink SCCs complete once quiesced, releasing answers to
@@ -102,8 +105,8 @@ class Consumer:
         self.scopes = cont.scopes if cont is not None else ()
         self.dead = False
         # answer-subsumption tables feed out of insertion order, so
-        # their consumers track fed records by identity, not cursor
-        self.fed: Optional[Set[int]] = None
+        # their consumers track the fed records themselves, not a cursor
+        self.fed: Optional[set] = None
 
     def owner_table(self) -> Optional[SubgoalTable]:
         if self.cont is None:
@@ -161,16 +164,12 @@ class Engine:
 
         self.stack: list = []
         self.comp: List[SubgoalTable] = []
-        self.consumers: List[Consumer] = []
-        self.waiters: List[NegWaiter] = []
         self._comp_cap = 64
-        self._consumers_cap = 64
-        self._waiters_cap = 64
         self.K = 0                  # global node-creation counter
         self.ctx = 0                # evaluation context (sub-runs get fresh)
         self._ctx_seq = 0
         self._scope_seq = 0
-        self._sdg_version = 0
+        self._graph_version = 0
         self._scc_cache = None
         self.query_active = False
 
@@ -266,8 +265,6 @@ class Engine:
         finally:
             self.stack = []
             self.comp = []
-            self.consumers = []
-            self.waiters = []
             self.ctx = 0
             self._scc_cache = None
             self.query_active = False
@@ -479,18 +476,11 @@ class Engine:
     def _call_tabled(self, pi: PredicateInfo, cont: Cont, goal: Term,
                      rest) -> None:
         table = self._intern(pi, goal)
-        caller = self._owner_of(cont)
-        if caller is not None:
-            self.space.note_call_edge(caller, table, neg=False)
+        self._note_call(cont, table, neg=False)
         after = self._advance(cont, rest)
         if table.complete:
             self.stack.append(("answers", after, goal, table, 0))
             return
-        owner = cont.owner
-        if isinstance(owner, SubgoalTable) and not owner.complete:
-            if table not in owner.sdg_pos:
-                owner.sdg_pos.add(table)
-                self._sdg_version += 1
         consumer = Consumer(table, goal, after)
         self._register_consumer(table, consumer)
         if self.strategy == "batched":
@@ -522,9 +512,8 @@ class Engine:
             return
         table.stack_pos = len(self.comp)
         self.comp.append(table)
-        self._sdg_version += 1
+        self._graph_version += 1
         if producer is not None:
-            table.sdg_pos.add(producer)
             self.space.note_call_edge(table, producer, neg=False)
             mat = Consumer(producer, None, None, target=table)
             self._register_consumer(producer, mat)
@@ -584,7 +573,6 @@ class Engine:
     def _register_consumer(self, table: SubgoalTable,
                            consumer: Consumer) -> None:
         table.consumers.append(consumer)
-        self.consumers.append(consumer)
         owner = consumer.owner_table()
         if owner is not None and owner is not consumer.target:
             owner.owned_consumers.append(consumer)
@@ -620,7 +608,7 @@ class Engine:
             fed = consumer.fed = set()
         spec = consumer.table.pred.subsumption
         pending = [a for a in consumer.table.answers
-                   if not a.deleted and id(a) not in fed]
+                   if not a.deleted and a not in fed]
         if not pending:
             return False
         rev = spec.kind == "max"
@@ -630,8 +618,7 @@ class Engine:
                        else min(pending, key=keyf)]
         else:
             pending.sort(key=keyf, reverse=rev)
-        for ans in pending:
-            fed.add(id(ans))
+        fed.update(pending)
         for ans in reversed(pending):
             self.stack.append(("resume", consumer, ans))
         return True
@@ -712,7 +699,9 @@ class Engine:
         if pi.dynamic or pi.incremental_source:
             caller = self._owner_of(cont)
             if caller is not None:
-                self.space.note_dyn_read(caller, pi.key)
+                # findall sees every copy of a clause, a cut their order
+                ordered = type(cont.owner) is Collector or bool(cont.scopes)
+                self.space.note_dyn_read(caller, pi.key, ordered)
         clauses = self.program.lookup_clauses(goal)
         if not clauses:
             return
@@ -735,20 +724,24 @@ class Engine:
         # element 1 of every run-stack entry carries the cut scopes it
         # runs under; a producer's root continuation carries none
         self.stack[:] = [e for e in self.stack if scope not in e[1].scopes]
-        for c in self.consumers:
-            if not c.dead and scope in c.scopes:
-                if not c.table.complete:
+        # so would a reader suspended under it on an incomplete table, all
+        # of which are on the completion stack (a sub-evaluation's scopes
+        # never reach an outer table); a complete table feeds no more
+        for t in self.comp:
+            if t.complete:
+                continue
+            for c in t.consumers:
+                if not c.dead and scope in c.scopes:
                     raise EvalError(
                         "cut_over_incomplete_table",
                         f"! would discard a consumer of incomplete table "
-                        f"{term_to_str(c.table.subgoal)}")
-                c.dead = True
-        for w in self.waiters:
-            if not w.dead and scope in w.cont.scopes:
-                raise EvalError(
-                    "cut_over_incomplete_table",
-                    f"! would discard a negation suspended on incomplete "
-                    f"table {term_to_str(w.table.subgoal)}")
+                        f"{term_to_str(t.subgoal)}")
+            for w in t.neg_waiters:
+                if not w.dead and scope in w.cont.scopes:
+                    raise EvalError(
+                        "cut_over_incomplete_table",
+                        f"! would discard a negation suspended on incomplete "
+                        f"table {term_to_str(t.subgoal)}")
 
     # ------------------------------------------------------------------
     # negation
@@ -769,24 +762,15 @@ class Engine:
                 f"tnot {term_to_str(goal)}: predicate {name}/{arity} is "
                 "not tabled")
         table = self._intern(pi, goal)
-        caller = self._owner_of(cont)
-        if caller is not None:
-            self.space.note_call_edge(caller, table, neg=True)
+        self._note_call(cont, table, neg=True)
         after = self._advance(cont, rest)
         if table.complete:
             self._negative_return(after, table)
             return
-        owner = cont.owner
-        if isinstance(owner, SubgoalTable) and not owner.complete:
-            if table not in owner.sdg_neg:
-                owner.sdg_neg.add(table)
-                self._sdg_version += 1
         if table.has_unconditional:
             self._op("negative_return", "NEGATIVE_RETURN", table)
             return      # the path fails now: an answer already exists
-        waiter = NegWaiter(table, after)
-        table.neg_waiters.append(waiter)
-        self.waiters.append(waiter)
+        table.neg_waiters.append(NegWaiter(table, after))
 
     def _negative_return(self, cont: Cont, table: SubgoalTable) -> None:
         """Resolve tnot against a completed table."""
@@ -809,7 +793,7 @@ class Engine:
             comp.pop()
         if not comp:
             return False
-        # registries are compacted when they double past the last
+        # the stack is compacted when it doubles past the last
         # compaction, keeping the per-call cost amortized constant
         if len(comp) > self._comp_cap:
             self.comp = comp = [t for t in comp if not t.complete]
@@ -818,37 +802,25 @@ class Engine:
             self._comp_cap = max(64, 2 * len(comp))
             if not comp:
                 return False
-        if len(self.consumers) > self._consumers_cap:
-            self.consumers = [c for c in self.consumers
-                              if not c.dead and not c.table.complete]
-            self._consumers_cap = max(64, 2 * len(self.consumers))
-        if len(self.waiters) > self._waiters_cap:
-            self.waiters = [w for w in self.waiters if not w.dead]
-            self._waiters_cap = max(64, 2 * len(self.waiters))
         segment = self._top_segment(comp)
-        comps, comp_of = self._segment_sccs(segment)
+        comps, comp_of, sinks = self._segment_sccs(segment)
         if self.strategy == "local":
             fed = False
-            for scc in comps:
-                sccset = set(id(t) for t in scc)
+            for i, scc in enumerate(comps):
                 for t in scc:
                     reduced = t.pred.subsumption is not None
                     for c in t.consumers:
-                        if c.dead:
-                            continue
-                        owner = c.owner_table()
-                        if owner is not None and id(owner) in sccset:
+                        if not c.dead and comp_of.get(c.owner_table()) == i:
                             fed |= (self._feed_reduced(c, one=True)
                                     if reduced else self._feed_consumer(c))
             if fed:
                 return True
-        sinks = self._sink_sccs(segment, comps, comp_of)
-        ready = [scc for scc in sinks if not self._blocked(scc)]
+        ready = [scc for scc in sinks if not self._blocked(scc, comp_of)]
         if ready:
             for scc in ready:
                 self._complete_scc(scc)
             return True
-        self._delay_blocked_region(segment, comps, comp_of, sinks)
+        self._delay_blocked_region(comps, comp_of, sinks)
         return True
 
     def _top_segment(self, comp: List[SubgoalTable]) -> List[SubgoalTable]:
@@ -860,10 +832,7 @@ class Engine:
         while True:
             t = comp[i]
             if not t.complete:
-                for dep in t.sdg_pos:
-                    if not dep.complete and dep.stack_pos < bound:
-                        bound = dep.stack_pos
-                for dep in t.sdg_neg:
+                for dep in t.dep_out:
                     if not dep.complete and dep.stack_pos < bound:
                         bound = dep.stack_pos
             if i <= bound:
@@ -872,52 +841,35 @@ class Engine:
         return [t for t in comp[bound:] if not t.complete]
 
     def _segment_sccs(self, segment):
+        """``(comps, comp_of, sinks)``: the SCCs of the segment's call
+        graph, each table's SCC index, and the sink SCCs.  Cached while
+        the graph version and the segment hold; the sinks may be cached
+        too, as every status change of a segment table bumps the version
+        (``_activate``, ``_complete_scc``)."""
         cached = self._scc_cache
-        seg_ids = set(id(t) for t in segment)
-        if cached is not None and cached[0] == self._sdg_version \
-                and cached[1] == seg_ids:
-            return cached[2], cached[3]
-        edges = {}
-        for t in segment:
-            edges[t] = [d for d in (t.sdg_pos | t.sdg_neg)
-                        if not d.complete and id(d) in seg_ids]
-        comps = tarjan_sccs(segment, lambda v: edges[v])
-        comp_of = {}
-        for i, scc in enumerate(comps):
-            for t in scc:
-                comp_of[id(t)] = i
-        self._scc_cache = (self._sdg_version, seg_ids, comps, comp_of)
-        return comps, comp_of
-
-    def _sink_sccs(self, segment, comps, comp_of):
-        sinks = []
-        for i, scc in enumerate(comps):
-            out = False
-            for t in scc:
-                for d in t.sdg_pos | t.sdg_neg:
-                    if not d.complete and comp_of.get(id(d), i) != i:
-                        out = True
-                        break
-                if out:
-                    break
-            if not out:
-                sinks.append(scc)
-        return sinks
+        if cached is not None and cached[0] == self._graph_version \
+                and cached[1] == segment:
+            return cached[2]
+        edges = {t: [d for d in t.dep_out if not d.complete]
+                 for t in segment}
+        comps = tarjan_sccs(segment, edges.__getitem__)
+        comp_of = {t: i for i, scc in enumerate(comps) for t in scc}
+        # the segment is closed under incomplete dependencies, so every
+        # edge of ``edges`` stays inside it
+        sinks = [scc for i, scc in enumerate(comps)
+                 if all(comp_of[d] == i for t in scc for d in edges[t])]
+        result = (comps, comp_of, sinks)
+        self._scc_cache = (self._graph_version, segment, result)
+        return result
 
     @staticmethod
-    def _blocked(scc) -> bool:
+    def _blocked(scc, comp_of) -> bool:
         """An SCC is blocked if a member still waits on tnot of a member."""
-        members = set(id(t) for t in scc)
-        for t in scc:
-            for w in t.neg_waiters:
-                if w.dead:
-                    continue
-                owner = w.cont.owner
-                if isinstance(owner, SubgoalTable) and id(owner) in members:
-                    return True
-        return False
+        i = comp_of[scc[0]]
+        return any(not w.dead and comp_of.get(w.cont.owner) == i
+                   for t in scc for w in t.neg_waiters)
 
-    def _delay_blocked_region(self, segment, comps, comp_of, sinks) -> None:
+    def _delay_blocked_region(self, comps, comp_of, sinks) -> None:
         """Every sink of the quiesced segment is a negative loop.
 
         The blocked region is those sink SCCs plus, transitively, any
@@ -928,40 +880,33 @@ class Engine:
         number K: this is the oldest blocked choice in the forest."""
         core: List[SubgoalTable] = []
         for scc in sinks:
-            if self._blocked(scc):
+            if self._blocked(scc, comp_of):
                 core.extend(scc)
-        region: Set[int] = set(id(t) for t in core)
-        seg_ids = set(id(t) for t in segment)
+        region: Set[SubgoalTable] = set(core)
         below = [t for t in self.comp
-                 if not t.complete and id(t) not in seg_ids]
+                 if not t.complete and t not in comp_of]
         changed = True
         while changed:
             changed = False
             for i, scc in enumerate(comps):
-                if all(id(t) in region for t in scc):
+                if all(t in region for t in scc):
                     continue
-                ok = all(d.complete or comp_of.get(id(d)) == i
-                         or id(d) in region
-                         for t in scc for d in (t.sdg_pos | t.sdg_neg))
+                ok = all(d.complete or comp_of.get(d) == i or d in region
+                         for t in scc for d in t.dep_out)
                 if ok:
-                    region.update(id(t) for t in scc)
+                    region.update(scc)
                     changed = True
             for t in below:
-                if id(t) in region:
+                if t in region:
                     continue
-                deps = [d for d in (t.sdg_pos | t.sdg_neg)
-                        if not d.complete]
-                if deps and all(id(d) in region for d in deps):
-                    region.add(id(t))
+                deps = [d for d in t.dep_out if not d.complete]
+                if deps and all(d in region for d in deps):
+                    region.add(t)
                     changed = True
         best: Optional[NegWaiter] = None
         for t in core:
             for w in t.neg_waiters:
-                if w.dead:
-                    continue
-                owner = w.cont.owner
-                if not (isinstance(owner, SubgoalTable)
-                        and id(owner) in region):
+                if w.dead or w.cont.owner not in region:
                     continue
                 if best is None or w.cont.k < best.cont.k:
                     best = w
@@ -979,7 +924,7 @@ class Engine:
     def _complete_scc(self, scc) -> None:
         for t in scc:
             t.status = SubgoalTable.COMPLETE
-        self._sdg_version += 1
+        self._graph_version += 1
         for t in scc:
             self._trace("COMPLETION", t)
             self.space.on_completed(t)
@@ -995,9 +940,9 @@ class Engine:
         not block support (they stay merely undefined).  Without this,
         residual programs like ``p :- p`` survive as spurious
         undefineds."""
-        scc_ids = {id(t) for t in scc}
+        members = set(scc)
         while True:
-            supported: set = set()
+            supported: Set[object] = set()
             conds = []
             for t in scc:
                 for a in t.answers:
@@ -1006,28 +951,28 @@ class Engine:
                     if a.delay_lists:
                         conds.append(a)
                     else:
-                        supported.add(id(a))
+                        supported.add(a)
             if not conds:
                 return
 
             def ok(lit):
                 if lit.neg:
                     return True
-                if id(lit.ans.table) not in scc_ids:
+                if lit.ans.table not in members:
                     return not lit.ans.deleted   # settled at its own SCC
-                return id(lit.ans) in supported
+                return lit.ans in supported
 
             changed = True
             while changed:
                 changed = False
                 for a in conds:
-                    if id(a) in supported:
+                    if a in supported:
                         continue
                     if any(not dl.dead and all(ok(l) for l in dl.lits)
                            for dl in a.delay_lists):
-                        supported.add(id(a))
+                        supported.add(a)
                         changed = True
-            victims = [a for a in conds if id(a) not in supported]
+            victims = [a for a in conds if a not in supported]
             if not victims:
                 return
             for a in victims:
@@ -1084,6 +1029,16 @@ class Engine:
         owner = cont.owner
         return owner if isinstance(owner, SubgoalTable) \
             else owner.owner_table
+
+    def _note_call(self, cont: Cont, table: SubgoalTable, neg: bool) -> None:
+        """Record the call edge from the table ``cont`` works for to
+        ``table``; a new edge to an incomplete table may merge SCCs."""
+        caller = self._owner_of(cont)
+        if caller is None:
+            return
+        if not table.complete and table not in caller.dep_out:
+            self._graph_version += 1
+        self.space.note_call_edge(caller, table, neg)
 
     # ------------------------------------------------------------------
     # incremental support hooks

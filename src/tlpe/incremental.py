@@ -78,18 +78,26 @@ def incr_invalidate(engine: Engine, change) -> List[SubgoalTable]:
     means assert.  A change that some affected table cannot follow is
     rejected before it touches the program, and a change that leaves
     the program as it was (a retract that matches nothing, a duplicate
-    fact of a trie-indexed predicate) marks nothing."""
+    fact of a trie-indexed predicate) marks nothing.  Tables hold answer
+    sets, so a change that leaves a variant of the clause in the program
+    iff one was there (a second copy asserted, one of two retracted)
+    marks only the readers that see copies: under findall or a cut."""
     engine._guard_no_query("incremental update")
     op, fact = _as_change(change)
     pi = _source_info(engine, fact)
-    affected = _affected(engine, [pi.key])
+    program = engine.program
+    readers = engine.space.dyn_readers.get(pi.key, ())
+    affected = _affected(readers)
     _validate(affected)
+    held = program.holds_variant(fact)
     if op == "assert":
-        changed = engine.program.add_clause(fact, at_load=False) is not None
+        changed = program.add_clause(fact, at_load=False) is not None
     else:
-        changed = engine.program.retract_clause(fact)
+        changed = program.retract_clause(fact)
     if not changed:
         return []
+    if program.holds_variant(fact) == held:
+        affected = _affected(t for t in readers if t.consulted_dyn[pi.key])
     marked = []
     for table in sorted(affected, key=lambda t: t.dfn):
         if table.status == SubgoalTable.COMPLETE:
@@ -109,24 +117,16 @@ def _recompute(engine: Engine,
     return tables
 
 
-def _affected(engine: Engine, keys: Iterable[Tuple[str, int]]
-              ) -> Set[SubgoalTable]:
+def _affected(readers: Iterable[SubgoalTable]) -> Set[SubgoalTable]:
     """Reverse reachability from the direct readers of changed facts."""
-    frontier: List[SubgoalTable] = []
-    seen: Set[int] = set()
+    frontier = [t for t in readers if not t.abolished]
     out: Set[SubgoalTable] = set()
-    for key in keys:
-        for t in engine.space.dyn_readers.get(key, ()):
-            if not t.abolished and id(t) not in seen:
-                seen.add(id(t))
-                frontier.append(t)
     while frontier:
         t = frontier.pop()
-        out.add(t)
-        for caller in t.dep_in:
-            if not caller.abolished and id(caller) not in seen:
-                seen.add(id(caller))
-                frontier.append(caller)
+        if t not in out:
+            out.add(t)
+            frontier.extend(c for c in t.dep_in
+                            if not c.abolished and c not in out)
     return out
 
 
@@ -141,14 +141,11 @@ def _validate(affected: Set[SubgoalTable]) -> None:
                 "incremental_unsupported",
                 f"affected table {term_to_str(t.subgoal)} is not "
                 "declared incremental")
-    in_set = set(id(t) for t in affected)
-    sccs = tarjan_sccs(list(affected),
-                       lambda t: [d for d in t.dep_out if id(d) in in_set])
-    for scc in sccs:
-        members = set(id(t) for t in scc)
+    for scc in tarjan_sccs(affected, lambda t: t.dep_out):
+        members = set(scc)
         for t in scc:
             for d in t.neg_dep_out:
-                if id(d) in members:
+                if d in members:
                     raise EvalError(
                         "incremental_nonstratified",
                         f"update would recompute through a negative loop "

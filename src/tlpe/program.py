@@ -513,29 +513,45 @@ class Program:
     def retract_clause(self, term: Term) -> bool:
         """Remove the first clause whose canonical form is a variant of
         ``term``.  Returns False when nothing matches."""
+        pi, found = self._variants(term)
+        if pi is not None and not pi.dynamic:
+            raise StoreError(f"{pi} is static; declare it dynamic to retract")
+        if not found:
+            return False
+        cl = found[0]
+        if pi.trie_indexed:
+            pi.fact_trie.remove_leaf(pi.fact_trie.lookup(term_path(cl.head)))
+            return True
+        pi.clauses.remove(cl)
+        for bucket in cl.buckets:
+            bucket.remove(cl)
+        return True
+
+    def holds_variant(self, term: Term) -> bool:
+        """Whether a stored clause is a variant of ``term``."""
+        return bool(self._variants(term)[1])
+
+    def _variants(self, term: Term):
+        """The predicate of ``term`` and its clauses whose canonical form
+        is a variant of ``term``, in program order: ``(pi, clauses)``.
+        The clause index narrows the search."""
         cterm, _ = canonicalize(term)
         head, _body = split_clause(cterm)
-        name, arity = functor_of(head)
-        pi = self.preds.get((name, arity))
+        pi = self.preds.get(functor_of(head))
         if pi is None:
-            return False
-        if not pi.dynamic:
-            raise StoreError(f"{pi} is static; declare it dynamic to retract")
+            return None, []
         if pi.trie_indexed:
-            assert pi.fact_trie is not None
             node = pi.fact_trie.lookup(term_path(cterm))
-            if node is None or node.leaf is None:
-                return False
-            pi.fact_trie.remove_leaf(node)
-            return True
+            return pi, [] if node is None or node.leaf is None \
+                else [node.leaf]
+        candidates = pi.clauses
+        if type(head) is Struct:
+            for ix in self._live_indexes(pi):
+                if ix.applicable(head):
+                    candidates = ix.lookup(head)
+                    break
         key = canonical_key(cterm)
-        for i, cl in enumerate(pi.clauses):
-            if canonical_key(cl.term) == key:
-                del pi.clauses[i]
-                for bucket in cl.buckets:
-                    bucket.remove(cl)
-                return True
-        return False
+        return pi, [cl for cl in candidates if canonical_key(cl.term) == key]
 
     def _next_seq(self) -> int:
         self._seq += 1

@@ -87,9 +87,11 @@ class AnswerRecord:
 class SubgoalTable:
     """A tabled subgoal with its answers and bookkeeping.
 
-    Scheduling state (completion stack position, dependency links) is
-    managed by the engine; incremental and conditional-answer dependency
-    state lives here.
+    ``dep_out``/``dep_in`` are the one call graph between tables:
+    scheduling reads it restricted to incomplete tables, incremental
+    invalidation and error recovery walk it backwards.  The engine keeps
+    its scheduling state here too (completion-stack position, suspended
+    readers), next to the conditional-answer dependency state.
     """
 
     INCOMPLETE = "incomplete"
@@ -117,17 +119,17 @@ class SubgoalTable:
         self.consumers: list = []
         self.neg_waiters: list = []
         self.on_complete_hooks: list = []
-        self.sdg_pos: Set["SubgoalTable"] = set()
-        self.sdg_neg: Set["SubgoalTable"] = set()
         self.ctx = 0                    # evaluation context of its run
         self.owned_consumers: list = []  # consumers its continuations made
         self.leaf_node = None           # its leaf in the subgoal trie
         self.as_state: Optional[dict] = None   # answer-subsumption index
-        # incremental dependency graph
+        # call graph: scheduling, invalidation and recovery
         self.dep_in: Set["SubgoalTable"] = set()
         self.dep_out: Set["SubgoalTable"] = set()
         self.neg_dep_out: Set["SubgoalTable"] = set()
-        self.consulted_dyn: Set[Tuple[str, int]] = set()
+        # dynamic predicates read -> whether a read saw the number or
+        # order of their clauses (under findall or a cut)
+        self.consulted_dyn: Dict[Tuple[str, int], bool] = {}
 
     @property
     def complete(self) -> bool:
@@ -332,15 +334,13 @@ class TableSpace:
         table.neg_waiters = []
         table.on_complete_hooks = []
         table.cond_dependents = set()
-        table.sdg_pos = set()
-        table.sdg_neg = set()
         for callee in table.dep_out:
             callee.dep_in.discard(table)
         table.dep_out = set()
         table.neg_dep_out = set()
         for key in table.consulted_dyn:
             self.dyn_readers.get(key, set()).discard(table)
-        table.consulted_dyn = set()
+        table.consulted_dyn = {}
         table.as_state = None
         table.pred.recomputations += 1
 
@@ -538,8 +538,10 @@ class TableSpace:
     # ------------------------------------------------------------------
     # incremental bookkeeping
 
-    def note_dyn_read(self, table: SubgoalTable, key: Tuple[str, int]) -> None:
-        table.consulted_dyn.add(key)
+    def note_dyn_read(self, table: SubgoalTable, key: Tuple[str, int],
+                      ordered: bool = False) -> None:
+        reads = table.consulted_dyn
+        reads[key] = ordered or reads.get(key, False)
         self.dyn_readers.setdefault(key, set()).add(table)
 
     def note_call_edge(self, caller: SubgoalTable, callee: SubgoalTable,

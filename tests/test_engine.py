@@ -290,6 +290,36 @@ class TestQueryLevelTabling:
         assert [r for r in made if r() is not None] == []
 
 
+class TestCutOverIncompleteTable:
+    CONSUMER = ":- table p/1. p(X) :- q(X). p(2). q(X) :- p(X), !."
+    WAITER = """
+        :- table p/0, r/0.
+        p :- s. r :- tnot p.
+        s :- a, !.
+        a :- tnot r. a.
+        """
+    FIRST = ":- table p/1. p(1). p(2). q(X) :- p(X), !."
+
+    @pytest.mark.parametrize("src,goal,strategy,want", [
+        (CONSUMER, "p(X).", "local", None),
+        (WAITER, "p.", "local", None),
+        (FIRST, "q(X).", "local", ["q(1)"]),
+        (FIRST, "q(X).", "batched", None),
+    ], ids=["consumer", "negation_waiter", "first_local", "first_batched"])
+    def test_cut_over_incomplete_table(self, src, goal, strategy, want):
+        # under batched scheduling p(1) reaches the cut while p(X) is
+        # still incomplete; under local scheduling p(X) completes first
+        eng = make(src, strategy=strategy)
+        for _ in range(2):      # the engine stays usable after the error
+            if want is None:
+                with pytest.raises(EvalError) as err:
+                    eng.query(goal)
+                assert err.value.kind == "cut_over_incomplete_table"
+            else:
+                assert solutions(eng, goal) == want
+            assert all(t.complete for t in eng.space.tables)
+
+
 class TestEngineGuards:
     def test_nested_query_rejected(self):
         eng = make("p(1).")

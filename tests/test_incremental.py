@@ -129,16 +129,43 @@ class TestNoOpChange:
     r(X) :- e(X,_).
     r(X) :- f(X).
     e(1,2).
+    e(1,2).
     f(3).
     """
 
-    @pytest.mark.parametrize("change", ["retract(e(9,9)).", "assert(f(3))."])
+    @pytest.mark.parametrize("change", ["retract(e(9,9)).", "assert(f(3)).",
+                                        "assert(e(1,2)).", "retract(e(1,2))."])
     def test_change_that_changes_nothing_marks_nothing(self, change):
         eng = make(self.SRC)
         before = answer_set(eng, "r(X).")
         assert incr_invalidate(eng, change) == []
         assert all(t.complete for t in eng.space.tables)
         assert answer_set(eng, "r(X).") == before
+
+    COPIES = """
+    :- use_incremental_dynamic e/2.
+    :- table all/1 as incremental.
+    :- table first/1 as incremental.
+    all(L) :- findall(X, e(X,_), L).
+    first(X) :- pick(X).
+    pick(X) :- e(X,_), !.
+    e(1,2). e(3,4). e(1,2).
+    """
+
+    @pytest.mark.parametrize("change", ["assert(e(3,4)).", "retract(e(1,2))."])
+    def test_copies_show_under_findall_and_cut(self, change):
+        # the change keeps a variant of the clause in e/2, but findall
+        # counts the copies and the cut sees their order
+        eng = make(self.COPIES)
+        goals = ["all(L).", "first(X)."]
+        for goal in goals:
+            answer_set(eng, goal)
+        marked = {term_to_str(t.subgoal) for t in incr_invalidate(eng, change)}
+        assert {"all(_G0)", "first(_G0)"} <= marked
+        fresh = make(self.COPIES)
+        assert incr_invalidate(fresh, change) == []
+        for goal in goals:
+            assert answer_set(eng, goal) == answer_set(fresh, goal)
 
 
 class TestRejectedUpdate:
