@@ -348,9 +348,8 @@ class Engine:
             self._step_cont(entry[1])
         elif kind == "resume":
             _, consumer, ans = entry
-            if consumer.dead or ans.deleted:
-                return
-            self._resume_positive(consumer, ans)
+            if not consumer.dead and not ans.deleted:
+                self._resume_positive(consumer, ans)
         elif kind == "answers":
             self._reader_step(entry)
         elif kind == "inline":
@@ -373,9 +372,7 @@ class Engine:
         item, rest = goals
         if type(item) is CutOp:
             self._cut(item.scope)
-            self.stack.append(("run", Cont(cont.owner, cont.ans, rest,
-                                           cont.delays, cont.scopes,
-                                           cont.k, cont.nv)))
+            self._continue(cont, rest)
             return
         neg, goal = item
         if type(goal) is Var:
@@ -402,13 +399,12 @@ class Engine:
         else:
             self._call_inline(pi, cont, goal, rest)
 
-    def _continue(self, cont: Cont, rest, env=None,
-                  nv: Optional[int] = None) -> None:
-        """Run the goals after a builtin that succeeded with ``env``."""
-        self.stack.append(("run", self._advance(cont, rest, env=env, nv=nv)))
+    def _continue(self, cont: Cont, rest, *args, **kw) -> None:
+        """Run the goals ``rest`` in ``cont`` advanced by ``_advance``."""
+        self.stack.append(("run", self._advance(cont, rest, *args, **kw)))
 
-    def _advance(self, cont: Cont, rest, env=None, extra_delay=None,
-                 nv: Optional[int] = None, k: Optional[int] = None) -> Cont:
+    def _advance(self, cont: Cont, rest, env=None, nv: Optional[int] = None,
+                 extra_delay=None, k: Optional[int] = None) -> Cont:
         """Continuation after the current goal, optionally instantiated."""
         ans = cont.ans
         if env:
@@ -491,14 +487,18 @@ class Engine:
         if table.status == SubgoalTable.INVALID:
             self.reset_for_recompute(table)
             is_new = True
-        if is_new:
-            self._activate(table)
-        elif table.status == SubgoalTable.INCOMPLETE \
-                and table.ctx != self.ctx:
+        # findall cannot read a table that its enclosing evaluation has
+        # not completed, by a variant call or by a subsumed one
+        read = table.producer if is_new else table
+        if read is not None and read.status == SubgoalTable.INCOMPLETE \
+                and read.ctx != self.ctx:
             raise EvalError(
                 "incomplete_outer",
-                f"call to {term_to_str(table.subgoal)} whose table is "
-                "incomplete in an enclosing evaluation")
+                f"call to {term_to_str(table.subgoal)} reads table "
+                f"{term_to_str(read.subgoal)}, incomplete in an enclosing "
+                "evaluation")
+        if is_new:
+            self._activate(table)
         return table
 
     def _activate(self, table: SubgoalTable) -> None:
@@ -580,9 +580,9 @@ class Engine:
     # ------------------------------------------------------------------
     # answer return
 
-    def _feed_consumer(self, consumer: Consumer) -> bool:
+    def _feed_consumer(self, consumer: Consumer, one: bool = False) -> bool:
         if consumer.table.pred.subsumption is not None:
-            return self._feed_reduced(consumer, one=False)
+            return self._feed_reduced(consumer, one)
         answers = consumer.table.answers
         n = len(answers)
         if consumer.cursor >= n:
@@ -638,9 +638,8 @@ class Engine:
             return
         k = self._op("positive_return", "POSITIVE_RETURN", table)
         extra = DelayLit(False, table, ans) if ans.conditional else None
-        ncont = self._advance(cont, cont.goals, env=env, extra_delay=extra,
-                              nv=cont.nv + ans.nvars, k=k)
-        self.stack.append(("run", ncont))
+        self.stack.append(("run", self._advance(
+            cont, cont.goals, env, cont.nv + ans.nvars, extra, k)))
 
     def _reader_step(self, entry) -> None:
         _, cont, goal, table, idx = entry
@@ -699,8 +698,10 @@ class Engine:
         if pi.dynamic or pi.incremental_source:
             caller = self._owner_of(cont)
             if caller is not None:
-                # findall sees every copy of a clause, a cut their order
-                ordered = type(cont.owner) is Collector or bool(cont.scopes)
+                # findall sees every copy of a clause; a cut, enclosing
+                # the call or among the predicate's clauses, their order
+                ordered = (pi.any_cut or type(cont.owner) is Collector
+                           or bool(cont.scopes))
                 self.space.note_dyn_read(caller, pi.key, ordered)
         clauses = self.program.lookup_clauses(goal)
         if not clauses:
@@ -776,13 +777,12 @@ class Engine:
         """Resolve tnot against a completed table."""
         k = self._op("negative_return", "NEGATIVE_RETURN", table)
         if not table.has_answers:
-            self.stack.append(("run", self._advance(cont, cont.goals, k=k)))
+            self._continue(cont, cont.goals, k=k)
         elif table.has_unconditional:
             return      # fails
         else:
             extra = DelayLit(True, table, None)
-            self.stack.append(("run", self._advance(
-                cont, cont.goals, extra_delay=extra, k=k)))
+            self._continue(cont, cont.goals, extra_delay=extra, k=k)
 
     # ------------------------------------------------------------------
     # scheduling
@@ -808,11 +808,9 @@ class Engine:
             fed = False
             for i, scc in enumerate(comps):
                 for t in scc:
-                    reduced = t.pred.subsumption is not None
                     for c in t.consumers:
                         if not c.dead and comp_of.get(c.owner_table()) == i:
-                            fed |= (self._feed_reduced(c, one=True)
-                                    if reduced else self._feed_consumer(c))
+                            fed |= self._feed_consumer(c, one=True)
             if fed:
                 return True
         ready = [scc for scc in sinks if not self._blocked(scc, comp_of)]
@@ -854,8 +852,8 @@ class Engine:
                  for t in segment}
         comps = tarjan_sccs(segment, edges.__getitem__)
         comp_of = {t: i for i, scc in enumerate(comps) for t in scc}
-        # the segment is closed under incomplete dependencies, so every
-        # edge of ``edges`` stays inside it
+        # the segment is closed under incomplete dependencies (``_intern``
+        # refuses outer ones), so every edge of ``edges`` stays inside it
         sinks = [scc for i, scc in enumerate(comps)
                  if all(comp_of[d] == i for t in scc for d in edges[t])]
         result = (comps, comp_of, sinks)
@@ -915,8 +913,7 @@ class Engine:
         best.dead = True
         k = self._op("delaying", "DELAYING", best.table)
         extra = DelayLit(True, best.table, None)
-        self.stack.append(("run", self._advance(
-            best.cont, best.cont.goals, extra_delay=extra, k=k)))
+        self._continue(best.cont, best.cont.goals, extra_delay=extra, k=k)
 
     # ------------------------------------------------------------------
     # completion
@@ -984,10 +981,9 @@ class Engine:
         for c in table.owned_consumers:
             c.dead = True
         for w in table.neg_waiters:
-            if w.dead:
-                continue
-            w.dead = True
-            self._negative_return(w.cont, table)
+            if not w.dead:
+                w.dead = True
+                self._negative_return(w.cont, table)
         table.neg_waiters = []
         for c in table.consumers:
             if not c.dead:

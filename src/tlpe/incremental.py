@@ -81,7 +81,9 @@ def incr_invalidate(engine: Engine, change) -> List[SubgoalTable]:
     fact of a trie-indexed predicate) marks nothing.  Tables hold answer
     sets, so a change that leaves a variant of the clause in the program
     iff one was there (a second copy asserted, one of two retracted)
-    marks only the readers that see copies: under findall or a cut."""
+    marks only the readers that see copies: under findall or a cut, or
+    of a predicate with a cut among its clauses.  The other readers keep
+    their answer order, which may differ from a fresh evaluation's."""
     engine._guard_no_query("incremental update")
     op, fact = _as_change(change)
     pi = _source_info(engine, fact)
@@ -89,14 +91,16 @@ def incr_invalidate(engine: Engine, change) -> List[SubgoalTable]:
     readers = engine.space.dyn_readers.get(pi.key, ())
     affected = _affected(readers)
     _validate(affected)
-    held = program.holds_variant(fact)
+    # kept: a variant of the clause is held before and after the change
     if op == "assert":
+        kept = program.holds_variant(fact)      # a stored clause is one
         changed = program.add_clause(fact, at_load=False) is not None
     else:
-        changed = program.retract_clause(fact)
+        changed = program.retract_clause(fact)  # a removed clause was one
+        kept = changed and program.holds_variant(fact)
     if not changed:
         return []
-    if program.holds_variant(fact) == held:
+    if kept:
         affected = _affected(t for t in readers if t.consulted_dyn[pi.key])
     marked = []
     for table in sorted(affected, key=lambda t: t.dfn):

@@ -539,7 +539,7 @@ class TableSpace:
     # incremental bookkeeping
 
     def note_dyn_read(self, table: SubgoalTable, key: Tuple[str, int],
-                      ordered: bool = False) -> None:
+                      ordered: bool) -> None:
         reads = table.consulted_dyn
         reads[key] = ordered or reads.get(key, False)
         self.dyn_readers.setdefault(key, set()).add(table)

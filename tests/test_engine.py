@@ -183,6 +183,23 @@ class TestCallSubsumption:
         # the specific call could not reuse anything, so two producers
         assert eng.statistics()["tables"]["p/2"]["producers"] == 2
 
+    @pytest.mark.parametrize("mode", [" as subsumptive", ""])
+    def test_findall_over_incomplete_producer_is_refused(self, mode):
+        # findall(Z, p(1,Z), L) runs while p(X,Y) is still incomplete: a
+        # subsumed call is refused as the variant call is
+        eng = make(f"""
+        :- table p/2{mode}.
+        e(1,2). e(2,3).
+        p(X,Y) :- e(X,Y).
+        p(X,n) :- findall(Z, p(1,Z), _), e(X,_).
+        """)
+        for _ in range(2):
+            with pytest.raises(EvalError) as err:
+                eng.query("p(X,Y).")
+            assert err.value.kind == "incomplete_outer"
+            assert all(t.complete for t in eng.space.tables)
+        assert sorted(solutions(eng, "e(X,Y).")) == ["e(1,2)", "e(2,3)"]
+
     def test_producer_subsumes_the_call(self):
         # p(V0,V0,c) and p(V0,V1,V0) share a trie prefix; the producer
         # lookup for p(a,a,b) must not take p(V0,V1,V0), which does not

@@ -168,6 +168,24 @@ class TestNoOpChange:
             assert answer_set(eng, goal) == answer_set(fresh, goal)
 
 
+    CUT_CLAUSE = """
+    :- use_incremental_dynamic e/2.
+    :- table r/1 as incremental.
+    r(X) :- e(X,_).
+    e(1,2). e(7,8) :- !. e(1,2).
+    """
+
+    def test_cut_among_the_clauses_shows_their_order(self):
+        # retracting the first e(1,2) puts the cut clause first, so r/1
+        # loses r(1) though e/2 still holds a copy of e(1,2)
+        eng = make(self.CUT_CLAUSE)
+        assert answer_set(eng, "r(X).") == {("r(1)", "true"),
+                                            ("r(7)", "true")}
+        marked = incr_invalidate(eng, "retract(e(1,2)).")
+        assert "r(_G0)" in {term_to_str(t.subgoal) for t in marked}
+        assert answer_set(eng, "r(X).") == {("r(7)", "true")}
+
+
 class TestRejectedUpdate:
     SRC = """
     :- use_incremental_dynamic e/2.

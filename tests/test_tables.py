@@ -282,7 +282,7 @@ class TestIncrementalBookkeeping:
     def test_dyn_reader_edges(self):
         sp = make_space()
         tab, _ = intern(sp, "p", "p(X)")
-        sp.note_dyn_read(tab, ("e", 2))
+        sp.note_dyn_read(tab, ("e", 2), False)
         assert sp.dyn_readers[("e", 2)] == {tab}
         sp.reset_table(tab)
         assert sp.dyn_readers[("e", 2)] == set()
