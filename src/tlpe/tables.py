@@ -123,10 +123,12 @@ class SubgoalTable:
         self.owned_consumers: list = []  # consumers its continuations made
         self.leaf_node = None           # its leaf in the subgoal trie
         self.as_state: Optional[dict] = None   # answer-subsumption index
-        # call graph: scheduling, invalidation and recovery
-        self.dep_in: Set["SubgoalTable"] = set()
-        self.dep_out: Set["SubgoalTable"] = set()
-        self.neg_dep_out: Set["SubgoalTable"] = set()
+        # call graph: scheduling, invalidation and recovery; dicts used
+        # as ordered sets, so the scheduler sees the edges in call order
+        # and its choices do not depend on where tables sit in memory
+        self.dep_in: Dict["SubgoalTable", None] = {}
+        self.dep_out: Dict["SubgoalTable", None] = {}
+        self.neg_dep_out: Dict["SubgoalTable", None] = {}
         # dynamic predicates read -> whether a read saw the number or
         # order of their clauses (under findall or a cut)
         self.consulted_dyn: Dict[Tuple[str, int], bool] = {}
@@ -335,9 +337,9 @@ class TableSpace:
         table.on_complete_hooks = []
         table.cond_dependents = set()
         for callee in table.dep_out:
-            callee.dep_in.discard(table)
-        table.dep_out = set()
-        table.neg_dep_out = set()
+            callee.dep_in.pop(table, None)
+        table.dep_out = {}
+        table.neg_dep_out = {}
         for key in table.consulted_dyn:
             self.dyn_readers.get(key, set()).discard(table)
         table.consulted_dyn = {}
@@ -546,10 +548,10 @@ class TableSpace:
 
     def note_call_edge(self, caller: SubgoalTable, callee: SubgoalTable,
                        neg: bool) -> None:
-        caller.dep_out.add(callee)
-        callee.dep_in.add(caller)
+        caller.dep_out[callee] = None
+        callee.dep_in[caller] = None
         if neg:
-            caller.neg_dep_out.add(callee)
+            caller.neg_dep_out[callee] = None
 
     # ------------------------------------------------------------------
     # statistics
