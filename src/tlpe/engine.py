@@ -23,11 +23,18 @@ A quiesced segment whose sinks all contain unresolved negative loops is
 a blocked region; the waiting literal in its oldest continuation (the
 smallest node number K) is delayed, which lets evaluation continue with
 conditional answers that simplification later repairs.
+
+The partition, the sinks and the blocked region change only when the
+call graph does, so each evaluation context keeps them in one
+``RoundState`` between rounds and rebuilds it only when
+``_graph_version`` moves; a negative loop needs one delay round per
+literal, and none of those rounds rescans the segment.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from heapq import heapify, heappop, heappush
 from typing import Callable, Dict, List, Optional, Set
 
 from .builtins import BUILTINS
@@ -116,14 +123,79 @@ class Consumer:
 
 
 class NegWaiter:
-    """A continuation suspended on ``tnot`` of an incomplete table."""
+    """A continuation suspended on ``tnot`` of an incomplete table;
+    ``seq`` numbers the waiters in order of arrival."""
 
-    __slots__ = ("table", "cont", "dead")
+    __slots__ = ("table", "cont", "dead", "seq")
 
-    def __init__(self, table: SubgoalTable, cont: Cont):
+    def __init__(self, table: SubgoalTable, cont: Cont, seq: int):
         self.table = table
         self.cont = cont
         self.dead = False
+        self.seq = seq
+
+
+class RoundState:
+    """What scheduling rounds share while the call graph holds.
+
+    ``comps`` are the SCCs of the top segment of the completion stack,
+    ``comp_of`` maps each of its tables to its SCC and ``rank`` to its
+    position in ``comps`` read in order.  ``blocked[i]`` counts the live
+    waiters on SCC ``i`` whose continuation belongs to SCC ``i`` too,
+    and ``open`` the sink SCCs without such a waiter, which are ready to
+    complete.  ``dirty`` holds the tables whose consumers may have
+    answers to read.  The first delay round builds the blocked
+    ``region`` and a heap of the waiters that may be delayed, keyed by
+    ``(K, rank of the table, arrival)``: the scan order of the sinks
+    with the smallest K first.
+    """
+
+    __slots__ = ("version", "comps", "comp_of", "rank", "sinks", "is_sink",
+                 "blocked", "open", "dirty", "region", "heap")
+
+    def __init__(self, version: int, comps, edges):
+        self.version = version
+        self.comps = comps
+        self.comp_of: Dict[SubgoalTable, int] = {}
+        self.rank: Dict[SubgoalTable, int] = {}
+        for i, scc in enumerate(comps):
+            for t in scc:
+                self.comp_of[t] = i
+                self.rank[t] = len(self.rank)
+        comp_of = self.comp_of
+        # the segment is closed under incomplete dependencies (``_intern``
+        # refuses outer ones), so every edge of ``edges`` stays inside it
+        self.is_sink = [all(comp_of[d] == i for t in scc for d in edges[t])
+                        for i, scc in enumerate(comps)]
+        self.sinks = [i for i, sink in enumerate(self.is_sink) if sink]
+        self.blocked = [0] * len(comps)
+        for t, i in comp_of.items():
+            for w in t.neg_waiters:
+                if not w.dead and comp_of.get(w.cont.owner) == i:
+                    self.blocked[i] += 1
+        self.open = sum(1 for i in self.sinks if not self.blocked[i])
+        self.dirty: Set[SubgoalTable] = set(comp_of)
+        self.region: Optional[Set[SubgoalTable]] = None
+        self.heap: Optional[list] = None
+
+    def add_waiter(self, w: NegWaiter) -> None:
+        i = self.comp_of.get(w.table)
+        if i is None:
+            return
+        if self.comp_of.get(w.cont.owner) == i:
+            if not self.blocked[i] and self.is_sink[i]:
+                self.open -= 1
+            self.blocked[i] += 1
+        if self.heap is not None and self.is_sink[i] \
+                and w.cont.owner in self.region:
+            heappush(self.heap, (w.cont.k, self.rank[w.table], w.seq, w))
+
+    def drop_waiter(self, w: NegWaiter) -> None:
+        i = self.comp_of.get(w.table)
+        if i is not None and self.comp_of.get(w.cont.owner) == i:
+            self.blocked[i] -= 1
+            if not self.blocked[i] and self.is_sink[i]:
+                self.open += 1
 
 
 class QueryAnswer:
@@ -165,12 +237,13 @@ class Engine:
         self.stack: list = []
         self.comp: List[SubgoalTable] = []
         self._comp_cap = 64
+        self._round: Optional[RoundState] = None
         self.K = 0                  # global node-creation counter
         self.ctx = 0                # evaluation context (sub-runs get fresh)
         self._ctx_seq = 0
         self._scope_seq = 0
+        self._waiter_seq = 0
         self._graph_version = 0
-        self._scc_cache = None
         self.query_active = False
 
         self.trace_enabled = False
@@ -211,9 +284,10 @@ class Engine:
         if not self.trace_enabled or table.pred.name.startswith("$"):
             return
         line = f"OP {op} {term_to_str(table.subgoal)} [K={self.K}]"
-        self.trace_lines.append(line)
         if self.trace_sink is not None:
             self.trace_sink(line)
+        else:
+            self.trace_lines.append(line)
 
     def statistics(self) -> dict:
         return {"tables": self.space.statistics(),
@@ -265,8 +339,8 @@ class Engine:
         finally:
             self.stack = []
             self.comp = []
+            self._round = None
             self.ctx = 0
-            self._scc_cache = None
             self.query_active = False
 
     def _recover(self, watermark: int) -> None:
@@ -453,15 +527,18 @@ class Engine:
                        delays: tuple = ()):
         """Plain insert plus strategy-dependent propagation."""
         status, rec = self.space.add_answer(table, bindings, delays)
-        if status == "added" and self.strategy == "batched":
-            for c in table.consumers:
-                if not c.dead:
-                    self._feed_consumer(c)
+        if status == "added":
+            if self.strategy == "batched":
+                for c in table.consumers:
+                    if not c.dead:
+                        self._feed_consumer(c)
+            elif self._round is not None:
+                self._round.dirty.add(table)
         if table.neg_waiters and table.subgoal_is_ground() \
                 and table.has_unconditional:
             for w in table.neg_waiters:
                 if not w.dead:
-                    w.dead = True
+                    self._kill_waiter(w)
                     self._op("negative_return", "NEGATIVE_RETURN", table)
             table.neg_waiters = []
         return status, rec
@@ -573,6 +650,8 @@ class Engine:
     def _register_consumer(self, table: SubgoalTable,
                            consumer: Consumer) -> None:
         table.consumers.append(consumer)
+        if self._round is not None:
+            self._round.dirty.add(table)
         owner = consumer.owner_table()
         if owner is not None and owner is not consumer.target:
             owner.owned_consumers.append(consumer)
@@ -771,7 +850,21 @@ class Engine:
         if table.has_unconditional:
             self._op("negative_return", "NEGATIVE_RETURN", table)
             return      # the path fails now: an answer already exists
-        table.neg_waiters.append(NegWaiter(table, after))
+        self._waiter_seq += 1
+        w = NegWaiter(table, after, self._waiter_seq)
+        table.neg_waiters.append(w)
+        # a new edge has moved the graph version; with an old edge the
+        # round state stays and learns of the waiter here
+        rs = self._round
+        if rs is not None and rs.version == self._graph_version:
+            rs.add_waiter(w)
+
+    def _kill_waiter(self, w: NegWaiter) -> None:
+        """A waiter is resolved: by an answer, a completion or a delay."""
+        w.dead = True
+        rs = self._round
+        if rs is not None and rs.version == self._graph_version:
+            rs.drop_waiter(w)
 
     def _negative_return(self, cont: Cont, table: SubgoalTable) -> None:
         """Resolve tnot against a completed table."""
@@ -793,6 +886,23 @@ class Engine:
             comp.pop()
         if not comp:
             return False
+        rs = self._round
+        if rs is None or rs.version != self._graph_version:
+            rs = self._round = self._new_round()
+        if self.strategy == "local" and rs.dirty and self._feed_local(rs):
+            return True
+        if rs.open:
+            for scc in [rs.comps[i] for i in rs.sinks if not rs.blocked[i]]:
+                self._complete_scc(scc)
+            return True
+        self._delay(rs)
+        return True
+
+    def _new_round(self) -> RoundState:
+        """Partition the top segment of the completion stack afresh: the
+        call graph changed (a table, an edge to an incomplete table, or a
+        completion) since the round state was built."""
+        comp = self.comp
         # the stack is compacted when it doubles past the last
         # compaction, keeping the per-call cost amortized constant
         if len(comp) > self._comp_cap:
@@ -800,26 +910,11 @@ class Engine:
             for i, t in enumerate(comp):
                 t.stack_pos = i
             self._comp_cap = max(64, 2 * len(comp))
-            if not comp:
-                return False
         segment = self._top_segment(comp)
-        comps, comp_of, sinks = self._segment_sccs(segment)
-        if self.strategy == "local":
-            fed = False
-            for i, scc in enumerate(comps):
-                for t in scc:
-                    for c in t.consumers:
-                        if not c.dead and comp_of.get(c.owner_table()) == i:
-                            fed |= self._feed_consumer(c, one=True)
-            if fed:
-                return True
-        ready = [scc for scc in sinks if not self._blocked(scc, comp_of)]
-        if ready:
-            for scc in ready:
-                self._complete_scc(scc)
-            return True
-        self._delay_blocked_region(comps, comp_of, sinks)
-        return True
+        edges = {t: [d for d in t.dep_out if not d.complete]
+                 for t in segment}
+        return RoundState(self._graph_version,
+                          tarjan_sccs(segment, edges.__getitem__), edges)
 
     def _top_segment(self, comp: List[SubgoalTable]) -> List[SubgoalTable]:
         """Longest top run of the completion stack closed under
@@ -838,49 +933,53 @@ class Engine:
             i -= 1
         return [t for t in comp[bound:] if not t.complete]
 
-    def _segment_sccs(self, segment):
-        """``(comps, comp_of, sinks)``: the SCCs of the segment's call
-        graph, each table's SCC index, and the sink SCCs.  Cached while
-        the graph version and the segment hold; the sinks may be cached
-        too, as every status change of a segment table bumps the version
-        (``_activate``, ``_complete_scc``)."""
-        cached = self._scc_cache
-        if cached is not None and cached[0] == self._graph_version \
-                and cached[1] == segment:
-            return cached[2]
-        edges = {t: [d for d in t.dep_out if not d.complete]
-                 for t in segment}
-        comps = tarjan_sccs(segment, edges.__getitem__)
-        comp_of = {t: i for i, scc in enumerate(comps) for t in scc}
-        # the segment is closed under incomplete dependencies (``_intern``
-        # refuses outer ones), so every edge of ``edges`` stays inside it
-        sinks = [scc for i, scc in enumerate(comps)
-                 if all(comp_of[d] == i for t in scc for d in edges[t])]
-        result = (comps, comp_of, sinks)
-        self._scc_cache = (self._graph_version, segment, result)
-        return result
+    def _feed_local(self, rs: RoundState) -> bool:
+        """Feed answers to consumers inside their own SCC, in the order
+        (SCC, table, consumer); only dirty tables can have any to feed."""
+        comp_of = rs.comp_of
+        tables = sorted((t for t in rs.dirty if t in comp_of),
+                        key=rs.rank.__getitem__)
+        rs.dirty = set()
+        fed = False
+        for t in tables:
+            i = comp_of[t]
+            for c in t.consumers:
+                if not c.dead and comp_of.get(c.owner_table()) == i \
+                        and self._feed_consumer(c, one=True):
+                    fed = True
+                    # an answer-subsumption table feeds one answer a round
+                    if t.pred.subsumption is not None:
+                        rs.dirty.add(t)
+        return fed
 
-    @staticmethod
-    def _blocked(scc, comp_of) -> bool:
-        """An SCC is blocked if a member still waits on tnot of a member."""
-        i = comp_of[scc[0]]
-        return any(not w.dead and comp_of.get(w.cont.owner) == i
-                   for t in scc for w in t.neg_waiters)
+    def _delay(self, rs: RoundState) -> None:
+        """Every sink of the quiesced segment is a negative loop: delay
+        the oldest literal waiting on one of them from the blocked
+        region, the continuation with the smallest node number K."""
+        if rs.heap is None:
+            rs.region = self._blocked_region(rs)
+            rs.heap = [(w.cont.k, rs.rank[t], w.seq, w)
+                       for i in rs.sinks for t in rs.comps[i]
+                       for w in t.neg_waiters
+                       if not w.dead and w.cont.owner in rs.region]
+            heapify(rs.heap)
+        heap = rs.heap
+        while heap and heap[0][3].dead:
+            heappop(heap)
+        if not heap:
+            raise EvalError("internal", "blocked region without waiters")
+        best = heappop(heap)[3]
+        self._kill_waiter(best)
+        k = self._op("delaying", "DELAYING", best.table)
+        extra = DelayLit(True, best.table, None)
+        self._continue(best.cont, best.cont.goals, extra_delay=extra, k=k)
 
-    def _delay_blocked_region(self, comps, comp_of, sinks) -> None:
-        """Every sink of the quiesced segment is a negative loop.
-
-        The blocked region is those sink SCCs plus, transitively, any
-        incomplete table — inside the segment or suspended below it —
-        whose unresolved dependencies all lead into the region.  Among
-        the literals waiting on a core table from within the region,
-        delay the one in the continuation with the smallest node
-        number K: this is the oldest blocked choice in the forest."""
-        core: List[SubgoalTable] = []
-        for scc in sinks:
-            if self._blocked(scc, comp_of):
-                core.extend(scc)
-        region: Set[SubgoalTable] = set(core)
+    def _blocked_region(self, rs: RoundState) -> Set[SubgoalTable]:
+        """The sink SCCs, all blocked, plus, transitively, any incomplete
+        table (inside the segment or suspended below it) whose unresolved
+        dependencies all lead into the region."""
+        comps, comp_of = rs.comps, rs.comp_of
+        region: Set[SubgoalTable] = {t for i in rs.sinks for t in comps[i]}
         below = [t for t in self.comp
                  if not t.complete and t not in comp_of]
         changed = True
@@ -901,19 +1000,7 @@ class Engine:
                 if deps and all(d in region for d in deps):
                     region.add(t)
                     changed = True
-        best: Optional[NegWaiter] = None
-        for t in core:
-            for w in t.neg_waiters:
-                if w.dead or w.cont.owner not in region:
-                    continue
-                if best is None or w.cont.k < best.cont.k:
-                    best = w
-        if best is None:
-            raise EvalError("internal", "blocked region without waiters")
-        best.dead = True
-        k = self._op("delaying", "DELAYING", best.table)
-        extra = DelayLit(True, best.table, None)
-        self._continue(best.cont, best.cont.goals, extra_delay=extra, k=k)
+        return region
 
     # ------------------------------------------------------------------
     # completion
@@ -982,7 +1069,7 @@ class Engine:
             c.dead = True
         for w in table.neg_waiters:
             if not w.dead:
-                w.dead = True
+                self._kill_waiter(w)
                 self._negative_return(w.cont, table)
         table.neg_waiters = []
         for c in table.consumers:
@@ -1008,17 +1095,15 @@ class Engine:
         collector = Collector(owner_table)
         cont = Cont(collector, template, goals, (), scopes, self.K, nv)
 
-        saved_stack, saved_comp = self.stack, self.comp
-        saved_ctx = self.ctx
+        saved = self.stack, self.comp, self._round, self.ctx
         self._ctx_seq += 1
         self.ctx = self._ctx_seq
-        self.stack, self.comp = [], []
+        self.stack, self.comp, self._round = [], [], None
         try:
             self.stack.append(("run", cont))
             self._run()
         finally:
-            self.stack, self.comp = saved_stack, saved_comp
-            self.ctx = saved_ctx
+            self.stack, self.comp, self._round, self.ctx = saved
         return collector.results
 
     def _owner_of(self, cont: Cont) -> Optional[SubgoalTable]:

@@ -503,17 +503,24 @@ class TableSpace:
         self.sweep()
 
     def _abolish(self, table: SubgoalTable) -> None:
-        if table.abolished:
-            return
-        if table.status == SubgoalTable.INCOMPLETE:
-            raise EvalError("abolish_incomplete",
-                            f"table {term_to_str(table.subgoal)} is not "
-                            "yet complete")
-        table.abolished = True
-        if self.gc_action == "abolish_dependents":
-            for dep in list(table.cond_dependents):
-                if not dep.abolished and dep is not table:
-                    self._abolish(dep)
+        """Abolish a table and, under ``abolish_dependents``, every table
+        whose conditional answers lean on it, depth first; a worklist of
+        iterators, as chains of dependents can be thousands long."""
+        work = [iter((table,))]
+        while work:
+            for t in work[-1]:
+                if t.abolished:
+                    continue
+                if t.status == SubgoalTable.INCOMPLETE:
+                    raise EvalError("abolish_incomplete",
+                                    f"table {term_to_str(t.subgoal)} is "
+                                    "not yet complete")
+                t.abolished = True
+                if self.gc_action == "abolish_dependents":
+                    work.append(iter(list(t.cond_dependents)))
+                break
+            else:
+                work.pop()
 
     def sweep(self) -> None:
         """Reclaim abolished tables that no cursor still reads.

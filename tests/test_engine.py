@@ -261,6 +261,15 @@ class TestTraces:
         b = self.run_traced(REACH_L + "edge(3,1).", "reach(1,Y).")
         assert a == b
 
+    def test_sink_gets_the_lines_and_none_are_kept(self):
+        eng = make(REACH_R)
+        eng.trace_enabled = True
+        sunk = []
+        eng.trace_sink = sunk.append
+        eng.query("reach(1,Y).")
+        assert sunk == self.run_traced(REACH_R, "reach(1,Y).")
+        assert eng.trace_lines == []
+
 
 class TestQueryLevelTabling:
     def test_tables_discarded_after_query(self):

@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 
 import pytest
 
@@ -185,3 +186,40 @@ class TestOracleAgreement:
         batched = make(src, strategy="batched")
         for atom in wfs_model(rules):
             assert truth(local, atom + ".") == truth(batched, atom + ".")
+
+
+def cycle_game(n):
+    return (":- table win/1.\nwin(X) :- move(X,Y), tnot win(Y).\n"
+            + " ".join(f"move({i},{i % n + 1})." for i in range(1, n + 1)))
+
+
+class TestLongNegativeLoops:
+    # an n-cycle of win/1 is one negative loop: n delay rounds, then one
+    # completion of n tables whose conditional answers lean on each other
+
+    def test_query_level_tables_of_a_long_loop_are_freed(self):
+        eng = make(cycle_game(1500), query_level_tabling=True)
+        assert [a.truth for a in eng.query("win(1).")] == ["undefined"]
+        assert eng.space.tables == []
+
+    def test_abolish_all_after_a_long_loop(self):
+        eng = make(cycle_game(1500))
+        assert [a.truth for a in eng.query("win(1).")] == ["undefined"]
+        eng.abolish_all()
+        assert eng.space.tables == []
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    def test_delay_rounds_cost_no_more_on_a_longer_loop(self, strategy):
+        def cpu_per_node(n):
+            best = None
+            for _ in range(3):
+                eng = make(cycle_game(n), strategy=strategy)
+                start = time.thread_time()
+                answers = eng.query("win(1).")
+                spent = (time.thread_time() - start) / eng.K
+                assert [a.truth for a in answers] == ["undefined"]
+                best = spent if best is None else min(best, spent)
+            return best
+
+        small, large = cpu_per_node(200), cpu_per_node(1600)
+        assert large < 2.0 * small, (small, large)
