@@ -156,13 +156,9 @@ class RoundState:
     def __init__(self, version: int, comps, edges):
         self.version = version
         self.comps = comps
-        self.comp_of: Dict[SubgoalTable, int] = {}
-        self.rank: Dict[SubgoalTable, int] = {}
-        for i, scc in enumerate(comps):
-            for t in scc:
-                self.comp_of[t] = i
-                self.rank[t] = len(self.rank)
-        comp_of = self.comp_of
+        self.comp_of = comp_of = {t: i for i, scc in enumerate(comps)
+                                  for t in scc}
+        self.rank = {t: r for r, t in enumerate(comp_of)}
         # the segment is closed under incomplete dependencies (``_intern``
         # refuses outer ones), so every edge of ``edges`` stays inside it
         self.is_sink = [all(comp_of[d] == i for t in scc for d in edges[t])
@@ -855,15 +851,15 @@ class Engine:
         table.neg_waiters.append(w)
         # a new edge has moved the graph version; with an old edge the
         # round state stays and learns of the waiter here
-        rs = self._round
-        if rs is not None and rs.version == self._graph_version:
+        rs = self._live_round()
+        if rs is not None:
             rs.add_waiter(w)
 
     def _kill_waiter(self, w: NegWaiter) -> None:
         """A waiter is resolved: by an answer, a completion or a delay."""
         w.dead = True
-        rs = self._round
-        if rs is not None and rs.version == self._graph_version:
+        rs = self._live_round()
+        if rs is not None:
             rs.drop_waiter(w)
 
     def _negative_return(self, cont: Cont, table: SubgoalTable) -> None:
@@ -879,6 +875,13 @@ class Engine:
 
     # ------------------------------------------------------------------
     # scheduling
+    #
+    # A round runs when the run stack drains: it feeds answers inside
+    # their SCCs (local strategy), else completes the ready sinks, else
+    # delays one literal.  It reads the ``RoundState``, which holds the
+    # partition of the top segment and what the rounds learn about it,
+    # and which is rebuilt only when ``_graph_version`` moves: a new
+    # table, a new edge to an incomplete table, or a completion.
 
     def _schedule(self) -> bool:
         comp = self.comp
@@ -886,9 +889,7 @@ class Engine:
             comp.pop()
         if not comp:
             return False
-        rs = self._round
-        if rs is None or rs.version != self._graph_version:
-            rs = self._round = self._new_round()
+        rs = self._round = self._live_round() or self._new_round()
         if self.strategy == "local" and rs.dirty and self._feed_local(rs):
             return True
         if rs.open:
@@ -897,6 +898,13 @@ class Engine:
             return True
         self._delay(rs)
         return True
+
+    def _live_round(self) -> Optional[RoundState]:
+        """The round state, unless the call graph changed since it was
+        built."""
+        rs = self._round
+        return rs if rs is not None and rs.version == self._graph_version \
+            else None
 
     def _new_round(self) -> RoundState:
         """Partition the top segment of the completion stack afresh: the
@@ -977,29 +985,38 @@ class Engine:
     def _blocked_region(self, rs: RoundState) -> Set[SubgoalTable]:
         """The sink SCCs, all blocked, plus, transitively, any incomplete
         table (inside the segment or suspended below it) whose unresolved
-        dependencies all lead into the region."""
+        dependencies all lead into the region.
+
+        A unit (an SCC of the segment, or one table below it) waits on
+        its incomplete dependencies outside itself and joins once none
+        is left; a table that joins tells its callers, so each edge is
+        looked at a bounded number of times."""
         comps, comp_of = rs.comps, rs.comp_of
-        region: Set[SubgoalTable] = {t for i in rs.sinks for t in comps[i]}
-        below = [t for t in self.comp
-                 if not t.complete and t not in comp_of]
-        changed = True
-        while changed:
-            changed = False
-            for i, scc in enumerate(comps):
-                if all(t in region for t in scc):
-                    continue
-                ok = all(d.complete or comp_of.get(d) == i or d in region
-                         for t in scc for d in t.dep_out)
-                if ok:
-                    region.update(scc)
-                    changed = True
-            for t in below:
-                if t in region:
-                    continue
-                deps = [d for d in t.dep_out if not d.complete]
-                if deps and all(d in region for d in deps):
-                    region.add(t)
-                    changed = True
+        joined = [t for i in rs.sinks for t in comps[i]]
+        waiting: Dict[object, Set[SubgoalTable]] = {}
+        for i, scc in enumerate(comps):
+            if not rs.is_sink[i]:
+                waiting[i] = {d for t in scc for d in t.dep_out
+                              if not d.complete and comp_of.get(d) != i}
+        for t in self.comp:
+            if not t.complete and t not in comp_of:
+                # a table below with no incomplete dependency stays out
+                deps = {d for d in t.dep_out if not d.complete}
+                if deps:
+                    waiting[t] = deps
+        region: Set[SubgoalTable] = set()
+        while joined:
+            x = joined.pop()
+            region.add(x)
+            for caller in x.dep_in:
+                unit = comp_of.get(caller, caller)
+                deps = waiting.get(unit)
+                if deps is not None and x in deps:
+                    deps.remove(x)
+                    if not deps:
+                        del waiting[unit]
+                        joined.extend(comps[unit] if type(unit) is int
+                                      else (unit,))
         return region
 
     # ------------------------------------------------------------------

@@ -193,6 +193,14 @@ def cycle_game(n):
             + " ".join(f"move({i},{i % n + 1})." for i in range(1, n + 1)))
 
 
+def chain_over_loop(n):
+    # n tables, each suspended on the next, above a negative loop: all but
+    # the loop lie below the top segment when it blocks
+    return (":- table p/1, w/0, v/0.\n"
+            f"p(N) :- N < {n}, M is N + 1, p(M).\n"
+            f"p({n}) :- w.\nw :- tnot v.\nv :- tnot w.\n")
+
+
 class TestLongNegativeLoops:
     # an n-cycle of win/1 is one negative loop: n delay rounds, then one
     # completion of n tables whose conditional answers lean on each other
@@ -208,14 +216,19 @@ class TestLongNegativeLoops:
         eng.abolish_all()
         assert eng.space.tables == []
 
-    @pytest.mark.parametrize("strategy", ["local", "batched"])
-    def test_delay_rounds_cost_no_more_on_a_longer_loop(self, strategy):
+    @pytest.mark.parametrize("program,goal,strategy", [
+        (cycle_game, "win(1).", "local"),
+        (cycle_game, "win(1).", "batched"),
+        (chain_over_loop, "p(0).", "local")],
+        ids=["cycle-local", "cycle-batched", "chain-local"])
+    def test_scheduling_costs_no_more_per_node_when_longer(
+            self, program, goal, strategy):
         def cpu_per_node(n):
             best = None
             for _ in range(3):
-                eng = make(cycle_game(n), strategy=strategy)
+                eng = make(program(n), strategy=strategy)
                 start = time.thread_time()
-                answers = eng.query("win(1).")
+                answers = eng.query(goal)
                 spent = (time.thread_time() - start) / eng.K
                 assert [a.truth for a in answers] == ["undefined"]
                 best = spent if best is None else min(best, spent)
