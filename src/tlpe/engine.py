@@ -23,12 +23,6 @@ A quiesced segment whose sinks all contain unresolved negative loops is
 a blocked region; the waiting literal in its oldest continuation (the
 smallest node number K) is delayed, which lets evaluation continue with
 conditional answers that simplification later repairs.
-
-The partition, the sinks and the blocked region change only when the
-call graph does, so each evaluation context keeps them in one
-``RoundState`` between rounds and rebuilds it only when
-``_graph_version`` moves; a negative loop needs one delay round per
-literal, and none of those rounds rescans the segment.
 """
 
 from __future__ import annotations
@@ -881,7 +875,9 @@ class Engine:
     # delays one literal.  It reads the ``RoundState``, which holds the
     # partition of the top segment and what the rounds learn about it,
     # and which is rebuilt only when ``_graph_version`` moves: a new
-    # table, a new edge to an incomplete table, or a completion.
+    # table, a new edge to an incomplete table, or a completion.  The
+    # delay rounds of a negative loop leave the graph alone, so none of
+    # them rescans the segment, the region or the waiters.
 
     def _schedule(self) -> bool:
         comp = self.comp
