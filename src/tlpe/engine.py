@@ -2,6 +2,10 @@
 
 Tabled calls intern a subgoal table and either read answers from it or
 suspend as consumers; non-tabled calls resolve inline, depth first.
+Under subsumptive tabling a call reads the first table that subsumes it
+in place, as a variant call reads its own: each answer returns only if
+it unifies with the call, in the table's answer order.  A call that no
+table subsumes, or a ground ``tnot``, gets a table of its own.
 Negative calls suspend on incomplete tables and are resolved at
 completion, delayed inside negative loops, or failed eagerly as soon as
 an unconditional answer shows up.
@@ -87,31 +91,23 @@ class Cont:
 
 
 class Consumer:
-    """A suspended reader of an incomplete table.
+    """A suspended reader of an incomplete table: the call ``goal``,
+    which the table's subgoal equals or subsumes, continued by ``cont``."""
 
-    ``cont`` is None for the materializer that copies a producer's
-    answers into a subsumed consumer table (``target``).
-    """
+    __slots__ = ("table", "goal", "cont", "cursor", "scopes", "dead", "fed")
 
-    __slots__ = ("table", "goal", "cont", "target", "cursor", "scopes",
-                 "dead", "fed")
-
-    def __init__(self, table: SubgoalTable, goal: Optional[Term],
-                 cont: Optional[Cont], target: Optional[SubgoalTable] = None):
+    def __init__(self, table: SubgoalTable, goal: Term, cont: Cont):
         self.table = table
         self.goal = goal
         self.cont = cont
-        self.target = target
         self.cursor = 0
-        self.scopes = cont.scopes if cont is not None else ()
+        self.scopes = cont.scopes
         self.dead = False
         # answer-subsumption tables feed out of insertion order, so
         # their consumers track the fed records themselves, not a cursor
         self.fed: Optional[set] = None
 
     def owner_table(self) -> Optional[SubgoalTable]:
-        if self.cont is None:
-            return self.target
         owner = self.cont.owner
         return owner if isinstance(owner, SubgoalTable) else None
 
@@ -413,7 +409,8 @@ class Engine:
         elif kind == "resume":
             _, consumer, ans = entry
             if not consumer.dead and not ans.deleted:
-                self._resume_positive(consumer, ans)
+                self._return_answer(consumer.cont, consumer.goal,
+                                    consumer.table, ans)
         elif kind == "answers":
             self._reader_step(entry)
         elif kind == "inline":
@@ -489,29 +486,19 @@ class Engine:
         if type(owner) is Collector:
             owner.results.append(cont.ans)
             return
+        if owner.pred.subsumption is not None:
+            if cont.delays:
+                raise EvalError(
+                    "subsumption_conditional",
+                    f"conditional answer for {owner.pred} under answer "
+                    "subsumption")
+            subsumption.apply(self, owner, cont.ans)
+            return
         env = match(owner.subgoal, cont.ans)
         if env is None:     # cannot happen: ans is an instance by build
             raise EvalError("internal", "answer does not match subgoal")
         bindings = tuple(env.get(i, Var(i)) for i in range(owner.nvars))
-        self._deliver_answer(owner, bindings, cont.delays, cont.ans)
-
-    def _deliver_answer(self, table: SubgoalTable, bindings: tuple,
-                        delays: tuple, ans_term: Optional[Term] = None
-                        ) -> None:
-        if table.pred.subsumption is not None:
-            if delays:
-                raise EvalError(
-                    "subsumption_conditional",
-                    f"conditional answer for {table.pred} under answer "
-                    "subsumption")
-            if ans_term is None:
-                ans_term = resolve(
-                    table.subgoal,
-                    {i: rename(b, table.nvars)
-                     for i, b in enumerate(bindings)})
-            subsumption.apply(self, table, ans_term)
-            return
-        self.insert_reduced(table, bindings, delays)
+        self.insert_reduced(owner, bindings, cont.delays)
 
     def insert_reduced(self, table: SubgoalTable, bindings: tuple,
                        delays: tuple = ()):
@@ -549,20 +536,21 @@ class Engine:
         if self.strategy == "batched":
             self._feed_consumer(consumer)
 
-    def _intern(self, pi: PredicateInfo, goal: Term) -> SubgoalTable:
-        table, is_new = self.space.check_insert_subgoal(pi, goal)
+    def _intern(self, pi: PredicateInfo, goal: Term,
+                variant: bool = False) -> SubgoalTable:
+        """The table a call of ``goal`` reads, set up to run if new."""
+        table, is_new = self.space.check_insert_subgoal(pi, goal, variant)
         if table.status == SubgoalTable.INVALID:
             self.reset_for_recompute(table)
             is_new = True
         # findall cannot read a table that its enclosing evaluation has
         # not completed, by a variant call or by a subsumed one
-        read = table.producer if is_new else table
-        if read is not None and read.status == SubgoalTable.INCOMPLETE \
-                and read.ctx != self.ctx:
+        if not is_new and table.status == SubgoalTable.INCOMPLETE \
+                and table.ctx != self.ctx:
             raise EvalError(
                 "incomplete_outer",
-                f"call to {term_to_str(table.subgoal)} reads table "
-                f"{term_to_str(read.subgoal)}, incomplete in an enclosing "
+                f"call to {term_to_str(goal)} reads table "
+                f"{term_to_str(table.subgoal)}, incomplete in an enclosing "
                 "evaluation")
         if is_new:
             self._activate(table)
@@ -573,22 +561,9 @@ class Engine:
         table.ctx = self.ctx
         table.owned_consumers = []
         self._op("new_subgoal", "NEW_SUBGOAL", table)
-        producer = table.producer
-        if producer is not None and producer.complete:
-            self._materialize_all(table)
-            return
         table.stack_pos = len(self.comp)
         self.comp.append(table)
         self._graph_version += 1
-        if producer is not None:
-            self.space.note_call_edge(table, producer, neg=False)
-            mat = Consumer(producer, None, None, target=table)
-            self._register_consumer(producer, mat)
-            producer.on_complete_hooks.append(
-                lambda: self._finish_consumer_table(table, mat))
-            if self.strategy == "batched":
-                self._feed_consumer(mat)
-            return
         if table.pred.name == QUERY_PRED:
             self._push_query_root(table)
             return
@@ -643,7 +618,7 @@ class Engine:
         if self._round is not None:
             self._round.dirty.add(table)
         owner = consumer.owner_table()
-        if owner is not None and owner is not consumer.target:
+        if owner is not None:
             owner.owned_consumers.append(consumer)
 
     # ------------------------------------------------------------------
@@ -692,13 +667,6 @@ class Engine:
             self.stack.append(("resume", consumer, ans))
         return True
 
-    def _resume_positive(self, consumer: Consumer, ans) -> None:
-        if consumer.cont is None:
-            self._materialize_one(consumer.target, consumer.table, ans)
-            return
-        self._return_answer(consumer.cont, consumer.goal, consumer.table,
-                            ans)
-
     def _return_answer(self, cont: Cont, goal: Term,
                        table: SubgoalTable, ans) -> None:
         inst = rename(ans.term, cont.nv)
@@ -720,42 +688,6 @@ class Engine:
             return
         self.stack.append(("answers", cont, goal, table, idx + 1))
         self._return_answer(cont, goal, table, answers[idx])
-
-    # ------------------------------------------------------------------
-    # subsumed consumer tables
-
-    def _materialize_one(self, target: SubgoalTable, producer: SubgoalTable,
-                         ans) -> None:
-        inst = rename(ans.term, target.nvars)
-        env = unify(target.subgoal, inst, occurs_check=self.occurs_check)
-        if env is None:
-            return
-        self._op("positive_return", "POSITIVE_RETURN", producer)
-        bindings = tuple(resolve(Var(i), env) for i in range(target.nvars))
-        delays = (DelayLit(False, producer, ans),) if ans.conditional else ()
-        self._deliver_answer(target, bindings, delays)
-
-    def _materialize_all(self, table: SubgoalTable) -> None:
-        """Producer already complete: copy matching answers, close table."""
-        for ans in table.producer.answers:
-            if not ans.deleted:
-                self._materialize_one(table, table.producer, ans)
-        table.status = SubgoalTable.COMPLETE
-        self.space.note_call_edge(table, table.producer, neg=False)
-        self.space.on_completed(table)
-        self._trace("COMPLETION", table)
-
-    def _finish_consumer_table(self, table: SubgoalTable,
-                               mat: Consumer) -> None:
-        """Producer completion hook: catch up, then complete the copy."""
-        producer = table.producer
-        for ans in producer.answers[mat.cursor:]:
-            if not ans.deleted:
-                self._materialize_one(table, producer, ans)
-        mat.cursor = len(producer.answers)
-        mat.dead = True
-        if table.status == SubgoalTable.INCOMPLETE:
-            self._complete_scc([table])
 
     # ------------------------------------------------------------------
     # inline (non-tabled) resolution
@@ -831,7 +763,8 @@ class Engine:
                 "negation_untabled",
                 f"tnot {term_to_str(goal)}: predicate {name}/{arity} is "
                 "not tabled")
-        table = self._intern(pi, goal)
+        # a ground negative call reads a table of exactly its atom
+        table = self._intern(pi, goal, variant=True)
         self._note_call(cont, table, neg=True)
         after = self._advance(cont, rest)
         if table.complete:
@@ -1090,10 +1023,6 @@ class Engine:
                 # catch up; pending resume entries still pop, so the
                 # consumer is merely finished, not discarded
                 self._feed_consumer(c)
-        hooks = table.on_complete_hooks
-        table.on_complete_hooks = []
-        for hook in hooks:
-            hook()
 
     # ------------------------------------------------------------------
     # sub-evaluations (findall, join/leq)
@@ -1183,6 +1112,7 @@ class Engine:
         self.space.abolish_pred((name, arity))
 
     def abolish_call(self, goal) -> None:
+        """Abolish the variant table of ``goal``, never a subsuming one."""
         self._guard_no_query("abolish")
         if isinstance(goal, str):
             goal = parse_goal(goal).term

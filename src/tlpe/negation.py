@@ -11,7 +11,8 @@ from .errors import EvalError
 from .parser import parse_goal
 # unused here, but bench/spans.py wraps tlpe.negation.tarjan_sccs by name
 from .sccs import tarjan_sccs  # noqa: F401
-from .terms import Struct, Term, is_ground, term_to_str
+from .terms import (Struct, Term, canonicalize, functor_of, is_ground,
+                    rename, resolve, term_to_str, unify)
 
 
 def _as_term(goal) -> Term:
@@ -35,21 +36,34 @@ def get_residual(engine: Engine, goal) -> List[Tuple[Term, List[Term]]]:
     """Residual clauses of a completed table: one (head, body) pair per
     answer and delay list; unconditional answers get an empty body.
     Delay literals print as the answers they wait on, negated ones as
-    tnot(Subgoal)."""
+    tnot(Subgoal).
+
+    Without a variant table, the goal of a subsumptive predicate reads
+    the table that answered its calls, which subsumes it; only the
+    answers that unify with the goal are reported, instantiated by it."""
     goal = _as_term(goal)
     table = engine.space.lookup_variant(goal)
+    if table is None:
+        pi = engine.program.info(*functor_of(goal))
+        if pi is not None and pi.tabling == "subsumptive":
+            table = engine.space.lookup_subsuming(goal)
     if table is None:
         raise EvalError("no_table",
                         f"no table for {term_to_str(goal)}")
     if not table.complete:
         raise EvalError("incomplete_table",
                         f"table for {term_to_str(goal)} is not complete")
+    cgoal, nvars = canonicalize(goal)
     out: List[Tuple[Term, List[Term]]] = []
     for ans in table.answers:
         if ans.deleted:
             continue
+        env = unify(cgoal, rename(ans.term, nvars))
+        if env is None:
+            continue
+        head, _ = canonicalize(resolve(cgoal, env))
         if not ans.delay_lists:
-            out.append((ans.term, []))
+            out.append((head, []))
             continue
         for dl in ans.delay_lists:
             body: List[Term] = []
@@ -58,5 +72,5 @@ def get_residual(engine: Engine, goal) -> List[Tuple[Term, List[Term]]]:
                     body.append(Struct("tnot", (lit.table.subgoal,)))
                 else:
                     body.append(lit.ans.term)
-            out.append((ans.term, body))
+            out.append((head, body))
     return out

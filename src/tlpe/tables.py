@@ -21,7 +21,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 from .errors import EvalError
 from .program import PredicateInfo, Program
 from .terms import (
-    Struct, Term, canonical_key, canonicalize, functor_of, rename, resolve,
+    Struct, Term, canonicalize, functor_of, rename, resolve,
     symbols, term_to_str,
 )
 from .tries import Trie, term_path
@@ -99,14 +99,12 @@ class SubgoalTable:
     INVALID = "invalid"
 
     def __init__(self, pred: PredicateInfo, subgoal: Term, nvars: int,
-                 dfn: int, producer: Optional["SubgoalTable"] = None):
+                 dfn: int):
         self.pred = pred
         self.subgoal = subgoal          # canonical form
         self.nvars = nvars
-        self.key = canonical_key(subgoal)
         self.dfn = dfn
         self.status = self.INCOMPLETE
-        self.producer = producer        # set on subsumed consumer tables
         self.answers: List[AnswerRecord] = []   # append-only, tombstones
         self.answer_trie = Trie()
         self.live_answers = 0
@@ -118,7 +116,6 @@ class SubgoalTable:
         # engine scheduling state
         self.consumers: list = []
         self.neg_waiters: list = []
-        self.on_complete_hooks: list = []
         self.ctx = 0                    # evaluation context of its run
         self.owned_consumers: list = []  # consumers its continuations made
         self.leaf_node = None           # its leaf in the subgoal trie
@@ -173,41 +170,31 @@ class TableSpace:
     # ------------------------------------------------------------------
     # subgoal interning
 
-    def check_insert_subgoal(self, pi: PredicateInfo, goal: Term):
+    def check_insert_subgoal(self, pi: PredicateInfo, goal: Term,
+                             variant: bool = False):
         """Intern a call.  Returns (table, is_new).
 
         Variant tabling reuses a table per canonical call.  Subsumptive
-        tabling first looks for any stored subgoal that subsumes the
-        call; an exact variant is reused directly, any other subsuming
-        table becomes the producer of a fresh consumer table.
+        tabling returns the first live table in trie order whose subgoal
+        subsumes the call, which the call reads in place (the answers
+        that unify with it, in the table's order); only a call that no
+        table subsumes gets a table of its own.
+
+        ``variant`` asks for a variant table under subsumptive tabling
+        too, as a ground negative call (``tnot``) does: an unconditional
+        answer of its table fails the call at once, and a ``tnot table``
+        delay literal stands for the table's subgoal, so the table must
+        be that ground atom's own.
         """
+        if pi.tabling == "subsumptive" and not variant:
+            table = self.lookup_subsuming(goal)
+            if table is not None:
+                return table, False
         cgoal, nvars = canonicalize(goal)
         trie = self.tries.get(pi.key)
         if trie is None:
             trie = self.tries[pi.key] = Trie()
-        path = term_path(cgoal)
-
-        if pi.tabling == "subsumptive":
-            key = canonical_key(cgoal)
-            hits = trie.matching_leaves(cgoal, mode="subsume")
-            producer = None
-            for t in hits:
-                if t.abolished or t.status == SubgoalTable.INVALID:
-                    continue
-                if t.key == key:
-                    return t, False
-                if t.producer is None:
-                    producer = t
-                    break
-            node, _ = trie.check_insert(path)
-            if node.leaf is not None and not node.leaf.abolished:
-                return node.leaf, False
-            table = self._new_table(pi, cgoal, nvars, producer=producer)
-            trie.set_leaf(node, table)
-            table.leaf_node = node
-            return table, True
-
-        node, _ = trie.check_insert(path)
+        node, _ = trie.check_insert(term_path(cgoal))
         existing = node.leaf
         if existing is not None and not existing.abolished:
             if existing.status == SubgoalTable.INVALID:
@@ -218,9 +205,9 @@ class TableSpace:
         table.leaf_node = node
         return table, True
 
-    def _new_table(self, pi, cgoal, nvars, producer=None) -> SubgoalTable:
+    def _new_table(self, pi, cgoal, nvars) -> SubgoalTable:
         self._dfn += 1
-        table = SubgoalTable(pi, cgoal, nvars, self._dfn, producer)
+        table = SubgoalTable(pi, cgoal, nvars, self._dfn)
         self.tables.append(table)
         return table
 
@@ -234,6 +221,17 @@ class TableSpace:
         if node is None or node.leaf is None or node.leaf.abolished:
             return None
         return node.leaf
+
+    def lookup_subsuming(self, goal: Term) -> Optional[SubgoalTable]:
+        """The first live table in trie order whose subgoal subsumes
+        ``goal``: the table a subsumptive call of ``goal`` reads."""
+        trie = self.tries.get(functor_of(goal))
+        if trie is None:
+            return None
+        for t in trie.matching_leaves(goal, mode="subsume"):
+            if not t.abolished and t.status != SubgoalTable.INVALID:
+                return t
+        return None
 
     # ------------------------------------------------------------------
     # answers
@@ -334,7 +332,6 @@ class TableSpace:
         table.neg_watchers = []
         table.consumers = []
         table.neg_waiters = []
-        table.on_complete_hooks = []
         table.cond_dependents = set()
         for callee in table.dep_out:
             callee.dep_in.pop(table, None)
@@ -569,11 +566,9 @@ class TableSpace:
             if table.abolished or table.pred.name.startswith("$"):
                 continue
             st = out.setdefault(str(table.pred), {
-                "tables": 0, "producers": 0, "answers": 0, "conditional": 0,
+                "tables": 0, "answers": 0, "conditional": 0,
                 "complete": 0, "invalid": 0})
             st["tables"] += 1
-            if table.producer is None:
-                st["producers"] += 1
             st["answers"] += table.live_answers
             st["conditional"] += sum(1 for a in table.answers
                                      if a.conditional)

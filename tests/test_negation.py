@@ -113,6 +113,26 @@ class TestNonStratified:
         with pytest.raises(EvalError):
             get_residual(eng, "p(X).")
 
+    def test_residual_of_a_subsumed_call(self):
+        src = """
+        :- table p/2, q/1.
+        p(a,1) :- tnot q(1).
+        p(b,2).
+        p(a,3).
+        q(1) :- tnot p(a,1).
+        """
+        variant = make(src)
+        variant.query("p(a,Z).")
+        subsumptive = make(src, default_tabling="subsumptive")
+        subsumptive.query("p(X,Y).")
+
+        def rendered(eng):
+            return [(term_to_str(h), [term_to_str(b) for b in body])
+                    for h, body in get_residual(eng, "p(a,Z).")]
+
+        assert rendered(subsumptive) == rendered(variant) == [
+            ("p(a,3)", []), ("p(a,1)", ["tnot(q(1))"])]
+
 
 class TestDelayedSupport:
     # conditional answers kept alive only by their own positive delay

@@ -17,11 +17,11 @@ def make_space(default_tabling="variant"):
     return TableSpace(Program(default_tabling=default_tabling))
 
 
-def intern(space, pred_src, goal_src, mode="variant"):
+def intern(space, pred_src, goal_src, mode="variant", variant=False):
     name, arity = goalkey(goal_src)
     pi = space.program.info(name, arity, create=True)
     pi.tabling = mode
-    return space.check_insert_subgoal(pi, t(goal_src))
+    return space.check_insert_subgoal(pi, t(goal_src), variant)
 
 
 def goalkey(src):
@@ -46,22 +46,27 @@ class TestSubgoalInterning:
         t3, _ = intern(sp, "p", "p(a, Y)")
         assert len({id(t1), id(t2), id(t3)}) == 3
 
-    def test_subsumptive_links_consumer_to_producer(self):
+    def test_subsumed_call_returns_the_subsuming_table(self):
         sp = make_space()
         gen, new = intern(sp, "p", "p(X, Y)", mode="subsumptive")
-        cons, new2 = intern(sp, "p", "p(a, Y)", mode="subsumptive")
-        assert new and new2
-        assert gen.producer is None
-        assert cons.producer is gen
+        read, new2 = intern(sp, "p", "p(a, Y)", mode="subsumptive")
+        assert new and not new2
+        assert read is gen
+        assert sp.tables == [gen]
 
-    def test_subsumptive_picks_most_specific_producer(self):
+    def test_subsumed_call_returns_the_most_specific_table(self):
         sp = make_space()
         gen, _ = intern(sp, "p", "p(X, Y)", mode="subsumptive")
-        mid, _ = intern(sp, "p", "p(a, Y)", mode="subsumptive")
-        # make the middle table a producer in its own right
-        mid.producer = None
-        leaf, _ = intern(sp, "p", "p(a, b)", mode="subsumptive")
-        assert leaf.producer is mid
+        # a variant lookup, as a ground tnot makes, gets a table of its own
+        mid, new = intern(sp, "p", "p(a, Y)", mode="subsumptive",
+                          variant=True)
+        assert new and mid is not gen
+        leaf, new = intern(sp, "p", "p(a, b)", mode="subsumptive")
+        assert leaf is mid and not new
+        # a table to be recomputed answers no call
+        mid.status = SubgoalTable.INVALID
+        leaf, new = intern(sp, "p", "p(a, b)", mode="subsumptive")
+        assert leaf is gen and not new
 
     def test_subsumptive_exact_variant_reused(self):
         sp = make_space()
@@ -308,6 +313,6 @@ class TestStatistics:
         sp.add_answer(p2, (Atom("two"),), [delay_neg(q)])
         p1.status = SubgoalTable.COMPLETE
         stats = sp.statistics()
-        assert stats["p/2"] == {"tables": 2, "producers": 2, "answers": 2,
+        assert stats["p/2"] == {"tables": 2, "answers": 2,
                                 "conditional": 1, "complete": 1, "invalid": 0}
         assert "$query/1" not in stats
