@@ -94,22 +94,20 @@ class Consumer:
     """A suspended reader of an incomplete table: the call ``goal``,
     which the table's subgoal equals or subsumes, continued by ``cont``."""
 
-    __slots__ = ("table", "goal", "cont", "cursor", "scopes", "dead", "fed")
+    __slots__ = ("table", "goal", "cont", "cursor", "scopes", "dead", "fed",
+                 "seen")
 
-    def __init__(self, table: SubgoalTable, goal: Term, cont: Cont):
+    def __init__(self, table: SubgoalTable, goal: Term, cont: Cont, seen):
         self.table = table
         self.goal = goal
         self.cont = cont
+        self.seen = seen    # of a subsumed call: instance -> unconditional
         self.cursor = 0
         self.scopes = cont.scopes
         self.dead = False
         # answer-subsumption tables feed out of insertion order, so
         # their consumers track the fed records themselves, not a cursor
         self.fed: Optional[set] = None
-
-    def owner_table(self) -> Optional[SubgoalTable]:
-        owner = self.cont.owner
-        return owner if isinstance(owner, SubgoalTable) else None
 
 
 class NegWaiter:
@@ -294,7 +292,10 @@ class Engine:
         if isinstance(goal, str):
             goal = parse_goal(goal).term
         with self._evaluation() as watermark:
-            out = self._collect_query_answers(self._eval_wrapper(goal), goal)
+            table = self._eval_wrapper(goal)
+            qvars = term_vars(goal)
+            out = [self._query_answer(a, qvars)
+                   for a in table.answers if not a.deleted]
         if self.query_level_tabling:
             self.space.discard_from(watermark)
         return out
@@ -380,12 +381,6 @@ class Engine:
         self._run()
         return table
 
-    def _collect_query_answers(self, table: SubgoalTable,
-                               goal: Term) -> List[QueryAnswer]:
-        qvars = term_vars(goal)
-        return [self._query_answer(a, qvars)
-                for a in table.answers if not a.deleted]
-
     def _query_answer(self, ans, qvars) -> QueryAnswer:
         bindings = {qvars[i]: ans.bindings[i] for i in range(len(qvars))}
         truth = "undefined" if ans.conditional else "true"
@@ -410,7 +405,7 @@ class Engine:
             _, consumer, ans = entry
             if not consumer.dead and not ans.deleted:
                 self._return_answer(consumer.cont, consumer.goal,
-                                    consumer.table, ans)
+                                    consumer.table, ans, consumer.seen)
         elif kind == "answers":
             self._reader_step(entry)
         elif kind == "inline":
@@ -486,6 +481,9 @@ class Engine:
         if type(owner) is Collector:
             owner.results.append(cont.ans)
             return
+        env = match(owner.subgoal, cont.ans)
+        if env is None:     # cannot happen: ans is an instance by build
+            raise EvalError("internal", "answer does not match subgoal")
         if owner.pred.subsumption is not None:
             if cont.delays:
                 raise EvalError(
@@ -494,9 +492,6 @@ class Engine:
                     "subsumption")
             subsumption.apply(self, owner, cont.ans)
             return
-        env = match(owner.subgoal, cont.ans)
-        if env is None:     # cannot happen: ans is an instance by build
-            raise EvalError("internal", "answer does not match subgoal")
         bindings = tuple(env.get(i, Var(i)) for i in range(owner.nvars))
         self.insert_reduced(owner, bindings, cont.delays)
 
@@ -528,10 +523,13 @@ class Engine:
         table = self._intern(pi, goal)
         self._note_call(cont, table, neg=False)
         after = self._advance(cont, rest)
+        # two answers of a subsuming table can give one instance of goal
+        seen = {} if pi.tabling == "subsumptive" \
+            and canonical_key(goal) != canonical_key(table.subgoal) else None
         if table.complete:
-            self.stack.append(("answers", after, goal, table, 0))
+            self.stack.append(("answers", after, goal, table, 0, seen))
             return
-        consumer = Consumer(table, goal, after)
+        consumer = Consumer(table, goal, after, seen)
         self._register_consumer(table, consumer)
         if self.strategy == "batched":
             self._feed_consumer(consumer)
@@ -617,8 +615,8 @@ class Engine:
         table.consumers.append(consumer)
         if self._round is not None:
             self._round.dirty.add(table)
-        owner = consumer.owner_table()
-        if owner is not None:
+        owner = consumer.cont.owner
+        if isinstance(owner, SubgoalTable):
             owner.owned_consumers.append(consumer)
 
     # ------------------------------------------------------------------
@@ -667,27 +665,34 @@ class Engine:
             self.stack.append(("resume", consumer, ans))
         return True
 
-    def _return_answer(self, cont: Cont, goal: Term,
-                       table: SubgoalTable, ans) -> None:
+    def _return_answer(self, cont: Cont, goal: Term, table: SubgoalTable,
+                       ans, seen: Optional[dict] = None) -> None:
         inst = rename(ans.term, cont.nv)
         env = unify(goal, inst, occurs_check=self.occurs_check)
         if env is None:
             return
+        if seen is not None:
+            # a table owner takes an instance again while it is conditional
+            # (the delay literal differs); findall ignores delays
+            key = canonical_key(resolve(goal, env))
+            if seen.get(key) or key in seen and type(cont.owner) is Collector:
+                return
+            seen[key] = not ans.conditional
         k = self._op("positive_return", "POSITIVE_RETURN", table)
         extra = DelayLit(False, table, ans) if ans.conditional else None
         self.stack.append(("run", self._advance(
             cont, cont.goals, env, cont.nv + ans.nvars, extra, k)))
 
     def _reader_step(self, entry) -> None:
-        _, cont, goal, table, idx = entry
+        _, cont, goal, table, idx, seen = entry
         answers = table.answers
         n = len(answers)
         while idx < n and answers[idx].deleted:
             idx += 1
         if idx >= n:
             return
-        self.stack.append(("answers", cont, goal, table, idx + 1))
-        self._return_answer(cont, goal, table, answers[idx])
+        self.stack.append(("answers", cont, goal, table, idx + 1, seen))
+        self._return_answer(cont, goal, table, answers[idx], seen)
 
     # ------------------------------------------------------------------
     # inline (non-tabled) resolution
@@ -881,7 +886,7 @@ class Engine:
         for t in tables:
             i = comp_of[t]
             for c in t.consumers:
-                if not c.dead and comp_of.get(c.owner_table()) == i \
+                if not c.dead and comp_of.get(c.cont.owner) == i \
                         and self._feed_consumer(c, one=True):
                     fed = True
                     # an answer-subsumption table feeds one answer a round

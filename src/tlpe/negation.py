@@ -4,7 +4,7 @@ Three-valued truth queries and residual-program extraction for
 undefined answers.
 """
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from .engine import Engine
 from .errors import EvalError
@@ -40,7 +40,8 @@ def get_residual(engine: Engine, goal) -> List[Tuple[Term, List[Term]]]:
 
     Without a variant table, the goal of a subsumptive predicate reads
     the table that answered its calls, which subsumes it; only the
-    answers that unify with the goal are reported, instantiated by it."""
+    answers that unify with the goal are reported, instantiated by it,
+    each instance once per distinct body, or once with none if true."""
     goal = _as_term(goal)
     table = engine.space.lookup_variant(goal)
     if table is None:
@@ -54,23 +55,18 @@ def get_residual(engine: Engine, goal) -> List[Tuple[Term, List[Term]]]:
         raise EvalError("incomplete_table",
                         f"table for {term_to_str(goal)} is not complete")
     cgoal, nvars = canonicalize(goal)
-    out: List[Tuple[Term, List[Term]]] = []
+    bodies_of: Dict[Term, List[List[Term]]] = {}
     for ans in table.answers:
-        if ans.deleted:
-            continue
-        env = unify(cgoal, rename(ans.term, nvars))
+        env = None if ans.deleted else unify(cgoal, rename(ans.term, nvars))
         if env is None:
             continue
         head, _ = canonicalize(resolve(cgoal, env))
-        if not ans.delay_lists:
-            out.append((head, []))
-            continue
-        for dl in ans.delay_lists:
-            body: List[Term] = []
-            for lit in dl.lits:
-                if lit.neg:
-                    body.append(Struct("tnot", (lit.table.subgoal,)))
-                else:
-                    body.append(lit.ans.term)
-            out.append((head, body))
-    return out
+        bodies = bodies_of.setdefault(head, [])
+        for dl in ans.delay_lists or [None]:
+            body = [] if dl is None else [
+                Struct("tnot", (lit.table.subgoal,)) if lit.neg
+                else lit.ans.term for lit in dl.lits]
+            if body not in bodies:
+                bodies.append(body)
+    return [(head, body) for head, bodies in bodies_of.items()
+            for body in ([[]] if [] in bodies else bodies)]

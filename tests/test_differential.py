@@ -15,7 +15,7 @@ import pytest
 
 from tlpe.engine import Engine
 from tlpe.parser import parse_term_text
-from tlpe.terms import term_to_str
+from tlpe.terms import Struct, canonicalize, term_to_str
 
 PREDS = ("p", "q", "r", "s", "t", "u")
 CONSTS = ("a", "b", "c", "d")
@@ -31,7 +31,9 @@ def random_program(seed):
     6-14 ``e/2`` facts, and 2-6 queries of it.  Each predicate has 1-3
     rules: left recursion, right recursion, ``e/2`` alone, or a diagonal
     ``x(X,X) :- e(X,_), y(X,_)``; half the seeds add rules with a ground
-    ``tnot``."""
+    ``tnot``.  Last, each predicate may get the rule ``x(X,Y) :- e(X,_)``,
+    whose answers are not ground; it is drawn after everything else, so
+    the rest of a seed's program stays as it was without it."""
     rng = random.Random(seed)
     facts = sorted({(rng.choice(CONSTS), rng.choice(CONSTS))
                     for _ in range(rng.randint(6, 14))})
@@ -55,6 +57,7 @@ def random_program(seed):
         args = [rng.choice(CONSTS) if rng.random() < 0.5 else v
                 for v in ("X", "Y")]
         queries.append(f"{rng.choice(PREDS)}({args[0]},{args[1]}).")
+    lines += [f"{x}(X,Y) :- e(X,_)." for x in PREDS if rng.random() < 0.25]
     return "\n".join(lines), queries
 
 
@@ -62,22 +65,43 @@ def answer_set(eng, goal):
     return sorted((term_to_str(a.goal), a.truth) for a in eng.query(goal))
 
 
-def variant_answers(src, goal):
+def findall_items(eng, goal):
+    """The list ``findall`` collects for ``goal``, sorted.  Unlike the
+    answers of a query, it keeps an instance that is returned twice."""
+    g = goal.rstrip(".")
+    [found] = eng.query(f"findall({g}, {g}, L).")
+    items, t = [], found.goal.args[2]
+    while type(t) is Struct and t.name == ".":
+        items.append(term_to_str(canonicalize(t.args[0])[0]))
+        t = t.args[1]
+    return sorted(items)
+
+
+def outcome(eng, goal):
+    return findall_items(eng, goal), answer_set(eng, goal)
+
+
+def _variant_engine(src):
     eng = Engine()
     eng.consult(src)
-    return answer_set(eng, goal)
+    return eng
+
+
+def variant_answers(src, goal):
+    return answer_set(_variant_engine(src), goal)
 
 
 def mismatches(src, queries):
-    """(options, query, subsumptive answers, variant answers) of every
-    query whose answers differ from a fresh variant engine's."""
-    expected = {g: variant_answers(src, g) for g in queries}
+    """(options, query, subsumptive outcome, variant outcome) of every
+    query whose ``findall`` list or answers differ from those of a fresh
+    variant engine."""
+    expected = {g: outcome(_variant_engine(src), g) for g in queries}
     out = []
     for options in OPTIONS:
         eng = Engine(default_tabling="subsumptive", **options)
         eng.consult(src)
         for g in queries:
-            got = answer_set(eng, g)
+            got = outcome(eng, g)
             if got != expected[g]:
                 out.append((options, g, got, expected[g]))
     return out
@@ -139,9 +163,59 @@ def test_ground_tnot_reads_its_own_table(strategy):
     assert eng.space.lookup_variant(parse_term_text("p(d,d)")) is not None
 
 
-# under the local strategy, seeds 38, 92, 113 and 117 lost answers when
-# a subsumed call copied its answers into a table of its own
-SEEDS = list(range(9)) + [38, 92, 113, 117]
+# p(X,b) and p(a,b) are two answers of p(X,Y); both give the subsumed
+# call p(a,Y) the instance p(a,b), which it returns once: to a findall
+# or to p(a,c)'s clause, from p(X,Y) incomplete (the first goal, under
+# batched) and complete (the others)
+NON_GROUND = """
+:- table p/2.
+p(X,b).
+p(a,b).
+p(a,c) :- p(a,b).
+"""
+
+
+@pytest.mark.parametrize("strategy", ["local", "batched"])
+def test_subsumed_call_returns_an_instance_once(strategy):
+    eng = Engine(strategy=strategy, default_tabling="subsumptive")
+    eng.consult(NON_GROUND)
+    for g in ("(p(X,Y), p(a,Z)).", "p(X,Y).", "p(a,Y).", "p(a,b)."):
+        assert findall_items(eng, g) == findall_items(
+            _variant_engine(NON_GROUND), g), g
+    assert findall_items(eng, "p(a,Y).") == ["p(a,b)", "p(a,c)"]
+    assert eng.space.statistics()["p/2"]["tables"] == 1
+
+
+# p(X,b) is undefined and p(a,b) true, found later: only once z has
+# completed without answers; the call p(a,Y) of r/1 meets the instance
+# p(a,b) conditionally first and must take it again as true
+COND_FIRST = """
+:- table p/2, q/0, r/1, z/0.
+p(X,b) :- tnot q.
+p(a,b) :- tnot z.
+q :- tnot q.
+z :- tnot q, fail.
+r(Y) :- p(a,Y).
+"""
+
+
+@pytest.mark.parametrize("strategy", ["local", "batched"])
+def test_subsumed_call_takes_a_conditional_instance_again(strategy):
+    eng = Engine(strategy=strategy, default_tabling="subsumptive")
+    eng.consult(COND_FIRST)
+    assert answer_set(eng, "p(X,Y).") == variant_answers(COND_FIRST, "p(X,Y).")
+    for g in ("r(Y).", "(p(X,Y), r(Z))."):
+        assert answer_set(eng, g) == variant_answers(COND_FIRST, g), g
+    assert answer_set(eng, "r(Y).") == [("r(b)", "true")]
+    assert findall_items(eng, "r(Y).") == ["r(b)"]
+    assert findall_items(eng, "p(a,Y).") == findall_items(
+        _variant_engine(COND_FIRST), "p(a,Y).") == ["p(a,b)"]
+
+
+# under the local strategy, seeds 38 and 92 lost answers when a subsumed
+# call copied its answers into a table of its own; in seeds 29, 38 and 40
+# a subsumed call returned one instance twice to findall
+SEEDS = [2, 4, 5, 6, 8, 29, 38, 40, 92]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

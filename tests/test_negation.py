@@ -133,6 +133,29 @@ class TestNonStratified:
         assert rendered(subsumptive) == rendered(variant) == [
             ("p(a,3)", []), ("p(a,1)", ["tnot(q(1))"])]
 
+    def test_residual_of_a_subsumed_call_lists_an_instance_once(self):
+        # p(X,b) and p(a,b) both give p(a,b), once conditionally as well
+        src = """
+        :- table p/2, q/0.
+        p(X,b) :- tnot q.
+        p(X,b).
+        p(a,b) :- tnot q.
+        p(a,c) :- tnot q.
+        p(X,c) :- tnot q.
+        q :- tnot q.
+        """
+        variant = make(src)
+        variant.query("p(a,Z).")
+        subsumptive = make(src, default_tabling="subsumptive")
+        subsumptive.query("p(X,Y).")
+
+        def rendered(eng):
+            return sorted((term_to_str(h), [term_to_str(b) for b in body])
+                          for h, body in get_residual(eng, "p(a,Z)."))
+
+        assert rendered(subsumptive) == rendered(variant) == [
+            ("p(a,b)", []), ("p(a,c)", ["tnot(q)"])]
+
 
 class TestDelayedSupport:
     # conditional answers kept alive only by their own positive delay
