@@ -1,14 +1,17 @@
 """SLG evaluation: a stack machine over suspendable continuations.
 
-Tabled calls intern a subgoal table and either read answers from it or
-suspend as consumers; non-tabled calls resolve inline, depth first.
-Under subsumptive tabling a call reads the first table that subsumes it
-in place, as a variant call reads its own: each answer returns only if
-it unifies with the call, in the table's answer order.  A call that no
-table subsumes, or a ground ``tnot``, gets a table of its own.
-Negative calls suspend on incomplete tables and are resolved at
-completion, delayed inside negative loops, or failed eagerly as soon as
-an unconditional answer shows up.
+Tabled calls intern a subgoal table and read it through a ``Consumer``,
+the one path by which answers return: a complete table feeds it all its
+answers, an incomplete one feeds it as answers arrive.  Answers stay
+factored: the consumer maps its goal onto the subgoal's variables once,
+and an answer returns by unifying that map with its bindings.  Under
+subsumptive tabling a call reads the first table that subsumes it in
+place, in the table's answer order, a complete one through its answer
+trie; a call that no table subsumes, or a ground ``tnot``, gets a table
+of its own.  Non-tabled calls resolve inline, depth first.  Negative
+calls suspend on incomplete tables and are resolved at completion,
+delayed inside negative loops, or failed eagerly as soon as an
+unconditional answer shows up.
 
 Scheduling maintains a completion stack of incomplete tables, the
 scheduler's only registry of them.  Tables record one call graph,
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Set
 
 from .builtins import BUILTINS
@@ -43,7 +47,8 @@ from .sccs import tarjan_sccs
 from .tables import DelayLit, SubgoalTable, TableSpace
 from .terms import (Atom, CyclicTermError, OrderKey, Struct, Term, Var,
                     canonical_key, functor_of, is_callable, is_ground, match,
-                    rename, resolve, term_to_str, term_vars, unify)
+                    rename, resolve, substitute, term_to_str, term_vars,
+                    unify, unify_all)
 from . import subsumption
 
 QUERY_PRED = "$query"
@@ -74,7 +79,9 @@ class Cont:
 
     ``goals`` is a cons list ``None | (item, rest)`` whose items are
     ``(neg, term)`` pairs or CutOp markers; ``nv`` is the next free
-    variable id, ``k`` the forest node this state belongs to.
+    variable id, ``k`` the forest node this state belongs to.  ``ans``
+    is what it produces: the bindings of a table's subgoal variables, as
+    the arguments of one term, or an instance of a collector's template.
     """
 
     __slots__ = ("owner", "ans", "goals", "delays", "scopes", "k", "nv")
@@ -90,18 +97,32 @@ class Cont:
         self.nv = nv
 
 
+def _answer_vars(table: SubgoalTable) -> Struct:
+    """The variables of a table's subgoal, as the arguments of a term."""
+    return Struct("$a", tuple(map(Var, range(table.nvars))))
+
+
 class Consumer:
-    """A suspended reader of an incomplete table: the call ``goal``,
-    which the table's subgoal equals or subsumes, continued by ``cont``."""
+    """A reader of a table: the call ``goal``, which the table's subgoal
+    equals or subsumes, continued by ``cont``.  ``terms``, the goal map,
+    holds the subterm of ``goal`` each subgoal variable stands for; an
+    answer returns by unifying it with the answer's bindings, or, for a
+    variant call (distinct variables ``vars``), by binding them.  A
+    subsumed call keeps ``seen``, instance to "returned unconditionally",
+    as two answers can give it one instance."""
 
     __slots__ = ("table", "goal", "cont", "cursor", "scopes", "dead", "fed",
-                 "seen")
+                 "terms", "vars", "seen")
 
-    def __init__(self, table: SubgoalTable, goal: Term, cont: Cont, seen):
+    def __init__(self, table: SubgoalTable, goal: Term, cont: Cont):
         self.table = table
         self.goal = goal
         self.cont = cont
-        self.seen = seen    # of a subsumed call: instance -> unconditional
+        env = match(table.subgoal, goal)
+        self.terms = terms = tuple(env[i] for i in range(table.nvars))
+        ids = tuple({t.id: 0 for t in terms if type(t) is Var})
+        self.vars = ids if len(ids) == len(terms) else None
+        self.seen = {} if self.vars is None else None
         self.cursor = 0
         self.scopes = cont.scopes
         self.dead = False
@@ -404,14 +425,10 @@ class Engine:
         elif kind == "resume":
             _, consumer, ans = entry
             if not consumer.dead and not ans.deleted:
-                self._return_answer(consumer.cont, consumer.goal,
-                                    consumer.table, ans, consumer.seen)
-        elif kind == "answers":
-            self._reader_step(entry)
+                self._return_answer(consumer, ans)
         elif kind == "inline":
             _, after, goal, clause, scope = entry
-            env = unify(rename(clause.head, after.nv), goal,
-                        occurs_check=self.occurs_check)
+            env = self._unify_head(clause, after.nv, goal)
             if env is not None:
                 self._push_body(after, clause, env, scope, after.k)
         else:  # "clause"
@@ -481,18 +498,16 @@ class Engine:
         if type(owner) is Collector:
             owner.results.append(cont.ans)
             return
-        env = match(owner.subgoal, cont.ans)
-        if env is None:     # cannot happen: ans is an instance by build
-            raise EvalError("internal", "answer does not match subgoal")
+        bindings = cont.ans.args
         if owner.pred.subsumption is not None:
             if cont.delays:
                 raise EvalError(
                     "subsumption_conditional",
                     f"conditional answer for {owner.pred} under answer "
                     "subsumption")
-            subsumption.apply(self, owner, cont.ans)
+            subsumption.apply(self, owner, substitute(owner.subgoal,
+                                                      bindings))
             return
-        bindings = tuple(env.get(i, Var(i)) for i in range(owner.nvars))
         self.insert_reduced(owner, bindings, cont.delays)
 
     def insert_reduced(self, table: SubgoalTable, bindings: tuple,
@@ -522,14 +537,16 @@ class Engine:
                      rest) -> None:
         table = self._intern(pi, goal)
         self._note_call(cont, table, neg=False)
-        after = self._advance(cont, rest)
-        # two answers of a subsuming table can give one instance of goal
-        seen = {} if pi.tabling == "subsumptive" \
-            and canonical_key(goal) != canonical_key(table.subgoal) else None
+        consumer = Consumer(table, goal, self._advance(cont, rest))
         if table.complete:
-            self.stack.append(("answers", after, goal, table, 0, seen))
+            if consumer.vars is None:
+                # a subsumed call reads the answers its trie walk keeps
+                hits = table.answer_trie.matching_leaves(*consumer.terms)
+                hits.sort(key=attrgetter("seq"))
+                self._push_returns(consumer, hits)
+            else:
+                self._feed_answers(consumer)
             return
-        consumer = Consumer(table, goal, after, seen)
         self._register_consumer(table, consumer)
         if self.strategy == "batched":
             self._feed_consumer(consumer)
@@ -566,14 +583,15 @@ class Engine:
             self._push_query_root(table)
             return
         # the root continuation of the table's producers: no goals, no
-        # cut scopes (a tabled clause cannot cut), answers are the subgoal
-        root = Cont(table, table.subgoal, None, (), (), self.K, table.nvars)
+        # cut scopes (a tabled clause cannot cut), answers are bindings
+        root = Cont(table, _answer_vars(table), None, (), (), self.K,
+                    table.nvars)
         for clause in reversed(self.program.lookup_clauses(table.subgoal)):
             self.stack.append(("clause", root, clause))
 
     def _push_query_root(self, table: SubgoalTable) -> None:
         goals, scopes = self._body_goals(table.subgoal.args[0])
-        cont = Cont(table, table.subgoal, goals, (), scopes,
+        cont = Cont(table, _answer_vars(table), goals, (), scopes,
                     self.K, table.nvars)
         self.stack.append(("run", cont))
 
@@ -593,12 +611,19 @@ class Engine:
         table = root.owner
         if table.complete:
             return
-        env = unify(rename(clause.head, root.nv), table.subgoal,
-                    occurs_check=self.occurs_check)
+        env = self._unify_head(clause, root.nv, table.subgoal)
         if env is None:
             return
         k = self._op("clause_resolution", "PROGRAM_CLAUSE_RESOLUTION", table)
         self._push_body(root, clause, env, None, k)
+
+    def _unify_head(self, clause: Clause, nv: int, goal: Term):
+        """Unify a clause head, renamed above ``nv``, with ``goal``; a
+        ground head only binds the goal's variables."""
+        if clause.head.ground:
+            return match(goal, clause.head)
+        return unify(rename(clause.head, nv), goal,
+                     occurs_check=self.occurs_check)
 
     def _push_body(self, cont: Cont, clause: Clause, env, scope, k: int):
         """Run a clause whose head unified under ``env``, its variables
@@ -625,15 +650,23 @@ class Engine:
     def _feed_consumer(self, consumer: Consumer, one: bool = False) -> bool:
         if consumer.table.pred.subsumption is not None:
             return self._feed_reduced(consumer, one)
+        return self._feed_answers(consumer)
+
+    def _feed_answers(self, consumer: Consumer) -> bool:
+        """Return the answers past the consumer's cursor, in order."""
         answers = consumer.table.answers
         n = len(answers)
         if consumer.cursor >= n:
             return False
         pending = [a for a in answers[consumer.cursor:] if not a.deleted]
         consumer.cursor = n
-        for ans in reversed(pending):
-            self.stack.append(("resume", consumer, ans))
+        self._push_returns(consumer, pending)
         return bool(pending)
+
+    def _push_returns(self, consumer: Consumer, answers) -> None:
+        """Return ``answers`` in order, each after the last one's run."""
+        self.stack.extend([("resume", consumer, a)
+                           for a in reversed(answers)])
 
     def _feed_reduced(self, consumer: Consumer, one: bool) -> bool:
         """Feed a consumer of an answer-subsumption table.
@@ -661,38 +694,36 @@ class Engine:
         else:
             pending.sort(key=keyf, reverse=rev)
         fed.update(pending)
-        for ans in reversed(pending):
-            self.stack.append(("resume", consumer, ans))
+        self._push_returns(consumer, pending)
         return True
 
-    def _return_answer(self, cont: Cont, goal: Term, table: SubgoalTable,
-                       ans, seen: Optional[dict] = None) -> None:
-        inst = rename(ans.term, cont.nv)
-        env = unify(goal, inst, occurs_check=self.occurs_check)
-        if env is None:
-            return
-        if seen is not None:
+    def _return_answer(self, consumer: Consumer, ans) -> None:
+        """The one place an answer returns to a call: the goal map is
+        unified with the answer's bindings, renamed above the
+        continuation's variables if they have any."""
+        cont = consumer.cont
+        nv = cont.nv
+        bindings = ans.bindings
+        if ans.nvars:
+            bindings = [rename(b, nv) for b in bindings]
+        if consumer.vars is not None:
+            env = dict(zip(consumer.vars, bindings))
+        else:
+            env = unify_all(consumer.terms, bindings, self.occurs_check)
+            if env is None:
+                return
             # a table owner takes an instance again while it is conditional
             # (the delay literal differs); findall ignores delays
-            key = canonical_key(resolve(goal, env))
+            seen = consumer.seen
+            key = canonical_key(resolve(consumer.goal, env))
             if seen.get(key) or key in seen and type(cont.owner) is Collector:
                 return
             seen[key] = not ans.conditional
+        table = consumer.table
         k = self._op("positive_return", "POSITIVE_RETURN", table)
         extra = DelayLit(False, table, ans) if ans.conditional else None
         self.stack.append(("run", self._advance(
-            cont, cont.goals, env, cont.nv + ans.nvars, extra, k)))
-
-    def _reader_step(self, entry) -> None:
-        _, cont, goal, table, idx, seen = entry
-        answers = table.answers
-        n = len(answers)
-        while idx < n and answers[idx].deleted:
-            idx += 1
-        if idx >= n:
-            return
-        self.stack.append(("answers", cont, goal, table, idx + 1, seen))
-        self._return_answer(cont, goal, table, answers[idx], seen)
+            cont, cont.goals, env, nv + ans.nvars, extra, k)))
 
     # ------------------------------------------------------------------
     # inline (non-tabled) resolution

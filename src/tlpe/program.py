@@ -17,7 +17,7 @@ from .errors import DirectiveError, StoreError
 from .sccs import cyclic_vertices
 from .terms import (
     Atom, Int, Struct, Term, Var, canonical_key, canonicalize, functor_of,
-    is_callable, is_ground, list_parts, rename, symbols, term_to_str,
+    is_callable, is_ground, list_parts, match, rename, symbols, term_to_str,
     term_vars, unify,
 )
 from .tries import Trie, term_path
@@ -597,13 +597,14 @@ class Program:
 
     @staticmethod
     def _head_unifiable(cl: Clause, goal: Term) -> bool:
-        if not term_vars(cl.head) and not term_vars(goal):
-            return canonical_key(cl.head) == canonical_key(goal)
-        off = 0
-        gv = term_vars(goal)
-        if gv:
-            off = max(gv) + 1
-        return unify(rename(cl.head, off), goal) is not None
+        head = cl.head
+        if head.ground:
+            return match(goal, head) is not None
+        if goal.ground:
+            return match(head, goal) is not None
+        # rename the head apart from the goal's variables
+        head = rename(head, max(term_vars(goal)) + 1)
+        return unify(head, goal) is not None
 
     # ------------------------------------------------------------------
     # program-wide analysis

@@ -2,8 +2,10 @@
 
 Subgoals are interned per predicate in a trie keyed by the canonical
 subgoal's preorder symbols.  Answers use substitution factoring: the
-answer trie of a table stores only the bindings of the subgoal's
-variables, not the whole answer term.
+answer trie of a table, and each answer record, store only the bindings
+of the subgoal's variables.  Callers read those bindings directly; the
+whole answer term is built on demand, for the few readers that need it
+(query answers, residuals, answer subsumption, printing).
 
 A conditional answer carries one or more delay lists.  The answer is
 true once any delay list becomes empty, and disappears once every delay
@@ -21,10 +23,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 from .errors import EvalError
 from .program import PredicateInfo, Program
 from .terms import (
-    Struct, Term, canonicalize, functor_of, rename, resolve,
-    symbols, term_to_str,
+    Struct, Term, canonicalize, functor_of, substitute, symbols, term_to_str,
 )
-from .tries import Trie, term_path
+from .tries import Trie
 
 
 class DelayLit:
@@ -58,22 +59,33 @@ class DelayList:
 
 
 class AnswerRecord:
-    """One (possibly conditional) answer of a table."""
+    """One (possibly conditional) answer of a table.
 
-    __slots__ = ("bindings", "term", "nvars", "delay_lists", "deleted",
+    ``bindings`` are the terms the subgoal's variables take, in one
+    canonical namespace of ``nvars`` variables numbered in order of first
+    occurrence.  ``term``, the subgoal instantiated by them, is built on
+    first use; it is canonical too, with the same numbering."""
+
+    __slots__ = ("bindings", "_term", "nvars", "delay_lists", "deleted",
                  "leaf", "pos_watchers", "seq", "table")
 
     def __init__(self, table: "SubgoalTable", bindings: Tuple[Term, ...],
-                 term: Term, nvars: int, seq: int):
+                 nvars: int, seq: int):
         self.table = table
         self.bindings = bindings
-        self.term = term            # canonical instantiated subgoal
-        self.nvars = nvars          # distinct variables in .term
+        self._term: Optional[Term] = None
+        self.nvars = nvars
         self.delay_lists: List[DelayList] = []
         self.deleted = False
         self.leaf = None
         self.pos_watchers: List[Tuple[DelayList, DelayLit]] = []
         self.seq = seq
+
+    @property
+    def term(self) -> Term:
+        if self._term is None:
+            self._term = substitute(self.table.subgoal, self.bindings)
+        return self._term
 
     @property
     def unconditional(self) -> bool:
@@ -194,7 +206,7 @@ class TableSpace:
         trie = self.tries.get(pi.key)
         if trie is None:
             trie = self.tries[pi.key] = Trie()
-        node, _ = trie.check_insert(term_path(cgoal))
+        node, _ = trie.check_insert(symbols(cgoal))
         existing = node.leaf
         if existing is not None and not existing.abolished:
             if existing.status == SubgoalTable.INVALID:
@@ -217,7 +229,7 @@ class TableSpace:
         if trie is None:
             return None
         cgoal, _ = canonicalize(goal)
-        node = trie.lookup(term_path(cgoal))
+        node = trie.lookup(symbols(cgoal))
         if node is None or node.leaf is None or node.leaf.abolished:
             return None
         return node.leaf
@@ -241,7 +253,7 @@ class TableSpace:
         """Insert an answer.  Returns (status, record) where status is
         'added', 'duplicate' or 'merged' (new delay list on an existing
         conditional answer)."""
-        wrapper, _ = canonicalize(Struct("$a", tuple(bindings)))
+        wrapper, nvars = canonicalize(Struct("$a", tuple(bindings)))
         path = symbols(wrapper)[1:]
         node, _ = table.answer_trie.check_insert(path)
         lits = list(delays)
@@ -262,8 +274,7 @@ class TableSpace:
             return "merged", existing
 
         self._ans_seq += 1
-        term, term_nv = self._apply(table, wrapper.args)
-        ans = AnswerRecord(table, wrapper.args, term, term_nv, self._ans_seq)
+        ans = AnswerRecord(table, wrapper.args, nvars, self._ans_seq)
         ans.leaf = node
         table.answer_trie.set_leaf(node, ans)
         table.answers.append(ans)
@@ -275,16 +286,6 @@ class TableSpace:
             self._on_uncond(table, ans)
             self._pump()
         return "added", ans
-
-    def _apply(self, table: SubgoalTable,
-               bindings: Tuple[Term, ...]) -> Tuple[Term, int]:
-        """Reconstruct the full answer term from factored bindings.
-
-        Binding variables are renamed above the subgoal's own ids first:
-        the two canonical namespaces both start at 0."""
-        off = table.nvars
-        env = {i: rename(b, off) for i, b in enumerate(bindings)}
-        return canonicalize(resolve(table.subgoal, env))
 
     def _attach_dl(self, table: SubgoalTable, ans: AnswerRecord,
                    lits: List[DelayLit]) -> None:

@@ -6,11 +6,16 @@ a subgoal, a resolution state); cross-term identity is always mediated by
 an explicit substitution or by renaming.  All traversals are iterative so
 that long lists and deep conjunctions never hit the interpreter's
 recursion limit.
+
+Every term knows whether it is ground.  The rebuilding traversals return
+a ground subterm, and a compound whose arguments come back unchanged, as
+the very object they were given.  A compound is hashed on first use.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from operator import is_ as _is
+from typing import Dict, List, Optional, Tuple, Union
 
 
 class CyclicTermError(Exception):
@@ -19,6 +24,7 @@ class CyclicTermError(Exception):
 
 class Atom:
     __slots__ = ("name", "_hash")
+    ground = True
 
     def __init__(self, name: str):
         self.name = name
@@ -38,6 +44,7 @@ class Atom:
 
 class Int:
     __slots__ = ("value", "_hash")
+    ground = True
 
     def __init__(self, value: int):
         self.value = value
@@ -55,6 +62,7 @@ class Int:
 
 class Var:
     __slots__ = ("id", "_hash")
+    ground = False
 
     def __init__(self, id: int):
         self.id = id
@@ -71,12 +79,18 @@ class Var:
 
 
 class Struct:
-    __slots__ = ("name", "args", "_hash")
+    __slots__ = ("name", "args", "ground", "_hash")
 
     def __init__(self, name: str, args: Tuple["Term", ...]):
         self.name = name
         self.args = args
-        self._hash = hash(("f", name, tuple(a._hash for a in args)))
+        self._hash = None
+        for a in args:
+            if not a.ground:
+                self.ground = False
+                break
+        else:
+            self.ground = True
 
     @property
     def arity(self) -> int:
@@ -86,14 +100,21 @@ class Struct:
         return f"Struct({self.name!r}, {self.args!r})"
 
     def __hash__(self):
+        # every unhashed compound below first, innermost first
+        stack = [self] if self._hash is None else ()
+        while stack:
+            x = stack[-1]
+            todo = [a for a in x.args if type(a) is Struct and a._hash is None]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            x._hash = hash(("f", x.name, tuple(a._hash for a in x.args)))
         return self._hash
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        if type(other) is not Struct or other._hash != self._hash:
-            return False
-        return term_eq(self, other)
+        return self is other or (type(other) is Struct
+                                 and term_eq(self, other))
 
 
 Term = Union[Atom, Int, Var, Struct]
@@ -153,15 +174,7 @@ def symbols(t: Term) -> Tuple[tuple, ...]:
 
 
 def is_ground(t: Term) -> bool:
-    stack = [t]
-    while stack:
-        x = stack.pop()
-        tx = type(x)
-        if tx is Var:
-            return False
-        if tx is Struct:
-            stack.extend(x.args)
-    return True
+    return t.ground
 
 
 def term_vars(t: Term) -> List[int]:
@@ -176,7 +189,7 @@ def term_vars(t: Term) -> List[int]:
             if x.id not in seen:
                 seen.add(x.id)
                 out.append(x.id)
-        elif tx is Struct:
+        elif tx is Struct and not x.ground:
             stack.extend(reversed(x.args))
     return out
 
@@ -185,27 +198,36 @@ def term_vars(t: Term) -> List[int]:
 # rebuilding traversals: rename, canonicalize, substitution application
 # ---------------------------------------------------------------------------
 
+def _rebuilt(x: Struct, ostack: List[Term]) -> Struct:
+    """Pop the rebuilt arguments of ``x``; ``x`` itself if none changed."""
+    n = len(x.args)
+    args = tuple(ostack[-n:])
+    del ostack[-n:]
+    if all(map(_is, args, x.args)):
+        return x
+    return Struct(x.name, args)
+
+
+# The rebuilding traversals keep one stack of terms to visit; a 1-tuple
+# ``(compound,)`` on it marks where that compound's arguments are done.
+
 def _map_vars(t: Term, fn) -> Term:
     """Rebuild t with every Var leaf replaced by fn(var) (a Term)."""
+    if t.ground:
+        return t
     ostack: List[Term] = []
-    stack: List[tuple] = [("o", t)]
+    stack: list = [t]
     while stack:
-        op, x = stack.pop()
-        if op == "c":
-            n = len(x.args)
-            args = tuple(ostack[-n:]) if n else ()
-            del ostack[len(ostack) - n:]
-            ostack.append(Struct(x.name, args))
-            continue
-        tx = type(x)
-        if tx is Struct:
-            stack.append(("c", x))
-            for a in reversed(x.args):
-                stack.append(("o", a))
-        elif tx is Var:
+        x = stack.pop()
+        if type(x) is tuple:
+            ostack.append(_rebuilt(x[0], ostack))
+        elif x.ground:
+            ostack.append(x)
+        elif type(x) is Var:
             ostack.append(fn(x))
         else:
-            ostack.append(x)
+            stack.append((x,))
+            stack.extend(reversed(x.args))
     return ostack[0]
 
 
@@ -216,19 +238,27 @@ def rename(t: Term, offset: int) -> Term:
     return _map_vars(t, lambda v: Var(v.id + offset))
 
 
+def substitute(t: Term, values) -> Term:
+    """t with each variable i replaced by values[i], in one pass: the
+    values are not themselves substituted into."""
+    return _map_vars(t, lambda v: values[v.id])
+
+
 def canonicalize(t: Term) -> Tuple[Term, int]:
     """Renumber variables densely 0..n-1 in first-occurrence preorder order.
 
     Returns the renumbered term and the variable count.  Idempotent: a
     canonical term canonicalizes to itself.
     """
+    if t.ground:
+        return t, 0
     mapping: Dict[int, Var] = {}
 
     def fresh(v: Var) -> Var:
         w = mapping.get(v.id)
         if w is None:
-            w = Var(len(mapping))
-            mapping[v.id] = w
+            n = len(mapping)
+            w = mapping[v.id] = v if v.id == n else Var(n)
         return w
 
     out = _map_vars(t, fresh)
@@ -257,30 +287,31 @@ def resolve(t: Term, bindings: Subst) -> Term:
     occurs check is off); the engine surfaces that when a term has to be
     materialized for table storage.
     """
-    if not bindings:
+    if not bindings or t.ground:
         return t
+    if type(t) is Struct:   # the common case first: flat arguments
+        args = [a if a.ground else walk(a, bindings) for a in t.args]
+        if all(a.ground or type(a) is Var for a in args):
+            return t if all(map(_is, args, t.args)) \
+                else Struct(t.name, tuple(args))
     ostack: List[Term] = []
-    stack: List[tuple] = [("o", t)]
-    onpath: set = set()
+    stack: list = [t]
+    onpath: set = set()     # ids of the variables being expanded
     while stack:
-        op, x = stack.pop()
-        if op == "c":
-            n = len(x.args)
-            args = tuple(ostack[-n:]) if n else ()
-            del ostack[len(ostack) - n:]
-            ostack.append(Struct(x.name, args))
-            continue
-        if op == "u":
-            onpath.discard(x)
-            continue
+        x = stack.pop()
         tx = type(x)
-        if tx is Struct:
-            stack.append(("c", x))
-            for a in reversed(x.args):
-                stack.append(("o", a))
-        elif tx is Var:
+        if tx is tuple:
+            ostack.append(_rebuilt(x[0], ostack))
+        elif tx is int:     # the expansion of variable x is done
+            onpath.discard(x)
+        elif x.ground:
+            ostack.append(x)
+        elif tx is Struct:
+            stack.append((x,))
+            stack.extend(reversed(x.args))
+        else:
             w = walk(x, bindings)
-            if type(w) is Var:
+            if w.ground or type(w) is Var:
                 ostack.append(w)
             else:
                 if x.id in onpath:
@@ -289,10 +320,8 @@ def resolve(t: Term, bindings: Subst) -> Term:
                 if last in onpath:
                     raise CyclicTermError(f"cyclic binding through _{last}")
                 onpath.add(last)
-                stack.append(("u", last))
-                stack.append(("o", w))
-        else:
-            ostack.append(x)
+                stack.append(last)
+                stack.append(w)
     return ostack[0]
 
 
@@ -318,7 +347,7 @@ def _occurs(vid: int, t: Term, bindings: Subst) -> bool:
         if tx is Var:
             if x.id == vid:
                 return True
-        elif tx is Struct:
+        elif tx is Struct and not x.ground:
             stack.extend(x.args)
     return False
 
@@ -330,8 +359,17 @@ def unify(a: Term, b: Term, bindings: Optional[Subst] = None,
     Extends (a copy of) bindings and returns it, or None on failure.
     Callers are responsible for renaming apart first.
     """
-    env: Subst = dict(bindings) if bindings else {}
-    stack = [(a, b)]
+    return _unify([(a, b)], dict(bindings) if bindings else {},
+                  occurs_check)
+
+
+def unify_all(xs, ys, occurs_check: bool = False) -> Optional[Subst]:
+    """Most general unifier of each term of xs with its term of ys."""
+    return _unify(list(zip(xs, ys)), {}, occurs_check)
+
+
+def _unify(stack: List[tuple], env: Subst,
+           occurs_check: bool) -> Optional[Subst]:
     while stack:
         x, y = stack.pop()
         x = walk(x, env)

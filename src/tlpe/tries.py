@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .terms import Int, Struct, Term, Var, canonicalize, symbols, term_eq
+from .terms import (Int, Struct, Term, Var, canonicalize, symbols, term_eq,
+                    unify)
 
 
 class TrieNode:
@@ -82,81 +83,75 @@ class Trie:
 
     # -- goal-directed retrieval -------------------------------------------
 
-    def matching_leaves(self, goal: Term, mode: str = "unify"):
-        """Leaves whose stored term is compatible with goal.
+    def matching_leaves(self, *goals: Term, mode: str = "unify"):
+        """Leaves whose stored terms are compatible with ``goals``: one
+        goal in a trie of terms, one goal per stored term in a trie of
+        term sequences (the bindings of an answer trie).
 
         mode 'unify': stored and goal may specialize each other (clause
-        retrieval).  mode 'subsume': only stored variables may bind, so
-        every hit subsumes the goal (producer lookup for subsumptive
-        tabling).  More specific paths are explored before variable edges,
-        so the first hit is the most specific one in trie order.  Callers
-        still re-unify; this walk only prunes.
+        and answer retrieval).  mode 'subsume': only stored variables may
+        bind, so every hit subsumes the goal (producer lookup for
+        subsumptive tabling).  More specific paths are explored before
+        variable edges, so the first hit is the most specific one in trie
+        order.  Callers still re-unify; this walk only prunes.  Its stack
+        is explicit: long stored terms cannot exhaust Python's.
         """
+        todo = None                 # the goals still to match, a cons list
+        for g in reversed(goals):
+            todo = (g, todo)
         out = []
-        self._walk(self.root, (goal,), {}, mode, out)
+        # (node, goals left, stored terms to skip whole, stored var -> goal)
+        stack = [(self.root, todo, 0, {})]
+        while stack:
+            node, todo, skip, env = stack.pop()
+            if skip:
+                # a goal variable swallows one complete stored term
+                stack.extend([(child, todo, skip - 1 + (s[0] == "f" and s[2]),
+                               env)
+                              for s, child in reversed(node.children.items())])
+                continue
+            if todo is None:
+                if node.leaf is not None:
+                    out.append(node.leaf)
+                continue
+            g, rest = todo
+            nxt = []
+            if type(g) is Var:
+                if mode == "unify":
+                    stack.append((node, rest, 1, env))
+                    continue
+                # subsumption: a goal variable only matches a stored variable
+            else:
+                # exact edge first, then stored-variable edges
+                child = node.children.get(_head_symbol(g))
+                if child is not None:
+                    sub = rest
+                    if type(g) is Struct:
+                        for a in reversed(g.args):
+                            sub = (a, sub)
+                    nxt.append((child, sub, 0, env))
+            for s, vchild in node.children.items():
+                if s[0] == "v":
+                    bound = _bind(env, s[1], g, mode)
+                    if bound is not None:
+                        nxt.append((vchild, rest, 0, bound))
+            stack.extend(reversed(nxt))
         return out
 
-    def _walk(self, node: TrieNode, goals: tuple, env: dict,
-              mode: str, out: list) -> None:
-        if not goals:
-            if node.leaf is not None:
-                out.append(node.leaf)
-            return
-        g = goals[0]
-        rest = goals[1:]
-        tg = type(g)
-        if tg is Var:
-            if mode == "unify":
-                # goal variable: consume one complete stored term
-                for end in self._complete_one(node):
-                    self._walk(end, rest, env, mode, out)
-            else:
-                # subsumption: a goal variable only matches a stored variable
-                for s, child in node.children.items():
-                    if s[0] == "v":
-                        self._walk_bound(child, s[1], g, rest, env, mode,
-                                         out)
-            return
-        # non-variable goal position: exact edge first, then stored-var edges
-        s = _head_symbol(g)
-        child = node.children.get(s)
-        if child is not None:
-            if tg is Struct:
-                self._walk(child, tuple(g.args) + rest, env, mode, out)
-            else:
-                self._walk(child, rest, env, mode, out)
-        for sym, vchild in node.children.items():
-            if sym[0] == "v":
-                self._walk_bound(vchild, sym[1], g, rest, env, mode, out)
 
-    def _walk_bound(self, child: TrieNode, vid: int, value: Term,
-                    rest: tuple, env: dict, mode: str, out: list) -> None:
-        """Walk a stored-variable edge with ``vid`` bound to ``value``.
-
-        Only a binding made here is undone afterwards: an equal earlier
-        binding belongs to an enclosing edge and must survive."""
-        prev = env.get(vid)
-        if prev is None:
-            env[vid] = value
-            self._walk(child, rest, env, mode, out)
-            del env[vid]
-        elif term_eq(prev, value):
-            self._walk(child, rest, env, mode, out)
-
-    def _complete_one(self, node: TrieNode) -> Iterator[TrieNode]:
-        """Nodes reached by consuming exactly one stored term below node."""
-        for s, child in node.children.items():
-            if s[0] == "f":
-                yield from self._complete_n(child, s[2])
-            else:
-                yield child
-
-    def _complete_n(self, node: TrieNode, k: int) -> Iterator[TrieNode]:
-        if k == 0:
-            yield node
-            return
-        for mid in self._complete_one(node):
-            yield from self._complete_n(mid, k - 1)
+def _bind(env: dict, vid: int, value: Term, mode: str) -> Optional[dict]:
+    """``env`` with stored variable ``vid`` bound to goal term ``value``,
+    or None if an earlier binding excludes it: in 'subsume' mode it must
+    be equal, in 'unify' mode it must unify with ``value``."""
+    prev = env.get(vid)
+    if prev is None:
+        env = dict(env)
+        env[vid] = value
+        return env
+    if term_eq(prev, value) or mode == "unify" \
+            and unify(prev, value) is not None:
+        return env
+    return None
 
 
 def _head_symbol(t: Term) -> tuple:

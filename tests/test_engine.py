@@ -70,6 +70,12 @@ class TestPlainResolution:
         eng = make("p(1). p(2). p(3). all(L) :- findall(X, p(X), L).")
         assert solutions(eng, "all(L).") == ["all([1,2,3])"]
 
+    @pytest.mark.parametrize("index", ["", ":- index(p/3, trie).\n"])
+    def test_fact_with_a_repeated_variable(self, index):
+        eng = make(":- dynamic p/3.\n" + index + "p(V,V,a).\n")
+        assert solutions(eng, "p(f(X), f(b), a).") == ["p(f(b),f(b),a)"]
+        assert solutions(eng, "p(f(a), f(b), a).") == []
+
     def test_undefined_predicate_fails_quietly(self):
         eng = make("p(1).")
         assert solutions(eng, "missing(X).") == []
@@ -198,6 +204,40 @@ class TestCallSubsumption:
             assert err.value.kind == "incomplete_outer"
             assert all(t.complete for t in eng.space.tables)
         assert sorted(solutions(eng, "e(X,Y).")) == ["e(1,2)", "e(2,3)"]
+
+    def test_repeated_subsumed_call_returns_only_its_matches(self):
+        # p(X,Y) has 2,000 answers, 40 of them p(c0,_); once it is
+        # complete, each p(c0,Y) call walks its answer trie and returns
+        # only those, however often it is made
+        eng = make(":- table p/2 as subsumptive.\np(X,Y) :- e(X,Y).\n"
+                   "thrice(Y) :- n(_), p(c0,Y).\nn(1). n(2). n(3).\n"
+                   + "".join(f"e(c{i % 50},d{i}).\n" for i in range(2000)))
+        assert len(eng.query("p(X,Y).")) == 2000
+        returned = []
+        return_answer = eng._return_answer
+        eng._return_answer = lambda c, ans: (returned.append(ans),
+                                             return_answer(c, ans))
+        for goal, calls, matching in (("p(c0,Y).", 1, 40),
+                                      ("thrice(Y).", 3, 40),
+                                      ("p(X,d7).", 1, 1),
+                                      ("p(c1,d7).", 1, 0)):
+            returned.clear()
+            assert len(eng.query(goal)) == matching
+            assert len(returned) == calls * matching, goal
+        assert eng.statistics()["tables"]["p/2"]["tables"] == 1
+
+    def test_subsumed_call_over_long_answers(self):
+        # the answer trie walk keeps its own stack: a subsumed call whose
+        # variable meets a 3,000-element list answer, or whose list meets
+        # one, stays clear of the recursion limit
+        items = ",".join(map(str, range(3000)))
+        eng = make(":- table p/2 as subsumptive.\n"
+                   f"p(a,[{items}]).\np(b,[{items},x]).\n")
+        assert len(eng.query("p(X,Y).")) == 2
+        assert [term_to_str(a.goal)[:6] for a in eng.query("p(a,Y).")] \
+            == ["p(a,[0"]
+        assert len(eng.query(f"p(X,[{items}]).")) == 1
+        assert eng.statistics()["tables"]["p/2"]["tables"] == 1
 
     def test_producer_subsumes_the_call(self):
         # p(V0,V0,c) and p(V0,V1,V0) share a trie prefix; the producer

@@ -216,6 +216,20 @@ class TestTrieIndexedFacts:
         assert prog.last_route == "trie"
         assert [term_to_str(c.term) for c in hits] == ["e(a,b)"]
 
+    def test_repeated_stored_variable_meets_unifiable_goal_terms(self):
+        # the two V positions of p(V,V,a) meet f(X) and f(b), which unify
+        src = ":- dynamic p/3.\n{}p(V,V,a).\np(c,c,a).\n"
+        indexed = load(src.format(":- index(p/3, trie).\n"))
+        plain = load(src.format(""))
+        for g in ("p(f(X), f(b), a)", "p(f(a), f(b), a)", "p(X, c, a)",
+                  "p(f(X), Y, a)", "p(g(X, b), g(a, Y), Z)"):
+            got, want = ([term_to_str(c.term)
+                          for c in prog.lookup_clauses(goal(g))]
+                         for prog in (indexed, plain))
+            assert got == want, g
+        assert [term_to_str(c.term) for c in indexed.lookup_clauses(
+            goal("p(f(X), f(b), a)"))] == ["p(_G0,_G0,a)"]
+
 
 # ---------------------------------------------------------------------------
 # index selection and the pruning invariant

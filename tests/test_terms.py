@@ -13,6 +13,7 @@ def S(name, *args):
 
 
 a, b, c = Atom("a"), Atom("b"), Atom("c")
+NIL_LIST = Atom("[]")
 X, Y, Z = Var(0), Var(1), Var(2)
 
 
@@ -135,6 +136,44 @@ class TestMisc:
         assert n == 0
         assert symbols(ct)[0] == ("f", ".", 2)
         assert ct == t
+
+
+class TestGroundSharing:
+    def test_ground_flag(self):
+        assert a.ground and Int(1).ground and not X.ground
+        assert S("f", a, S("g", Int(1))).ground
+        assert not S("f", a, S("g", X)).ground
+
+    def test_ground_term_comes_back_as_itself(self):
+        t = S("f", a, S("g", Int(1)), make_list([b, c]))
+        assert rename(t, 5) is t
+        assert resolve(t, {0: a}) is t
+        assert canonicalize(t)[0] is t
+
+    def test_ground_subterms_are_shared(self):
+        g = S("g", a, b)
+        t = S("f", X, g)
+        assert rename(t, 3).args[1] is g
+        assert resolve(t, {0: b}).args[1] is g
+        assert canonicalize(S("f", Y, g))[0].args[1] is g
+        # nothing bound below it: the compound itself
+        assert resolve(t, {5: a}) is t
+
+    def test_long_lists_through_every_traversal(self):
+        n = 100000
+        ground = make_list([Int(i) for i in range(n)])
+        assert rename(ground, 3) is ground
+        assert resolve(ground, {0: a}) is ground
+        assert canonicalize(ground)[0] is ground
+        assert isinstance(hash(ground), int)
+        open_list = make_list([Var(i % 3) for i in range(n)], tail=Var(7))
+        renamed = rename(open_list, 10)
+        closed = resolve(renamed, {10: a, 11: b, 12: c, 17: NIL_LIST})
+        assert closed.ground and term_vars(renamed) == [10, 11, 12, 17]
+        ct, nv = canonicalize(renamed)
+        assert nv == 4 and ct.args[1].args[1].args[0] == Var(2)
+        same = make_list([Var(i % 3) for i in range(n)], tail=Var(3))
+        assert hash(ct) == hash(same) and ct == same
 
 
 # -- property tests ---------------------------------------------------------
