@@ -46,9 +46,9 @@ from .program import Clause, PredicateInfo, Program, split_clause
 from .sccs import tarjan_sccs
 from .tables import DelayLit, SubgoalTable, TableSpace
 from .terms import (Atom, CyclicTermError, OrderKey, Struct, Term, Var,
-                    canonical_key, functor_of, is_callable, is_ground, match,
-                    rename, resolve, substitute, term_to_str, term_vars,
-                    unify, unify_all)
+                    canonical_key, compare, functor_of, is_callable,
+                    is_ground, match, rename, resolve, substitute,
+                    term_to_str, term_vars, unify, unify_all)
 from . import subsumption
 
 QUERY_PRED = "$query"
@@ -102,6 +102,15 @@ def _answer_vars(table: SubgoalTable) -> Struct:
     return Struct("$a", tuple(map(Var, range(table.nvars))))
 
 
+class _Reversed(OrderKey):
+    """An ``OrderKey`` that sorts terms in reverse standard order."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        return compare(other.t, self.t) < 0
+
+
 class Consumer:
     """A reader of a table: the call ``goal``, which the table's subgoal
     equals or subsumes, continued by ``cont``.  ``terms``, the goal map,
@@ -109,9 +118,10 @@ class Consumer:
     answer returns by unifying it with the answer's bindings, or, for a
     variant call (distinct variables ``vars``), by binding them.  A
     subsumed call keeps ``seen``, instance to "returned unconditionally",
-    as two answers can give it one instance."""
+    as two answers can give it one instance; a reader of an
+    answer-subsumption table keeps ``heap``, the answers it has to feed."""
 
-    __slots__ = ("table", "goal", "cont", "cursor", "scopes", "dead", "fed",
+    __slots__ = ("table", "goal", "cont", "cursor", "scopes", "dead", "heap",
                  "terms", "vars", "seen")
 
     def __init__(self, table: SubgoalTable, goal: Term, cont: Cont):
@@ -126,9 +136,7 @@ class Consumer:
         self.cursor = 0
         self.scopes = cont.scopes
         self.dead = False
-        # answer-subsumption tables feed out of insertion order, so
-        # their consumers track the fed records themselves, not a cursor
-        self.fed: Optional[set] = None
+        self.heap = [] if table.pred.subsumption is not None else None
 
 
 class NegWaiter:
@@ -669,33 +677,29 @@ class Engine:
                            for a in reversed(answers)])
 
     def _feed_reduced(self, consumer: Consumer, one: bool) -> bool:
-        """Feed a consumer of an answer-subsumption table.
-
-        Replacement deletes records out of insertion order, so pending
-        answers are recomputed from scratch against a fed set.  They go
-        out best-value-first; with ``one`` set, only the single best
-        answer is fed per scheduling round.  Relaxing the globally best
-        answer first means (for min-style joins over non-negative
-        costs) a fed record is never improved afterwards, so each
-        stored answer is returned to each consumer exactly once."""
-        fed = consumer.fed
-        if fed is None:
-            fed = consumer.fed = set()
+        """Feed a consumer of an answer-subsumption table best value first,
+        ties in answer order: the records past its cursor join its heap,
+        keyed by (value, ``seq``), the value reversed for ``max``, and a
+        record that replacement deleted is dropped as it pops.  With
+        ``one`` set, a scheduling round feeds only the best answer.
+        Relaxing the globally best answer first means (for min-style
+        joins over non-negative costs) a fed record is never improved
+        afterwards, so each stored answer returns to each consumer once."""
+        heap = consumer.heap
         spec = consumer.table.pred.subsumption
-        pending = [a for a in consumer.table.answers
-                   if not a.deleted and a not in fed]
-        if not pending:
-            return False
-        rev = spec.kind == "max"
-        keyf = lambda a: OrderKey(a.term.args[spec.position])
-        if one:
-            pending = [max(pending, key=keyf) if rev
-                       else min(pending, key=keyf)]
-        else:
-            pending.sort(key=keyf, reverse=rev)
-        fed.update(pending)
+        key = _Reversed if spec.kind == "max" else OrderKey
+        answers = consumer.table.answers
+        for a in answers[consumer.cursor:]:
+            if not a.deleted:
+                heappush(heap, (key(a.term.args[spec.position]), a.seq, a))
+        consumer.cursor = len(answers)
+        pending = []
+        while heap and not (one and pending):
+            a = heappop(heap)[2]
+            if not a.deleted:
+                pending.append(a)
         self._push_returns(consumer, pending)
-        return True
+        return bool(pending)
 
     def _return_answer(self, consumer: Consumer, ans) -> None:
         """The one place an answer returns to a call: the goal map is

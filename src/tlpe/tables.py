@@ -1,11 +1,14 @@
 """Table space: subgoal tables, answer tables, conditional answers.
 
 Subgoals are interned per predicate in a trie keyed by the canonical
-subgoal's preorder symbols.  Answers use substitution factoring: the
-answer trie of a table, and each answer record, store only the bindings
-of the subgoal's variables.  Callers read those bindings directly; the
-whole answer term is built on demand, for the few readers that need it
-(query answers, residuals, answer subsumption, printing).
+subgoal's preorder symbols.  Answers use substitution factoring: an
+answer record stores only the bindings of the subgoal's variables, and
+an answer table is a hash index from the canonical binding tuple to the
+live record, so checking and inserting a derived answer is one probe.
+The whole answer term is built on demand, for the few readers that need
+it (query answers, residuals, answer subsumption, printing).  An answer
+trie exists only for goal-directed walks: it is built the first time a
+subsumed call reads a complete table, then kept in step.
 
 A conditional answer carries one or more delay lists.  The answer is
 true once any delay list becomes empty, and disappears once every delay
@@ -99,6 +102,10 @@ class AnswerRecord:
 class SubgoalTable:
     """A tabled subgoal with its answers and bookkeeping.
 
+    ``index`` maps each live answer's canonical bindings to its record,
+    for exact lookups; ``answer_trie``, for subsumed reads, is built on
+    first use, so a table that only variant calls read has none.
+
     ``dep_out``/``dep_in`` are the one call graph between tables:
     scheduling reads it restricted to incomplete tables, incremental
     invalidation and error recovery walk it backwards.  The engine keeps
@@ -118,7 +125,8 @@ class SubgoalTable:
         self.dfn = dfn
         self.status = self.INCOMPLETE
         self.answers: List[AnswerRecord] = []   # append-only, tombstones
-        self.answer_trie = Trie()
+        self.index: Dict[Tuple[Term, ...], AnswerRecord] = {}
+        self._answer_trie: Optional[Trie] = None
         self.live_answers = 0
         self.uncond_answers = 0
         self.neg_watchers: List[Tuple[DelayList, DelayLit]] = []
@@ -147,6 +155,16 @@ class SubgoalTable:
         return self.status == self.COMPLETE
 
     @property
+    def answer_trie(self) -> Trie:
+        """The live answers in a trie of their bindings, built on first use."""
+        if self._answer_trie is None:
+            self._answer_trie = Trie()
+            for ans in self.answers:
+                if not ans.deleted:
+                    _trie_insert(self._answer_trie, ans)
+        return self._answer_trie
+
+    @property
     def has_unconditional(self) -> bool:
         return self.uncond_answers > 0
 
@@ -159,6 +177,21 @@ class SubgoalTable:
 
     def __repr__(self):
         return f"<table {term_to_str(self.subgoal)} {self.status}>"
+
+
+def _trie_insert(trie: Trie, ans: AnswerRecord) -> None:
+    node, _ = trie.check_insert(symbols(Struct("$a", ans.bindings))[1:])
+    trie.set_leaf(node, ans)
+    ans.leaf = node
+
+
+def _retire_answers(table: SubgoalTable) -> None:
+    """Mark every answer deleted and every delay list of it dead."""
+    for ans in table.answers:
+        for dl in ans.delay_lists:
+            dl.dead = True
+        ans.delay_lists = []
+        ans.deleted = True
 
 
 class TableSpace:
@@ -250,33 +283,39 @@ class TableSpace:
 
     def add_answer(self, table: SubgoalTable, bindings: Tuple[Term, ...],
                    delays: Iterable[DelayLit] = ()):
-        """Insert an answer.  Returns (status, record) where status is
-        'added', 'duplicate' or 'merged' (new delay list on an existing
-        conditional answer)."""
-        wrapper, nvars = canonicalize(Struct("$a", tuple(bindings)))
-        path = symbols(wrapper)[1:]
-        node, _ = table.answer_trie.check_insert(path)
-        lits = list(delays)
-        existing: Optional[AnswerRecord] = node.leaf
+        """Insert an answer, after one probe of the table's index.
+        Returns (status, record) where status is 'added', 'duplicate' or
+        'merged' (new delay list on an existing conditional answer)."""
+        key = tuple(bindings)
+        nvars = 0
+        for b in key:
+            if not b.ground:
+                wrapper, nvars = canonicalize(Struct("$a", key))
+                key = wrapper.args
+                break
+        existing = table.index.get(key)
 
         if existing is not None and not existing.deleted:
-            if existing.unconditional:
+            if not existing.delay_lists:
                 return "duplicate", existing
+            lits = list(delays)
             if not lits:
                 self._promote(existing)
                 self._pump()
                 return "duplicate", existing
-            key = frozenset(l.ident() for l in lits)
+            ident = frozenset(l.ident() for l in lits)
             for dl in existing.delay_lists:
-                if frozenset(l.ident() for l in dl.lits) == key:
+                if frozenset(l.ident() for l in dl.lits) == ident:
                     return "duplicate", existing
             self._attach_dl(table, existing, lits)
             return "merged", existing
 
+        lits = list(delays)
         self._ans_seq += 1
-        ans = AnswerRecord(table, wrapper.args, nvars, self._ans_seq)
-        ans.leaf = node
-        table.answer_trie.set_leaf(node, ans)
+        ans = AnswerRecord(table, key, nvars, self._ans_seq)
+        table.index[key] = ans
+        if table._answer_trie is not None:
+            _trie_insert(table._answer_trie, ans)
         table.answers.append(ans)
         table.live_answers += 1
         if lits:
@@ -320,14 +359,11 @@ class TableSpace:
         """Clear a table so its subgoal can be recomputed from scratch
         (incremental invalidation).  Old delay lists are neutralised so
         stale watcher entries elsewhere become no-ops."""
-        for ans in table.answers:
-            for dl in ans.delay_lists:
-                dl.dead = True
-            ans.delay_lists = []
-            ans.deleted = True
+        _retire_answers(table)
         table.status = SubgoalTable.INCOMPLETE
         table.answers = []
-        table.answer_trie = Trie()
+        table.index = {}
+        table._answer_trie = None
         table.live_answers = 0
         table.uncond_answers = 0
         table.neg_watchers = []
@@ -348,13 +384,18 @@ class TableSpace:
         """Remove an answer outright (answer subsumption replacement)."""
         if ans.deleted:
             return
-        ans.deleted = True
         if not ans.delay_lists:
             table.uncond_answers -= 1
         ans.delay_lists = []
+        self._drop(table, ans)
+
+    def _drop(self, table: SubgoalTable, ans: AnswerRecord) -> None:
+        """Delete a live answer: out of its table's count, index and trie."""
+        ans.deleted = True
         table.live_answers -= 1
+        del table.index[ans.bindings]
         if ans.leaf is not None:
-            table.answer_trie.remove_leaf(ans.leaf)
+            table._answer_trie.remove_leaf(ans.leaf)
             ans.leaf = None
 
     # ------------------------------------------------------------------
@@ -371,9 +412,6 @@ class TableSpace:
 
     def _on_uncond(self, table: SubgoalTable, ans: AnswerRecord) -> None:
         self._pending.append(("uncond", (table, ans)))
-
-    def _on_deleted(self, table: SubgoalTable, ans: AnswerRecord) -> None:
-        self._pending.append(("deleted", (table, ans)))
 
     def on_completed(self, table: SubgoalTable) -> None:
         """Run completion-time simplification for a just-completed table."""
@@ -425,11 +463,7 @@ class TableSpace:
         if self.trace_hook:
             self.trace_hook("SIMPLIFICATION", owner.table)
         if not dl.lits and not dl.dead:
-            for other in owner.delay_lists:
-                other.dead = True
-            owner.delay_lists = []
-            owner.table.uncond_answers += 1
-            self._on_uncond(owner.table, owner)
+            self._promote(owner)
 
     def _kill_dl(self, dl: DelayList) -> None:
         """A delay literal turned out false: the whole list is refuted."""
@@ -443,12 +477,8 @@ class TableSpace:
         if self.trace_hook:
             self.trace_hook("SIMPLIFICATION", table)
         if not owner.delay_lists:
-            owner.deleted = True
-            table.live_answers -= 1
-            if owner.leaf is not None:
-                table.answer_trie.remove_leaf(owner.leaf)
-                owner.leaf = None
-            self._on_deleted(table, owner)
+            self._drop(table, owner)
+            self._pending.append(("deleted", (table, owner)))
 
     def _kill_neg_watchers(self, table: SubgoalTable) -> None:
         for dl, lit in table.neg_watchers:
@@ -489,11 +519,7 @@ class TableSpace:
         if force:
             for table in fresh:
                 if table.status == SubgoalTable.INCOMPLETE:
-                    for ans in table.answers:
-                        for dl in ans.delay_lists:
-                            dl.dead = True
-                        ans.delay_lists = []
-                        ans.deleted = True
+                    _retire_answers(table)
                     table.status = SubgoalTable.COMPLETE
         for table in fresh:
             if not table.abolished:

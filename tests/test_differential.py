@@ -318,3 +318,70 @@ def test_factored_cases_read_subsuming_tables():
         for g in goals:
             eng.query(g)
         assert eng.space.statistics()["p/2"]["tables"] == 1
+
+
+# p(c1,k) and p(c2,k) are derived conditionally, on tnot a3, and deleted
+# once a3 turns out true; the subsumed call p(X,k) of the complete table
+# walks an answer trie built from the live answers only
+REFUTED = """
+:- table p/2, a0/0, a1/0, a3/0.
+p(c0,k) :- tnot a1.
+p(c1,k) :- tnot a3.
+p(c9,k).
+p(c2,k) :- tnot a3.
+p(c8,j).
+p(c7,k).
+a1 :- tnot a0.
+a1 :- tnot a3, tnot p(c1,k).
+a3 :- tnot p(c0,k).
+"""
+
+
+@pytest.mark.parametrize("strategy", ["local", "batched"])
+def test_subsumed_call_reads_the_live_answers(strategy):
+    eng = Engine(strategy=strategy, default_tabling="subsumptive")
+    eng.consult(REFUTED)
+    assert in_order(eng, "p(X,Y).")[0] == [
+        ("p(c9,k)", "true"), ("p(c8,j)", "true"), ("p(c7,k)", "true")]
+    general = eng.space.lookup_variant(parse_term_text("p(X,Y)"))
+    assert [term_to_str(a.term) for a in general.answers if a.deleted] == [
+        "p(c1,k)", "p(c2,k)"]
+    assert general._answer_trie is None
+    for _ in range(2):
+        assert in_order(eng, "p(X,k).") == in_order(
+            _variant_engine(REFUTED), "p(X,k).") == (
+            [("p(c9,k)", "true"), ("p(c7,k)", "true")], ["p(c9,k)", "p(c7,k)"])
+    assert general.answer_trie.leaf_count == general.live_answers == 3
+
+
+@pytest.mark.parametrize("case", range(len(FACTORED)))
+def test_variant_calls_build_no_answer_trie(case):
+    src, goals, _ = FACTORED[case]
+    eng = Engine()
+    eng.consult(src)
+    for g in goals:
+        eng.query(g)
+    assert all(t._answer_trie is None for t in eng.space.tables)
+
+
+def main(argv=None):
+    """Run the differential check over a range of seeds:
+    ``python tests/test_differential.py FIRST LAST`` (inclusive) prints
+    each mismatching seed and the count."""
+    import argparse
+    parser = argparse.ArgumentParser(description=main.__doc__)
+    parser.add_argument("first", type=int)
+    parser.add_argument("last", type=int)
+    args = parser.parse_args(argv)
+    bad = []
+    for seed in range(args.first, args.last + 1):
+        src, queries = random_program(seed)
+        if mismatches(src, queries):
+            bad.append(seed)
+            print(f"seed {seed}: mismatch", flush=True)
+    print(f"{len(bad)} of {args.last - args.first + 1} seeds mismatch")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -9,7 +9,7 @@ import pytest
 
 from tlpe.engine import Engine
 from tlpe.errors import EvalError
-from tlpe.terms import term_to_str
+from tlpe.terms import OrderKey, term_to_str
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from oracles import bfs_reachable, random_digraph
@@ -353,6 +353,56 @@ class TestQueryLevelTabling:
         gc.collect()
         assert made
         assert [r for r in made if r() is not None] == []
+
+
+class TestAnswerSubsumptionFeed:
+    """A consumer of an answer-subsumption table is fed best value first,
+    ties in answer order."""
+
+    # a star: all N answers of sp(0,Y,C) are pending at once, and under
+    # local scheduling each round feeds the recursive call one of them
+    N = 400
+    STAR = (":- table sp(_,_,min).\n"
+            "sp(X,Y,C) :- e(X,Y,C).\n"
+            "sp(X,Y,C) :- sp(X,Z,C1), e(Z,Y,C2), C is C1 + C2.\n"
+            + "".join(f"e(0,{i},{i * 7 % 13}).\n" for i in range(1, N + 1)))
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    def test_feeding_costs_one_key_per_answer(self, strategy, monkeypatch):
+        made = []
+        init = OrderKey.__init__
+
+        def counting(self, t):
+            made.append(t)
+            init(self, t)
+
+        eng = make(self.STAR, strategy=strategy)
+        monkeypatch.setattr(OrderKey, "__init__", counting)
+        assert len(eng.query("sp(0,Y,C).")) == self.N
+        # two consumers, the query's and the recursive call's, read N
+        # answers each; rescanning the pending answers every round made
+        # about N * N / 2 keys
+        assert len(made) <= 3 * self.N
+
+    # every lp(0,_,_) answer is worth 5 or 6: ties decide the feed order,
+    # and with it the order in which later answers are derived
+    LONGEST = """
+    :- table lp(_,_,max).
+    lp(X,Y,C) :- e(X,Y,C).
+    lp(X,Y,C) :- lp(X,Z,C1), e(Z,Y,C2), C is C1 + C2.
+    e(0,3,5). e(0,1,5). e(0,2,5). e(3,13,1). e(1,11,1). e(2,12,1).
+    e(11,21,0). e(12,22,0).
+    """
+
+    @pytest.mark.parametrize("strategy,want", [
+        ("local", ["lp(0,13,6)", "lp(0,11,6)", "lp(0,21,6)", "lp(0,12,6)",
+                   "lp(0,22,6)", "lp(0,3,5)", "lp(0,1,5)", "lp(0,2,5)"]),
+        ("batched", ["lp(0,3,5)", "lp(0,1,5)", "lp(0,2,5)", "lp(0,13,6)",
+                     "lp(0,21,6)", "lp(0,11,6)", "lp(0,22,6)", "lp(0,12,6)"]),
+    ])
+    def test_max_ties_go_in_answer_order(self, strategy, want):
+        eng = make(self.LONGEST, strategy=strategy)
+        assert solutions(eng, "lp(0,Y,C).") == want
 
 
 class TestCutOverIncompleteTable:

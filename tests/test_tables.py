@@ -114,6 +114,69 @@ class TestAnswers:
         assert tab.answer_trie.node_count == 1
 
 
+class TestAnswerIndex:
+    """Exact lookups probe the index; the trie is built for subsumed reads."""
+
+    def test_duplicates_probe_the_index_and_build_no_trie(self):
+        sp = make_space()
+        tab, _ = intern(sp, "p", "p(X, Y)")
+        for src in ("b(a, 1)", "b(f(A), A)", "b(a, 1)", "b(f(B), B)"):
+            sp.add_answer(tab, t(src).args)
+        assert [term_to_str(a.term) for a in tab.answers] == [
+            "p(a,1)", "p(f(_G0),_G0)"]
+        assert list(tab.index.values()) == tab.answers
+        assert tab._answer_trie is None
+
+    def test_answer_refuted_by_simplification_comes_back_as_new(self):
+        sp = make_space()
+        p, _ = intern(sp, "p", "p(X)")
+        q, _ = intern(sp, "q", "q(a)")
+        _, old = sp.add_answer(p, (Atom("a"),), [delay_neg(q)])
+        sp.add_answer(q, ())      # tnot q(a) is false: p(a) dies
+        assert old.deleted and p.index == {}
+        st, new = sp.add_answer(p, (Atom("a"),))
+        assert st == "added" and new is not old and not new.deleted
+        assert p.index == {(Atom("a"),): new} and p.live_answers == 1
+
+    def test_replaced_answer_comes_back_as_new(self):
+        sp = make_space()
+        p, _ = intern(sp, "p", "p(X)")
+        _, old = sp.add_answer(p, (Atom("a"),))
+        p.answer_trie                       # a walk built the trie
+        sp.delete_answer(p, old)
+        assert p.index == {} and p.answer_trie.leaf_count == 0
+        st, new = sp.add_answer(p, (Atom("a"),))
+        assert st == "added" and new is not old
+        assert p.answers == [old, new] and new.leaf is not None
+        assert p.answer_trie.matching_leaves(Atom("a")) == [new]
+
+    def test_trie_walk_finds_the_live_answers_in_answer_order(self):
+        sp = make_space()
+        p, _ = intern(sp, "p", "p(X, Y)")
+        q, _ = intern(sp, "q", "q(a)")
+        recs = {}
+        for src in ("b(a, 1)", "b(b, 1)", "b(a, 2)", "b(a, 3)", "b(A, 4)"):
+            delays = [delay_neg(q)] if src == "b(a, 2)" else ()
+            recs[src] = sp.add_answer(p, t(src).args, delays)[1]
+
+        def walk():
+            hits = p.answer_trie.matching_leaves(Atom("a"), t("Y"))
+            return [term_to_str(a.term) for a in sorted(
+                hits, key=lambda a: a.seq)]
+
+        # deleted before the trie exists: by replacement, by refutation
+        sp.delete_answer(p, recs["b(a, 1)"])
+        sp.add_answer(q, ())
+        assert p._answer_trie is None
+        assert walk() == ["p(a,3)", "p(_G0,4)"]
+        # deleted, and derived again, once the trie exists
+        sp.delete_answer(p, recs["b(a, 3)"])
+        sp.add_answer(p, t("b(a, 1)").args)
+        sp.add_answer(p, t("b(a, 3)").args)
+        assert walk() == ["p(_G0,4)", "p(a,1)", "p(a,3)"]
+        assert p.answer_trie.leaf_count == p.live_answers == 4
+
+
 def delay_neg(table):
     return DelayLit(True, table, None)
 
