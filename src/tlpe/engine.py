@@ -48,7 +48,7 @@ from .tables import DelayLit, SubgoalTable, TableSpace
 from .terms import (Atom, CyclicTermError, OrderKey, Struct, Term, Var,
                     canonical_key, compare, functor_of, is_callable,
                     is_ground, match, rename, resolve, substitute,
-                    term_to_str, term_vars, unify, unify_all)
+                    term_to_str, term_vars, unify_all)
 from . import subsumption
 
 QUERY_PRED = "$query"
@@ -435,12 +435,15 @@ class Engine:
             if not consumer.dead and not ans.deleted:
                 self._return_answer(consumer, ans)
         elif kind == "inline":
-            _, after, goal, clause, scope = entry
-            env = self._unify_head(clause, after.nv, goal)
-            if env is not None:
-                self._push_body(after, clause, env, scope, after.k)
-        else:  # "clause"
-            self._clause_resolution(entry[1], entry[2])
+            _, after, clause, env, scope = entry
+            self._push_body(after, clause, env, scope, after.k)
+        else:  # "clause": a producer's, unless its table has completed
+            _, root, clause, env = entry
+            table = root.owner
+            if not table.complete:
+                k = self._op("clause_resolution", "PROGRAM_CLAUSE_RESOLUTION",
+                             table)
+                self._push_body(root, clause, env, None, k)
 
     # ------------------------------------------------------------------
     # continuation stepping
@@ -594,8 +597,9 @@ class Engine:
         # cut scopes (a tabled clause cannot cut), answers are bindings
         root = Cont(table, _answer_vars(table), None, (), (), self.K,
                     table.nvars)
-        for clause in reversed(self.program.lookup_clauses(table.subgoal)):
-            self.stack.append(("clause", root, clause))
+        for clause, env in reversed(self.program.lookup_clauses(
+                table.subgoal, root.nv, self.occurs_check)):
+            self.stack.append(("clause", root, clause, env))
 
     def _push_query_root(self, table: SubgoalTable) -> None:
         goals, scopes = self._body_goals(table.subgoal.args[0])
@@ -613,25 +617,6 @@ class Engine:
             scope = self._scope_seq
         goals = _expand_body(lits, 0, {}, scope, None)
         return goals, (scope,) if scope is not None else ()
-
-    def _clause_resolution(self, root: Cont, clause: Clause) -> None:
-        """Resolve a table's subgoal against one of its clauses."""
-        table = root.owner
-        if table.complete:
-            return
-        env = self._unify_head(clause, root.nv, table.subgoal)
-        if env is None:
-            return
-        k = self._op("clause_resolution", "PROGRAM_CLAUSE_RESOLUTION", table)
-        self._push_body(root, clause, env, None, k)
-
-    def _unify_head(self, clause: Clause, nv: int, goal: Term):
-        """Unify a clause head, renamed above ``nv``, with ``goal``; a
-        ground head only binds the goal's variables."""
-        if clause.head.ground:
-            return match(goal, clause.head)
-        return unify(rename(clause.head, nv), goal,
-                     occurs_check=self.occurs_check)
 
     def _push_body(self, cont: Cont, clause: Clause, env, scope, k: int):
         """Run a clause whose head unified under ``env``, its variables
@@ -744,7 +729,8 @@ class Engine:
                 ordered = (pi.any_cut or type(cont.owner) is Collector
                            or bool(cont.scopes))
                 self.space.note_dyn_read(caller, pi.key, ordered)
-        clauses = self.program.lookup_clauses(goal)
+        clauses = self.program.lookup_clauses(goal, cont.nv,
+                                              self.occurs_check)
         if not clauses:
             return
         scope = None
@@ -756,8 +742,8 @@ class Engine:
             self._scope_seq += 1
             scope = self._scope_seq
             after.scopes = cont.scopes + (scope,)
-        for clause in reversed(clauses):
-            self.stack.append(("inline", after, goal, clause, scope))
+        for clause, env in reversed(clauses):
+            self.stack.append(("inline", after, clause, env, scope))
 
     # ------------------------------------------------------------------
     # cut

@@ -2,14 +2,17 @@
 
 Clauses are kept in canonical form (dense clause-local variable ids).
 Each predicate carries its tabling mode, dynamicity, answer-subsumption
-spec and index declarations.  Index structures only prune: retrieval
-always ends with a head-unifiability filter, so declaring an index can
-never change the answers of a program, only the amount of scanning.
+spec and index declarations.  Retrieval unifies the goal with the head
+of each candidate clause, once, and returns every clause that unifies
+together with its unifier, which the engine runs the body under.  Index
+structures only pick the candidates, so declaring an index can never
+change the answers of a program, only the amount of scanning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 from .builtins import BUILTINS
@@ -18,7 +21,7 @@ from .sccs import cyclic_vertices
 from .terms import (
     Atom, Int, Struct, Term, Var, canonical_key, canonicalize, functor_of,
     is_callable, is_ground, list_parts, match, rename, symbols, term_to_str,
-    term_vars, unify,
+    unify,
 )
 from .tries import Trie, term_path
 
@@ -143,14 +146,9 @@ class ClauseIndex:
             for node in nodes:
                 self._walk(node, path, vtrunc or capped, ends)
             nodes = ends
-        seen = set()
-        out: List[Clause] = []
-        for bucket in nodes:
-            for cl in bucket:
-                if id(cl) not in seen:
-                    seen.add(id(cl))
-                    out.append(cl)
-        out.sort(key=lambda c: c.seq)
+        # each clause sits in one bucket, and the walk reaches a bucket once
+        out = [cl for bucket in nodes for cl in bucket]
+        out.sort(key=attrgetter("seq"))
         return out
 
     def _walk(self, node: dict, path, open_end: bool, ends: List) -> None:
@@ -503,11 +501,13 @@ class Program:
             return cl
 
         cl = Clause(head, body, nvars, self._next_seq(), cterm)
-        pi.clauses.append(cl)
         if any(type(lit.goal) is Atom and lit.goal.name == "!" for lit in body):
             pi.any_cut = True
+        # index before storing: the default index, made on first use,
+        # takes in the clauses already stored, and must not get cl twice
         for ix in self._live_indexes(pi):
             ix.add(cl)
+        pi.clauses.append(cl)
         return cl
 
     def retract_clause(self, term: Term) -> bool:
@@ -540,18 +540,9 @@ class Program:
         pi = self.preds.get(functor_of(head))
         if pi is None:
             return None, []
-        if pi.trie_indexed:
-            node = pi.fact_trie.lookup(term_path(cterm))
-            return pi, [] if node is None or node.leaf is None \
-                else [node.leaf]
-        candidates = pi.clauses
-        if type(head) is Struct:
-            for ix in self._live_indexes(pi):
-                if ix.applicable(head):
-                    candidates = ix.lookup(head)
-                    break
         key = canonical_key(cterm)
-        return pi, [cl for cl in candidates if canonical_key(cl.term) == key]
+        return pi, [cl for cl in self._candidates(pi, head)[1]
+                    if canonical_key(cl.term) == key]
 
     def _next_seq(self) -> int:
         self._seq += 1
@@ -569,42 +560,36 @@ class Program:
     # ------------------------------------------------------------------
     # retrieval
 
-    def lookup_clauses(self, goal: Term) -> List[Clause]:
-        """Clauses whose head can unify with ``goal``, in program order."""
-        name, arity = functor_of(goal)
-        pi = self.preds.get((name, arity))
+    def lookup_clauses(self, goal: Term, nv: int, occurs_check: bool = False
+                       ) -> List[Tuple[Clause, dict]]:
+        """The clauses whose head unifies with ``goal``, in program
+        order, each with its unifier: ``[(clause, env)]``, the head's
+        variables renamed above ``nv``."""
+        pi = self.preds.get(functor_of(goal))
         if pi is None:
             self.last_route = "undefined"
             return []
+        self.last_route, candidates = self._candidates(pi, goal)
+        out = []
+        for cl in candidates:
+            env = _head_unifier(cl.head, nv, goal, occurs_check)
+            if env is not None:
+                out.append((cl, env))
+        return out
+
+    def _candidates(self, pi: PredicateInfo, goal: Term):
+        """The route that serves a lookup of ``goal`` and the clauses it
+        keeps, in program order: every clause whose head may unify with
+        ``goal``, and perhaps some that do not."""
         if pi.trie_indexed:
-            self.last_route = "trie"
-            assert pi.fact_trie is not None
-            hits = [cl for cl in pi.fact_trie.matching_leaves(goal, mode="unify")
-                    if self._head_unifiable(cl, goal)]
-            hits.sort(key=lambda c: c.seq)
-            return hits
-        candidates: Optional[List[Clause]] = None
-        self.last_route = "scan"
+            hits = pi.fact_trie.matching_leaves(goal, mode="unify")
+            hits.sort(key=attrgetter("seq"))
+            return "trie", hits
         if type(goal) is Struct:
             for ix in self._live_indexes(pi):
                 if ix.applicable(goal):
-                    candidates = ix.lookup(goal)
-                    self.last_route = str(ix.spec)
-                    break
-        if candidates is None:
-            candidates = pi.clauses
-        return [cl for cl in candidates if self._head_unifiable(cl, goal)]
-
-    @staticmethod
-    def _head_unifiable(cl: Clause, goal: Term) -> bool:
-        head = cl.head
-        if head.ground:
-            return match(goal, head) is not None
-        if goal.ground:
-            return match(head, goal) is not None
-        # rename the head apart from the goal's variables
-        head = rename(head, max(term_vars(goal)) + 1)
-        return unify(head, goal) is not None
+                    return str(ix.spec), ix.lookup(goal)
+        return "scan", pi.clauses
 
     # ------------------------------------------------------------------
     # program-wide analysis
@@ -724,6 +709,18 @@ class Program:
         if pi.trie_indexed:
             return pi.fact_trie.leaf_count if pi.fact_trie else 0
         return len(pi.clauses)
+
+
+def _head_unifier(head: Term, nv: int, goal: Term, occurs_check: bool):
+    """The unifier of ``head``, its variables renamed above ``nv``, with
+    ``goal``, or None.  A ground side is matched one-sidedly: a ground
+    head binds only the goal's variables, a ground goal only the head's."""
+    if head.ground:
+        return match(goal, head)
+    if goal.ground:
+        env = match(head, goal)
+        return None if env is None else {k + nv: v for k, v in env.items()}
+    return unify(rename(head, nv), goal, occurs_check=occurs_check)
 
 
 def _plus_items(term: Term) -> List[Term]:

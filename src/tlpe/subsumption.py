@@ -1,11 +1,12 @@
 """Answer subsumption: keep only the best answers per argument tuple.
 
 A declared table keeps, for every combination of its plain arguments,
-either the join of all derived values (lattice mode, including the
-built-in min/max/sum/count aggregates) or a maximal antichain under a
-partial order.  Inserts then go through here instead of plain answer
-addition: a candidate may be rejected, replace a stored answer, or be
-merged into one.
+either the join of all derived values (a lattice join, or the built-in
+min and max on the same path; sum and count add up one contribution per
+distinct derived tuple) or a maximal antichain under a partial order.
+Inserts then go through here instead of plain answer addition: a
+candidate may be rejected, replace a stored answer, or be merged into
+one.
 """
 
 from typing import List, Optional, Tuple
@@ -36,9 +37,9 @@ def apply(engine, table, ans_term: Term) -> str:
 
     if spec.kind == "po":
         return _apply_po(engine, table, state, key, args, pos, val, spec)
-    if spec.kind == "lattice":
+    if spec.kind in ("lattice", "min", "max"):
         return _apply_lattice(engine, table, state, key, args, pos, val, spec)
-    return _apply_builtin(engine, table, state, key, args, pos, val, spec)
+    return _apply_sum_count(engine, table, state, key, args, pos, val, spec)
 
 
 def _stored_value(rec, pos: int) -> Term:
@@ -65,13 +66,22 @@ def _live(rec) -> bool:
     return rec is not None and not rec.deleted
 
 
+def _join(engine, spec, a: Term, b: Term) -> Term:
+    """The join of two values: the join predicate's for a lattice, the
+    better one in standard order for min and max."""
+    if spec.kind == "lattice":
+        return engine.eval_join(spec.join_pred, a, b)
+    c = compare(a, b)
+    return a if (c < 0 if spec.kind == "min" else c > 0) else b
+
+
 def _apply_lattice(engine, table, state, key, args, pos, val, spec) -> str:
     amap = state["map"]
     old = amap.get(key)
     if not _live(old):
         if spec.identity is not None:
             engine.counters["join"] += 1
-            val = engine.eval_join(spec.join_pred, val, spec.identity)
+            val = _join(engine, spec, val, spec.identity)
         rec = _insert(engine, table, args, pos, val)
         if rec is None:
             return "rejected"
@@ -79,7 +89,7 @@ def _apply_lattice(engine, table, state, key, args, pos, val, spec) -> str:
         return "added"
     stored = _stored_value(old, pos)
     engine.counters["join"] += 1
-    joined = engine.eval_join(spec.join_pred, val, stored)
+    joined = _join(engine, spec, val, stored)
     if compare(joined, stored) == 0:
         return "rejected"
     engine.space.delete_answer(table, old)
@@ -119,30 +129,12 @@ def _int_value(val: Term, what: str) -> int:
     return val.value
 
 
-def _apply_builtin(engine, table, state, key, args, pos, val, spec) -> str:
+def _apply_sum_count(engine, table, state, key, args, pos, val,
+                     spec) -> str:
+    """Aggregate one contribution per distinct derived tuple."""
     kind = spec.kind
     amap = state["map"]
     old = amap.get(key)
-
-    if kind in ("min", "max"):
-        if not _live(old):
-            rec = _insert(engine, table, args, pos, val)
-            if rec is None:
-                return "rejected"
-            amap[key] = rec
-            return "added"
-        stored = _stored_value(old, pos)
-        engine.counters["join"] += 1
-        c = compare(val, stored)
-        better = c < 0 if kind == "min" else c > 0
-        if not better:
-            return "rejected"
-        engine.space.delete_answer(table, old)
-        rec = _insert(engine, table, args, pos, val)
-        amap[key] = rec if rec is not None else old
-        return "subsumption_replaced"
-
-    # sum / count: aggregate one contribution per distinct derived tuple
     contrib = canonical_key(Struct("$c", args))
     if contrib in state["seen"]:
         return "rejected"

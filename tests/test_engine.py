@@ -9,6 +9,8 @@ import pytest
 
 from tlpe.engine import Engine
 from tlpe.errors import EvalError
+from tlpe.incremental import incr_invalidate
+from tlpe.tables import SubgoalTable
 from tlpe.terms import OrderKey, term_to_str
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
@@ -75,6 +77,15 @@ class TestPlainResolution:
         eng = make(":- dynamic p/3.\n" + index + "p(V,V,a).\n")
         assert solutions(eng, "p(f(X), f(b), a).") == ["p(f(b),f(b),a)"]
         assert solutions(eng, "p(f(a), f(b), a).") == []
+
+    @pytest.mark.parametrize("tabled", ["", ":- table p/2.\n"])
+    def test_clause_variables_stay_apart_from_the_caller(self, tabled):
+        # each call below comes from a continuation that has variables of
+        # its own: ground, half ground and open, into a non-ground head
+        eng = make(tabled + "t(Z, W) :- z(Z), p(1, 5), p(Z, W), p(U, U).\n"
+                   "z(1). z(2).\n"
+                   "p(X, Y) :- q(X), r(Y).\nq(1). q(5). r(1). r(5).")
+        assert sorted(solutions(eng, "t(Z, W).")) == ["t(1,1)", "t(1,5)"]
 
     def test_undefined_predicate_fails_quietly(self):
         eng = make("p(1).")
@@ -450,3 +461,68 @@ class TestEngineGuards:
         assert {"tables", "counters", "nodes", "simplifications",
                 "recomputations"} <= set(st)
         assert st["counters"]["new_subgoal"] >= 1
+
+
+def settled(eng):
+    return all(t.status in (SubgoalTable.COMPLETE, SubgoalTable.INVALID)
+               for t in eng.space.tables)
+
+
+class TestErrorKinds:
+    """Each failure surfaces as its own ``EvalError`` kind, every time,
+    and leaves the engine reusable: no table is left incomplete, and
+    the next query answers."""
+
+    # kind -> (program, failing goal or change, goal that then answers)
+    QUERIES = {
+        "join_failed": (
+            ":- table p(j/3-0).\np(1).\nj(A,B,C) :- C is A + B, C > 100.\n"
+            "q(1).", "p(X).", "q(X)."),
+        "join_nondet": (
+            ":- table p(j/3-0).\np(1).\nj(A,_,A).\nj(_,B,B).\nq(1).",
+            "p(X).", "q(X)."),
+        "subsumption_type": (
+            ":- table p(sum).\np(a).\nq(1).", "p(X).", "q(X)."),
+        "subsumption_nonground": (
+            ":- table p(_,min).\np(X,_) :- q(X).\nq(1).", "p(X,Y).",
+            "q(X)."),
+        "subsumption_conditional": (
+            ":- table p(min), q/0, r/0.\np(1) :- tnot q.\nq :- tnot r.\n"
+            "r :- tnot q.\ns(1).", "p(X).", "s(X)."),
+        "floundered": (
+            ":- table p/1.\np(1).\nq :- tnot p(_).\ns(1).", "q.", "p(X)."),
+        "negation_untabled": (
+            "p(1).\nq :- tnot p(1).\ns(1).", "q.", "p(X)."),
+    }
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    @pytest.mark.parametrize("kind", sorted(QUERIES))
+    def test_query_error(self, kind, strategy):
+        src, bad, good = self.QUERIES[kind]
+        eng = make(src, strategy=strategy)
+        for _ in range(2):
+            with pytest.raises(EvalError) as err:
+                eng.query(bad)
+            assert err.value.kind == kind
+            assert settled(eng)
+        assert solutions(eng, good)
+
+    INCR = """
+    :- use_incremental_dynamic e/1.
+    :- table p/0 as incremental, q/0 as incremental.
+    p :- e(1), tnot q.
+    q :- tnot p.
+    e(1).
+    """
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    def test_update_through_a_negative_loop(self, strategy):
+        eng = make(self.INCR, strategy=strategy)
+        assert truth_set(eng, "p.") == {("p", "undefined")}
+        for _ in range(2):
+            with pytest.raises(EvalError) as err:
+                incr_invalidate(eng, "assert(e(2)).")
+            assert err.value.kind == "incremental_nonstratified"
+            assert settled(eng)
+        assert truth_set(eng, "q.") == {("q", "undefined")}
+        assert solutions(eng, "e(X).") == ["e(1)"]

@@ -1,5 +1,6 @@
 """Well-founded negation: truth values, delaying, simplification, residuals."""
 
+import gc
 import random
 import sys
 import time
@@ -267,15 +268,25 @@ class TestLongNegativeLoops:
     def test_scheduling_costs_no_more_per_node_when_longer(
             self, program, goal, strategy):
         def cpu_per_node(n):
-            best = None
-            for _ in range(3):
+            # the objects alive before the run, the rest of the test
+            # session's among them, are left out of the collector's
+            # passes: in a full tier-1 run, scanning them made N=1,600
+            # cost 1.6-1.9x the per-node time of N=200 under batched,
+            # against 1.1-1.3x without them
+            gc.collect()
+            gc.freeze()
+            try:
                 eng = make(program(n), strategy=strategy)
                 start = time.thread_time()
                 answers = eng.query(goal)
                 spent = (time.thread_time() - start) / eng.K
-                assert [a.truth for a in answers] == ["undefined"]
-                best = spent if best is None else min(best, spent)
-            return best
+            finally:
+                gc.unfreeze()
+            assert [a.truth for a in answers] == ["undefined"]
+            return spent
 
-        small, large = cpu_per_node(200), cpu_per_node(1600)
+        # the sizes take turns, best of 5 each, so that a burst of load
+        # from other processes meets both alike
+        runs = [(cpu_per_node(200), cpu_per_node(1600)) for _ in range(5)]
+        small, large = map(min, zip(*runs))
         assert large < 2.0 * small, (small, large)

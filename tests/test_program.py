@@ -8,7 +8,7 @@ from tlpe.builtins import BUILTINS
 from tlpe.errors import DirectiveError, StoreError
 from tlpe.parser import parse_program, parse_term_text
 from tlpe.program import Program
-from tlpe.terms import Atom, Int, Struct, Var, term_to_str
+from tlpe.terms import Atom, Int, Struct, Var, term_to_str, term_vars
 
 
 def load(src, **kw):
@@ -24,6 +24,20 @@ def load(src, **kw):
 
 def goal(src):
     return parse_term_text(src)
+
+
+def lookup(prog, g):
+    """The clauses retrieval returns for ``g`` with their unifiers,
+    rendered, the heads renamed above the variables of ``g``."""
+    pairs = prog.lookup_clauses(g, max(term_vars(g), default=-1) + 1)
+    return [(term_to_str(cl.term),
+             sorted((k, term_to_str(v)) for k, v in env.items()))
+            for cl, env in pairs]
+
+
+def clauses(prog, g):
+    """The clauses retrieval returns for ``g``, rendered."""
+    return [c for c, _ in lookup(prog, g)]
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +226,8 @@ class TestTrieIndexedFacts:
 
     def test_lookup_route(self):
         prog = load(self.SRC + "e(a, b).")
-        hits = prog.lookup_clauses(goal("e(a, X)"))
+        assert lookup(prog, goal("e(a, X)")) == [("e(a,b)", [(0, "b")])]
         assert prog.last_route == "trie"
-        assert [term_to_str(c.term) for c in hits] == ["e(a,b)"]
 
     def test_repeated_stored_variable_meets_unifiable_goal_terms(self):
         # the two V positions of p(V,V,a) meet f(X) and f(b), which unify
@@ -223,12 +236,9 @@ class TestTrieIndexedFacts:
         plain = load(src.format(""))
         for g in ("p(f(X), f(b), a)", "p(f(a), f(b), a)", "p(X, c, a)",
                   "p(f(X), Y, a)", "p(g(X, b), g(a, Y), Z)"):
-            got, want = ([term_to_str(c.term)
-                          for c in prog.lookup_clauses(goal(g))]
-                         for prog in (indexed, plain))
+            got, want = (lookup(prog, goal(g)) for prog in (indexed, plain))
             assert got == want, g
-        assert [term_to_str(c.term) for c in indexed.lookup_clauses(
-            goal("p(f(X), f(b), a)"))] == ["p(_G0,_G0,a)"]
+        assert clauses(indexed, goal("p(f(X), f(b), a)")) == ["p(_G0,_G0,a)"]
 
 
 # ---------------------------------------------------------------------------
@@ -243,27 +253,34 @@ class TestIndexSelection:
 
     def test_joint_index_preferred(self):
         prog = load(self.SRC)
-        hits = prog.lookup_clauses(goal("p(f(a), b, _, _, _)"))
+        hits = clauses(prog, goal("p(f(a), b, _, _, _)"))
         assert prog.last_route == "*(1)+2"
         assert len(hits) == 1
 
     def test_fallback_when_component_unbound(self):
         prog = load(self.SRC)
-        hits = prog.lookup_clauses(goal("p(f(a), Y, _, _, _)"))
+        hits = clauses(prog, goal("p(f(a), Y, _, _, _)"))
         assert prog.last_route == "*(1)"
         assert len(hits) == 1
 
     def test_scan_when_no_index_applies(self):
         prog = load(self.SRC)
-        hits = prog.lookup_clauses(goal("p(X, b, _, _, _)"))
+        hits = clauses(prog, goal("p(X, b, _, _, _)"))
         assert prog.last_route == "scan"
         assert len(hits) == 2
 
     def test_default_first_argument_index(self):
         prog = load("p(a, 1).\np(b, 2).\np(a, 3).")
-        hits = prog.lookup_clauses(goal("p(a, N)"))
+        hits = clauses(prog, goal("p(a, N)"))
         assert prog.last_route == "1"
-        assert [term_to_str(c.term) for c in hits] == ["p(a,1)", "p(a,3)"]
+        assert hits == ["p(a,1)", "p(a,3)"]
+
+    def test_each_clause_sits_in_one_bucket_per_index(self):
+        # the first clause made the default index, which must not take
+        # that clause in twice
+        prog = load("p(a, 1).\np(b, 2).\np(X, 3).")
+        assert [len(c.buckets) for c in prog.info("p", 2).clauses] == [1, 1, 1]
+        assert clauses(prog, goal("p(a, N)")) == ["p(a,1)", "p(_G0,3)"]
 
     def test_index_component_out_of_range(self):
         with pytest.raises(DirectiveError):
@@ -275,14 +292,33 @@ class TestIndexSelection:
 
     def test_redeclaration_rebuilds_over_existing_clauses(self):
         prog = load("p(a, 1).\np(b, 2).\n:- index(p/2, 2).")
-        hits = prog.lookup_clauses(goal("p(X, 2)"))
+        hits = clauses(prog, goal("p(X, 2)"))
         assert prog.last_route == "2"
-        assert [term_to_str(c.term) for c in hits] == ["p(b,2)"]
+        assert hits == ["p(b,2)"]
 
     def test_undefined_predicate(self):
         prog = load("")
-        assert prog.lookup_clauses(goal("nothing(here)")) == []
+        assert lookup(prog, goal("nothing(here)")) == []
         assert prog.last_route == "undefined"
+
+
+class TestHeadUnifier:
+    """Retrieval returns each clause with the unifier of its head, the
+    head's variables renamed above ``nv``, and the goal."""
+
+    @pytest.mark.parametrize("g,occurs_check,want", [
+        ("p(a, f(b))", False, [(5, "a"), (6, "b")]),        # ground goal
+        ("q(X, b)", False, [(0, "a")]),                     # ground head
+        ("p(X, Y)", False, [(1, "f(_G6)"), (5, "_G0")]),    # neither
+        ("p(X, g(Y))", False, None),
+        ("r(X, f(X))", False, [(0, "f(_G0)"), (5, "f(_G0)")]),  # cyclic
+        ("r(X, f(X))", True, None),
+    ])
+    def test_unifier_renames_the_head_above_nv(self, g, occurs_check, want):
+        prog = load("p(U, f(V)).\nq(a, b).\nr(V, V).")
+        got = [sorted((k, term_to_str(v)) for k, v in env.items())
+               for _, env in prog.lookup_clauses(goal(g), 5, occurs_check)]
+        assert got == ([] if want is None else [want])
 
 
 _CONSTS = ["a", "b", "c", "1", "2"]
@@ -317,7 +353,8 @@ _INDEX_DECLS = [
 
 class TestIndexPruningInvariant:
     """Whatever the declared indexes, retrieval must return exactly the
-    head-unifiable clauses in program order (an index only prunes)."""
+    head-unifiable clauses in program order, each with the same unifier
+    (an index only prunes)."""
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_full_scan(self, seed):
@@ -330,8 +367,7 @@ class TestIndexPruningInvariant:
             plain.add_clause(goal(f))
         for _ in range(20):
             g = goal(_rand_fact(rng))
-            got = [term_to_str(c.term) for c in indexed.lookup_clauses(g)]
-            want = [term_to_str(c.term) for c in plain.lookup_clauses(g)]
+            got, want = lookup(indexed, g), lookup(plain, g)
             assert got == want, (decl, term_to_str(g))
 
     @pytest.mark.parametrize("seed", range(10))
@@ -349,8 +385,7 @@ class TestIndexPruningInvariant:
         plain = load(body)
         for _ in range(20):
             g = goal(_rand_fact(rng))
-            got = sorted(term_to_str(c.term) for c in indexed.lookup_clauses(g))
-            want = sorted(term_to_str(c.term) for c in plain.lookup_clauses(g))
+            got, want = sorted(lookup(indexed, g)), sorted(lookup(plain, g))
             assert got == want, term_to_str(g)
 
 
