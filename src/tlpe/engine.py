@@ -47,8 +47,8 @@ from .sccs import tarjan_sccs
 from .tables import DelayLit, SubgoalTable, TableSpace
 from .terms import (Atom, CyclicTermError, OrderKey, Struct, Term, Var,
                     canonical_key, compare, functor_of, is_callable,
-                    is_ground, match, rename, resolve, substitute,
-                    term_to_str, term_vars, unify_all)
+                    is_ground, match, rename, resolve, term_to_str,
+                    term_vars, unify_all)
 from . import subsumption
 
 QUERY_PRED = "$query"
@@ -140,13 +140,15 @@ class Consumer:
 
 
 class NegWaiter:
-    """A continuation suspended on ``tnot`` of an incomplete table;
+    """A continuation suspended on ``tnot goal`` of an incomplete table;
     ``seq`` numbers the waiters in order of arrival."""
 
-    __slots__ = ("table", "cont", "dead", "seq")
+    __slots__ = ("table", "goal", "cont", "dead", "seq")
 
-    def __init__(self, table: SubgoalTable, cont: Cont, seq: int):
+    def __init__(self, table: SubgoalTable, goal: Term, cont: Cont,
+                 seq: int):
         self.table = table
+        self.goal = goal
         self.cont = cont
         self.dead = False
         self.seq = seq
@@ -516,8 +518,7 @@ class Engine:
                     "subsumption_conditional",
                     f"conditional answer for {owner.pred} under answer "
                     "subsumption")
-            subsumption.apply(self, owner, substitute(owner.subgoal,
-                                                      bindings))
+            subsumption.apply(self, owner, bindings)
             return
         self.insert_reduced(owner, bindings, cont.delays)
 
@@ -671,12 +672,13 @@ class Engine:
         joins over non-negative costs) a fed record is never improved
         afterwards, so each stored answer returns to each consumer once."""
         heap = consumer.heap
-        spec = consumer.table.pred.subsumption
-        key = _Reversed if spec.kind == "max" else OrderKey
-        answers = consumer.table.answers
+        table = consumer.table
+        key = _Reversed if table.pred.subsumption.kind == "max" else OrderKey
+        slot = table.as_slot
+        answers = table.answers
         for a in answers[consumer.cursor:]:
             if not a.deleted:
-                heappush(heap, (key(a.term.args[spec.position]), a.seq, a))
+                heappush(heap, (key(a.bindings[slot]), a.seq, a))
         consumer.cursor = len(answers)
         pending = []
         while heap and not (one and pending):
@@ -789,18 +791,19 @@ class Engine:
                 "negation_untabled",
                 f"tnot {term_to_str(goal)}: predicate {name}/{arity} is "
                 "not tabled")
-        # a ground negative call reads a table of exactly its atom
+        # a ground negative call reads a table of exactly its atom, or,
+        # under answer subsumption, of its plain arguments
         table = self._intern(pi, goal, variant=True)
         self._note_call(cont, table, neg=True)
         after = self._advance(cont, rest)
         if table.complete:
-            self._negative_return(after, table)
+            self._negative_return(after, table, goal)
             return
-        if table.has_unconditional:
+        if table.has_unconditional and pi.subsumption is None:
             self._op("negative_return", "NEGATIVE_RETURN", table)
             return      # the path fails now: an answer already exists
         self._waiter_seq += 1
-        w = NegWaiter(table, after, self._waiter_seq)
+        w = NegWaiter(table, goal, after, self._waiter_seq)
         table.neg_waiters.append(w)
         # a new edge has moved the graph version; with an old edge the
         # round state stays and learns of the waiter here
@@ -815,10 +818,15 @@ class Engine:
         if rs is not None:
             rs.drop_waiter(w)
 
-    def _negative_return(self, cont: Cont, table: SubgoalTable) -> None:
-        """Resolve tnot against a completed table."""
+    def _negative_return(self, cont: Cont, table: SubgoalTable,
+                         goal: Term) -> None:
+        """Resolve ``tnot goal`` against its completed table."""
         k = self._op("negative_return", "NEGATIVE_RETURN", table)
-        if not table.has_answers:
+        spec = table.pred.subsumption
+        # under answer subsumption the table is the one of the goal's plain
+        # arguments, its one variable the aggregated argument
+        if not table.has_answers or spec is not None and (
+                goal.args[spec.position],) not in table.index:
             self._continue(cont, cont.goals, k=k)
         elif table.has_unconditional:
             return      # fails
@@ -1042,7 +1050,7 @@ class Engine:
         for w in table.neg_waiters:
             if not w.dead:
                 self._kill_waiter(w)
-                self._negative_return(w.cont, table)
+                self._negative_return(w.cont, table, w.goal)
         table.neg_waiters = []
         for c in table.consumers:
             if not c.dead:
@@ -1138,7 +1146,8 @@ class Engine:
         self.space.abolish_pred((name, arity))
 
     def abolish_call(self, goal) -> None:
-        """Abolish the variant table of ``goal``, never a subsuming one."""
+        """Abolish the table a variant call of ``goal`` reads, never a
+        subsuming one."""
         self._guard_no_query("abolish")
         if isinstance(goal, str):
             goal = parse_goal(goal).term

@@ -38,10 +38,11 @@ def get_residual(engine: Engine, goal) -> List[Tuple[Term, List[Term]]]:
     Delay literals print as the answers they wait on, negated ones as
     tnot(Subgoal).
 
-    Without a variant table, the goal of a subsumptive predicate reads
-    the table that answered its calls, which subsumes it; only the
-    answers that unify with the goal are reported, instantiated by it,
-    each instance once per distinct body, or once with none if true."""
+    The goal reads the table its call reads: under answer subsumption,
+    the one of its plain arguments; for a subsumptive predicate without
+    a variant table, the one that subsumes it.  Only the answers that
+    unify with the goal are reported, instantiated by it, each instance
+    once per distinct body, or once with none if true."""
     goal = _as_term(goal)
     table = engine.space.lookup_variant(goal)
     if table is None:

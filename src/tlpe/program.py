@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .builtins import BUILTINS
 from .errors import DirectiveError, StoreError
@@ -267,7 +267,7 @@ class Program:
         self.preds: Dict[PredKey, PredicateInfo] = {}
         self.auto_table_requested = False
         self._seq = 0
-        self.last_route: str = ""   # how the most recent lookup was served
+        self.last_route: Union[str, IndexSpec] = ""   # last lookup's route
 
     # ------------------------------------------------------------------
     # predicate records
@@ -578,9 +578,9 @@ class Program:
         return out
 
     def _candidates(self, pi: PredicateInfo, goal: Term):
-        """The route that serves a lookup of ``goal`` and the clauses it
-        keeps, in program order: every clause whose head may unify with
-        ``goal``, and perhaps some that do not."""
+        """The route of a lookup of ``goal``, a tag or an ``IndexSpec``,
+        and the clauses it keeps in program order: every clause whose
+        head may unify with ``goal``, and perhaps some that do not."""
         if pi.trie_indexed:
             hits = pi.fact_trie.matching_leaves(goal, mode="unify")
             hits.sort(key=attrgetter("seq"))
@@ -588,7 +588,7 @@ class Program:
         if type(goal) is Struct:
             for ix in self._live_indexes(pi):
                 if ix.applicable(goal):
-                    return str(ix.spec), ix.lookup(goal)
+                    return ix.spec, ix.lookup(goal)
         return "scan", pi.clauses
 
     # ------------------------------------------------------------------

@@ -6,7 +6,7 @@ answer record stores only the bindings of the subgoal's variables, and
 an answer table is a hash index from the canonical binding tuple to the
 live record, so checking and inserting a derived answer is one probe.
 The whole answer term is built on demand, for the few readers that need
-it (query answers, residuals, answer subsumption, printing).  An answer
+it (query answers, residuals, printing).  An answer
 trie exists only for goal-directed walks: it is built the first time a
 subsumed call reads a complete table, then kept in step.
 
@@ -26,7 +26,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 from .errors import EvalError
 from .program import PredicateInfo, Program
 from .terms import (
-    Struct, Term, canonicalize, functor_of, substitute, symbols, term_to_str,
+    Struct, Term, Var, canonicalize, functor_of, substitute, symbols,
+    term_to_str, variant_tuple,
 )
 from .tries import Trie
 
@@ -139,7 +140,13 @@ class SubgoalTable:
         self.ctx = 0                    # evaluation context of its run
         self.owned_consumers: list = []  # consumers its continuations made
         self.leaf_node = None           # its leaf in the subgoal trie
-        self.as_state: Optional[dict] = None   # answer-subsumption index
+        # answer subsumption: the binding slot of the aggregated argument,
+        # the kept record(s) per variant key of the other bindings, and
+        # the contributions already counted (sum and count)
+        spec = pred.subsumption
+        self.as_slot = subgoal.args[spec.position].id if spec else None
+        self.as_map: Optional[dict] = {} if spec else None
+        self.as_seen: Optional[set] = set() if spec else None
         # call graph: scheduling, invalidation and recovery; dicts used
         # as ordered sets, so the scheduler sees the edges in call order
         # and its choices do not depend on where tables sit in memory
@@ -183,6 +190,20 @@ def _trie_insert(trie: Trie, ans: AnswerRecord) -> None:
     node, _ = trie.check_insert(symbols(Struct("$a", ans.bindings))[1:])
     trie.set_leaf(node, ans)
     ans.leaf = node
+
+
+_FRESH = Var(-1)     # no goal variable is negative
+
+
+def call_pattern(pi: PredicateInfo, goal: Term) -> Term:
+    """The subgoal a call of ``goal`` is tabled as: under answer
+    subsumption, ``goal`` with its aggregated argument a fresh variable,
+    so that every call reads the table of its plain arguments."""
+    spec = pi.subsumption
+    if spec is None:
+        return goal
+    args, pos = goal.args, spec.position
+    return Struct(goal.name, args[:pos] + (_FRESH,) + args[pos + 1:])
 
 
 def _retire_answers(table: SubgoalTable) -> None:
@@ -229,13 +250,15 @@ class TableSpace:
         too, as a ground negative call (``tnot``) does: an unconditional
         answer of its table fails the call at once, and a ``tnot table``
         delay literal stands for the table's subgoal, so the table must
-        be that ground atom's own.
+        be that ground atom's own.  Under answer subsumption a call,
+        ``tnot`` too, gets the table of its plain arguments
+        (``call_pattern``).
         """
         if pi.tabling == "subsumptive" and not variant:
             table = self.lookup_subsuming(goal)
             if table is not None:
                 return table, False
-        cgoal, nvars = canonicalize(goal)
+        cgoal, nvars = canonicalize(call_pattern(pi, goal))
         trie = self.tries.get(pi.key)
         if trie is None:
             trie = self.tries[pi.key] = Trie()
@@ -257,11 +280,12 @@ class TableSpace:
         return table
 
     def lookup_variant(self, goal: Term) -> Optional[SubgoalTable]:
-        name, arity = functor_of(goal)
-        trie = self.tries.get((name, arity))
+        """The live table a variant call of ``goal`` reads, if any."""
+        key = functor_of(goal)
+        trie = self.tries.get(key)
         if trie is None:
             return None
-        cgoal, _ = canonicalize(goal)
+        cgoal, _ = canonicalize(call_pattern(self.program.preds[key], goal))
         node = trie.lookup(symbols(cgoal))
         if node is None or node.leaf is None or node.leaf.abolished:
             return None
@@ -286,13 +310,7 @@ class TableSpace:
         """Insert an answer, after one probe of the table's index.
         Returns (status, record) where status is 'added', 'duplicate' or
         'merged' (new delay list on an existing conditional answer)."""
-        key = tuple(bindings)
-        nvars = 0
-        for b in key:
-            if not b.ground:
-                wrapper, nvars = canonicalize(Struct("$a", key))
-                key = wrapper.args
-                break
+        key, nvars = variant_tuple(bindings)
         existing = table.index.get(key)
 
         if existing is not None and not existing.deleted:
@@ -377,7 +395,8 @@ class TableSpace:
         for key in table.consulted_dyn:
             self.dyn_readers.get(key, set()).discard(table)
         table.consulted_dyn = {}
-        table.as_state = None
+        if table.as_map is not None:
+            table.as_map, table.as_seen = {}, set()
         table.pred.recomputations += 1
 
     def delete_answer(self, table: SubgoalTable, ans: AnswerRecord) -> None:

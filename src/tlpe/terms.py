@@ -270,6 +270,16 @@ def canonical_key(t: Term) -> Tuple[tuple, ...]:
     return symbols(canonicalize(t)[0])
 
 
+def variant_tuple(terms) -> Tuple[Tuple[Term, ...], int]:
+    """``terms`` as a tuple, its variables renumbered like
+    ``canonicalize``, and their count: variant tuples come out equal."""
+    for t in terms:
+        if not t.ground:
+            wrapper, n = canonicalize(Struct("$", tuple(terms)))
+            return wrapper.args, n
+    return tuple(terms), 0
+
+
 def walk(t: Term, bindings: Subst) -> Term:
     """Dereference a variable chain (no structural descent)."""
     while type(t) is Var:
