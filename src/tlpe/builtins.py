@@ -1,9 +1,12 @@
 """Builtin predicates: the one registry of their handlers.
 
-``BUILTINS`` maps name/arity to a handler ``(engine, cont, goal, rest)``.
-The clause store reads its keys (no program may define a builtin, and
-builtins other than findall/3 add no call-graph edges); the engine
-dispatches calls through it.  A handler that succeeds hands its
+``BUILTINS`` maps name/arity to a handler
+``(engine, cont, goal, off, rest)``: ``goal`` is the call as written, its
+variables offset by ``off`` and bound in ``cont.frame``.  Arithmetic
+reads the frame as it evaluates; the other handlers instantiate their
+arguments.  The clause store reads its keys (no program may define a
+builtin, and builtins other than findall/3 add no call-graph edges); the
+engine dispatches calls through it.  A handler that succeeds hands its
 bindings to ``engine._continue``, so only the engine knows how the run
 stack holds a continuation.
 """
@@ -11,27 +14,38 @@ stack holds a continuation.
 from typing import Callable, Dict, List, Tuple
 
 from .errors import EvalError
-from .terms import (Atom, Int, OrderKey, Struct, Term, Var, canonicalize,
-                    compare, is_callable, list_parts, make_list, rename,
-                    term_to_str, unify)
+from .terms import (Atom, CyclicTermError, Int, OrderKey, Struct, Term, Var,
+                    canonicalize, compare, instantiate, is_callable,
+                    list_parts, make_list, rename, term_to_str, unify)
 
 
 # ---------------------------------------------------------------------------
 # arithmetic
 # ---------------------------------------------------------------------------
 
-def eval_arith(t: Term) -> int:
+def eval_arith(t: Term, frame, off: int = 0, path=frozenset()) -> int:
+    """The value of ``t`` as written, its variables offset by ``off`` and
+    read through ``frame``.  ``path`` holds the variables whose bindings
+    are being evaluated: meeting one again is a cyclic term."""
+    vid = None
+    while type(t) is Var:
+        vid = t.id + off
+        t, off = frame.get(vid), 0
     tt = type(t)
     if tt is Int:
         return t.value
-    if tt is Var:
+    if t is None:
         raise EvalError("arith_instantiation",
                         "arithmetic on an unbound variable")
+    if vid is not None:
+        if vid in path:
+            raise CyclicTermError(f"cyclic binding through _{vid}")
+        path = path | {vid}
     if tt is Struct:
         name, n = t.name, len(t.args)
         if n == 2:
-            a = eval_arith(t.args[0])
-            b = eval_arith(t.args[1])
+            a = eval_arith(t.args[0], frame, off, path)
+            b = eval_arith(t.args[1], frame, off, path)
             if name == "+":
                 return a + b
             if name == "-":
@@ -52,7 +66,7 @@ def eval_arith(t: Term) -> int:
             if name == "max":
                 return max(a, b)
         elif n == 1:
-            a = eval_arith(t.args[0])
+            a = eval_arith(t.args[0], frame, off, path)
             if name == "-":
                 return -a
             if name == "+":
@@ -60,67 +74,74 @@ def eval_arith(t: Term) -> int:
             if name == "abs":
                 return abs(a)
     raise EvalError("arith_type",
-                    f"not an arithmetic expression: {term_to_str(t)}")
+                    "not an arithmetic expression: "
+                    f"{term_to_str(instantiate(t, off, frame))}")
 
 
 # ---------------------------------------------------------------------------
 # builtins
 # ---------------------------------------------------------------------------
 
-def _bi_true(engine, cont, goal, rest):
+def _bi_true(engine, cont, goal, off, rest):
     engine._continue(cont, rest)
 
 
-def _bi_fail(engine, cont, goal, rest):
+def _bi_fail(engine, cont, goal, off, rest):
     return
 
 
-def _bi_unify(engine, cont, goal, rest):
-    env = unify(goal.args[0], goal.args[1],
-                occurs_check=engine.occurs_check)
+def _bi_cut(engine, cont, goal, off, rest):
+    engine._cut(cont.goals[3])      # the scope of the body the ! is in
+    engine._continue(cont, rest)
+
+
+def _unify_on(engine, cont, rest, a: Term, b: Term, nv=None) -> None:
+    """Run ``rest`` with ``a`` and ``b`` unified, if they unify."""
+    env = unify(a, b, occurs_check=engine.occurs_check)
     if env is not None:
-        engine._continue(cont, rest, env)
+        engine._continue(cont, rest, env, nv)
 
 
-def _bi_not_unify(engine, cont, goal, rest):
-    if unify(goal.args[0], goal.args[1],
-             occurs_check=engine.occurs_check) is None:
+def _bi_unify(engine, cont, goal, off, rest):
+    _unify_on(engine, cont, rest, *instantiate(goal, off, cont.frame).args)
+
+
+def _bi_not_unify(engine, cont, goal, off, rest):
+    a, b = instantiate(goal, off, cont.frame).args
+    if unify(a, b, occurs_check=engine.occurs_check) is None:
         engine._continue(cont, rest)
 
 
-def _bi_eq(engine, cont, goal, rest):
-    if compare(goal.args[0], goal.args[1]) == 0:
+def _order(test):
+    def run(engine, cont, goal, off, rest):
+        a, b = instantiate(goal, off, cont.frame).args
+        if test(compare(a, b)):
+            engine._continue(cont, rest)
+    return run
+
+
+def _bi_is(engine, cont, goal, off, rest):
+    frame = cont.frame
+    val = Int(eval_arith(goal.args[1], frame, off))
+    x = goal.args[0]
+    if type(x) is Var and x.id + off not in frame:
+        frame[x.id + off] = val     # a free variable: bind it in place
         engine._continue(cont, rest)
-
-
-def _bi_neq(engine, cont, goal, rest):
-    if compare(goal.args[0], goal.args[1]) != 0:
-        engine._continue(cont, rest)
-
-
-def _bi_is(engine, cont, goal, rest):
-    val = Int(eval_arith(goal.args[1]))
-    env = unify(goal.args[0], val, occurs_check=engine.occurs_check)
-    if env is not None:
-        engine._continue(cont, rest, env)
+    else:
+        _unify_on(engine, cont, rest, instantiate(x, off, frame), val)
 
 
 def _cmp(op):
-    def run(engine, cont, goal, rest):
-        a = eval_arith(goal.args[0])
-        b = eval_arith(goal.args[1])
+    def run(engine, cont, goal, off, rest):
+        a = eval_arith(goal.args[0], cont.frame, off)
+        b = eval_arith(goal.args[1], cont.frame, off)
         if op(a, b):
             engine._continue(cont, rest)
     return run
 
 
-def _bi_cut_bare(engine, cont, goal, rest):
-    # a bare ! outside any clause context commits nothing
-    engine._continue(cont, rest)
-
-
-def _bi_findall(engine, cont, goal, rest):
-    template, sub, out = goal.args
+def _bi_findall(engine, cont, goal, off, rest):
+    template, sub, out = instantiate(goal, off, cont.frame).args
     if type(sub) is Var or not is_callable(sub):
         raise EvalError("instantiation", "findall/3 goal is not callable")
     results = engine._sub_eval(engine._owner_of(cont), template, sub,
@@ -131,9 +152,7 @@ def _bi_findall(engine, cont, goal, rest):
         csol, n = canonicalize(sol)
         items.append(rename(csol, nv))
         nv += n
-    env = unify(out, make_list(items), occurs_check=engine.occurs_check)
-    if env is not None:
-        engine._continue(cont, rest, env, nv)
+    _unify_on(engine, cont, rest, out, make_list(items), nv)
 
 
 def _proper_list(t: Term, what: str) -> List[Term]:
@@ -145,28 +164,19 @@ def _proper_list(t: Term, what: str) -> List[Term]:
     return elems
 
 
-def _bi_sort(engine, cont, goal, rest):
+def _bi_sort(engine, cont, goal, off, rest):
+    goal = instantiate(goal, off, cont.frame)
     items = _proper_list(goal.args[0], "sort/2")
     ordered = sorted(items, key=OrderKey)
     dedup: List[Term] = []
     for x in ordered:
         if not dedup or compare(dedup[-1], x) != 0:
             dedup.append(x)
-    env = unify(goal.args[1], make_list(dedup),
-                occurs_check=engine.occurs_check)
-    if env is not None:
-        engine._continue(cont, rest, env)
+    _unify_on(engine, cont, rest, goal.args[1], make_list(dedup))
 
 
 def _flatten_into(t: Term, out: List[Term]) -> None:
-    if type(t) is Atom and t.name == "[]":
-        return
-    elems, tail = list_parts(t)
-    if type(tail) is Var:
-        raise EvalError("instantiation", "flatten/2: open-ended list")
-    if not (type(tail) is Atom and tail.name == "[]"):
-        raise EvalError("type_error", "flatten/2: not a proper list")
-    for e in elems:
+    for e in _proper_list(t, "flatten/2"):
         if (type(e) is Struct and e.name == "." and len(e.args) == 2) \
                 or (type(e) is Atom and e.name == "[]"):
             _flatten_into(e, out)
@@ -174,16 +184,15 @@ def _flatten_into(t: Term, out: List[Term]) -> None:
             out.append(e)
 
 
-def _bi_flatten(engine, cont, goal, rest):
+def _bi_flatten(engine, cont, goal, off, rest):
+    goal = instantiate(goal, off, cont.frame)
     flat: List[Term] = []
     _flatten_into(goal.args[0], flat)
-    env = unify(goal.args[1], make_list(flat),
-                occurs_check=engine.occurs_check)
-    if env is not None:
-        engine._continue(cont, rest, env)
+    _unify_on(engine, cont, rest, goal.args[1], make_list(flat))
 
 
-def _bi_ord_subset(engine, cont, goal, rest):
+def _bi_ord_subset(engine, cont, goal, off, rest):
+    goal = instantiate(goal, off, cont.frame)
     sub = _proper_list(goal.args[0], "ord_subset/2")
     sup = _proper_list(goal.args[1], "ord_subset/2")
     i = 0
@@ -196,7 +205,8 @@ def _bi_ord_subset(engine, cont, goal, rest):
     engine._continue(cont, rest)
 
 
-def _bi_ord_disjoint(engine, cont, goal, rest):
+def _bi_ord_disjoint(engine, cont, goal, off, rest):
+    goal = instantiate(goal, off, cont.frame)
     a = _proper_list(goal.args[0], "ord_disjoint/2")
     b = _proper_list(goal.args[1], "ord_disjoint/2")
     i = j = 0
@@ -211,7 +221,8 @@ def _bi_ord_disjoint(engine, cont, goal, rest):
     engine._continue(cont, rest)
 
 
-def _bi_ord_subtract(engine, cont, goal, rest):
+def _bi_ord_subtract(engine, cont, goal, off, rest):
+    goal = instantiate(goal, off, cont.frame)
     a = _proper_list(goal.args[0], "ord_subtract/3")
     b = _proper_list(goal.args[1], "ord_subtract/3")
     out: List[Term] = []
@@ -222,20 +233,17 @@ def _bi_ord_subtract(engine, cont, goal, rest):
         if j < len(b) and compare(b[j], x) == 0:
             continue
         out.append(x)
-    env = unify(goal.args[2], make_list(out),
-                occurs_check=engine.occurs_check)
-    if env is not None:
-        engine._continue(cont, rest, env)
+    _unify_on(engine, cont, rest, goal.args[2], make_list(out))
 
 
 BUILTINS: Dict[Tuple[str, int], Callable] = {
     ("true", 0): _bi_true,
     ("fail", 0): _bi_fail,
-    ("!", 0): _bi_cut_bare,
+    ("!", 0): _bi_cut,
     ("=", 2): _bi_unify,
     ("\\=", 2): _bi_not_unify,
-    ("==", 2): _bi_eq,
-    ("\\==", 2): _bi_neq,
+    ("==", 2): _order(lambda c: c == 0),
+    ("\\==", 2): _order(lambda c: c != 0),
     ("is", 2): _bi_is,
     ("<", 2): _cmp(lambda a, b: a < b),
     (">", 2): _cmp(lambda a, b: a > b),

@@ -13,6 +13,14 @@ calls suspend on incomplete tables and are resolved at completion,
 delayed inside negative loops, or failed eagerly as soon as an
 unconditional answer shows up.
 
+Continuations share structure.  One keeps the rest of each clause body
+as written, by reference, and a binding frame, which each step extends
+in place.  A goal is instantiated only when it is selected, and only
+when the call needs terms: clause lookup, tabling, unification and the
+like; arithmetic reads the frame.  A continuation is copied into
+instantiated terms only where it outlives the step: it suspends as a
+consumer or a negative waiter, or yields an answer or a findall result.
+
 Scheduling maintains a completion stack of incomplete tables, the
 scheduler's only registry of them.  Tables record one call graph,
 ``SubgoalTable.dep_out``, which scheduling shares with incremental
@@ -42,26 +50,17 @@ from typing import Callable, Dict, List, Optional, Set
 from .builtins import BUILTINS
 from .errors import EvalError
 from .parser import ParsedItem, parse_goal, parse_program
-from .program import Clause, PredicateInfo, Program, split_clause
+from .program import Clause, Literal, PredicateInfo, Program, split_clause
 from .sccs import tarjan_sccs
 from .tables import DelayLit, SubgoalTable, TableSpace
 from .terms import (Atom, CyclicTermError, OrderKey, Struct, Term, Var,
-                    canonical_key, compare, functor_of, is_callable,
+                    canonical_key, compare, functor_of, instantiate,
                     is_ground, match, rename, resolve, term_to_str,
                     term_vars, unify_all)
 from . import subsumption
 
 QUERY_PRED = "$query"
 _BODY_HEAD = Atom("$body")
-
-
-class CutOp:
-    """Placeholder goal: commit to choices made since `scope` opened."""
-
-    __slots__ = ("scope",)
-
-    def __init__(self, scope: int):
-        self.scope = scope
 
 
 class Collector:
@@ -74,20 +73,35 @@ class Collector:
         self.owner_table = owner_table
 
 
-class Cont:
-    """One derivation state: remaining goals under a variable namespace.
+# bindings a frame may gain past its last compaction before it is compacted
+_FRAME_SLACK = 64
 
-    ``goals`` is a cons list ``None | (item, rest)`` whose items are
-    ``(neg, term)`` pairs or CutOp markers; ``nv`` is the next free
-    variable id, ``k`` the forest node this state belongs to.  ``ans``
-    is what it produces: the bindings of a table's subgoal variables, as
-    the arguments of one term, or an instance of a collector's template.
+
+class Cont:
+    """One derivation state: remaining goals under a binding frame.
+
+    ``goals`` is ``None`` or ``(lits, i, off, scope, rest)``: the
+    literals ``lits[i:]`` of a clause body as written, their variables
+    offset by ``off`` and each ``!`` cutting to ``scope``, then ``rest``.
+    ``frame`` maps variable ids to terms; the goals and ``ans`` are read
+    through it.  ``ans`` is what the state produces: the bindings of a
+    table's subgoal variables, as one term's arguments, or an instance
+    of a collector's template.  ``nv`` is the next free variable id,
+    ``k`` the forest node of the state, and past ``limit`` bindings the
+    frame is compacted to those its goals and ``ans`` still reach.
+
+    A goal is instantiated when it is selected.  A frame belongs to one
+    state at a time, which binds into it and hands it on; each clause of
+    a call but the last to run copies it.  The continuation of a
+    ``Consumer`` or a ``NegWaiter`` is copied out of it (``_detach``).
     """
 
-    __slots__ = ("owner", "ans", "goals", "delays", "scopes", "k", "nv")
+    __slots__ = ("owner", "ans", "goals", "delays", "scopes", "k", "nv",
+                 "frame", "limit")
 
     def __init__(self, owner, ans: Term, goals, delays: tuple,
-                 scopes: tuple, k: int, nv: int):
+                 scopes: tuple, k: int, nv: int, frame: dict,
+                 limit: int = _FRAME_SLACK):
         self.owner = owner          # SubgoalTable | Collector
         self.ans = ans
         self.goals = goals
@@ -95,6 +109,8 @@ class Cont:
         self.scopes = scopes
         self.k = k
         self.nv = nv
+        self.frame = frame
+        self.limit = limit
 
 
 def _answer_vars(table: SubgoalTable) -> Struct:
@@ -437,8 +453,8 @@ class Engine:
             if not consumer.dead and not ans.deleted:
                 self._return_answer(consumer, ans)
         elif kind == "inline":
-            _, after, clause, env, scope = entry
-            self._push_body(after, clause, env, scope, after.k)
+            _, after, clause, env, scope, shared = entry
+            self._push_body(after, clause, env, scope, after.k, shared)
         else:  # "clause": a producer's, unless its table has completed
             _, root, clause, env = entry
             table = root.owner
@@ -455,63 +471,70 @@ class Engine:
         if goals is None:
             self._produce(cont)
             return
-        item, rest = goals
-        if type(item) is CutOp:
-            self._cut(item.scope)
-            self._continue(cont, rest)
+        lits, i, off, scope, rest = goals
+        if i + 1 < len(lits):
+            rest = (lits, i + 1, off, scope, rest)
+        lit = lits[i]
+        goal = lit.goal
+        if lit.neg:
+            self._call_negative(cont, instantiate(goal, off, cont.frame),
+                                rest)
             return
-        neg, goal = item
-        if type(goal) is Var:
-            raise EvalError("instantiation",
-                            "goal is an unbound variable at call time")
-        if neg:
-            self._call_negative(cont, goal, rest)
-            return
-        if type(goal) is Struct and goal.name == "tnot" \
-                and len(goal.args) == 1:
-            self._call_negative(cont, goal.args[0], rest)
-            return
-        if not is_callable(goal):
-            raise EvalError("type_error",
-                            f"not a callable goal: {term_to_str(goal)}")
-        name, arity = functor_of(goal)
-        handler = BUILTINS.get((name, arity))
+        key = (goal.name, 0) if type(goal) is Atom \
+            else (goal.name, len(goal.args))
+        handler = BUILTINS.get(key)
         if handler is not None:
-            handler(self, cont, goal, rest)
+            handler(self, cont, goal, off, rest)
             return
-        pi = self.program.info(name, arity)
+        pi = self.program.info(*key)
+        goal = instantiate(goal, off, cont.frame)
         if pi is not None and pi.tabled:
             self._call_tabled(pi, cont, goal, rest)
         else:
             self._call_inline(pi, cont, goal, rest)
 
-    def _continue(self, cont: Cont, rest, *args, **kw) -> None:
-        """Run the goals ``rest`` in ``cont`` advanced by ``_advance``."""
-        self.stack.append(("run", self._advance(cont, rest, *args, **kw)))
-
-    def _advance(self, cont: Cont, rest, env=None, nv: Optional[int] = None,
-                 extra_delay=None, k: Optional[int] = None) -> Cont:
-        """Continuation after the current goal, optionally instantiated."""
-        ans = cont.ans
+    def _continue(self, cont: Cont, rest, env=None, nv: Optional[int] = None,
+                  extra_delay=None, k: Optional[int] = None) -> None:
+        """Run the goals ``rest`` in ``cont``, its frame extended in place
+        by ``env``."""
+        frame = cont.frame
         if env:
-            ans = resolve(ans, env)
-            rest = _resolve_goals(rest, env)
+            frame.update(env)
         delays = cont.delays
         if extra_delay is not None:
             delays = delays + (extra_delay,)
-        return Cont(cont.owner, ans, rest, delays, cont.scopes,
-                    cont.k if k is None else k,
-                    cont.nv if nv is None else nv)
+        self.stack.append(("run", Cont(
+            cont.owner, cont.ans, rest, delays, cont.scopes,
+            cont.k if k is None else k, cont.nv if nv is None else nv,
+            frame, cont.limit)))
+
+    def _detach(self, cont: Cont, rest) -> Cont:
+        """``cont`` to run ``rest``, copied out of its frame: its goals
+        and ``ans`` instantiated, its frame empty.  Each answer returned
+        to a consumer resumes such a continuation under a frame of its
+        own, which holds only that answer's bindings."""
+        frame = cont.frame
+        segments = []
+        while rest is not None:
+            lits, i, off, scope, rest = rest
+            segments.append((scope, tuple([
+                Literal(lit.neg, instantiate(lit.goal, off, frame))
+                for lit in lits[i:]])))
+        for scope, lits in reversed(segments):
+            rest = (lits, 0, 0, scope, rest)
+        return Cont(cont.owner, resolve(cont.ans, frame), rest, cont.delays,
+                    cont.scopes, cont.k, cont.nv, {})
 
     # ------------------------------------------------------------------
     # answer production
 
     def _produce(self, cont: Cont) -> None:
         owner = cont.owner
+        frame = cont.frame
         if type(owner) is Collector:
-            owner.results.append(cont.ans)
+            owner.results.append(resolve(cont.ans, frame))
             return
-        bindings = cont.ans.args
+        bindings = tuple([resolve(a, frame) for a in cont.ans.args])
         if owner.pred.subsumption is not None:
             if cont.delays:
                 raise EvalError(
@@ -549,7 +572,7 @@ class Engine:
                      rest) -> None:
         table = self._intern(pi, goal)
         self._note_call(cont, table, neg=False)
-        consumer = Consumer(table, goal, self._advance(cont, rest))
+        consumer = Consumer(table, goal, self._detach(cont, rest))
         if table.complete:
             if consumer.vars is None:
                 # a subsumed call reads the answers its trie walk keeps
@@ -592,42 +615,49 @@ class Engine:
         self.comp.append(table)
         self._graph_version += 1
         if table.pred.name == QUERY_PRED:
-            self._push_query_root(table)
+            self.stack.append(("run", self._body_cont(
+                table, _answer_vars(table), table.subgoal.args[0],
+                table.nvars)))
             return
         # the root continuation of the table's producers: no goals, no
         # cut scopes (a tabled clause cannot cut), answers are bindings
         root = Cont(table, _answer_vars(table), None, (), (), self.K,
-                    table.nvars)
+                    table.nvars, {})
         for clause, env in reversed(self.program.lookup_clauses(
                 table.subgoal, root.nv, self.occurs_check)):
             self.stack.append(("clause", root, clause, env))
 
-    def _push_query_root(self, table: SubgoalTable) -> None:
-        goals, scopes = self._body_goals(table.subgoal.args[0])
-        cont = Cont(table, _answer_vars(table), goals, (), scopes,
-                    self.K, table.nvars)
-        self.stack.append(("run", cont))
-
-    def _body_goals(self, body: Term):
-        """Goal list of a clause body, with the cut scope it opens:
-        ``(goals, scopes)``."""
+    def _body_cont(self, owner, ans: Term, body: Term, nv: int) -> Cont:
+        """A state that runs the goal ``body``, which opens a cut scope,
+        and produces ``ans``; its variables are those below ``nv``."""
         _, lits = split_clause(Struct(":-", (_BODY_HEAD, body)))
         scope = None
         if any(type(l.goal) is Atom and l.goal.name == "!" for l in lits):
             self._scope_seq += 1
             scope = self._scope_seq
-        goals = _expand_body(lits, 0, {}, scope, None)
-        return goals, (scope,) if scope is not None else ()
+        return Cont(owner, ans, (lits, 0, 0, scope, None), (),
+                    (scope,) if scope is not None else (), self.K, nv, {})
 
-    def _push_body(self, cont: Cont, clause: Clause, env, scope, k: int):
+    def _push_body(self, cont: Cont, clause: Clause, env, scope, k: int,
+                   shared: bool = False):
         """Run a clause whose head unified under ``env``, its variables
-        renamed above ``cont.nv``, ahead of the goals of ``cont``."""
+        renamed above ``cont.nv``, ahead of the goals of ``cont``; a
+        ``shared`` frame is left as it is for the call's other clauses."""
+        frame = cont.frame
+        if shared or not frame:
+            frame = {**frame, **env}
+        else:
+            frame.update(env)
         off = cont.nv
-        goals = _expand_body(clause.body, off, env, scope,
-                             _resolve_goals(cont.goals, env))
+        goals = cont.goals
+        if clause.body:
+            goals = (clause.body, 0, off, scope, goals)
+        limit = cont.limit
+        if len(frame) > limit:
+            frame, limit = _compact(frame, goals, cont.ans)
         self.stack.append(("run", Cont(
-            cont.owner, resolve(cont.ans, env), goals, cont.delays,
-            cont.scopes, k, off + clause.nvars)))
+            cont.owner, cont.ans, goals, cont.delays, cont.scopes, k,
+            off + clause.nvars, frame, limit)))
 
     def _register_consumer(self, table: SubgoalTable,
                            consumer: Consumer) -> None:
@@ -712,9 +742,12 @@ class Engine:
             seen[key] = not ans.conditional
         table = consumer.table
         k = self._op("positive_return", "POSITIVE_RETURN", table)
-        extra = DelayLit(False, table, ans) if ans.conditional else None
-        self.stack.append(("run", self._advance(
-            cont, cont.goals, env, nv + ans.nvars, extra, k)))
+        delays = cont.delays
+        if ans.conditional:
+            delays = delays + (DelayLit(False, table, ans),)
+        self.stack.append(("run", Cont(
+            cont.owner, cont.ans, cont.goals, delays, cont.scopes, k,
+            nv + ans.nvars, env)))
 
     # ------------------------------------------------------------------
     # inline (non-tabled) resolution
@@ -736,7 +769,8 @@ class Engine:
         if not clauses:
             return
         scope = None
-        after = self._advance(cont, rest)
+        after = Cont(cont.owner, cont.ans, rest, cont.delays, cont.scopes,
+                     cont.k, cont.nv, cont.frame, cont.limit)
         if pi.any_cut:
             # the call opens a cut scope: a ! in one of its clauses
             # discards every entry still carrying it, its other clauses
@@ -744,8 +778,11 @@ class Engine:
             self._scope_seq += 1
             scope = self._scope_seq
             after.scopes = cont.scopes + (scope,)
+        # the last clause to run binds into the frame in place
+        last = clauses[-1][0]
         for clause, env in reversed(clauses):
-            self.stack.append(("inline", after, clause, env, scope))
+            self.stack.append(("inline", after, clause, env, scope,
+                               clause is not last))
 
     # ------------------------------------------------------------------
     # cut
@@ -777,9 +814,6 @@ class Engine:
     # negation
 
     def _call_negative(self, cont: Cont, goal: Term, rest) -> None:
-        if type(goal) is Var or not is_callable(goal):
-            raise EvalError("instantiation",
-                            "tnot applied to a non-callable term")
         if not is_ground(goal):
             raise EvalError(
                 "floundered",
@@ -795,15 +829,14 @@ class Engine:
         # under answer subsumption, of its plain arguments
         table = self._intern(pi, goal, variant=True)
         self._note_call(cont, table, neg=True)
-        after = self._advance(cont, rest)
         if table.complete:
-            self._negative_return(after, table, goal)
+            self._negative_return(cont, table, goal, rest)
             return
         if table.has_unconditional and pi.subsumption is None:
             self._op("negative_return", "NEGATIVE_RETURN", table)
             return      # the path fails now: an answer already exists
         self._waiter_seq += 1
-        w = NegWaiter(table, goal, after, self._waiter_seq)
+        w = NegWaiter(table, goal, self._detach(cont, rest), self._waiter_seq)
         table.neg_waiters.append(w)
         # a new edge has moved the graph version; with an old edge the
         # round state stays and learns of the waiter here
@@ -819,20 +852,21 @@ class Engine:
             rs.drop_waiter(w)
 
     def _negative_return(self, cont: Cont, table: SubgoalTable,
-                         goal: Term) -> None:
-        """Resolve ``tnot goal`` against its completed table."""
+                         goal: Term, rest) -> None:
+        """Resolve ``tnot goal`` against its completed table, then run
+        ``rest`` in ``cont``."""
         k = self._op("negative_return", "NEGATIVE_RETURN", table)
         spec = table.pred.subsumption
         # under answer subsumption the table is the one of the goal's plain
         # arguments, its one variable the aggregated argument
         if not table.has_answers or spec is not None and (
                 goal.args[spec.position],) not in table.index:
-            self._continue(cont, cont.goals, k=k)
+            self._continue(cont, rest, k=k)
         elif table.has_unconditional:
             return      # fails
         else:
             extra = DelayLit(True, table, None)
-            self._continue(cont, cont.goals, extra_delay=extra, k=k)
+            self._continue(cont, rest, extra_delay=extra, k=k)
 
     # ------------------------------------------------------------------
     # scheduling
@@ -1050,7 +1084,7 @@ class Engine:
         for w in table.neg_waiters:
             if not w.dead:
                 self._kill_waiter(w)
-                self._negative_return(w.cont, table, w.goal)
+                self._negative_return(w.cont, table, w.goal, w.cont.goals)
         table.neg_waiters = []
         for c in table.consumers:
             if not c.dead:
@@ -1067,9 +1101,8 @@ class Engine:
 
         The caller's variables are shared: the goal and template arrive
         already instantiated, fresh variables start at nv."""
-        goals, scopes = self._body_goals(goal)
         collector = Collector(owner_table)
-        cont = Cont(collector, template, goals, (), scopes, self.K, nv)
+        cont = self._body_cont(collector, template, goal, nv)
 
         saved = self.stack, self.comp, self._round, self.ctx
         self._ctx_seq += 1
@@ -1110,14 +1143,9 @@ class Engine:
         """Run join(a, b, Z); it must succeed deterministically."""
         name, _ = key
         goal = Struct(name, (a, b, Var(0)))
-        results = self._sub_eval(None, Var(0), goal, 1)
-        distinct: List[Term] = []
-        seen = set()
-        for r in results:
-            ck = canonical_key(r)
-            if ck not in seen:
-                seen.add(ck)
-                distinct.append(r)
+        distinct = {}
+        for r in self._sub_eval(None, Var(0), goal, 1):
+            distinct.setdefault(canonical_key(r), r)
         if not distinct:
             raise EvalError("join_failed",
                             f"{name}/3 failed on "
@@ -1126,7 +1154,7 @@ class Engine:
             raise EvalError("join_nondet",
                             f"{name}/3 is nondeterministic on "
                             f"{term_to_str(a)}, {term_to_str(b)}")
-        return distinct[0]
+        return next(iter(distinct.values()))
 
     def eval_leq(self, key, a: Term, b: Term) -> bool:
         name, _ = key
@@ -1160,33 +1188,26 @@ class Engine:
 
 
 # ---------------------------------------------------------------------------
-# goal-list helpers
+# frames
 # ---------------------------------------------------------------------------
 
-def _expand_body(lits, off: int, env, scope: Optional[int], goals):
-    """Put a clause body, renamed by ``off`` and instantiated by ``env``,
-    ahead of the cons list ``goals``; each ``!`` cuts to ``scope``."""
-    for lit in reversed(lits):
-        if type(lit.goal) is Atom and lit.goal.name == "!":
-            goals = (CutOp(scope), goals)
-        else:
-            goals = ((lit.neg, resolve(rename(lit.goal, off), env)), goals)
-    return goals
-
-
-def _resolve_goals(goals, env):
-    """Apply env to every goal term of a cons list."""
-    if not env or goals is None:
-        return goals
-    items = []
-    node = goals
-    while node is not None:
-        items.append(node[0])
-        node = node[1]
-    out = None
-    for item in reversed(items):
-        if type(item) is CutOp:
-            out = (item, out)
-        else:
-            out = ((item[0], resolve(item[1], env)), out)
-    return out
+def _compact(frame, goals, ans: Term):
+    """The bindings of ``frame`` that ``goals`` and ``ans`` can reach,
+    and the size to compact them at again: past twice the work of
+    finding them, so that compaction costs a constant per binding."""
+    todo: list = [] if ans.ground else [ans]
+    while goals is not None:
+        lits, i, off, _, goals = goals
+        todo += [Var(v + off) for lit in lits[i:] for v in term_vars(lit.goal)]
+    out = {}
+    work = 0
+    while todo:
+        x = todo.pop()
+        work += 1
+        if type(x) is Struct:
+            todo += [a for a in x.args if not a.ground]
+        elif x.id not in out and x.id in frame:
+            t = out[x.id] = frame[x.id]
+            if not t.ground:
+                todo.append(t)
+    return out, len(out) + 2 * work + _FRAME_SLACK

@@ -20,8 +20,7 @@ from .errors import DirectiveError, StoreError
 from .sccs import cyclic_vertices
 from .terms import (
     Atom, Int, Struct, Term, Var, canonical_key, canonicalize, functor_of,
-    is_callable, is_ground, list_parts, match, rename, symbols, term_to_str,
-    unify,
+    is_callable, is_ground, list_parts, match, rename, term_to_str, unify,
 )
 from .tries import Trie, term_path
 
@@ -87,18 +86,21 @@ def _component_path(arg: Term, kind: str):
     use up to the first STAR_CAP preorder symbols, stopping early at the
     first variable.
     """
-    syms = symbols(arg)
-    if kind == "arg":
-        s = syms[0]
-        if s[0] == "v":
-            return (), True, False
-        return (s,), False, False
-    out = []
-    for s in syms[:STAR_CAP]:
-        if s[0] == "v":
+    n = 1 if kind == "arg" else STAR_CAP
+    out: List[tuple] = []
+    stack = [arg]       # preorder, read no further than the path goes
+    while stack:
+        x = stack.pop()
+        if len(out) == n:
+            return tuple(out), False, kind == "star"
+        if type(x) is Var:
             return tuple(out), True, False
-        out.append(s)
-    return tuple(out), False, len(syms) > STAR_CAP
+        if type(x) is Struct:
+            out.append(("f", x.name, len(x.args)))
+            stack.extend(reversed(x.args))
+        else:
+            out.append(("i", x.value) if type(x) is Int else ("a", x.name))
+    return tuple(out), False, False
 
 
 class ClauseIndex:
@@ -454,12 +456,8 @@ class Program:
         return IndexSpec(tuple(comps))
 
     def _check_no_cut(self, pi: PredicateInfo) -> None:
-        if not pi.tabled:
-            return
-        for cl in pi.clauses:
-            for lit in cl.body:
-                if type(lit.goal) is Atom and lit.goal.name == "!":
-                    raise StoreError(f"{pi}: cut inside a tabled predicate")
+        if pi.tabled and pi.any_cut:
+            raise StoreError(f"{pi}: cut inside a tabled predicate")
 
     # ------------------------------------------------------------------
     # clause addition / removal
@@ -483,10 +481,10 @@ class Program:
                         f"{pi} is static; declare it dynamic to assert")
                 pi.dynamic = True
 
-        if pi.tabled and body:
-            for lit in body:
-                if type(lit.goal) is Atom and lit.goal.name == "!":
-                    raise StoreError(f"{pi}: cut inside a tabled predicate")
+        cut = any(type(lit.goal) is Atom and lit.goal.name == "!"
+                  for lit in body)
+        if pi.tabled and cut:
+            raise StoreError(f"{pi}: cut inside a tabled predicate")
 
         if pi.trie_indexed:
             if body:
@@ -501,8 +499,7 @@ class Program:
             return cl
 
         cl = Clause(head, body, nvars, self._next_seq(), cterm)
-        if any(type(lit.goal) is Atom and lit.goal.name == "!" for lit in body):
-            pi.any_cut = True
+        pi.any_cut = pi.any_cut or cut
         # index before storing: the default index, made on first use,
         # takes in the clauses already stored, and must not get cl twice
         for ix in self._live_indexes(pi):

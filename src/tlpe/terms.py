@@ -280,6 +280,12 @@ def variant_tuple(terms) -> Tuple[Tuple[Term, ...], int]:
     return tuple(terms), 0
 
 
+def instantiate(t: Term, off: int, bindings: Subst) -> Term:
+    """``t`` as written, its variables offset by ``off``, with
+    ``bindings`` applied."""
+    return resolve(rename(t, off), bindings)
+
+
 def walk(t: Term, bindings: Subst) -> Term:
     """Dereference a variable chain (no structural descent)."""
     while type(t) is Var:
@@ -324,25 +330,15 @@ def resolve(t: Term, bindings: Subst) -> Term:
             if w.ground or type(w) is Var:
                 ostack.append(w)
             else:
-                if x.id in onpath:
-                    raise CyclicTermError(f"cyclic binding through _{x.id}")
-                last = walk_last_var(x, bindings)
+                last = x.id     # the variable bound to w; cycles run through it
+                while type(bindings[last]) is Var:
+                    last = bindings[last].id
                 if last in onpath:
                     raise CyclicTermError(f"cyclic binding through _{last}")
                 onpath.add(last)
                 stack.append(last)
                 stack.append(w)
     return ostack[0]
-
-
-def walk_last_var(t: Var, bindings: Subst) -> int:
-    """Id of the last variable in a deref chain starting at t."""
-    vid = t.id
-    while True:
-        u = bindings.get(vid)
-        if u is None or type(u) is not Var:
-            return vid
-        vid = u.id
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,11 @@ query-level tabling on and off, and each query is compared with a fresh
 variant engine.  One check thus covers subsumptive against variant,
 batched against local, the order of the queries, and query-level
 tabling on and off.
+
+A broader generator (``broad_program``) adds inline rules, cuts, calls
+with ground arguments, ``min`` answer subsumption and more ``tnot``; its
+programs run under every option set of ``BROAD_OPTIONS`` against one
+reference engine.
 """
 
 import random
@@ -14,6 +19,7 @@ import random
 import pytest
 
 from tlpe.engine import Engine
+from tlpe.errors import EvalError
 from tlpe.parser import parse_term_text
 from tlpe.terms import Struct, canonicalize, term_to_str
 
@@ -59,6 +65,118 @@ def random_program(seed):
         queries.append(f"{rng.choice(PREDS)}({args[0]},{args[1]}).")
     lines += [f"{x}(X,Y) :- e(X,_)." for x in PREDS if rng.random() < 0.25]
     return "\n".join(lines), queries
+
+
+def broad_program(seed):
+    """A program of 4 tabled binary predicates ``p``-``s``, 2 inline ones
+    ``i/2`` and ``j/2`` (``j`` may call ``i``, never the reverse, so
+    inline calls end), 2 more with a cut (``f/2``, ``g/2``) and one
+    ``min`` table ``m/3`` over weighted ``w/3`` facts; and 3-6 queries.
+
+    Rule bodies mix tabled, inline and cut calls, calls with a ground
+    argument, ground ``tnot`` of tabled predicates and of ``m/3``, and
+    arithmetic.  A subsumed call reads the answers of a more general
+    call, so a predicate with a cut is written to commit on its first
+    argument alone, binding the second after the cut, and is called with
+    the first bound.  Under the batched strategy a reader of ``m/3`` is
+    also fed values that later answers replace, so rules read it only
+    through ``tnot``, which waits for its completion, and a query that
+    reads it is marked to be compared under the local strategy only.
+    Returns ``(program, [(query, local_only)])``."""
+    rng = random.Random(seed)
+    tabled = ("p", "q", "r", "s")
+    facts = sorted({(rng.choice(CONSTS), rng.choice(CONSTS))
+                    for _ in range(rng.randint(5, 12))})
+    weights = sorted({(rng.choice(CONSTS), rng.choice(CONSTS),
+                       rng.randint(1, 5)) for _ in range(rng.randint(4, 9))})
+    lines = [f":- table {', '.join(t + '/2' for t in tabled)}.",
+             ":- table m(_,_,min)."]
+    lines += [f"e({x},{y})." for x, y in facts]
+    lines += [f"w({x},{y},{c})." for x, y, c in weights]
+    lines += ["m(X,Y,C) :- w(X,Y,C).",
+              "m(X,Y,C) :- m(X,Z,C1), w(Z,Y,C2), C is C1 + C2.",
+              "f(X,Y) :- e(X,Z), !, Y = Z.",
+              "g(X,Y) :- e(X,Z), X == Z, !, Y = Z.",
+              "g(X,Y) :- e(X,Z), e(Z,Y)."]
+
+    def body(y):
+        """A body from X to Y that calls y/2."""
+        forms = [f"e(X,Z), {y}(Z,Y)", f"e(X,Y), {y}(Y,_)"]
+        if y in tabled:
+            c = rng.choice(CONSTS)
+            forms += [f"{y}(X,Z), e(Z,Y)", f"{y}(X,{c}), {y}({c},Y)",
+                      f"{y}(X,Y), X \\== Y"]
+        return rng.choice(forms)
+
+    for x in tabled:
+        for _ in range(rng.randint(1, 3)):
+            y = rng.choice(tabled + ("i", "j", "f", "g"))
+            lines.append(rng.choice([
+                f"{x}(X,Y) :- {body(y)}.",
+                f"{x}(X,Y) :- e(X,Y).",
+                f"{x}(X,X) :- e(X,_), {y}(X,_).",
+                f"{x}(X,Y) :- {body(y)}, w(X,Y,C), D is C * 2 - 1, "
+                f"D > {rng.randint(1, 7)}.",
+            ]))
+        if rng.random() < 0.5:
+            lines.append(f"{x}(X,Y) :- e(X,Y), tnot {rng.choice(tabled)}"
+                         "(Y,X).")
+        if rng.random() < 0.3:
+            lines.append(f"{x}(X,Y) :- e(X,Y), tnot m(X,Y,"
+                         f"{rng.randint(1, 5)}).")
+    for x, callees in (("i", tabled + ("f", "g")),
+                       ("j", tabled + ("i", "f", "g"))):
+        # a cut after a clause that called an incomplete table would
+        # discard its consumer, an error; a first clause cuts nothing yet
+        if rng.random() < 0.5:
+            lines.append(f"{x}(X,Y) :- e(X,Z), !, Y = Z.")
+        for _ in range(rng.randint(1, 2)):
+            lines.append(f"{x}(X,Y) :- {body(rng.choice(callees))}.")
+    queries = []
+    for _ in range(rng.randint(3, 6)):
+        args = [rng.choice(CONSTS) if rng.random() < 0.5 else v
+                for v in ("X", "Y")]
+        if rng.random() < 0.15:
+            queries.append((f"m({args[0]},{args[1]},C).", True))
+        else:
+            pred = rng.choice(tabled + ("i", "j", "g"))
+            queries.append((f"{pred}({args[0]},{args[1]}).", False))
+    lines += [f"{x}(X,Y) :- e(X,_)." for x in tabled if rng.random() < 0.2]
+    return "\n".join(lines), queries
+
+
+# every option set a broad program runs under; the reference is the first
+BROAD_OPTIONS = [{"strategy": s, "default_tabling": t, "occurs_check": o}
+                 for s in ("local", "batched")
+                 for t in ("variant", "subsumptive") for o in (False, True)]
+
+
+def broad_outcome(eng, goal):
+    """``outcome`` of ``goal``, or the kind of the error it raises."""
+    try:
+        return outcome(eng, goal)
+    except EvalError as exc:
+        return exc.kind
+
+
+def broad_mismatches(src, queries):
+    """(options, query, outcome, reference outcome) of every query whose
+    outcome under an option set of ``BROAD_OPTIONS`` differs from the
+    reference's.  Each option set runs the queries in turn on one
+    engine."""
+    ref = Engine(**BROAD_OPTIONS[0])
+    ref.consult(src)
+    expected = [broad_outcome(ref, g) for g, _ in queries]
+    out = []
+    for options in BROAD_OPTIONS[1:]:
+        eng = Engine(**options)
+        eng.consult(src)
+        for (g, local_only), want in zip(queries, expected):
+            got = broad_outcome(eng, g)
+            if got != want and not (local_only
+                                    and options["strategy"] == "batched"):
+                out.append((options, g, got, want))
+    return out
 
 
 def answer_set(eng, goal):
@@ -364,8 +482,17 @@ def test_variant_calls_build_no_answer_trie(case):
     assert all(t._answer_trie is None for t in eng.space.tables)
 
 
+BROAD_SEEDS = [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("seed", BROAD_SEEDS)
+def test_broad_programs_agree_under_every_option(seed):
+    src, queries = broad_program(seed)
+    assert broad_mismatches(src, queries) == [], src
+
+
 def main(argv=None):
-    """Run the differential check over a range of seeds:
+    """Run both differential checks over a range of seeds:
     ``python tests/test_differential.py FIRST LAST`` (inclusive) prints
     each mismatching seed and the count."""
     import argparse
@@ -376,7 +503,7 @@ def main(argv=None):
     bad = []
     for seed in range(args.first, args.last + 1):
         src, queries = random_program(seed)
-        if mismatches(src, queries):
+        if mismatches(src, queries) or broad_mismatches(*broad_program(seed)):
             bad.append(seed)
             print(f"seed {seed}: mismatch", flush=True)
     print(f"{len(bad)} of {args.last - args.first + 1} seeds mismatch")

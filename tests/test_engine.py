@@ -3,6 +3,8 @@
 import gc
 import random
 import sys
+import time
+import tracemalloc
 import weakref
 
 import pytest
@@ -95,6 +97,80 @@ class TestPlainResolution:
         eng = make("bad(Y) :- Y is X + 1.")
         with pytest.raises(EvalError):
             eng.query("bad(Y).")
+
+    def test_clause_alternatives_bind_apart(self):
+        # every clause of r/2 but the last runs on a copy of the frame
+        # that q/1 bound X in; the last binds into it in place
+        eng = make("p(X, Y) :- q(X), r(X, Y), s(Y).\n"
+                   "q(1). q(2). r(1, a). r(Z, b). r(2, c). r(W, W).\n"
+                   "s(a). s(b). s(c). s(1). s(2).")
+        assert solutions(eng, "p(X, Y).") == [
+            "p(1,a)", "p(1,b)", "p(1,1)", "p(2,b)", "p(2,c)", "p(2,2)"]
+
+    def test_long_loop_keeps_what_its_goals_reach(self):
+        # the frame is compacted many times over the loop; the bindings
+        # of the answer and of the pending sum goals must survive it
+        eng = make("acc(0, L, L). acc(N, L, R) :- N > 0, M is N - 1, "
+                   "acc(M, [N|L], R).\n"
+                   "cnt(0, 0). cnt(N, S) :- N > 0, M is N - 1, cnt(M, S0), "
+                   "S is S0 + 2.")
+        [ans] = eng.query("acc(300, [], R), cnt(300, S).")
+        assert ans.goal.args[1].args[1].value == 600
+        assert term_to_str(ans.goal.args[0].args[2]) == \
+            "[" + ",".join(map(str, range(1, 301))) + "]"
+
+
+# deterministic inline recursion: a step costs what it binds, not what is
+# still pending, and a frame keeps only what its goals can reach
+LOOP = "loop(0). loop(N) :- N > 0, M is N - 1, loop(M)."
+SCALING = {
+    "cnt": ("cnt(0,0). cnt(N,S) :- N > 0, M is N - 1, cnt(M,S0), "
+            "S is S0 + 1.", "cnt({n},S).", 250, 2000),
+    "app": ("mk(0,[]). mk(N,[N|T]) :- N > 0, M is N - 1, mk(M,T).\n"
+            "app([],L,L). app([H|T],L,[H|R]) :- app(T,L,R).",
+            "mk({n},L), app(L,[],R).", 250, 2000),
+    "loop": (LOOP, "loop({n}).", 2000, 16000),
+    "fork": ("q(a). q(b). loop(0). loop(N) :- N > 0, q(X), X == a, "
+             "M is N - 1, loop(M).", "loop({n}).", 1000, 8000),
+}
+
+
+class TestInlineResolutionScales:
+    @pytest.mark.parametrize("name", sorted(SCALING))
+    def test_cost_per_level_stays_flat(self, name):
+        src, goal, small_n, large_n = SCALING[name]
+
+        def cpu_per_level(n):
+            gc.collect()
+            gc.freeze()
+            try:
+                eng = make(src)
+                start = time.thread_time()
+                answers = eng.query(goal.format(n=n))
+                spent = (time.thread_time() - start) / n
+            finally:
+                gc.unfreeze()
+            assert [a.truth for a in answers] == ["true"]
+            return spent
+
+        # the sizes take turns, best of 5 each, as in TestLongNegativeLoops
+        runs = [(cpu_per_level(small_n), cpu_per_level(large_n))
+                for _ in range(5)]
+        small, large = map(min, zip(*runs))
+        assert large < 2.0 * small, (small, large)
+
+    def test_frame_memory_stays_flat(self):
+        def peak(n):
+            eng = make(LOOP)
+            tracemalloc.start()
+            try:
+                assert len(eng.query(f"loop({n}).")) == 1
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(2000), peak(16000)
+        assert large < 2.0 * small, (small, large)
 
 
 class TestTabledReach:

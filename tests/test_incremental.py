@@ -275,6 +275,23 @@ class TestCyclicTerms:
             assert err.value.kind == "cyclic_term"
             assert settled(eng)
 
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    @pytest.mark.parametrize("goal", ["X = X + 1, Y is X.",
+                                      "X = X + 1, X > 0."])
+    def test_arithmetic_on_a_cyclic_term(self, goal, strategy):
+        # arithmetic reads the binding frame; a binding that leads back
+        # into itself is a cyclic term there too, not a recursion error
+        eng = make("p(1).", strategy=strategy)
+        for _ in range(2):
+            with pytest.raises(EvalError) as err:
+                eng.query(goal)
+            assert err.value.kind == "cyclic_term"
+            assert settled(eng)
+            assert answer_set(eng, "p(X).") == {("p(1)", "true")}
+        checked = make("p(1).", strategy=strategy, occurs_check=True)
+        assert checked.query(goal) == []
+        assert answer_set(checked, "p(X).") == {("p(1)", "true")}
+
     def test_cli_reports_cyclic_term(self, capsys):
         assert cli.main(["run", "-g", "X = f(X), X == a."]) == 2
         captured = capsys.readouterr()
