@@ -1143,9 +1143,14 @@ class Engine:
         """Run join(a, b, Z); it must succeed deterministically."""
         name, _ = key
         goal = Struct(name, (a, b, Var(0)))
-        distinct = {}
-        for r in self._sub_eval(None, Var(0), goal, 1):
-            distinct.setdefault(canonical_key(r), r)
+        results = self._sub_eval(None, Var(0), goal, 1)
+        distinct: List[Term] = []
+        seen = set()
+        for r in results:
+            ck = canonical_key(r)
+            if ck not in seen:
+                seen.add(ck)
+                distinct.append(r)
         if not distinct:
             raise EvalError("join_failed",
                             f"{name}/3 failed on "
@@ -1154,7 +1159,7 @@ class Engine:
             raise EvalError("join_nondet",
                             f"{name}/3 is nondeterministic on "
                             f"{term_to_str(a)}, {term_to_str(b)}")
-        return next(iter(distinct.values()))
+        return distinct[0]
 
     def eval_leq(self, key, a: Term, b: Term) -> bool:
         name, _ = key

@@ -18,11 +18,28 @@ from .terms import Atom, Int, Struct, Term, Var
 _SYMBOL_CHARS = set("+-*/\\^<>=~:?@#&")
 
 # name -> (precedence, type); type in {xfx, xfy, yfx}
-_INFIX = {":-": (1200, "xfx"), ",": (1000, "xfy")}
-_INFIX.update((op, (700, "xfx")) for op in (
-    "as", "is", "=", "\\=", "==", "\\==", "<", ">", "=<", ">=", "=:=", "=\\="))
-_INFIX.update((op, (500, "yfx")) for op in ("+", "-"))
-_INFIX.update((op, (400, "yfx")) for op in ("*", "/", "//", "mod"))
+_INFIX = {
+    ":-": (1200, "xfx"),
+    ",": (1000, "xfy"),
+    "as": (700, "xfx"),
+    "is": (700, "xfx"),
+    "=": (700, "xfx"),
+    "\\=": (700, "xfx"),
+    "==": (700, "xfx"),
+    "\\==": (700, "xfx"),
+    "<": (700, "xfx"),
+    ">": (700, "xfx"),
+    "=<": (700, "xfx"),
+    ">=": (700, "xfx"),
+    "=:=": (700, "xfx"),
+    "=\\=": (700, "xfx"),
+    "+": (500, "yfx"),
+    "-": (500, "yfx"),
+    "*": (400, "yfx"),
+    "/": (400, "yfx"),
+    "//": (400, "yfx"),
+    "mod": (400, "yfx"),
+}
 
 # name -> (precedence, argument precedence)
 _PREFIX = {
@@ -270,8 +287,13 @@ class _Parser:
 
     def _starts_term(self) -> bool:
         t = self.peek()
-        return t.kind in ("int", "var") or t.kind == "punct" and \
-            t.value in "([" or t.kind == "atom" and t.value != ","
+        if t.kind in ("int", "var"):
+            return True
+        if t.kind == "punct" and t.value in "([":
+            return True
+        if t.kind == "atom" and t.value != ",":
+            return True
+        return False
 
     def parse_list(self) -> Term:
         t = self.peek()

@@ -456,8 +456,12 @@ class Program:
         return IndexSpec(tuple(comps))
 
     def _check_no_cut(self, pi: PredicateInfo) -> None:
-        if pi.tabled and pi.any_cut:
-            raise StoreError(f"{pi}: cut inside a tabled predicate")
+        if not pi.tabled:
+            return
+        for cl in pi.clauses:
+            for lit in cl.body:
+                if type(lit.goal) is Atom and lit.goal.name == "!":
+                    raise StoreError(f"{pi}: cut inside a tabled predicate")
 
     # ------------------------------------------------------------------
     # clause addition / removal
@@ -481,10 +485,10 @@ class Program:
                         f"{pi} is static; declare it dynamic to assert")
                 pi.dynamic = True
 
-        cut = any(type(lit.goal) is Atom and lit.goal.name == "!"
-                  for lit in body)
-        if pi.tabled and cut:
-            raise StoreError(f"{pi}: cut inside a tabled predicate")
+        if pi.tabled and body:
+            for lit in body:
+                if type(lit.goal) is Atom and lit.goal.name == "!":
+                    raise StoreError(f"{pi}: cut inside a tabled predicate")
 
         if pi.trie_indexed:
             if body:
@@ -499,7 +503,8 @@ class Program:
             return cl
 
         cl = Clause(head, body, nvars, self._next_seq(), cterm)
-        pi.any_cut = pi.any_cut or cut
+        if any(type(lit.goal) is Atom and lit.goal.name == "!" for lit in body):
+            pi.any_cut = True
         # index before storing: the default index, made on first use,
         # takes in the clauses already stored, and must not get cl twice
         for ix in self._live_indexes(pi):

@@ -292,6 +292,14 @@ class TestCyclicTerms:
         assert checked.query(goal) == []
         assert answer_set(checked, "p(X).") == {("p(1)", "true")}
 
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    def test_cyclic_binding_nothing_reads(self, strategy):
+        # a cyclic binding raises only once a goal or an answer reads it
+        eng = make("p(Y) :- X = f(X), Y = a.", strategy=strategy)
+        assert eng.query("X = f(X), fail.") == []
+        assert answer_set(eng, "p(Y).") == {("p(a)", "true")}
+        assert settled(eng)
+
     def test_cli_reports_cyclic_term(self, capsys):
         assert cli.main(["run", "-g", "X = f(X), X == a."]) == 2
         captured = capsys.readouterr()

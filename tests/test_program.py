@@ -421,6 +421,21 @@ class TestAutoTable:
         assert not prog.info("s2", 0).tabled
         assert not prog.info("hub", 0).tabling == "none"
 
+    def test_cut_check_reads_the_clauses_left(self):
+        # a predicate whose cut clause was retracted may be auto-tabled
+        src = (":- dynamic p/1.\n:- auto_table.\n"
+               "p(X) :- p(X), !.\np(X) :- q(X), p(X).\nq(a).")
+        with pytest.raises(StoreError):
+            load(src)
+        prog = Program()
+        for item in parse_program(src):
+            if item.is_directive:
+                prog.apply_directive(item.term)
+            else:
+                prog.add_clause(item.term)
+        assert prog.retract_clause(goal("p(X) :- p(X), !"))
+        assert prog.finalize() == [("p", 1)]
+
     def test_acyclic_program_tables_nothing(self):
         prog = load(":- auto_table.\np(X) :- q(X).\nq(a).")
         assert not any(pi.tabled for pi in prog.user_predicates())
