@@ -12,22 +12,9 @@ from typing import Dict, List, Optional, TextIO
 
 from . import incremental, negation
 from .engine import Engine, QueryAnswer
-from .errors import DirectiveError, EvalError, ParseError, StoreError, \
-    TlpeError
+from .errors import EvalError, TlpeError
 from .parser import parse_goal, parse_term_text
 from .terms import Struct, term_to_str
-
-
-def _error_kind(exc: TlpeError) -> str:
-    if isinstance(exc, EvalError):
-        return exc.kind
-    if isinstance(exc, ParseError):
-        return "parse"
-    if isinstance(exc, DirectiveError):
-        return "directive"
-    if isinstance(exc, StoreError):
-        return "store"
-    return "error"
 
 
 def _error_detail(exc: TlpeError) -> str:
@@ -126,7 +113,7 @@ class Repl:
                 print("error: interrupted: query aborted",
                       file=self.stderr)
             except TlpeError as exc:
-                print(f"error: {_error_kind(exc)}: {_error_detail(exc)}",
+                print(f"error: {exc.kind}: {_error_detail(exc)}",
                       file=self.stderr)
 
     def run_query(self, text: str) -> None:
@@ -263,14 +250,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: io: {exc}", file=sys.stderr)
         return 2
     except TlpeError as exc:
-        print(f"error: {_error_kind(exc)}: {_error_detail(exc)}",
+        print(f"error: {exc.kind}: {_error_detail(exc)}",
               file=sys.stderr)
         return 2
     if args.mode == "run":
         try:
             return run_batch(engine, _strip_period(args.goal), sys.stdout)
         except TlpeError as exc:
-            print(f"error: {_error_kind(exc)}: {_error_detail(exc)}",
+            print(f"error: {exc.kind}: {_error_detail(exc)}",
                   file=sys.stderr)
             return 2
     return Repl(engine, sys.stdin, sys.stdout, sys.stderr).loop()

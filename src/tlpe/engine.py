@@ -404,7 +404,6 @@ class Engine:
             goal = parse_goal(goal).term
         with self._evaluation() as watermark:
             table = self._eval_wrapper(goal)
-        table.refcount += 1
         self.space.open_streams += 1
         try:
             qvars = term_vars(goal)
@@ -413,7 +412,6 @@ class Engine:
                     continue
                 yield self._query_answer(ans, qvars)
         finally:
-            table.refcount -= 1
             self.space.open_streams -= 1
             if self.query_level_tabling:
                 self.space.discard_from(watermark)

@@ -2,11 +2,14 @@
 
 Clauses are kept in canonical form (dense clause-local variable ids).
 Each predicate carries its tabling mode, dynamicity, answer-subsumption
-spec and index declarations.  Retrieval unifies the goal with the head
-of each candidate clause, once, and returns every clause that unifies
-together with its unifier, which the engine runs the body under.  Index
-structures only pick the candidates, so declaring an index can never
-change the answers of a program, only the amount of scanning.
+spec and clause indexes.  Retrieval unifies the goal with the head of
+each candidate clause, once, and returns every clause that unifies
+together with its unifier, which the engine runs the body under.  An
+index is a ``tries.Trie`` of clauses, the same structure that holds
+tables; it only picks the candidates, so declaring an index can never
+change the answers of a program, only the amount of scanning.  A
+predicate gets a first-argument index when it is made; ``:- index(p/N,
+trie)`` instead stores its facts in a trie of whole argument tuples.
 """
 
 from __future__ import annotations
@@ -20,17 +23,17 @@ from .errors import DirectiveError, StoreError
 from .sccs import cyclic_vertices
 from .terms import (
     Atom, Int, Struct, Term, Var, canonical_key, canonicalize, functor_of,
-    is_callable, is_ground, list_parts, match, rename, term_to_str, unify,
+    is_callable, is_ground, list_parts, match, rename, symbols, term_to_str,
+    unify,
 )
-from .tries import Trie, term_path
+from .tries import Trie
 
 PredKey = Tuple[str, int]
 
 _RESERVED_HEADS = set(BUILTINS) | {("tnot", 1), (",", 2), (":-", 2)}
 
 STAR_CAP = 5
-_VSTOP = "\x00V"  # boundary: stored component truncated at a variable
-_END = "\x00E"    # boundary: stored component complete (or star-capped)
+_ANON = ("v", None)   # a variable of an index path: it binds nothing
 
 
 @dataclass
@@ -44,14 +47,13 @@ class Literal:
         return f"tnot {s}" if self.neg else s
 
 
-@dataclass
+@dataclass(eq=False)
 class Clause:
     head: Term
     body: Tuple[Literal, ...]
     nvars: int
     seq: int
     term: Term  # canonical whole-clause term, for printing and retract
-    buckets: List[list] = field(default_factory=list, repr=False)
 
     @property
     def is_fact(self) -> bool:
@@ -70,114 +72,93 @@ class SubsumptionSpec:
 
 @dataclass
 class IndexSpec:
-    """Joint index: up to three (kind, argno) components, kind arg|star."""
+    """Joint index: up to three (kind, argno) components, kind arg|star;
+    or a trie index, kind trie on every argument."""
     components: Tuple[Tuple[str, int], ...]
+
+    @property
+    def whole(self) -> bool:
+        return all(kind == "trie" for kind, _ in self.components)
 
     def __str__(self):
         def one(c):
             return f"*({c[1]})" if c[0] == "star" else str(c[1])
-        return "+".join(one(c) for c in self.components)
-
-
-def _component_path(arg: Term, kind: str):
-    """(symbol path, truncated-at-var, capped) for one index component.
-
-    ``arg`` components use just the principal symbol; ``star`` components
-    use up to the first STAR_CAP preorder symbols, stopping early at the
-    first variable.
-    """
-    n = 1 if kind == "arg" else STAR_CAP
-    out: List[tuple] = []
-    stack = [arg]       # preorder, read no further than the path goes
-    while stack:
-        x = stack.pop()
-        if len(out) == n:
-            return tuple(out), False, kind == "star"
-        if type(x) is Var:
-            return tuple(out), True, False
-        if type(x) is Struct:
-            out.append(("f", x.name, len(x.args)))
-            stack.extend(reversed(x.args))
-        else:
-            out.append(("i", x.value) if type(x) is Int else ("a", x.name))
-    return tuple(out), False, False
+        return "trie" if self.whole else "+".join(map(one, self.components))
 
 
 class ClauseIndex:
-    """Nested symbol-path discrimination tree over the component args.
+    """A ``Trie`` of clauses, each in the leaf of the path of what the
+    spec reads of its head.
 
-    Stored boundaries live under two sentinel keys: _VSTOP marks a
-    component whose stored path stopped at a variable (it matches any
-    goal that reaches the node), _END marks a naturally complete (or
-    depth-capped) stored path.  Because preorder symbol strings of
-    complete terms are prefix-free, an _END boundary can only be
-    compatible with a goal at the goal's own final node.
+    An ``arg`` component reads the principal symbol of its argument, a
+    ``star`` component at most STAR_CAP preorder symbols up to the first
+    variable; whatever is cut off is stored as a variable that occurs
+    once.  A trie index reads the arguments whole, so a variant of a
+    stored clause finds its leaf.  A leaf lists its clauses in program
+    order.  A lookup walks the goal's component arguments in unify mode.
     """
 
     def __init__(self, spec: IndexSpec):
         self.spec = spec
-        self.root: dict = {}
+        self.whole = spec.whole
+        self.argnos = [argno - 1 for _, argno in spec.components]
+        self.caps = [1 if kind == "arg" else STAR_CAP
+                     for kind, _ in spec.components]
+        self.trie = Trie()
 
-    def applicable(self, goal: Struct) -> bool:
-        return all(type(goal.args[argno - 1]) is not Var
-                   for _, argno in self.spec.components)
-
-    def add(self, clause: Clause) -> None:
-        nodes = [self.root]
-        last = len(self.spec.components) - 1
-        for ci, (kind, argno) in enumerate(self.spec.components):
-            path, vstop, _ = _component_path(clause.head.args[argno - 1], kind)
-            key = _VSTOP if vstop else _END
-            nxt: List = []
-            for node in nodes:
-                for s in path:
-                    node = node.setdefault(s, {})
-                if ci == last:
-                    bucket = node.setdefault(key, [])
-                    bucket.append(clause)
-                    clause.buckets.append(bucket)
+    def path(self, head: Term) -> Tuple[tuple, ...]:
+        if self.whole:
+            return symbols(Struct("", tuple(head.args[i]
+                                            for i in self.argnos)))[1:]
+        out: List[tuple] = []
+        for i, cap in zip(self.argnos, self.caps):
+            stack, n = [head.args[i]], 0
+            while stack:
+                x = stack.pop()
+                tx = type(x)
+                if n == cap or tx is Var:
+                    out.append(_ANON)
+                    n = cap
+                elif tx is Struct:
+                    out.append(("f", x.name, len(x.args)))
+                    stack.extend(reversed(x.args))
+                    n += 1
                 else:
-                    nxt.append(node.setdefault(key, {}))
-            nodes = nxt
+                    out.append(("i", x.value) if tx is Int else ("a", x.name))
+                    n += 1
+        return tuple(out)
 
-    def lookup(self, goal: Struct) -> List[Clause]:
-        nodes = [self.root]
-        for kind, argno in self.spec.components:
-            path, vtrunc, capped = _component_path(goal.args[argno - 1], kind)
-            ends: List = []
-            for node in nodes:
-                self._walk(node, path, vtrunc or capped, ends)
-            nodes = ends
-        # each clause sits in one bucket, and the walk reaches a bucket once
-        out = [cl for bucket in nodes for cl in bucket]
+    def add(self, clause: Clause) -> bool:
+        """Store ``clause``; False, storing nothing, when it is a trie
+        index's duplicate: a variant of a stored clause."""
+        node = self.trie.check_insert(self.path(clause.head))
+        if node.leaf is None:
+            self.trie.set_leaf(node, [clause])
+        elif self.whole:
+            return False
+        else:
+            node.leaf.append(clause)
+        return True
+
+    def remove(self, clause: Clause) -> None:
+        node = self.trie.lookup(self.path(clause.head))
+        node.leaf.remove(clause)
+        if not node.leaf:
+            self.trie.remove_leaf(node)
+
+    def lookup(self, goal: Term) -> Optional[List[Clause]]:
+        """The clauses whose heads may unify with ``goal``, in program
+        order; None if ``goal`` leaves a component unbound, unless this
+        is a trie index."""
+        args = [goal.args[i] for i in self.argnos]
+        if Var in map(type, args) and not self.whole:
+            return None
+        leaves = self.trie.matching_leaves(*args)
+        if len(leaves) == 1:
+            return leaves[0]
+        out = [cl for leaf in leaves for cl in leaf]
         out.sort(key=attrgetter("seq"))
         return out
-
-    def _walk(self, node: dict, path, open_end: bool, ends: List) -> None:
-        for s in path:
-            v = node.get(_VSTOP)
-            if v is not None:
-                ends.append(v)
-            node = node.get(s)
-            if node is None:
-                return
-        if open_end:
-            self._deep(node, ends)
-        else:
-            for key in (_VSTOP, _END):
-                v = node.get(key)
-                if v is not None:
-                    ends.append(v)
-
-    def _deep(self, node: dict, ends: List) -> None:
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            for key, child in n.items():
-                if key in (_VSTOP, _END):
-                    ends.append(child)
-                else:
-                    stack.append(child)
 
 
 @dataclass
@@ -190,11 +171,9 @@ class PredicateInfo:
     incremental_table: bool = False
     auto_tabled: bool = False
     subsumption: Optional[SubsumptionSpec] = None
-    trie_indexed: bool = False
-    index_specs: Optional[List[IndexSpec]] = None  # None -> default arg 1
+    trie_indexed: bool = False          # facts in indexes[0], not clauses
     indexes: List[ClauseIndex] = field(default_factory=list)
     clauses: List[Clause] = field(default_factory=list)
-    fact_trie: Optional[Trie] = None
     recomputations: int = 0
     any_cut: bool = False               # some clause body contains !
 
@@ -281,6 +260,8 @@ class Program:
             if key in _RESERVED_HEADS:
                 raise StoreError(f"cannot define built-in predicate {name}/{arity}")
             pi = PredicateInfo(name, arity)
+            if arity:
+                pi.indexes.append(ClauseIndex(IndexSpec((("arg", 1),))))
             self.preds[key] = pi
         return pi
 
@@ -416,22 +397,19 @@ class Program:
             if len(specs) != 1:
                 raise DirectiveError(
                     f"{pi}: a trie index cannot be combined with others")
-            if pi.clauses or (pi.fact_trie and pi.fact_trie.leaf_count):
+            if self.clause_count(key):
                 raise StoreError(
                     f"{pi}: trie index must be declared before any clauses")
             pi.trie_indexed = True
-            pi.fact_trie = Trie()
-            pi.index_specs = []
-            pi.indexes = []
-            return
-        if pi.trie_indexed:
+            parsed = [IndexSpec(tuple(("trie", i)
+                                      for i in range(1, pi.arity + 1)))]
+        elif pi.trie_indexed:
             raise DirectiveError(
                 f"{pi}: predicate already has a trie index")
-        parsed = [self._index_spec(pi, s) for s in specs]
-        pi.index_specs = parsed
+        else:
+            parsed = [self._index_spec(pi, s) for s in specs]
         pi.indexes = [ClauseIndex(s) for s in parsed]
         for cl in pi.clauses:
-            cl.buckets.clear()
             for ix in pi.indexes:
                 ix.add(cl)
 
@@ -480,7 +458,7 @@ class Program:
             if pi.tabled:
                 raise StoreError(f"{pi} is tabled; assert is not allowed")
             if not pi.dynamic:
-                if pi.clauses or (pi.fact_trie and pi.fact_trie.leaf_count):
+                if self.clause_count(pi.key):
                     raise StoreError(
                         f"{pi} is static; declare it dynamic to assert")
                 pi.dynamic = True
@@ -490,26 +468,17 @@ class Program:
                 if type(lit.goal) is Atom and lit.goal.name == "!":
                     raise StoreError(f"{pi}: cut inside a tabled predicate")
 
-        if pi.trie_indexed:
-            if body:
-                raise StoreError(
-                    f"{pi}: trie-indexed predicates hold facts only")
-            assert pi.fact_trie is not None
-            node, created = pi.fact_trie.check_insert(term_path(head))
-            if not created and node.leaf is not None:
-                return None
-            cl = Clause(head, (), nvars, self._next_seq(), cterm)
-            pi.fact_trie.set_leaf(node, cl)
-            return cl
+        if pi.trie_indexed and body:
+            raise StoreError(f"{pi}: trie-indexed predicates hold facts only")
 
         cl = Clause(head, body, nvars, self._next_seq(), cterm)
+        for ix in pi.indexes:
+            if not ix.add(cl):
+                return None
         if any(type(lit.goal) is Atom and lit.goal.name == "!" for lit in body):
             pi.any_cut = True
-        # index before storing: the default index, made on first use,
-        # takes in the clauses already stored, and must not get cl twice
-        for ix in self._live_indexes(pi):
-            ix.add(cl)
-        pi.clauses.append(cl)
+        if not pi.trie_indexed:
+            pi.clauses.append(cl)
         return cl
 
     def retract_clause(self, term: Term) -> bool:
@@ -521,12 +490,10 @@ class Program:
         if not found:
             return False
         cl = found[0]
-        if pi.trie_indexed:
-            pi.fact_trie.remove_leaf(pi.fact_trie.lookup(term_path(cl.head)))
-            return True
-        pi.clauses.remove(cl)
-        for bucket in cl.buckets:
-            bucket.remove(cl)
+        if not pi.trie_indexed:
+            pi.clauses.remove(cl)
+        for ix in pi.indexes:
+            ix.remove(cl)
         return True
 
     def holds_variant(self, term: Term) -> bool:
@@ -549,15 +516,6 @@ class Program:
     def _next_seq(self) -> int:
         self._seq += 1
         return self._seq
-
-    def _live_indexes(self, pi: PredicateInfo) -> List[ClauseIndex]:
-        if pi.index_specs is None:
-            if pi.arity >= 1 and not pi.indexes:
-                pi.indexes = [ClauseIndex(IndexSpec((("arg", 1),)))]
-                for cl in pi.clauses:
-                    pi.indexes[0].add(cl)
-            return pi.indexes
-        return pi.indexes
 
     # ------------------------------------------------------------------
     # retrieval
@@ -583,14 +541,10 @@ class Program:
         """The route of a lookup of ``goal``, a tag or an ``IndexSpec``,
         and the clauses it keeps in program order: every clause whose
         head may unify with ``goal``, and perhaps some that do not."""
-        if pi.trie_indexed:
-            hits = pi.fact_trie.matching_leaves(goal, mode="unify")
-            hits.sort(key=attrgetter("seq"))
-            return "trie", hits
-        if type(goal) is Struct:
-            for ix in self._live_indexes(pi):
-                if ix.applicable(goal):
-                    return ix.spec, ix.lookup(goal)
+        for ix in pi.indexes:
+            hits = ix.lookup(goal)
+            if hits is not None:
+                return ix.spec, hits
         return "scan", pi.clauses
 
     # ------------------------------------------------------------------
@@ -709,7 +663,7 @@ class Program:
         if pi is None:
             return 0
         if pi.trie_indexed:
-            return pi.fact_trie.leaf_count if pi.fact_trie else 0
+            return pi.indexes[0].trie.leaf_count
         return len(pi.clauses)
 
 

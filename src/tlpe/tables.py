@@ -132,7 +132,6 @@ class SubgoalTable:
         self.uncond_answers = 0
         self.neg_watchers: List[Tuple[DelayList, DelayLit]] = []
         self.cond_dependents: Set["SubgoalTable"] = set()
-        self.refcount = 0
         self.abolished = False
         # engine scheduling state
         self.consumers: list = []
@@ -187,7 +186,7 @@ class SubgoalTable:
 
 
 def _trie_insert(trie: Trie, ans: AnswerRecord) -> None:
-    node, _ = trie.check_insert(symbols(Struct("$a", ans.bindings))[1:])
+    node = trie.check_insert(symbols(Struct("$a", ans.bindings))[1:])
     trie.set_leaf(node, ans)
     ans.leaf = node
 
@@ -230,7 +229,6 @@ class TableSpace:
         self._pending: List[Tuple[str, object]] = []
         self.n_simplifications = 0
         self.open_streams = 0
-        self.reclaimed = 0
         self.trace_hook: Optional[Callable[[str, SubgoalTable], None]] = None
 
     # ------------------------------------------------------------------
@@ -262,7 +260,7 @@ class TableSpace:
         trie = self.tries.get(pi.key)
         if trie is None:
             trie = self.tries[pi.key] = Trie()
-        node, _ = trie.check_insert(symbols(cgoal))
+        node = trie.check_insert(symbols(cgoal))
         existing = node.leaf
         if existing is not None and not existing.abolished:
             if existing.status == SubgoalTable.INVALID:
@@ -508,10 +506,9 @@ class TableSpace:
     # ------------------------------------------------------------------
     # abolishing
 
-    def abolish_all(self, protect: Iterable[SubgoalTable] = ()) -> None:
-        keep = set(id(t) for t in protect)
+    def abolish_all(self) -> None:
         for table in list(self.tables):
-            if not table.abolished and id(table) not in keep:
+            if not table.abolished:
                 self._abolish(table)
         self.sweep()
 
@@ -566,7 +563,7 @@ class TableSpace:
                 work.pop()
 
     def sweep(self) -> None:
-        """Reclaim abolished tables that no cursor still reads.
+        """Reclaim abolished tables.
 
         While any answer stream is open the whole sweep is deferred:
         abolished tables stay marked (pending gc) and are reclaimed at
@@ -575,14 +572,13 @@ class TableSpace:
             return
         remaining: List[SubgoalTable] = []
         for table in self.tables:
-            if table.abolished and table.refcount == 0:
+            if table.abolished:
                 node = table.leaf_node
                 trie = self.tries.get(table.pred.key)
                 if node is not None and trie is not None and node.leaf is table:
                     trie.remove_leaf(node)
                 for readers in self.dyn_readers.values():
                     readers.discard(table)
-                self.reclaimed += 1
             else:
                 remaining.append(table)
         self.tables = remaining

@@ -1,28 +1,33 @@
-"""Term tries.
+"""Term tries: the one discrimination tree of the engine.
 
 A trie node per preorder symbol; terms sharing a prefix share nodes.
 Variables appear as canonical-index symbols, so variant terms map to the
-same path.  Exact check/insert is one iterative walk; goal-directed
-retrieval (unification or subsumption filtering) walks with structure
-skipping so a stored variable edge can swallow a whole goal subterm and
-vice versa.
+same path; the symbol ``("v", None)`` is a variable that occurs once and
+binds nothing.  Three structures are tries: the subgoal tables of a
+predicate, the answers of a table read by subsumed calls, and the clause
+indexes of ``program.ClauseIndex``.  Exact check/insert is one iterative
+walk; goal-directed retrieval (unification or subsumption filtering)
+walks with structure skipping so a stored variable edge can swallow a
+whole goal subterm and vice versa.  A node keeps its variable edges in a
+dict of their own as well, so a walk reads them without visiting every
+child.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .terms import (Int, Struct, Term, Var, canonicalize, symbols, term_eq,
-                    unify)
+from .terms import Int, Struct, Term, Var, term_eq, unify
 
 
 class TrieNode:
-    __slots__ = ("sym", "parent", "children", "leaf")
+    __slots__ = ("sym", "parent", "children", "vars", "leaf")
 
     def __init__(self, sym: Optional[tuple], parent: Optional["TrieNode"]):
         self.sym = sym
         self.parent = parent
         self.children: Dict[tuple, TrieNode] = {}
+        self.vars: Optional[Dict[tuple, TrieNode]] = None  # variable edges
         self.leaf = None  # payload for a complete term ending here
 
 
@@ -34,19 +39,21 @@ class Trie:
         self.node_count = 0  # internal nodes, root excluded
         self.leaf_count = 0
 
-    def check_insert(self, syms: Tuple[tuple, ...]):
-        """Walk/create the path for syms.  Returns (node, created_nodes)."""
+    def check_insert(self, syms: Tuple[tuple, ...]) -> TrieNode:
+        """Walk/create the path for syms; returns its last node."""
         node = self.root
-        created = 0
         for s in syms:
             nxt = node.children.get(s)
             if nxt is None:
                 nxt = TrieNode(s, node)
                 node.children[s] = nxt
+                if s[0] == "v":
+                    if node.vars is None:
+                        node.vars = {}
+                    node.vars[s] = nxt
                 self.node_count += 1
-                created += 1
             node = nxt
-        return node, created
+        return node
 
     def lookup(self, syms: Tuple[tuple, ...]) -> Optional[TrieNode]:
         node = self.root
@@ -69,6 +76,8 @@ class Trie:
         while node.parent is not None and node.leaf is None and not node.children:
             parent = node.parent
             del parent.children[node.sym]
+            if node.sym[0] == "v":
+                del parent.vars[node.sym]
             self.node_count -= 1
             node = parent
 
@@ -99,9 +108,11 @@ class Trie:
         todo = None                 # the goals still to match, a cons list
         for g in reversed(goals):
             todo = (g, todo)
+        unifying = mode == "unify"
         out = []
         # (node, goals left, stored terms to skip whole, stored var -> goal)
         stack = [(self.root, todo, 0, {})]
+        push = stack.append
         while stack:
             node, todo, skip, env = stack.pop()
             if skip:
@@ -110,61 +121,49 @@ class Trie:
                                env)
                               for s, child in reversed(node.children.items())])
                 continue
-            if todo is None:
+            while todo is not None:     # the exact edges, without the stack
+                g, todo = todo
+                tg = type(g)
+                if tg is Var and unifying:
+                    push((node, todo, 1, env))
+                    break
+                # stored-variable edges, popped after the exact edge's hits
+                if node.vars:
+                    for s, vchild in reversed(node.vars.items()):
+                        if s[1] is None:
+                            push((vchild, todo, 0, env))
+                            continue
+                        bound = _bind(env, s[1], g, unifying)
+                        if bound is not None:
+                            push((vchild, todo, 0, bound))
+                if tg is Struct:
+                    node = node.children.get(("f", g.name, len(g.args)))
+                    if node is None:
+                        break
+                    for a in reversed(g.args):
+                        todo = (a, todo)
+                elif tg is Var:
+                    break   # subsumption: it only matches a stored variable
+                else:
+                    node = node.children.get(
+                        ("i", g.value) if tg is Int else ("a", g.name))
+                    if node is None:
+                        break
+            else:
                 if node.leaf is not None:
                     out.append(node.leaf)
-                continue
-            g, rest = todo
-            nxt = []
-            if type(g) is Var:
-                if mode == "unify":
-                    stack.append((node, rest, 1, env))
-                    continue
-                # subsumption: a goal variable only matches a stored variable
-            else:
-                # exact edge first, then stored-variable edges
-                child = node.children.get(_head_symbol(g))
-                if child is not None:
-                    sub = rest
-                    if type(g) is Struct:
-                        for a in reversed(g.args):
-                            sub = (a, sub)
-                    nxt.append((child, sub, 0, env))
-            for s, vchild in node.children.items():
-                if s[0] == "v":
-                    bound = _bind(env, s[1], g, mode)
-                    if bound is not None:
-                        nxt.append((vchild, rest, 0, bound))
-            stack.extend(reversed(nxt))
         return out
 
 
-def _bind(env: dict, vid: int, value: Term, mode: str) -> Optional[dict]:
+def _bind(env: dict, vid: int, value: Term, unifying: bool) -> Optional[dict]:
     """``env`` with stored variable ``vid`` bound to goal term ``value``,
-    or None if an earlier binding excludes it: in 'subsume' mode it must
-    be equal, in 'unify' mode it must unify with ``value``."""
+    or None if an earlier binding excludes it: it must unify with
+    ``value`` when ``unifying``, else be equal."""
     prev = env.get(vid)
     if prev is None:
         env = dict(env)
         env[vid] = value
         return env
-    if term_eq(prev, value) or mode == "unify" \
-            and unify(prev, value) is not None:
+    if term_eq(prev, value) or unifying and unify(prev, value) is not None:
         return env
     return None
-
-
-def _head_symbol(t: Term) -> tuple:
-    tt = type(t)
-    if tt is Struct:
-        return ("f", t.name, len(t.args))
-    if tt is Var:
-        return ("v", t.id)
-    if tt is Int:
-        return ("i", t.value)
-    return ("a", t.name)
-
-
-def term_path(t: Term) -> Tuple[tuple, ...]:
-    """Canonical symbol path for storing t in a trie."""
-    return symbols(canonicalize(t)[0])

@@ -9,11 +9,13 @@ import weakref
 
 import pytest
 
+from tlpe import cli
 from tlpe.engine import Engine
-from tlpe.errors import EvalError
+from tlpe.errors import (DirectiveError, EvalError, ParseError, StoreError,
+                         TlpeError)
 from tlpe.incremental import incr_invalidate
 from tlpe.tables import SubgoalTable
-from tlpe.terms import OrderKey, term_to_str
+from tlpe.terms import Atom, OrderKey, Struct, Var, term_to_str
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from oracles import bfs_reachable, random_digraph
@@ -170,6 +172,78 @@ class TestInlineResolutionScales:
                 tracemalloc.stop()
 
         small, large = peak(2000), peak(16000)
+        assert large < 2.0 * small, (small, large)
+
+
+FANOUT = (":- dynamic e/2.\n:- index(e/2, trie).\n"
+          ":- table p/2 as subsumptive.\np(X,Y) :- e(X,Y).\n")
+
+
+def _fanout(n):
+    """A trie-indexed ``e/2`` with facts ``e(c_i,d_i)`` and a complete
+    table ``p(c_i,Y)`` of a subsumptive ``p/2`` for each of ``n`` first
+    arguments: one trie node with ``n`` children in each trie."""
+    eng = make(FANOUT)
+    pi = eng.program.info("p", 2)
+    for i in range(n):
+        c, d = Atom(f"c{i}"), Atom(f"d{i}")
+        eng.program.add_clause(Struct("e", (c, d)))
+        table, _ = eng.space.check_insert_subgoal(
+            pi, Struct("p", (c, Var(0))), variant=True)
+        eng.space.add_answer(table, (d,))
+        table.status = SubgoalTable.COMPLETE
+    return eng
+
+
+class TestTrieFanoutScales:
+    """A trie walk reads a node's variable edges, not all its children:
+    an operation on one first argument costs the same at 2,000 and at
+    20,000 distinct first arguments."""
+
+    OPS = 100
+
+    @pytest.fixture(scope="class")
+    def engines(self):
+        # the collector leaves the two engines, and everything else alive
+        # now, out of its passes while the operations run
+        engines = _fanout(2000), _fanout(20000)
+        gc.collect()
+        gc.freeze()
+        yield engines
+        gc.unfreeze()
+
+    @staticmethod
+    def _lookup(eng, i):
+        goal = Struct("e", (Atom(f"c{i}"), Var(0)))
+        assert len(eng.program.lookup_clauses(goal, 1)) == 1
+
+    @staticmethod
+    def _retract(eng, i):
+        assert eng.program.retract_clause(
+            Struct("e", (Atom(f"c{i}"), Atom(f"d{i}"))))
+
+    @staticmethod
+    def _call(eng, i):
+        assert len(eng.query(Struct("p", (Atom(f"c{i}"), Var(0))))) == 1
+
+    @pytest.mark.parametrize("op", ["_lookup", "_retract", "_call"])
+    def test_cost_per_operation_stays_flat(self, engines, op):
+        run = getattr(self, op)
+
+        def cpu_per_op(eng, r):
+            # first arguments spread over the trie; a retract takes each
+            # odd one once, the other operations read even ones
+            idx = [(2 * (j * 997 + r * self.OPS) + (op == "_retract"))
+                   % 2000 for j in range(self.OPS)]
+            start = time.thread_time()
+            for i in idx:
+                run(eng, i)
+            return (time.thread_time() - start) / self.OPS
+
+        # the sizes take turns, best of 5 each, as in TestLongNegativeLoops
+        runs = [tuple(cpu_per_op(eng, r) for eng in engines)
+                for r in range(5)]
+        small, large = map(min, zip(*runs))
         assert large < 2.0 * small, (small, large)
 
 
@@ -530,6 +604,20 @@ class TestEngineGuards:
         # answers() finished eagerly, so a second query is fine
         assert solutions(eng, "p(X).") == ["p(1)"]
 
+    def test_abolish_all_waits_for_an_open_stream(self):
+        eng = make(REACH_L)
+        want = solutions(eng, "reach(1,Y).")
+        eng.abolish_all()
+        stream = eng.answers("reach(1,Y).")
+        got = [term_to_str(next(stream).goal)]
+        tables = list(eng.space.tables)
+        eng.abolish_all()
+        assert eng.space.tables == tables
+        assert all(t.abolished for t in tables)
+        got += [term_to_str(a.goal) for a in stream]
+        assert got == want and len(want) == 2
+        assert eng.space.tables == []
+
     def test_statistics_shape(self):
         eng = make(REACH_L)
         eng.query("reach(1,Y).")
@@ -602,3 +690,29 @@ class TestErrorKinds:
             assert settled(eng)
         assert truth_set(eng, "q.") == {("q", "undefined")}
         assert solutions(eng, "e(X).") == ["e(1)"]
+
+    # class -> (program, goal, the CLI's line)
+    CLASSES = {
+        ParseError: ("p(1).", "p(.",
+                     "parse: unexpected end of input at line 1, column 3"),
+        DirectiveError: (":- foo.", "p(X).",
+                         "directive: unknown directive: foo"),
+        StoreError: ("p(X) :- X.", "p(X).",
+                     "store: clause body contains an unbound goal variable"),
+        EvalError: ("p(1).", "X is foo.",
+                    "arith_type: not an arithmetic expression: foo"),
+    }
+
+    @pytest.mark.parametrize("cls", list(CLASSES), ids=lambda c: c.__name__)
+    def test_every_error_class_has_its_kind(self, cls, tmp_path, capsys):
+        src, bad, line = self.CLASSES[cls]
+        with pytest.raises(cls) as err:
+            make(src).query(bad)
+        assert err.value.kind == line.split(":")[0]
+        path = tmp_path / "prog.P"
+        path.write_text(src + "\n")
+        assert cli.main(["run", str(path), "-g", bad]) == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
+
+    def test_base_kind(self):
+        assert TlpeError("x").kind == "error"

@@ -7,8 +7,8 @@ import pytest
 from tlpe.builtins import BUILTINS
 from tlpe.errors import DirectiveError, StoreError
 from tlpe.parser import parse_program, parse_term_text
-from tlpe.program import Program
-from tlpe.terms import Atom, Int, Struct, Var, term_to_str, term_vars
+from tlpe.program import STAR_CAP, ClauseIndex, Program
+from tlpe.terms import Atom, Int, Struct, Var, symbols, term_to_str, term_vars
 
 
 def load(src, **kw):
@@ -203,6 +203,13 @@ class TestTrieIndexedFacts:
         prog = load(self.SRC + "e(X, Y).\ne(P, Q).")
         assert prog.clause_count(("e", 2)) == 1
 
+    def test_repeated_variable_is_not_a_variant(self):
+        prog = load(self.SRC + "e(X, X).\ne(X, Y).\ne(Y, Y).")
+        assert prog.clause_count(("e", 2)) == 2
+        assert clauses(prog, goal("e(a, b)")) == ["e(_G0,_G1)"]
+        assert prog.retract_clause(goal("e(Z, Z)"))
+        assert clauses(prog, goal("e(a, a)")) == ["e(_G0,_G1)"]
+
     def test_rules_rejected(self):
         with pytest.raises(StoreError):
             load(self.SRC + "e(X, Y) :- f(X, Y).")
@@ -217,7 +224,7 @@ class TestTrieIndexedFacts:
 
     def test_retract_prunes_nodes(self):
         prog = load(self.SRC + "e(a, b).\ne(a, c).")
-        trie = prog.info("e", 2).fact_trie
+        trie = prog.info("e", 2).indexes[0].trie
         n = trie.node_count
         assert prog.retract_clause(goal("e(a, c)"))
         assert trie.node_count == n - 1   # shared e/2,a prefix kept
@@ -276,11 +283,35 @@ class TestIndexSelection:
         assert hits == ["p(a,1)", "p(a,3)"]
 
     def test_each_clause_sits_in_one_bucket_per_index(self):
-        # the first clause made the default index, which must not take
-        # that clause in twice
+        # the default index, made with the predicate, holds each clause
+        # in one leaf, once
         prog = load("p(a, 1).\np(b, 2).\np(X, 3).")
-        assert [len(c.buckets) for c in prog.info("p", 2).clauses] == [1, 1, 1]
+        pi = prog.info("p", 2)
+        stored = [cl for n in pi.indexes[0].trie.leaves() for cl in n.leaf]
+        assert sorted(cl.seq for cl in stored) == [cl.seq for cl in pi.clauses]
         assert clauses(prog, goal("p(a, N)")) == ["p(a,1)", "p(_G0,3)"]
+
+    # (program, goal, route, candidates); the nested-dict index this trie
+    # replaced kept the same counts, except 3 for the *(1) lookup of
+    # p(f(X,d)), where it kept every clause below a goal variable
+    PINNED = [
+        (SRC, "p(f(a), b, _, _, _)", "*(1)+2", 1),
+        (SRC, "p(f(a), Y, _, _, _)", "*(1)", 1),
+        (SRC, "p(X, b, _, _, _)", "scan", 3),
+        ("p(a, 1).\np(b, 2).\np(a, 3).", "p(a, N)", "1", 2),
+        ("p(a, 1).\np(b, 2).\np(X, 3).", "p(a, N)", "1", 2),
+        ("p(a, 1).\np(b, 2).\n:- index(p/2, 2).", "p(X, 2)", "2", 1),
+        (":- index(p/1, *(1)).\np(f(a, b)).\np(f(c, b)).\np(f(a, d)).",
+         "p(f(X, d))", "*(1)", 1),
+    ]
+
+    @pytest.mark.parametrize("src,g,route,n", PINNED,
+                             ids=[str(i) for i in range(len(PINNED))])
+    def test_candidates_pinned(self, src, g, route, n):
+        prog = load(src)
+        t = goal(g)
+        got_route, got = prog._candidates(prog.preds[(t.name, len(t.args))], t)
+        assert (str(got_route), len(got)) == (route, n)
 
     def test_index_component_out_of_range(self):
         with pytest.raises(DirectiveError):
@@ -325,20 +356,59 @@ _CONSTS = ["a", "b", "c", "1", "2"]
 _SHAPES = ["f({0})", "f({0}, {1})", "g({0})", "h({0}, {1})"]
 
 
-def _rand_arg(rng, depth=0):
+def _rand_arg(rng, depth=0, limit=2):
     r = rng.random()
-    if depth >= 2 or r < 0.45:
+    if depth >= limit or r < 0.45:
         return rng.choice(_CONSTS)
     if r < 0.6:
         return "V%d" % rng.randrange(3)
     shape = rng.choice(_SHAPES)
     n = shape.count("{")
-    return shape.format(*[_rand_arg(rng, depth + 1) for _ in range(n)])
+    return shape.format(*[_rand_arg(rng, depth + 1, limit) for _ in range(n)])
 
 
-def _rand_fact(rng, functor="p", arity=3):
-    args = ", ".join(_rand_arg(rng) for _ in range(arity))
+def _rand_fact(rng, functor="p", arity=3, limit=2):
+    args = ", ".join(_rand_arg(rng, limit=limit) for _ in range(arity))
     return f"{functor}({args})"
+
+
+def _probe(rng, facts, limit):
+    """A goal: a random fact, or half the time one of ``facts`` with one
+    argument a fresh variable."""
+    if rng.random() < 0.5:
+        return goal(_rand_fact(rng, limit=limit))
+    args = list(goal(rng.choice(facts)).args)
+    args[rng.randrange(3)] = Var(99)
+    return Struct("p", tuple(args))
+
+
+def _scan(body, dynamic=False):
+    """A program of ``body`` whose p/3 has no index: every lookup scans."""
+    return load((":- dynamic p/3.\n" if dynamic else "")
+                + ":- index(p/3, []).\n" + body)
+
+
+def _check_indexes(prog, key=("p", 3)):
+    """Each index of ``key`` holds every stored clause once, has no empty
+    leaf, and has as many nodes as one built afresh from those clauses."""
+    pi = prog.preds[key]
+    for ix in pi.indexes:
+        leaves = list(ix.trie.leaves())
+        stored = [cl for n in leaves for cl in n.leaf]
+        assert all(n.leaf for n in leaves)
+        nodes = [ix.trie.root]
+        for n in nodes:
+            assert (n.vars or {}) == {s: c for s, c in n.children.items()
+                                      if s[0] == "v"}
+            nodes.extend(n.children.values())
+        if not pi.trie_indexed:
+            assert sorted(map(id, stored)) == sorted(map(id, pi.clauses))
+        fresh = ClauseIndex(ix.spec)
+        for cl in sorted(stored, key=lambda c: c.seq):
+            assert fresh.add(cl)
+        assert (fresh.trie.node_count, fresh.trie.leaf_count) == \
+            (ix.trie.node_count, ix.trie.leaf_count) == \
+            (ix.trie.node_count, len(leaves))
 
 
 _INDEX_DECLS = [
@@ -362,9 +432,7 @@ class TestIndexPruningInvariant:
         facts = [_rand_fact(rng) for _ in range(14)]
         decl = _INDEX_DECLS[seed % len(_INDEX_DECLS)]
         indexed = load(decl + "".join(f + ".\n" for f in facts))
-        plain = Program()
-        for f in facts:
-            plain.add_clause(goal(f))
+        plain = _scan("".join(f + ".\n" for f in facts))
         for _ in range(20):
             g = goal(_rand_fact(rng))
             got, want = lookup(indexed, g), lookup(plain, g)
@@ -382,11 +450,59 @@ class TestIndexPruningInvariant:
                 facts.append(f)
         body = "".join(f + ".\n" for f in facts)
         indexed = load(":- dynamic p/3.\n:- index(p/3, trie).\n" + body)
-        plain = load(body)
+        plain = _scan(body)
         for _ in range(20):
             g = goal(_rand_fact(rng))
             got, want = sorted(lookup(indexed, g)), sorted(lookup(plain, g))
             assert got == want, term_to_str(g)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_deep_arguments_under_retracts(self, seed):
+        # arguments up to four levels deep, most longer than STAR_CAP
+        # symbols, with variables inside their first symbols; retracts
+        # interleaved with lookups, every index checked after each step
+        rng = random.Random(2000 + seed)
+        decl = _INDEX_DECLS[seed % len(_INDEX_DECLS)]
+        facts = [_rand_fact(rng, limit=4) for _ in range(16)]
+        assert any(len(symbols(a)) > STAR_CAP
+                   for f in facts for a in goal(f).args)
+        body = "".join(f + ".\n" for f in facts)
+        indexed = load(":- dynamic p/3.\n" + decl + body)
+        plain = _scan(body, dynamic=True)
+        for step in range(40):
+            if step % 3 == 2:
+                f = goal(rng.choice(facts))
+                assert indexed.retract_clause(f) == plain.retract_clause(f)
+            else:
+                g = _probe(rng, facts, 4)
+                assert lookup(indexed, g) == lookup(plain, g), \
+                    (decl, term_to_str(g))
+            _check_indexes(indexed)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_trie_repeated_variables_under_retracts(self, seed):
+        # facts whose variables repeat across their arguments; a variant
+        # of a stored fact is a duplicate, the scan keeps the first
+        rng = random.Random(3000 + seed)
+        facts = [_rand_fact(rng, limit=3).replace("V2", "V0")
+                 for _ in range(16)]
+        body = "".join(f + ".\n" for f in facts)
+        indexed = load(":- dynamic p/3.\n:- index(p/3, trie).\n" + body)
+        plain = Program()
+        plain.apply_directive(goal("dynamic(p/3)"))
+        plain.apply_directive(goal("index(p/3, [])"))
+        for f in facts:
+            if not plain.holds_variant(goal(f)):
+                plain.add_clause(goal(f))
+        assert indexed.clause_count(("p", 3)) == plain.clause_count(("p", 3))
+        for step in range(40):
+            if step % 3 == 2:
+                f = goal(rng.choice(facts))
+                assert indexed.retract_clause(f) == plain.retract_clause(f)
+            else:
+                g = _probe(rng, facts, 3)
+                assert lookup(indexed, g) == lookup(plain, g), term_to_str(g)
+            _check_indexes(indexed)
 
 
 # ---------------------------------------------------------------------------

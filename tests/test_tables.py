@@ -314,27 +314,6 @@ class TestAbolish:
         sp.abolish_call(t("q(a)"))
         assert sp.lookup_variant(t("p(W)")) is p
 
-    def test_refcounted_table_survives_sweep(self):
-        sp = make_space()
-        tab, _ = intern(sp, "p", "p(X)")
-        tab.status = SubgoalTable.COMPLETE
-        tab.refcount = 1
-        sp.abolish_pred(("p", 1))
-        assert tab in sp.tables and tab.abolished
-        tab.refcount = 0
-        sp.sweep()
-        assert tab not in sp.tables
-
-    def test_abolish_all_protects(self):
-        sp = make_space()
-        a, _ = intern(sp, "p", "p(X)")
-        b, _ = intern(sp, "q", "q(X)")
-        a.status = SubgoalTable.COMPLETE
-        b.status = SubgoalTable.COMPLETE
-        sp.abolish_all(protect=[b])
-        assert sp.lookup_variant(t("p(K)")) is None
-        assert sp.lookup_variant(t("q(K)")) is b
-
 
 class TestIncrementalBookkeeping:
     def test_reset_clears_answers_and_counts(self):

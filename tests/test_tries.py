@@ -1,5 +1,10 @@
-from tlpe.terms import Atom, Struct, Var, canonicalize
-from tlpe.tries import Trie, term_path
+from tlpe.terms import Atom, Struct, Var, canonicalize, symbols
+from tlpe.tries import Trie
+
+
+def term_path(t):
+    """The canonical symbol path that stores ``t`` in a trie."""
+    return symbols(canonicalize(t)[0])
 
 
 def S(name, *args):
@@ -18,7 +23,7 @@ def build_rt_trie():
     t = Trie()
     leaves = []
     for i, term in enumerate((RT1, RT2, RT3)):
-        node, _ = t.check_insert(term_path(term))
+        node = t.check_insert(term_path(term))
         t.set_leaf(node, (i, canonicalize(term)[0]))
         leaves.append(node)
     return t, leaves
@@ -46,11 +51,11 @@ class TestLayout:
 
     def test_duplicate_insert_creates_nothing(self):
         t, _ = build_rt_trie()
-        node, created = t.check_insert(term_path(RT1))
-        assert created == 0 and node.leaf is not None
+        node = t.check_insert(term_path(RT1))
+        assert t.node_count == 11 and node.leaf is not None
         # variant of RT2 maps to the same path
-        node2, created2 = t.check_insert(term_path(S("rt", a, S("f", a, Y), X)))
-        assert created2 == 0 and node2.leaf[0] == 1
+        node2 = t.check_insert(term_path(S("rt", a, S("f", a, Y), X)))
+        assert t.node_count == 11 and node2.leaf[0] == 1
 
     def test_remove_prunes(self):
         t, leaves = build_rt_trie()
@@ -89,7 +94,7 @@ class TestRetrieval:
 
     def test_repeated_var_consistency(self):
         t = Trie()
-        node, _ = t.check_insert(term_path(S("q", X, X)))
+        node = t.check_insert(term_path(S("q", X, X)))
         t.set_leaf(node, "qxx")
         assert t.matching_leaves(S("q", a, b)) == []
         assert t.matching_leaves(S("q", a, a)) == ["qxx"]
