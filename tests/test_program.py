@@ -291,9 +291,8 @@ class TestIndexSelection:
         assert sorted(cl.seq for cl in stored) == [cl.seq for cl in pi.clauses]
         assert clauses(prog, goal("p(a, N)")) == ["p(a,1)", "p(_G0,3)"]
 
-    # (program, goal, route, candidates); the nested-dict index this trie
-    # replaced kept the same counts, except 3 for the *(1) lookup of
-    # p(f(X,d)), where it kept every clause below a goal variable
+    # (program, goal, route, candidates kept); in p(f(X, d)) the goal
+    # variable swallows one stored argument, and d still prunes
     PINNED = [
         (SRC, "p(f(a), b, _, _, _)", "*(1)+2", 1),
         (SRC, "p(f(a), Y, _, _, _)", "*(1)", 1),
