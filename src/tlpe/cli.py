@@ -14,7 +14,7 @@ from . import incremental, negation
 from .engine import Engine, QueryAnswer
 from .errors import EvalError, TlpeError
 from .parser import parse_goal, parse_term_text
-from .terms import Struct, term_to_str
+from .terms import Atom, Int, Struct, term_to_str
 
 
 def _error_detail(exc: TlpeError) -> str:
@@ -115,6 +115,8 @@ class Repl:
             except TlpeError as exc:
                 print(f"error: {exc.kind}: {_error_detail(exc)}",
                       file=self.stderr)
+            except OSError as exc:
+                print(f"error: io: {exc}", file=self.stderr)
 
     def run_query(self, text: str) -> None:
         item = parse_goal(text)
@@ -153,7 +155,8 @@ class Repl:
         elif what == "pred":
             ind = parse_term_text(rest)
             if not (type(ind) is Struct and ind.name == "/"
-                    and len(ind.args) == 2):
+                    and len(ind.args) == 2 and type(ind.args[0]) is Atom
+                    and type(ind.args[1]) is Int):
                 raise EvalError("bad_command",
                                 f"expected name/arity, got {rest}")
             self.engine.abolish_pred(ind.args[0].name, ind.args[1].value)

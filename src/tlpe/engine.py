@@ -54,12 +54,11 @@ from .program import Clause, Literal, PredicateInfo, Program, split_clause
 from .sccs import tarjan_sccs
 from .tables import DelayLit, SubgoalTable, TableSpace
 from .terms import (Atom, CyclicTermError, OrderKey, Struct, Term, Var,
-                    canonical_key, compare, functor_of, instantiate,
-                    is_ground, match, rename, resolve, term_to_str,
-                    term_vars, unify_all)
+                    canonical_key, canonicalize, compare, functor_of,
+                    instantiate, is_ground, match, rename, resolve,
+                    term_to_str, term_vars, unify_all)
 from . import subsumption
 
-QUERY_PRED = "$query"
 _BODY_HEAD = Atom("$body")
 
 
@@ -264,6 +263,8 @@ class Engine:
         self.strategy = strategy
         self.occurs_check = occurs_check
         self.query_level_tabling = query_level_tabling
+        # the predicate of each query's own table; never in the program
+        self._query_pi = PredicateInfo("$query", 1, tabling="variant")
 
         self.stack: list = []
         self.comp: List[SubgoalTable] = []
@@ -311,8 +312,8 @@ class Engine:
         return self.K
 
     def _trace(self, op: str, table: SubgoalTable) -> None:
-        """Trace line of an operation; internal ``$`` tables are silent."""
-        if not self.trace_enabled or table.pred.name.startswith("$"):
+        """Trace line of an operation; a query's own table is silent."""
+        if not self.trace_enabled or table.pred is self._query_pi:
             return
         line = f"OP {op} {term_to_str(table.subgoal)} [K={self.K}]"
         if self.trace_sink is not None:
@@ -352,7 +353,8 @@ class Engine:
         """Guard one top-level evaluation; yields the table watermark.
 
         Only one evaluation runs at a time, and its run state is dropped
-        when it ends, so nothing of it outlives the evaluation.  Whatever
+        when it ends: what outlives it is its complete tables and their
+        answers, and nothing else.  Whatever
         it raises, the tables it created are dropped too, and every live
         table is left COMPLETE or INVALID; a cyclic term surfaces as
         ``EvalError("cyclic_term")``."""
@@ -397,33 +399,25 @@ class Engine:
         self.space.discard_from(watermark, force=True)
 
     def answers(self, goal):
-        """Iterate answers of a goal; the table survives abolish until
-        the iterator is closed (deferred space reclamation).  Under
-        query-level tabling, closing it discards the tables it made."""
-        if isinstance(goal, str):
-            goal = parse_goal(goal).term
-        with self._evaluation() as watermark:
-            table = self._eval_wrapper(goal)
-        self.space.open_streams += 1
-        try:
-            qvars = term_vars(goal)
-            for ans in list(table.answers):
-                if ans.deleted:
-                    continue
-                yield self._query_answer(ans, qvars)
-        finally:
-            self.space.open_streams -= 1
-            if self.query_level_tabling:
-                self.space.discard_from(watermark)
-            else:
-                self.space.sweep()
+        """Iterate the answers ``query`` lists, a snapshot taken at the
+        first item: abolishing tables or changing code while the stream
+        is open changes none of its items."""
+        yield from self.query(goal)
 
     def _eval_wrapper(self, goal: Term) -> SubgoalTable:
-        qpi = self.program.info(QUERY_PRED, 1, create=True)
-        qpi.tabling = "variant"
-        qpi.incremental_table = True
-        table = self._intern(qpi, Struct(QUERY_PRED, (goal,)))
-        self._run()
+        """Evaluate ``goal`` under a table of its own, which lives one
+        evaluation: it is in no subgoal trie nor in ``space.tables``,
+        and it leaves the call graph and ``dyn_readers`` as the
+        evaluation ends.  Marked abolished then, it is passed over by an
+        abolish that reaches it through ``cond_dependents``."""
+        cgoal, nvars = canonicalize(Struct("$query", (goal,)))
+        table = SubgoalTable(self._query_pi, cgoal, nvars, self.space._dfn)
+        try:
+            self._activate(table)
+            self._run()
+        finally:
+            self.space.unlink(table)
+            table.abolished = True
         return table
 
     def _query_answer(self, ans, qvars) -> QueryAnswer:
@@ -612,7 +606,7 @@ class Engine:
         table.stack_pos = len(self.comp)
         self.comp.append(table)
         self._graph_version += 1
-        if table.pred.name == QUERY_PRED:
+        if table.pred is self._query_pi:
             self.stack.append(("run", self._body_cont(
                 table, _answer_vars(table), table.subgoal.args[0],
                 table.nvars)))
@@ -1089,6 +1083,10 @@ class Engine:
                 # catch up; pending resume entries still pop, so the
                 # consumer is merely finished, not discarded
                 self._feed_consumer(c)
+        # nothing reads a complete table's readers again; the resume
+        # entries hold their own references
+        table.consumers = []
+        table.owned_consumers = []
 
     # ------------------------------------------------------------------
     # sub-evaluations (findall, join/leq)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple
 
 from .builtins import BUILTINS
 from .errors import DirectiveError, StoreError
@@ -248,7 +248,6 @@ class Program:
         self.preds: Dict[PredKey, PredicateInfo] = {}
         self.auto_table_requested = False
         self._seq = 0
-        self.last_route: Union[str, IndexSpec] = ""   # last lookup's route
 
     # ------------------------------------------------------------------
     # predicate records
@@ -266,8 +265,7 @@ class Program:
         return pi
 
     def user_predicates(self) -> List[PredicateInfo]:
-        return [self.preds[k] for k in sorted(self.preds)
-                if not k[0].startswith("$")]
+        return [self.preds[k] for k in sorted(self.preds)]
 
     # ------------------------------------------------------------------
     # directives
@@ -527,11 +525,9 @@ class Program:
         variables renamed above ``nv``."""
         pi = self.preds.get(functor_of(goal))
         if pi is None:
-            self.last_route = "undefined"
             return []
-        self.last_route, candidates = self._candidates(pi, goal)
         out = []
-        for cl in candidates:
+        for cl in self._candidates(pi, goal)[1]:
             env = _head_unifier(cl.head, nv, goal, occurs_check)
             if env is not None:
                 out.append((cl, env))
@@ -556,11 +552,8 @@ class Program:
         Covers plain calls, calls under tnot, and the goal argument of
         findall/3.  Built-ins other than findall contribute no edges.
         """
-        graph: Dict[PredKey, Set[PredKey]] = {
-            k: set() for k in self.preds if not k[0].startswith("$")}
+        graph: Dict[PredKey, Set[PredKey]] = {k: set() for k in self.preds}
         for key, pi in self.preds.items():
-            if key[0].startswith("$"):
-                continue
             edges = graph[key]
             for cl in pi.clauses:
                 for lit in cl.body:

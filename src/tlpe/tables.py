@@ -228,7 +228,6 @@ class TableSpace:
         self._ans_seq = 0
         self._pending: List[Tuple[str, object]] = []
         self.n_simplifications = 0
-        self.open_streams = 0
         self.trace_hook: Optional[Callable[[str, SubgoalTable], None]] = None
 
     # ------------------------------------------------------------------
@@ -386,6 +385,14 @@ class TableSpace:
         table.consumers = []
         table.neg_waiters = []
         table.cond_dependents = set()
+        self.unlink(table)
+        if table.as_map is not None:
+            table.as_map, table.as_seen = {}, set()
+        table.pred.recomputations += 1
+
+    def unlink(self, table: SubgoalTable) -> None:
+        """Take a table's calls out of the call graph and its reads of
+        dynamic code out of ``dyn_readers``: no change reaches it now."""
         for callee in table.dep_out:
             callee.dep_in.pop(table, None)
         table.dep_out = {}
@@ -393,9 +400,6 @@ class TableSpace:
         for key in table.consulted_dyn:
             self.dyn_readers.get(key, set()).discard(table)
         table.consulted_dyn = {}
-        if table.as_map is not None:
-            table.as_map, table.as_seen = {}, set()
-        table.pred.recomputations += 1
 
     def delete_answer(self, table: SubgoalTable, ans: AnswerRecord) -> None:
         """Remove an answer outright (answer subsumption replacement)."""
@@ -563,13 +567,9 @@ class TableSpace:
                 work.pop()
 
     def sweep(self) -> None:
-        """Reclaim abolished tables.
-
-        While any answer stream is open the whole sweep is deferred:
-        abolished tables stay marked (pending gc) and are reclaimed at
-        the next query boundary with no streams outstanding."""
-        if self.open_streams > 0:
-            return
+        """Reclaim abolished tables at once: out of their subgoal tries,
+        ``dyn_readers`` and ``tables``.  Nothing else reads them; an
+        answer stream reads a list of its own."""
         remaining: List[SubgoalTable] = []
         for table in self.tables:
             if table.abolished:
@@ -605,7 +605,7 @@ class TableSpace:
     def statistics(self) -> Dict[str, dict]:
         out: Dict[str, dict] = {}
         for table in self.tables:
-            if table.abolished or table.pred.name.startswith("$"):
+            if table.abolished:
                 continue
             st = out.setdefault(str(table.pred), {
                 "tables": 0, "answers": 0, "conditional": 0,

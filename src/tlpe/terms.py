@@ -92,10 +92,6 @@ class Struct:
         else:
             self.ground = True
 
-    @property
-    def arity(self) -> int:
-        return len(self.args)
-
     def __repr__(self):
         return f"Struct({self.name!r}, {self.args!r})"
 
@@ -121,7 +117,6 @@ Term = Union[Atom, Int, Var, Struct]
 Subst = Dict[int, Term]
 
 NIL = Atom("[]")
-TRUE = Atom("true")
 
 
 def term_eq(a: Term, b: Term) -> bool:

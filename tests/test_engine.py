@@ -1,6 +1,7 @@
 """Engine behavior: resolution, tabling, scheduling, traces, statistics."""
 
 import gc
+import io
 import random
 import sys
 import time
@@ -13,7 +14,7 @@ from tlpe import cli
 from tlpe.engine import Engine
 from tlpe.errors import (DirectiveError, EvalError, ParseError, StoreError,
                          TlpeError)
-from tlpe.incremental import incr_invalidate
+from tlpe.incremental import incr_assert, incr_invalidate
 from tlpe.tables import SubgoalTable
 from tlpe.terms import Atom, OrderKey, Struct, Var, term_to_str
 
@@ -604,19 +605,16 @@ class TestEngineGuards:
         # answers() finished eagerly, so a second query is fine
         assert solutions(eng, "p(X).") == ["p(1)"]
 
-    def test_abolish_all_waits_for_an_open_stream(self):
+    def test_abolish_all_under_an_open_stream(self):
         eng = make(REACH_L)
         want = solutions(eng, "reach(1,Y).")
         eng.abolish_all()
         stream = eng.answers("reach(1,Y).")
         got = [term_to_str(next(stream).goal)]
-        tables = list(eng.space.tables)
         eng.abolish_all()
-        assert eng.space.tables == tables
-        assert all(t.abolished for t in tables)
+        assert eng.space.tables == []
         got += [term_to_str(a.goal) for a in stream]
         assert got == want and len(want) == 2
-        assert eng.space.tables == []
 
     def test_statistics_shape(self):
         eng = make(REACH_L)
@@ -625,6 +623,105 @@ class TestEngineGuards:
         assert {"tables", "counters", "nodes", "simplifications",
                 "recomputations"} <= set(st)
         assert st["counters"]["new_subgoal"] >= 1
+
+
+class TestQueryTable:
+    """A query's own table lives one evaluation: what outlives it is
+    its complete tables and their answers."""
+
+    @staticmethod
+    def assert_no_query_table(eng):
+        assert ("$query", 1) not in eng.program.preds
+        assert [t for t in eng.space.tables if t.pred.name == "$query"] == []
+
+    def test_a_consult_after_a_query_is_seen_by_the_same_query(self):
+        eng = make(":- dynamic p/1.\np(1).")
+        assert solutions(eng, "p(X).") == ["p(1)"]
+        eng.consult("p(2).")
+        assert solutions(eng, "p(X).") == ["p(1)", "p(2)"]
+        assert eng.space.tables == []
+
+    @pytest.mark.parametrize("how", ["query", "answers", "raised"])
+    def test_no_query_table_outlives_its_evaluation(self, how):
+        eng = make(":- table p/1.\np(1).\nq :- tnot p(_).")
+        if how == "query":
+            assert solutions(eng, "p(X).") == ["p(1)"]
+        elif how == "answers":
+            assert [term_to_str(a.goal) for a in eng.answers("p(X).")] \
+                == ["p(1)"]
+        else:
+            with pytest.raises(EvalError) as err:
+                eng.query("p(X), q.")
+            assert err.value.kind == "floundered"
+        self.assert_no_query_table(eng)
+
+    def test_abolish_after_a_raised_query_with_a_conditional_answer(self):
+        # the query's table took a conditional answer of p, so p's
+        # table lists it among its conditional dependents
+        eng = make(":- table p/0, q/0.\np :- tnot q.\nq :- tnot p.\n"
+                   "g :- p.\ng :- tnot s(_).")
+        assert truth_set(eng, "p.") == {("p", "undefined")}
+        with pytest.raises(EvalError) as err:
+            eng.query("g.")
+        assert err.value.kind == "floundered"
+        eng.abolish_all()
+        assert eng.space.tables == []
+        assert truth_set(eng, "p.") == {("p", "undefined")}
+
+    INCR = """
+    :- use_incremental_dynamic e/2.
+    :- table reach/2 as incremental.
+    reach(X,Y) :- e(X,Y).
+    reach(X,Y) :- e(X,Z), reach(Z,Y).
+    e(1,2). e(2,3).
+    """
+
+    def test_an_open_stream_reads_a_snapshot(self):
+        eng = make(self.INCR)
+        stream = eng.answers("reach(1,Y).")
+        got = [term_to_str(next(stream).goal)]
+        assert incr_assert(eng, "e(3,4).")
+        got += [term_to_str(a.goal) for a in stream]
+        assert got == ["reach(1,2)", "reach(1,3)"]
+        assert solutions(eng, "reach(1,Y).") == got + ["reach(1,4)"]
+
+    def test_complete_tables_drop_their_readers(self):
+        edges = random_digraph(random.Random(3), 12, 30)
+        eng = make(REACH_L.replace("edge(1,2).  edge(2,3).", "".join(
+            f"edge({a},{b}). " for a, b in edges)))
+        for x in (1, 2, 5):
+            assert solutions(eng, f"reach({x},Y).")
+        assert eng.space.tables
+        for t in eng.space.tables:
+            assert t.complete and t.consumers == [] \
+                and t.owned_consumers == []
+
+
+class TestRepl:
+    """The interactive loop reports bad input and goes on."""
+
+    @staticmethod
+    def session(src, text):
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.Repl(make(src), io.StringIO(text), out, err).loop() == 0
+        return out.getvalue(), err.getvalue()
+
+    def test_a_missing_file_is_an_io_error(self, tmp_path):
+        missing = tmp_path / "nonexistent.pl"
+        out, err = self.session("p(1).", f":load {missing}.\np(X).\n")
+        assert err.startswith("error: io: ") and str(missing) in err
+        assert "X = 1" in out
+
+    def test_a_bad_indicator_is_a_bad_command(self):
+        out, err = self.session(REACH_L, ":abolish pred 3/2.\nedge(1,Y).\n")
+        assert err == "error: bad_command: expected name/arity, got 3/2\n"
+        assert "Y = 2" in out
+
+    def test_stats_after_a_query_lists_only_program_tables(self):
+        out, err = self.session(REACH_L, "reach(1,Y).\n\n:stats.\n")
+        assert err == ""
+        assert "reach/2: tables=1 answers=2" in out
+        assert "$query" not in out
 
 
 def settled(eng):

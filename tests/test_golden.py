@@ -3,13 +3,18 @@ node counter K and the operation counters of fixed programs.
 
 The expected values in ``golden_traces.json`` were recorded from the
 engine and pin its observable behaviour byte for byte, so a refactor of
-the SLG machinery that changes any of them fails here.  Record them
-again (``run_case`` over ``CASES``) only for a deliberate change of
-behaviour.
+the SLG machinery that changes any of them fails here.  Record an entry
+again only for a deliberate change of behaviour, and only that entry:
+
+    PYTHONPATH=src python tests/test_golden.py NAME...
+
+re-records the named entries of ``CASES`` and leaves every other entry
+byte for byte; it refuses a name that ``CASES`` does not have.
 """
 
 import json
 import os
+import sys
 
 import pytest
 
@@ -161,3 +166,19 @@ def test_choices_do_not_depend_on_memory_layout():
         padding = [object() for _ in range(n)]
         assert run_case("win_game_local") == first, n
         del padding
+
+
+def record(names):
+    """Re-record the named entries of ``golden_traces.json``."""
+    unknown = [n for n in names if n not in CASES]
+    if not names or unknown:
+        sys.exit(f"usage: test_golden.py NAME...; unknown: {unknown}; "
+                 f"known: {sorted(CASES)}")
+    for name in names:
+        EXPECTED[name] = run_case(name)
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(EXPECTED, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    record(sys.argv[1:])

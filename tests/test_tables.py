@@ -6,7 +6,7 @@ from tlpe.errors import EvalError
 from tlpe.parser import parse_term_text
 from tlpe.program import Program
 from tlpe.tables import DelayLit, SubgoalTable, TableSpace
-from tlpe.terms import Atom, Struct, canonicalize, term_to_str
+from tlpe.terms import Atom, canonicalize, term_to_str
 
 
 def t(src):
@@ -348,13 +348,9 @@ class TestStatistics:
         p1, _ = intern(sp, "p", "p(a, X)")
         p2, _ = intern(sp, "p", "p(b, X)")
         q, _ = intern(sp, "q", "blocker")
-        qpi = sp.program.info("$query", 1, create=True)
-        qpi.tabling = "variant"
-        sp.check_insert_subgoal(qpi, Struct("$query", (t("X"),)))
         sp.add_answer(p1, (Atom("one"),))
         sp.add_answer(p2, (Atom("two"),), [delay_neg(q)])
         p1.status = SubgoalTable.COMPLETE
         stats = sp.statistics()
         assert stats["p/2"] == {"tables": 2, "answers": 2,
                                 "conditional": 1, "complete": 1, "invalid": 0}
-        assert "$query/1" not in stats
