@@ -14,9 +14,9 @@ stack holds a continuation.
 from typing import Callable, Dict, List, Tuple
 
 from .errors import EvalError
-from .terms import (Atom, CyclicTermError, Int, OrderKey, Struct, Term, Var,
+from .terms import (Atom, CyclicTermError, Int, Struct, Term, Var, unify,
                     canonicalize, compare, instantiate, is_callable,
-                    list_parts, make_list, rename, term_to_str, unify)
+                    list_parts, make_list, order_key, rename, term_to_str)
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +167,9 @@ def _proper_list(t: Term, what: str) -> List[Term]:
 def _bi_sort(engine, cont, goal, off, rest):
     goal = instantiate(goal, off, cont.frame)
     items = _proper_list(goal.args[0], "sort/2")
-    ordered = sorted(items, key=OrderKey)
-    dedup: List[Term] = []
-    for x in ordered:
-        if not dedup or compare(dedup[-1], x) != 0:
-            dedup.append(x)
-    _unify_on(engine, cont, rest, goal.args[1], make_list(dedup))
+    keyed = {order_key(x): x for x in items}     # equal terms, one key
+    _unify_on(engine, cont, rest, goal.args[1],
+              make_list([keyed[k] for k in sorted(keyed)]))
 
 
 def _flatten_into(t: Term, out: List[Term]) -> None:

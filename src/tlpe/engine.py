@@ -53,10 +53,10 @@ from .parser import ParsedItem, parse_goal, parse_program
 from .program import Clause, Literal, PredicateInfo, Program, split_clause
 from .sccs import tarjan_sccs
 from .tables import DelayLit, SubgoalTable, TableSpace
-from .terms import (Atom, CyclicTermError, OrderKey, Struct, Term, Var,
-                    canonical_key, canonicalize, compare, functor_of,
-                    instantiate, is_ground, match, rename, resolve,
-                    term_to_str, term_vars, unify_all)
+from .terms import (Atom, CyclicTermError, Struct, Term, Var, canonical_key,
+                    canonicalize, functor_of, instantiate, is_ground, match,
+                    order_key, rename, resolve, term_to_str, term_vars,
+                    unify_all)
 from . import subsumption
 
 _BODY_HEAD = Atom("$body")
@@ -93,6 +93,7 @@ class Cont:
     state at a time, which binds into it and hands it on; each clause of
     a call but the last to run copies it.  The continuation of a
     ``Consumer`` or a ``NegWaiter`` is copied out of it (``_detach``).
+    A state the run stack would pop next runs at once instead.
     """
 
     __slots__ = ("owner", "ans", "goals", "delays", "scopes", "k", "nv",
@@ -117,13 +118,13 @@ def _answer_vars(table: SubgoalTable) -> Struct:
     return Struct("$a", tuple(map(Var, range(table.nvars))))
 
 
-class _Reversed(OrderKey):
-    """An ``OrderKey`` that sorts terms in reverse standard order."""
+class _Desc(tuple):
+    """An ``order_key`` that sorts in reverse."""
 
     __slots__ = ()
 
     def __lt__(self, other):
-        return compare(other.t, self.t) < 0
+        return tuple.__lt__(other, self)
 
 
 class Consumer:
@@ -134,10 +135,12 @@ class Consumer:
     variant call (distinct variables ``vars``), by binding them.  A
     subsumed call keeps ``seen``, instance to "returned unconditionally",
     as two answers can give it one instance; a reader of an
-    answer-subsumption table keeps ``heap``, the answers it has to feed."""
+    answer-subsumption table keeps ``heap``, the answers it has to feed.
+    A last call (a variant call ending a clause of a table whose answer
+    it makes up) keeps ``proj``: the binding slot of each answer slot."""
 
     __slots__ = ("table", "goal", "cont", "cursor", "scopes", "dead", "heap",
-                 "terms", "vars", "seen")
+                 "terms", "vars", "seen", "proj")
 
     def __init__(self, table: SubgoalTable, goal: Term, cont: Cont):
         self.table = table
@@ -148,6 +151,12 @@ class Consumer:
         ids = tuple({t.id: 0 for t in terms if type(t) is Var})
         self.vars = ids if len(ids) == len(terms) else None
         self.seen = {} if self.vars is None else None
+        self.proj = None
+        if cont.goals is None and self.vars is not None \
+                and type(cont.owner) is not Collector:
+            pos = {v: i for i, v in enumerate(ids)}
+            if all(type(a) is Var and a.id in pos for a in cont.ans.args):
+                self.proj = tuple([pos[a.id] for a in cont.ans.args])
         self.cursor = 0
         self.scopes = cont.scopes
         self.dead = False
@@ -461,7 +470,12 @@ class Engine:
     def _step_cont(self, cont: Cont) -> None:
         goals = cont.goals
         if goals is None:
-            self._produce(cont)
+            owner = cont.owner
+            ans = resolve(cont.ans, cont.frame)
+            if type(owner) is Collector:
+                owner.results.append(ans)
+            else:
+                self._produce(owner, ans.args, cont.delays)
             return
         lits, i, off, scope, rest = goals
         if i + 1 < len(lits):
@@ -520,22 +534,16 @@ class Engine:
     # ------------------------------------------------------------------
     # answer production
 
-    def _produce(self, cont: Cont) -> None:
-        owner = cont.owner
-        frame = cont.frame
-        if type(owner) is Collector:
-            owner.results.append(resolve(cont.ans, frame))
-            return
-        bindings = tuple([resolve(a, frame) for a in cont.ans.args])
-        if owner.pred.subsumption is not None:
-            if cont.delays:
-                raise EvalError(
-                    "subsumption_conditional",
-                    f"conditional answer for {owner.pred} under answer "
-                    "subsumption")
-            subsumption.apply(self, owner, bindings)
-            return
-        self.insert_reduced(owner, bindings, cont.delays)
+    def _produce(self, table: SubgoalTable, bindings: tuple, delays: tuple):
+        if table.pred.subsumption is None:
+            self.insert_reduced(table, bindings, delays)
+        elif delays:
+            raise EvalError(
+                "subsumption_conditional",
+                f"conditional answer for {table.pred} under answer "
+                "subsumption")
+        else:
+            subsumption.apply(self, table, bindings)
 
     def insert_reduced(self, table: SubgoalTable, bindings: tuple,
                        delays: tuple = ()):
@@ -647,9 +655,8 @@ class Engine:
         limit = cont.limit
         if len(frame) > limit:
             frame, limit = _compact(frame, goals, cont.ans)
-        self.stack.append(("run", Cont(
-            cont.owner, cont.ans, goals, cont.delays, cont.scopes, k,
-            off + clause.nvars, frame, limit)))
+        self._step_cont(Cont(cont.owner, cont.ans, goals, cont.delays,
+                             cont.scopes, k, off + clause.nvars, frame, limit))
 
     def _register_consumer(self, table: SubgoalTable,
                            consumer: Consumer) -> None:
@@ -671,11 +678,8 @@ class Engine:
     def _feed_answers(self, consumer: Consumer) -> bool:
         """Return the answers past the consumer's cursor, in order."""
         answers = consumer.table.answers
-        n = len(answers)
-        if consumer.cursor >= n:
-            return False
         pending = [a for a in answers[consumer.cursor:] if not a.deleted]
-        consumer.cursor = n
+        consumer.cursor = len(answers)
         self._push_returns(consumer, pending)
         return bool(pending)
 
@@ -695,12 +699,12 @@ class Engine:
         afterwards, so each stored answer returns to each consumer once."""
         heap = consumer.heap
         table = consumer.table
-        key = _Reversed if table.pred.subsumption.kind == "max" else OrderKey
+        key = _Desc if table.pred.subsumption.kind == "max" else tuple
         slot = table.as_slot
         answers = table.answers
         for a in answers[consumer.cursor:]:
             if not a.deleted:
-                heappush(heap, (key(a.bindings[slot]), a.seq, a))
+                heappush(heap, (key(order_key(a.bindings[slot])), a.seq, a))
         consumer.cursor = len(answers)
         pending = []
         while heap and not (one and pending):
@@ -711,15 +715,19 @@ class Engine:
         return bool(pending)
 
     def _return_answer(self, consumer: Consumer, ans) -> None:
-        """The one place an answer returns to a call: the goal map is
-        unified with the answer's bindings, renamed above the
-        continuation's variables if they have any."""
+        """The one place an answer returns to a call.  A last call hands
+        its bindings, projected (``Consumer.proj``), to its owner's table:
+        no other variable meets them.  Any other call unifies its goal map
+        with them, renamed above its variables if any, and runs on."""
         cont = consumer.cont
         nv = cont.nv
         bindings = ans.bindings
-        if ans.nvars:
+        proj = consumer.proj
+        if ans.nvars and proj is None:
             bindings = [rename(b, nv) for b in bindings]
-        if consumer.vars is not None:
+        if proj is not None:
+            bindings = tuple([bindings[j] for j in proj])
+        elif consumer.vars is not None:
             env = dict(zip(consumer.vars, bindings))
         else:
             env = unify_all(consumer.terms, bindings, self.occurs_check)
@@ -737,9 +745,11 @@ class Engine:
         delays = cont.delays
         if ans.conditional:
             delays = delays + (DelayLit(False, table, ans),)
-        self.stack.append(("run", Cont(
-            cont.owner, cont.ans, cont.goals, delays, cont.scopes, k,
-            nv + ans.nvars, env)))
+        if proj is not None:
+            self._produce(cont.owner, bindings, delays)
+        else:
+            self._step_cont(Cont(cont.owner, cont.ans, cont.goals, delays,
+                                 cont.scopes, k, nv + ans.nvars, env))
 
     # ------------------------------------------------------------------
     # inline (non-tabled) resolution

@@ -391,8 +391,15 @@ class TableSpace:
         table.pred.recomputations += 1
 
     def unlink(self, table: SubgoalTable) -> None:
-        """Take a table's calls out of the call graph and its reads of
-        dynamic code out of ``dyn_readers``: no change reaches it now."""
+        """Take a table's calls, delay lists and reads of dynamic code out
+        of the call graph, the watcher lists and ``cond_dependents`` they
+        joined, and ``dyn_readers``: no change reaches it now."""
+        for dl in [dl for ans in table.answers for dl in ans.delay_lists]:
+            for lit in dl.lits:
+                lit.table.cond_dependents.discard(table)
+                ws = lit.table.neg_watchers if lit.neg \
+                    else lit.ans.pos_watchers
+                ws[:] = [w for w in ws if w[0] is not dl]
         for callee in table.dep_out:
             callee.dep_in.pop(table, None)
         table.dep_out = {}

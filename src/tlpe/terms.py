@@ -276,9 +276,16 @@ def variant_tuple(terms) -> Tuple[Tuple[Term, ...], int]:
 
 
 def instantiate(t: Term, off: int, bindings: Subst) -> Term:
-    """``t`` as written, its variables offset by ``off``, with
-    ``bindings`` applied."""
-    return resolve(rename(t, off), bindings)
+    """``t`` with its variables offset by ``off``, then ``bindings``
+    applied, in one pass."""
+    if not off:
+        return resolve(t, bindings)
+
+    def leaf(v: Var) -> Term:
+        w = bindings.get(v.id + off)
+        return Var(v.id + off) if w is None else resolve(w, bindings)
+
+    return _map_vars(t, leaf)
 
 
 def walk(t: Term, bindings: Subst) -> Term:
@@ -300,7 +307,11 @@ def resolve(t: Term, bindings: Subst) -> Term:
     """
     if not bindings or t.ground:
         return t
-    if type(t) is Struct:   # the common case first: flat arguments
+    if type(t) is Var:
+        w = walk(t, bindings)
+        if w.ground or type(w) is Var:
+            return w
+    elif type(t) is Struct:   # the common case first: flat arguments
         args = [a if a.ground else walk(a, bindings) for a in t.args]
         if all(a.ground or type(a) is Var for a in args):
             return t if all(map(_is, args, t.args)) \
@@ -483,18 +494,17 @@ def compare(a: Term, b: Term) -> int:
     return 0
 
 
-class OrderKey:
-    """Adapter so terms can be fed to sorted()."""
-    __slots__ = ("t",)
+_RANK = {"v": 0, "i": 1, "a": 2}     # the _KIND_RANK of a symbol's tag
 
-    def __init__(self, t: Term):
-        self.t = t
 
-    def __lt__(self, other):
-        return compare(self.t, other.t) < 0
-
-    def __eq__(self, other):
-        return compare(self.t, other.t) == 0
+def order_key(t: Term) -> tuple:
+    """A tuple that sorts as ``t`` in the standard order: its preorder
+    ``symbols``, each as its kind's rank and value, a compound's arity
+    before its name."""
+    if type(t) is Int:
+        return ((1, t.value),)
+    return tuple([(3, s[2], s[1]) if s[0] == "f" else (_RANK[s[0]], s[1])
+                  for s in symbols(t)])
 
 
 # ---------------------------------------------------------------------------

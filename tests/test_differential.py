@@ -363,9 +363,10 @@ q(X,Y) :- x(X,Y).
 """
 
 REPEATED = """
-:- table p/2, d/1.
+:- table p/2, d/1, q/2.
 p(a,a). p(a,b). p(V,V). p(V,W). p(f(V),g(V)). p(f(V),f(b)). p(h(V,b),h(a,V)).
 d(X) :- p(X,X).
+q(X,Y) :- p(X,Y).
 """
 
 # p(X,b) and p(f(Y),Y) are undefined (they rest on tnot q, and q on tnot
@@ -389,7 +390,7 @@ FACTORED = [
               "p(g(A,B),C).", "x(X,Y).", "x(1,Y).", "x(X,z).",
               "q(X,Y).", "q(f(c),Y).", "(p(X,Y), x(Z,W))."], True),
     (REPEATED, ["p(X,Y).", "p(X,X).", "p(f(Z),Y).", "p(h(A,B),h(B,A)).",
-                "d(X).", "(p(X,Y), p(Z,Z))."], True),
+                "d(X).", "(p(X,Y), p(Z,Z)).", "q(X,Y).", "q(a,Y)."], True),
     (CONDITIONAL, ["p(X,Y).", "r(Y).", "p(a,Y).", "p(f(Z),Z)."], False),
     (CONDITIONAL, ["(p(X,Y), r(Z)).", "r(Y)."], False),
 ]
@@ -494,7 +495,7 @@ def test_broad_programs_agree_under_every_option(seed):
 def main(argv=None):
     """Run both differential checks over a range of seeds:
     ``python tests/test_differential.py FIRST LAST`` (inclusive) prints
-    each mismatching seed and the count."""
+    each mismatching seed with its first mismatch, and the count."""
     import argparse
     parser = argparse.ArgumentParser(description=main.__doc__)
     parser.add_argument("first", type=int)
@@ -503,9 +504,14 @@ def main(argv=None):
     bad = []
     for seed in range(args.first, args.last + 1):
         src, queries = random_program(seed)
-        if mismatches(src, queries) or broad_mismatches(*broad_program(seed)):
+        rows = mismatches(src, queries) \
+            or broad_mismatches(*broad_program(seed))
+        if rows:
             bad.append(seed)
             print(f"seed {seed}: mismatch", flush=True)
+            for name, value in zip(("options", "query", "got", "want"),
+                                   rows[0]):
+                print(f"  {name}: {value}", flush=True)
     print(f"{len(bad)} of {args.last - args.first + 1} seeds mismatch")
     return 1 if bad else 0
 

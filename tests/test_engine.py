@@ -7,16 +7,18 @@ import sys
 import time
 import tracemalloc
 import weakref
+from contextlib import contextmanager
 
 import pytest
 
 from tlpe import cli
+from tlpe import engine as engine_module
 from tlpe.engine import Engine
 from tlpe.errors import (DirectiveError, EvalError, ParseError, StoreError,
                          TlpeError)
 from tlpe.incremental import incr_assert, incr_invalidate
 from tlpe.tables import SubgoalTable
-from tlpe.terms import Atom, OrderKey, Struct, Var, term_to_str
+from tlpe.terms import Atom, Struct, Var, term_to_str
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from oracles import bfs_reachable, random_digraph
@@ -176,6 +178,42 @@ class TestInlineResolutionScales:
         assert large < 2.0 * small, (small, large)
 
 
+@contextmanager
+def shallow_stack(headroom=150):
+    """Lower the recursion limit to the caller's depth plus ``headroom``
+    frames for the ``with`` block."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+class TestRecursionDepth:
+    """The Python stack does not grow with the length of a derivation:
+    answers return, and clause bodies start, from the run loop."""
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    def test_right_recursive_tabled_chain(self, strategy):
+        # 3,000 tables, each answered by a last call into the next
+        eng = make(":- table r/2.\nr(X,Y) :- X < 3000, Z is X + 1, r(Z,Y).\n"
+                   "r(3000,3000).", strategy=strategy)
+        with shallow_stack():
+            answers = eng.query("r(0,Y).")
+        assert [(term_to_str(a.goal), a.truth) for a in answers] == [
+            ("r(0,3000)", "true")]
+
+    def test_inline_chain(self):
+        src, goal, _, n = SCALING["cnt"]
+        eng = make(src)
+        with shallow_stack():
+            assert solutions(eng, goal.format(n=n)) == [f"cnt({n},{n})"]
+
+
 FANOUT = (":- dynamic e/2.\n:- index(e/2, trie).\n"
           ":- table p/2 as subsumptive.\np(X,Y) :- e(X,Y).\n")
 
@@ -280,6 +318,72 @@ class TestTabledReach:
         eng.query("reach(1,X).")
         stats = eng.statistics()["tables"]["reach/2"]
         assert stats["tables"] == 1
+
+
+LAST_P = ":- table p/2, q/2.\nq(X,Y) :- p(X,Y).\n"
+LAST_W = (":- table p/0, q/0, r/0, w/0.\nw :- p.\np :- tnot q.\n"
+          "q :- tnot r.\nr.\nr :- tnot p.")
+LAST_REFUTED = (":- table p/2, q/2, a0/0, a1/0, a3/0.\nq(X,Y) :- p(X,Y).\n"
+                "p(c0,k) :- tnot a1.\np(c1,k) :- tnot a3.\np(c9,k).\n"
+                "p(c2,k) :- tnot a3.\na1 :- tnot a0.\n"
+                "a1 :- tnot a3, tnot p(c1,k).\na3 :- tnot p(c0,k).")
+LAST_BEST = (":- table best(_,min), sp/2.\nbest(X,C) :- sp(X,C).\n"
+             "sp(a,3). sp(b,2). sp(a,1).")
+
+
+class TestLastCall:
+    """A call with nothing after it hands its answers straight to its
+    owner's table; the answers and truths are those of the general
+    return path."""
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    @pytest.mark.parametrize("src,goal,want,last", [
+        # a non-ground answer with a repeated variable
+        (LAST_P + "p(Z,Z).\np(b,c).", "q(X,Y).",
+         [("q(_G0,_G0)", "true"), ("q(b,c)", "true")], ["$query", "q"]),
+        (LAST_P + "p(Z,Z).\np(b,c).", "q(a,Y).",
+         [("q(a,a)", "true")], ["$query", "q"]),
+        # under batched, p returns to w while conditional, and
+        # simplification later makes it true
+        (LAST_W, "w.", [("w", "true")], ["$query", "w"]),
+        # under batched, p(c1,k) and p(c2,k) return to q while
+        # conditional, and simplification later deletes them
+        (LAST_REFUTED, "q(X,Y).", [("q(c9,k)", "true")], ["$query", "q"]),
+        # the owner reduces under answer subsumption
+        (LAST_BEST, "best(X,C).", None, ["$query", "best"]),
+        # findall's reader is not a table: it takes the general path
+        (LAST_P + "p(1,a). p(Z,Z). p(2,b).", "findall(X-Y, q(X,Y), L).",
+         [("findall(-(_G0,_G1),q(_G0,_G1),[-(1,a),-(_G2,_G2),-(2,b)])",
+           "true")], ["q"]),
+    ], ids=["repeated", "repeated_bound", "simplified_true",
+            "simplified_false", "subsumption", "findall"])
+    def test_answers_as_on_the_general_path(self, src, goal, want, last,
+                                            strategy, monkeypatch):
+        made = []
+
+        class Spy(engine_module.Consumer):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(engine_module, "Consumer", Spy)
+        eng = make(src, strategy=strategy)
+        got = [(term_to_str(a.goal), a.truth) for a in eng.query(goal)]
+        if want is None:    # batched also lists the replaced best(a,3)
+            want = [("best(a,1)", "true"), ("best(b,2)", "true")] \
+                if strategy == "local" else [
+                    ("best(a,3)", "true"), ("best(b,2)", "true"),
+                    ("best(a,1)", "true")]
+        assert got == want
+        takers = [c for c in made if c.proj is not None]
+        assert sorted({c.cont.owner.pred.name for c in takers}) == last
+        assert all(type(c.cont.owner) is not engine_module.Collector
+                   for c in takers)
+        if "findall" in goal:
+            assert any(type(c.cont.owner) is engine_module.Collector
+                       for c in made)
 
 
 class TestAnswerOrder:
@@ -532,14 +636,14 @@ class TestAnswerSubsumptionFeed:
     @pytest.mark.parametrize("strategy", ["local", "batched"])
     def test_feeding_costs_one_key_per_answer(self, strategy, monkeypatch):
         made = []
-        init = OrderKey.__init__
+        order_key = engine_module.order_key
 
-        def counting(self, t):
+        def counting(t):
             made.append(t)
-            init(self, t)
+            return order_key(t)
 
         eng = make(self.STAR, strategy=strategy)
-        monkeypatch.setattr(OrderKey, "__init__", counting)
+        monkeypatch.setattr(engine_module, "order_key", counting)
         assert len(eng.query("sp(0,Y,C).")) == self.N
         # two consumers, the query's and the recursive call's, read N
         # answers each; rescanning the pending answers every round made
@@ -667,6 +771,17 @@ class TestQueryTable:
         eng.abolish_all()
         assert eng.space.tables == []
         assert truth_set(eng, "p.") == {("p", "undefined")}
+
+    def test_a_conditional_query_leaves_no_watchers(self):
+        eng = make(":- table p/0, q/0.\np :- tnot q.\nq :- tnot p.")
+        for _ in range(5):
+            assert truth_set(eng, "p.") == {("p", "undefined")}
+        p, q = (eng.space.lookup_variant(Atom(n)) for n in "pq")
+        [ans] = p.answers
+        watchers = ans.pos_watchers + p.neg_watchers + q.neg_watchers
+        assert [dl.owner.table.pred.name for dl, _ in watchers] == ["q", "p"]
+        assert p.cond_dependents == {q} and q.cond_dependents == {p}
+        assert truth_set(eng, "q.") == {("q", "undefined")}
 
     INCR = """
     :- use_incremental_dynamic e/2.

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tlpe.terms import (
-    Atom, CyclicTermError, Int, OrderKey, Struct, Var, canonical_key,
-    canonicalize, compare, is_ground, make_list, match, rename, resolve,
-    subsumes, symbols, term_to_str, term_vars, unify, variant,
+    Atom, CyclicTermError, Int, Struct, Var, canonical_key,
+    canonicalize, compare, instantiate, is_ground, make_list, match,
+    order_key, rename, resolve, subsumes, symbols, term_to_str, term_vars,
+    unify, variant,
 )
 
 
@@ -104,7 +105,7 @@ class TestOrder:
 
     def test_sorted(self):
         items = [S("f", b), Atom("z"), Int(3), Atom("a"), Int(-1)]
-        got = sorted(items, key=OrderKey)
+        got = sorted(items, key=order_key)
         assert got == [Int(-1), Int(3), Atom("a"), Atom("z"), S("f", b)]
 
 
@@ -228,3 +229,24 @@ def test_order_antisymmetric(t1, t2):
     assert compare(t1, t2) == -compare(t2, t1)
     if compare(t1, t2) == 0:
         assert canonical_key(t1) == canonical_key(t2) or t1 == t2
+
+
+@given(_terms, _terms)
+def test_order_key_sorts_as_compare(t1, t2):
+    # variables, nested compounds, and f/1, f/2, f/3 side by side
+    k1, k2 = order_key(t1), order_key(t2)
+    assert (k1 > k2) - (k1 < k2) == compare(t1, t2)
+
+
+@given(_terms, _terms, st.integers(0, 3))
+def test_instantiate_resolves_the_offset_term(t1, t2, off):
+    env = unify(rename(t1, off), rename(t2, 100))
+    if env is None:
+        return
+    try:
+        want = resolve(rename(t1, off), env)
+    except CyclicTermError:
+        with pytest.raises(CyclicTermError):
+            instantiate(t1, off, env)
+    else:
+        assert instantiate(t1, off, env) == want
