@@ -61,15 +61,19 @@ move(27,12). move(27,19). move(28,8). move(28,14). move(28,19).
 move(29,1). move(29,22). move(30,20). move(30,22).
 """
 
+REACH_LEFT = """
+:- table reach/2.
+reach(X,Y) :- reach(X,Z), edge(Z,Y).
+reach(X,Y) :- edge(X,Y).
+edge(1,2). edge(2,3). edge(3,1). edge(3,4).
+"""
+
 # name -> (program, engine options, steps); a step is a goal to query
 # or ("assert" | "retract", fact) for an eager incremental update
 CASES = {
-    "reach_left": ("""
-        :- table reach/2.
-        reach(X,Y) :- reach(X,Z), edge(Z,Y).
-        reach(X,Y) :- edge(X,Y).
-        edge(1,2). edge(2,3). edge(3,1). edge(3,4).
-        """, {}, ["reach(1,Y).", "reach(X,Y)."]),
+    "reach_left": (REACH_LEFT, {}, ["reach(1,Y).", "reach(X,Y)."]),
+    "reach_left_batched": (REACH_LEFT, {"strategy": "batched"},
+                           ["reach(1,Y).", "reach(X,Y)."]),
     "win_local": (WIN, {"strategy": "local"}, ["win(X).", "win(6)."]),
     "win_batched": (WIN, {"strategy": "batched"}, ["win(X).", "win(6)."]),
     "win_game_local": (WIN_GAME, {"strategy": "local"},
