@@ -11,7 +11,8 @@ bindings to ``engine._continue``, so only the engine knows how the run
 stack holds a continuation.
 """
 
-from typing import Callable, Dict, List, Tuple
+import operator
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import EvalError
 from .terms import (Atom, CyclicTermError, Int, Struct, Term, Var, unify,
@@ -22,6 +23,26 @@ from .terms import (Atom, CyclicTermError, Int, Struct, Term, Var, unify,
 # ---------------------------------------------------------------------------
 # arithmetic
 # ---------------------------------------------------------------------------
+
+def _div(a: int, b: int) -> int:
+    if b == 0:
+        raise EvalError("zero_divisor", "division by zero")
+    q = abs(a) // abs(b)
+    return q if (a >= 0) == (b >= 0) else -q
+
+
+def _mod(a: int, b: int) -> int:
+    if b == 0:
+        raise EvalError("zero_divisor", "division by zero")
+    return a % b
+
+
+# name/arity -> the function of the argument values
+ARITH = {("+", 2): operator.add, ("-", 2): operator.sub,
+         ("*", 2): operator.mul, ("//", 2): _div, ("/", 2): _div,
+         ("mod", 2): _mod, ("min", 2): min, ("max", 2): max,
+         ("-", 1): operator.neg, ("+", 1): operator.pos, ("abs", 1): abs}
+
 
 def eval_arith(t: Term, frame, off: int = 0, path=frozenset()) -> int:
     """The value of ``t`` as written, its variables offset by ``off`` and
@@ -41,41 +62,39 @@ def eval_arith(t: Term, frame, off: int = 0, path=frozenset()) -> int:
         if vid in path:
             raise CyclicTermError(f"cyclic binding through _{vid}")
         path = path | {vid}
-    if tt is Struct:
-        name, n = t.name, len(t.args)
-        if n == 2:
-            a = eval_arith(t.args[0], frame, off, path)
-            b = eval_arith(t.args[1], frame, off, path)
-            if name == "+":
-                return a + b
-            if name == "-":
-                return a - b
-            if name == "*":
-                return a * b
-            if name in ("//", "/"):
-                if b == 0:
-                    raise EvalError("zero_divisor", "division by zero")
-                q = abs(a) // abs(b)
-                return q if (a >= 0) == (b >= 0) else -q
-            if name == "mod":
-                if b == 0:
-                    raise EvalError("zero_divisor", "division by zero")
-                return a % b
-            if name == "min":
-                return min(a, b)
-            if name == "max":
-                return max(a, b)
-        elif n == 1:
-            a = eval_arith(t.args[0], frame, off, path)
-            if name == "-":
-                return -a
-            if name == "+":
-                return a
-            if name == "abs":
-                return abs(a)
+    if tt is Struct and len(t.args) <= 2:
+        # the arguments first, so that an error in one of them surfaces
+        values = [eval_arith(a, frame, off, path) for a in t.args]
+        op = ARITH.get((t.name, len(values)))
+        if op is not None:
+            return op(*values)
     raise EvalError("arith_type",
                     "not an arithmetic expression: "
                     f"{term_to_str(instantiate(t, off, frame))}")
+
+
+def compile_arith(t: Term, slot: Dict[int, int]) -> Optional[Callable]:
+    """``t`` as a function of a row of ground terms, each variable read
+    from ``row[slot[id]]``, that computes what ``eval_arith`` does, and
+    raises what it raises; None if a variable of ``t`` has no slot or
+    ``t`` is not built of numbers and the functors of ``ARITH``."""
+    tt = type(t)
+    if tt is Int:
+        v = t.value
+        return lambda row: v
+    if tt is Var:
+        i = slot.get(t.id)
+        return None if i is None else lambda row: row[i].value \
+            if type(row[i]) is Int else eval_arith(row[i], {})
+    op = ARITH.get((t.name, len(t.args))) if tt is Struct else None
+    fs = [compile_arith(a, slot) for a in t.args] if op else [None]
+    if None in fs:
+        return None
+    if len(fs) == 1:
+        f, = fs
+        return lambda row: op(f(row))
+    f, g = fs
+    return lambda row: op(f(row), g(row))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,20 @@ when the call needs terms: clause lookup, tabling, unification and the
 like; arithmetic reads the frame.  A continuation is copied into
 instantiated terms only where it outlives the step: it suspends as a
 consumer or a negative waiter, or yields an answer or a findall result.
+Each body literal records, the first time it is reached, what a call of
+it runs: its builtin handler or its predicate.
+
+Fused fact joins: a returned answer skips the rest of its clause where
+that rest has a fixed shape.  A last call hands the answer, projected,
+to its owner's table.  A call followed by one call of a static
+predicate of ground facts, then only ``is/2`` goals that bind fresh
+variables, joins each ground answer with the facts the clause index
+keeps for it (``ReturnPlan``); every fact that matches makes one answer of
+the owner, its ``is/2`` values computed by functions compiled once per
+consumer, with no continuation, inline stack entry or frame.  Facts join
+in clause order, and one whose answer pushes entries (a batched feed)
+leaves the facts still to join beneath them, so answers, their order, K
+and the traces are those of the inline path.
 
 Scheduling maintains a completion stack of incomplete tables, the
 scheduler's only registry of them.  Tables record one call graph,
@@ -45,30 +59,31 @@ from __future__ import annotations
 from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, NamedTuple, Optional, Set
 
-from .builtins import BUILTINS
+from .builtins import BUILTINS, compile_arith
 from .errors import EvalError
 from .parser import ParsedItem, parse_goal, parse_program
 from .program import Clause, Literal, PredicateInfo, Program, split_clause
 from .sccs import tarjan_sccs
 from .tables import DelayLit, SubgoalTable, TableSpace
-from .terms import (Atom, CyclicTermError, Struct, Term, Var, canonical_key,
-                    canonicalize, functor_of, instantiate, is_ground, match,
-                    order_key, rename, resolve, term_to_str, term_vars,
-                    unify_all)
+from .terms import (Atom, CyclicTermError, Int, Struct, Term, Var,
+                    canonical_key, canonicalize, functor_of, instantiate,
+                    is_ground, match, order_key, rename, resolve,
+                    term_to_str, term_vars, unify_all)
 from . import subsumption
 
 _BODY_HEAD = Atom("$body")
 
 
 class Collector:
-    """Answer sink for sub-evaluations (findall, join/leq calls)."""
+    """Answer sink for sub-evaluations (findall, join/leq calls):
+    ``results`` holds each instance with the delay literals it carried."""
 
     __slots__ = ("results", "owner_table")
 
     def __init__(self, owner_table: Optional[SubgoalTable]):
-        self.results: List[Term] = []
+        self.results: List[tuple] = []
         self.owner_table = owner_table
 
 
@@ -136,13 +151,20 @@ class Consumer:
     subsumed call keeps ``seen``, instance to "returned unconditionally",
     as two answers can give it one instance; a reader of an
     answer-subsumption table keeps ``heap``, the answers it has to feed.
-    A last call (a variant call ending a clause of a table whose answer
-    it makes up) keeps ``proj``: the binding slot of each answer slot."""
+
+    A variant call of a table's clause keeps ``plan``, a ``ReturnPlan``
+    made with the consumer, when the rest of the clause has a fixed
+    shape; its answers then go straight to the owner's table, and the
+    rest never runs.  A last call projects each answer.  Fused fact
+    joins, where the rest is one call of ground facts and then ``is/2``
+    goals, join each ground answer with those facts, and each match is
+    an answer of the owner."""
 
     __slots__ = ("table", "goal", "cont", "cursor", "scopes", "dead", "heap",
-                 "terms", "vars", "seen", "proj")
+                 "terms", "vars", "seen", "plan")
 
-    def __init__(self, table: SubgoalTable, goal: Term, cont: Cont):
+    def __init__(self, table: SubgoalTable, goal: Term, cont: Cont,
+                 program: Program):
         self.table = table
         self.goal = goal
         self.cont = cont
@@ -151,16 +173,83 @@ class Consumer:
         ids = tuple({t.id: 0 for t in terms if type(t) is Var})
         self.vars = ids if len(ids) == len(terms) else None
         self.seen = {} if self.vars is None else None
-        self.proj = None
-        if cont.goals is None and self.vars is not None \
-                and type(cont.owner) is not Collector:
-            pos = {v: i for i, v in enumerate(ids)}
-            if all(type(a) is Var and a.id in pos for a in cont.ans.args):
-                self.proj = tuple([pos[a.id] for a in cont.ans.args])
+        self.plan = None
+        if self.vars is not None and type(cont.owner) is not Collector:
+            self.plan = _return_plan(cont, ids, program)
         self.cursor = 0
         self.scopes = cont.scopes
         self.dead = False
         self.heap = [] if table.pred.subsumption is not None else None
+
+
+class ReturnPlan(NamedTuple):
+    """How a consumer's answers make its owner's answers.  A row holds
+    an answer's bindings; ``proj`` picks the owner's answer from it.  A
+    last call (the call ends the clause) has no ``pred``.  Otherwise the
+    clause goes on with one call of ``pred``, a static predicate of
+    ground facts only, then ``is/2`` goals that bind fresh variables, and
+    the row goes on with a fact's arguments, then the value of each
+    ``arith`` function in turn.  ``probe`` is that call, an int reading
+    the row and a variable an output, and ``checks`` pairs each argument
+    position with the row slot it must equal.  Every argument of the call
+    and of the owner's answer is a variable."""
+
+    pred: Optional[PredicateInfo]
+    probe: tuple
+    checks: tuple
+    arith: tuple
+    proj: tuple
+
+
+def _return_plan(cont: Cont, ids: tuple, program: Program):
+    """The ``ReturnPlan`` of a consumer whose variables are ``ids`` and
+    whose continuation is ``cont``; None if these lack its shape."""
+    slot = {v: j for j, v in enumerate(ids)}    # variable -> row slot
+    n = len(ids)
+    pi, probe, checks, arith = None, [], [], []
+    if cont.goals is not None:
+        lits, _, _, _, rest = cont.goals
+        call = lits[0]
+        if rest is not None or call.neg or type(call.goal) is not Struct:
+            return None
+        pi = call.call or _decode(call, program)
+        if type(pi) is not PredicateInfo or pi.tabled \
+                or pi.general_clauses or pi.dynamic or pi.incremental_source:
+            return None
+        args = call.goal.args
+        for p, a in enumerate(args):
+            if type(a) is not Var:
+                return None
+            if a.id in slot:
+                checks.append((p, slot[a.id]))
+            else:
+                slot[a.id] = n + p
+        probe = [slot[a.id] if slot[a.id] < n else a for a in args]
+        for lit in lits[1:]:
+            g = lit.goal
+            if lit.neg or type(g) is not Struct or g.name != "is" \
+                    or len(g.args) != 2 or type(g.args[0]) is not Var \
+                    or g.args[0].id in slot:
+                return None
+            arith.append(compile_arith(g.args[1], slot))
+            slot[g.args[0].id] = n + len(args) + len(arith) - 1
+    ans = cont.ans.args
+    if None in arith or not all(type(a) is Var and a.id in slot
+                                for a in ans):
+        return None
+    return ReturnPlan(pi, tuple(probe), tuple(checks), tuple(arith),
+                      tuple([slot[a.id] for a in ans]))
+
+
+def _decode(lit: Literal, program: Program):
+    """What a call of ``lit`` runs, its builtin handler or its predicate,
+    recorded on the literal; None for an undefined predicate, which is
+    looked up again next time, as a consult may define it."""
+    goal = lit.goal
+    key = (goal.name, 0) if type(goal) is Atom \
+        else (goal.name, len(goal.args))
+    lit.call = call = BUILTINS.get(key) or program.info(*key)
+    return call
 
 
 class NegWaiter:
@@ -260,14 +349,13 @@ class Engine:
 
     def __init__(self, program: Optional[Program] = None,
                  strategy: str = "local", occurs_check: bool = False,
-                 gc_action: str = "abolish_dependents",
                  query_level_tabling: bool = False,
                  default_tabling: str = "variant"):
         if strategy not in ("local", "batched"):
             raise ValueError(f"unknown strategy: {strategy}")
         self.program = program if program is not None \
             else Program(default_tabling=default_tabling)
-        self.space = TableSpace(self.program, gc_action=gc_action)
+        self.space = TableSpace(self.program)
         self.space.trace_hook = self._trace
         self.strategy = strategy
         self.occurs_check = occurs_check
@@ -456,6 +544,8 @@ class Engine:
         elif kind == "inline":
             _, after, clause, env, scope, shared = entry
             self._push_body(after, clause, env, scope, after.k, shared)
+        elif kind == "join":
+            self._join_facts(*entry[1:])
         else:  # "clause": a producer's, unless its table has completed
             _, root, clause, env = entry
             table = root.owner
@@ -473,7 +563,7 @@ class Engine:
             owner = cont.owner
             ans = resolve(cont.ans, cont.frame)
             if type(owner) is Collector:
-                owner.results.append(ans)
+                owner.results.append((ans, cont.delays))
             else:
                 self._produce(owner, ans.args, cont.delays)
             return
@@ -486,18 +576,16 @@ class Engine:
             self._call_negative(cont, instantiate(goal, off, cont.frame),
                                 rest)
             return
-        key = (goal.name, 0) if type(goal) is Atom \
-            else (goal.name, len(goal.args))
-        handler = BUILTINS.get(key)
-        if handler is not None:
-            handler(self, cont, goal, off, rest)
+        call = lit.call or _decode(lit, self.program)
+        if type(call) is not PredicateInfo:
+            if call is not None:    # else undefined: it fails quietly
+                call(self, cont, goal, off, rest)
             return
-        pi = self.program.info(*key)
         goal = instantiate(goal, off, cont.frame)
-        if pi is not None and pi.tabled:
-            self._call_tabled(pi, cont, goal, rest)
+        if call.tabled:
+            self._call_tabled(call, cont, goal, rest)
         else:
-            self._call_inline(pi, cont, goal, rest)
+            self._call_inline(call, cont, goal, rest)
 
     def _continue(self, cont: Cont, rest, env=None, nv: Optional[int] = None,
                   extra_delay=None, k: Optional[int] = None) -> None:
@@ -524,7 +612,7 @@ class Engine:
         while rest is not None:
             lits, i, off, scope, rest = rest
             segments.append((scope, tuple([
-                Literal(lit.neg, instantiate(lit.goal, off, frame))
+                Literal(lit.neg, instantiate(lit.goal, off, frame), lit.call)
                 for lit in lits[i:]])))
         for scope, lits in reversed(segments):
             rest = (lits, 0, 0, scope, rest)
@@ -572,7 +660,8 @@ class Engine:
                      rest) -> None:
         table = self._intern(pi, goal)
         self._note_call(cont, table, neg=False)
-        consumer = Consumer(table, goal, self._detach(cont, rest))
+        consumer = Consumer(table, goal, self._detach(cont, rest),
+                            self.program)
         if table.complete:
             if consumer.vars is None:
                 # a subsumed call reads the answers its trie walk keeps
@@ -715,49 +804,88 @@ class Engine:
         return bool(pending)
 
     def _return_answer(self, consumer: Consumer, ans) -> None:
-        """The one place an answer returns to a call.  A last call hands
-        its bindings, projected (``Consumer.proj``), to its owner's table:
-        no other variable meets them.  Any other call unifies its goal map
-        with them, renamed above its variables if any, and runs on."""
+        """The one place an answer returns to a call.  A call with a
+        ``Consumer.plan`` hands its owner's table the answer projected,
+        or, for a ground answer, what it joins with facts: no other
+        variable meets them.  Any other call unifies its goal map with
+        the bindings, renamed above its variables if any, and runs on."""
         cont = consumer.cont
         nv = cont.nv
         bindings = ans.bindings
-        proj = consumer.proj
-        if ans.nvars and proj is None:
-            bindings = [rename(b, nv) for b in bindings]
-        if proj is not None:
-            bindings = tuple([bindings[j] for j in proj])
-        elif consumer.vars is not None:
-            env = dict(zip(consumer.vars, bindings))
-        else:
-            env = unify_all(consumer.terms, bindings, self.occurs_check)
-            if env is None:
-                return
-            # a table owner takes an instance again while it is conditional
-            # (the delay literal differs); findall ignores delays
-            seen = consumer.seen
-            key = canonical_key(resolve(consumer.goal, env))
-            if seen.get(key) or key in seen and type(cont.owner) is Collector:
-                return
-            seen[key] = not ans.conditional
+        plan = consumer.plan
+        if plan is not None and ans.nvars and plan.pred is not None:
+            plan = None
+        if plan is None:
+            if ans.nvars:
+                bindings = [rename(b, nv) for b in bindings]
+            if consumer.vars is not None:
+                env = dict(zip(consumer.vars, bindings))
+            else:
+                env = unify_all(consumer.terms, bindings, self.occurs_check)
+                if env is None:
+                    return
+                # a table owner takes an instance again while it is
+                # conditional (the delay literal differs); findall ignores
+                # delays
+                seen = consumer.seen
+                key = canonical_key(resolve(consumer.goal, env))
+                if seen.get(key) or key in seen \
+                        and type(cont.owner) is Collector:
+                    return
+                seen[key] = not ans.conditional
         table = consumer.table
         k = self._op("positive_return", "POSITIVE_RETURN", table)
         delays = cont.delays
         if ans.conditional:
             delays = delays + (DelayLit(False, table, ans),)
-        if proj is not None:
-            self._produce(cont.owner, bindings, delays)
-        else:
+        if plan is None:
             self._step_cont(Cont(cont.owner, cont.ans, cont.goals, delays,
                                  cont.scopes, k, nv + ans.nvars, env))
+        elif plan.pred is None:
+            bindings = tuple([bindings[j] for j in plan.proj])
+            self._produce(cont.owner, bindings, delays)
+        else:
+            pi = plan.pred
+            goal = Struct(pi.name, tuple([bindings[a] if type(a) is int
+                                          else a for a in plan.probe]))
+            self._join_facts(consumer, bindings, delays,
+                             self.program._candidates(pi, goal)[1], 0)
+
+    def _join_facts(self, consumer: Consumer, base: tuple, delays: tuple,
+                    facts: list, i: int) -> None:
+        """Hand the owner of ``consumer`` the answer of each fact from
+        ``facts[i]`` on that joins the row ``base`` (``ReturnPlan``).  An
+        answer that pushes entries (a batched feed) leaves a ``join``
+        entry for the facts still to join beneath them: they run first,
+        as before each next fact of an inline call."""
+        plan = consumer.plan
+        owner = consumer.cont.owner
+        checks, arith, proj = plan.checks, plan.arith, plan.proj
+        stack = self.stack
+        n = len(facts)
+        while i < n:
+            args = facts[i].head.args
+            i += 1
+            row = base + args
+            for p, s in checks:
+                a = args[p]
+                if a is not row[s] and a != row[s]:
+                    break
+            else:
+                for f in arith:
+                    row += (Int(f(row)),)
+                mark = len(stack)
+                self._produce(owner, tuple([row[s] for s in proj]), delays)
+                if len(stack) > mark and i < n:
+                    stack.insert(mark, ("join", consumer, base, delays,
+                                        facts, i))
+                    return
 
     # ------------------------------------------------------------------
     # inline (non-tabled) resolution
 
-    def _call_inline(self, pi: Optional[PredicateInfo], cont: Cont,
-                     goal: Term, rest) -> None:
-        if pi is None:
-            return      # undefined predicate: no clauses, fails quietly
+    def _call_inline(self, pi: PredicateInfo, cont: Cont, goal: Term,
+                     rest) -> None:
         if pi.dynamic or pi.incremental_source:
             caller = self._owner_of(cont)
             if caller is not None:
@@ -1104,6 +1232,8 @@ class Engine:
     def _sub_eval(self, owner_table: Optional[SubgoalTable],
                   template: Term, goal: Term, nv: int) -> List[Term]:
         """Evaluate goal in a fresh context; collect template instances.
+        An instance that leans on an answer simplification deleted by the
+        end is dropped; one still conditional stays (delays are ignored).
 
         The caller's variables are shared: the goal and template arrive
         already instantiated, fresh variables start at nv."""
@@ -1119,7 +1249,8 @@ class Engine:
             self._run()
         finally:
             self.stack, self.comp, self._round, self.ctx = saved
-        return collector.results
+        return [r for r, delays in collector.results
+                if not any(not d.neg and d.ans.deleted for d in delays)]
 
     def _owner_of(self, cont: Cont) -> Optional[SubgoalTable]:
         owner = cont.owner

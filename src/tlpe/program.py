@@ -38,9 +38,12 @@ _ANON = ("v", None)   # a variable of an index path: it binds nothing
 
 @dataclass
 class Literal:
-    """One body goal; neg means it sits under tnot."""
+    """One body goal; neg means it sits under tnot.  ``call`` is what a
+    call of it runs, its builtin handler or its ``PredicateInfo``, which
+    the engine records the first time it reaches the literal."""
     neg: bool
     goal: Term
+    call: object = field(default=None, compare=False, repr=False)
 
     def __repr__(self):
         s = term_to_str(self.goal)
@@ -176,6 +179,7 @@ class PredicateInfo:
     clauses: List[Clause] = field(default_factory=list)
     recomputations: int = 0
     any_cut: bool = False               # some clause body contains !
+    general_clauses: int = 0            # rules and non-ground facts
 
     @property
     def key(self) -> PredKey:
@@ -475,6 +479,8 @@ class Program:
                 return None
         if any(type(lit.goal) is Atom and lit.goal.name == "!" for lit in body):
             pi.any_cut = True
+        if body or not head.ground:
+            pi.general_clauses += 1
         if not pi.trie_indexed:
             pi.clauses.append(cl)
         return cl
@@ -492,6 +498,8 @@ class Program:
             pi.clauses.remove(cl)
         for ix in pi.indexes:
             ix.remove(cl)
+        if cl.body or not cl.head.ground:
+            pi.general_clauses -= 1
         return True
 
     def holds_variant(self, term: Term) -> bool:

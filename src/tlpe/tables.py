@@ -217,10 +217,8 @@ def _retire_answers(table: SubgoalTable) -> None:
 class TableSpace:
     """All tables of a session, with the simplification machinery."""
 
-    def __init__(self, program: Program,
-                 gc_action: str = "abolish_dependents"):
+    def __init__(self, program: Program):
         self.program = program
-        self.gc_action = gc_action
         self.tries: Dict[Tuple[str, int], Trie] = {}
         self.tables: List[SubgoalTable] = []
         self.dyn_readers: Dict[Tuple[str, int], Set[SubgoalTable]] = {}
@@ -554,9 +552,9 @@ class TableSpace:
         self.sweep()
 
     def _abolish(self, table: SubgoalTable) -> None:
-        """Abolish a table and, under ``abolish_dependents``, every table
-        whose conditional answers lean on it, depth first; a worklist of
-        iterators, as chains of dependents can be thousands long."""
+        """Abolish a table and every table whose conditional answers lean
+        on it, depth first; a worklist of iterators, as chains of
+        dependents can be thousands long."""
         work = [iter((table,))]
         while work:
             for t in work[-1]:
@@ -567,8 +565,7 @@ class TableSpace:
                                     f"table {term_to_str(t.subgoal)} is "
                                     "not yet complete")
                 t.abolished = True
-                if self.gc_action == "abolish_dependents":
-                    work.append(iter(list(t.cond_dependents)))
+                work.append(iter(list(t.cond_dependents)))
                 break
             else:
                 work.pop()

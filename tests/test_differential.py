@@ -483,6 +483,48 @@ def test_variant_calls_build_no_answer_trie(case):
     assert all(t._answer_trie is None for t in eng.space.tables)
 
 
+# broad_program(213): under batched subsumptive tabling the subsumed
+# call r(X,c) inside findall reads r(d,c) while that answer is
+# conditional, and simplification deletes the answer later
+DELETED_LATER = """
+:- table p/2, q/2, r/2, s/2.
+:- table m(_,_,min).
+e(b,c). e(b,d). e(c,a). e(c,b). e(c,d). e(d,b). e(d,d).
+w(a,b,1). w(b,c,1). w(b,c,3). w(c,c,2). w(c,c,3). w(d,a,5). w(d,c,1).
+m(X,Y,C) :- w(X,Y,C).
+m(X,Y,C) :- m(X,Z,C1), w(Z,Y,C2), C is C1 + C2.
+f(X,Y) :- e(X,Z), !, Y = Z.
+g(X,Y) :- e(X,Z), X == Z, !, Y = Z.
+g(X,Y) :- e(X,Z), e(Z,Y).
+p(X,Y) :- p(X,Y), X \\== Y.
+p(X,Y) :- e(X,Y), tnot r(Y,X).
+q(X,Y) :- e(X,Z), p(Z,Y), w(X,Y,C), D is C * 2 - 1, D > 1.
+q(X,Y) :- e(X,Y), j(Y,_).
+q(X,Y) :- e(X,Y), tnot s(Y,X).
+q(X,Y) :- e(X,Y), tnot m(X,Y,2).
+r(X,X) :- e(X,_), g(X,_).
+r(X,Y) :- p(X,Z), e(Z,Y).
+r(X,X) :- e(X,_), r(X,_).
+s(X,X) :- e(X,_), p(X,_).
+s(X,Y) :- e(X,Y).
+s(X,Y) :- q(X,Z), e(Z,Y).
+i(X,Y) :- q(X,Z), e(Z,Y).
+i(X,Y) :- e(X,Z), s(Z,Y).
+j(X,Y) :- e(X,Z), !, Y = Z.
+j(X,Y) :- e(X,Z), g(Z,Y).
+j(X,Y) :- e(X,Y), r(Y,_).
+"""
+
+
+def test_findall_drops_an_instance_whose_answer_was_deleted():
+    eng = Engine(strategy="batched", default_tabling="subsumptive")
+    eng.consult(DELETED_LATER)
+    assert outcome(eng, "r(X,c).") == (["r(c,c)"], [("r(c,c)", "true")])
+    queries = [(g, False) for g in ("r(X,c).", "q(X,Y).", "g(X,d).",
+                                    "g(a,Y).")]
+    assert broad_mismatches(DELETED_LATER, queries) == []
+
+
 BROAD_SEEDS = [0, 1, 2, 3]
 
 

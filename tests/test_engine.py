@@ -16,12 +16,12 @@ from tlpe import engine as engine_module
 from tlpe.engine import Engine
 from tlpe.errors import (DirectiveError, EvalError, ParseError, StoreError,
                          TlpeError)
-from tlpe.incremental import incr_assert, incr_invalidate
+from tlpe.incremental import incr_assert, incr_invalidate, incr_retract
 from tlpe.tables import SubgoalTable
 from tlpe.terms import Atom, Struct, Var, term_to_str
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
-from oracles import bfs_reachable, random_digraph
+from oracles import bfs_reachable, dijkstra, random_digraph
 
 
 def make(src, **kw):
@@ -377,13 +377,194 @@ class TestLastCall:
                     ("best(a,3)", "true"), ("best(b,2)", "true"),
                     ("best(a,1)", "true")]
         assert got == want
-        takers = [c for c in made if c.proj is not None]
+        takers = [c for c in made
+                  if c.plan is not None and c.plan.pred is None]
         assert sorted({c.cont.owner.pred.name for c in takers}) == last
         assert all(type(c.cont.owner) is not engine_module.Collector
                    for c in takers)
         if "findall" in goal:
             assert any(type(c.cont.owner) is engine_module.Collector
                        for c in made)
+
+
+CLOSURE = (":- table reach/2.\nreach(X,Y) :- reach(X,Z), e(Z,Y).\n"
+           "reach(X,Y) :- e(X,Y).\n")
+MINPATH = (":- table sp(_,_,min).\nsp(X,Y,C) :- e(X,Y,C).\n"
+           "sp(X,Y,C) :- sp(X,Z,C1), e(Z,Y,C2), C is C1 + C2.\n")
+BACK = (":- table back/2, pair/2.\nback(X,Y) :- back(X,Z), e(Y,Z).\n"
+        "back(X,Y) :- e(Y,X).\npair(X,W) :- back(X,Y), d(Y,W,W).\n")
+OPTION_SETS = [{"strategy": s, "default_tabling": t}
+               for s in ("local", "batched")
+               for t in ("variant", "subsumptive")]
+
+
+def facts(name, rows):
+    return "".join(f"{name}({','.join(map(str, r))}).\n" for r in rows)
+
+
+def spy_consumers(monkeypatch):
+    """The consumers made from now on, in a list that fills as they are."""
+    made = []
+
+    class Spy(engine_module.Consumer):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(engine_module, "Consumer", Spy)
+    return made
+
+
+def joined(made):
+    """The predicates of the fact joins the consumers ``made`` planned."""
+    return sorted({c.plan.pred.name for c in made
+                   if c.plan is not None and c.plan.pred is not None})
+
+
+def observed(eng, goals):
+    """What the golden test pins of a run: answers in order, truths,
+    trace lines, K and the counters."""
+    eng.trace_enabled = True
+    out = [[(term_to_str(a.goal), a.truth) for a in eng.query(g)]
+           for g in goals]
+    return out, eng.trace_lines, eng.K, eng.counters
+
+
+class TestFactJoin:
+    """A consumer whose clause goes on with a call of ground facts and
+    ``is/2`` goals joins its answers with the facts directly; it must
+    answer as the general return path does."""
+
+    @pytest.mark.parametrize("options", OPTION_SETS,
+                             ids=lambda o: "-".join(o.values()))
+    def test_closure_matches_bfs(self, options, monkeypatch):
+        made = spy_consumers(monkeypatch)
+        edges = random_digraph(random.Random(11), 25, 70)
+        eng = make(CLOSURE + facts("e", edges), **options)
+        for s in (1, 7, 19):
+            got = {a.goal.args[1].value for a in eng.query(f"reach({s},Y).")}
+            assert got == bfs_reachable(edges, s)
+        assert joined(made) == ["e"]
+
+    @pytest.mark.parametrize("options", OPTION_SETS,
+                             ids=lambda o: "-".join(o.values()))
+    def test_minpath_matches_dijkstra(self, options, monkeypatch):
+        made = spy_consumers(monkeypatch)
+        rng = random.Random(5)
+        edges = [(a, b, rng.randint(1, 9))
+                 for a, b in random_digraph(rng, 20, 60)]
+        eng = make(MINPATH + facts("e", edges), **options)
+        for s in (1, 4, 13):
+            got = {a.goal.args[1].value: a.goal.args[2].value
+                   for a in eng.query(f"sp({s},Y,C).")}
+            assert got == dijkstra(edges, s)
+        assert joined(made) == ["e"]
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    @pytest.mark.parametrize("src,goals", [
+        (CLOSURE, ["reach(1,Y).", "reach(X,Y).", "reach(X,X)."]),
+        (MINPATH, ["sp(1,Y,C).", "sp(X,Y,C)."]),
+        # the index cannot narrow e(Y,Z) by Z, nor d(Y,W,W) by W
+        (BACK, ["back(1,Y).", "pair(2,W).", "back(X,Y)."]),
+    ], ids=["closure", "minpath", "unindexed"])
+    def test_runs_as_the_general_path(self, src, goals, strategy,
+                                      monkeypatch):
+        # answers, their order, the traces, K and the counters
+        rng = random.Random(2)
+        edges = random_digraph(rng, 12, 30)
+        if src is MINPATH:
+            edges = [(a, b, rng.randint(1, 5)) for a, b in edges]
+        elif src is BACK:
+            src += facts("d", [(a, b, rng.choice((a, b))) for a, b in edges])
+        src += facts("e", edges)
+        joins = observed(make(src, strategy=strategy), goals)
+        monkeypatch.setattr(engine_module, "_return_plan",
+                            lambda *args: None)
+        assert joins == observed(make(src, strategy=strategy), goals)
+
+    @pytest.mark.parametrize("weight", ["2+3", "a", "0"])
+    def test_arithmetic_as_the_general_path(self, weight, monkeypatch):
+        # a weight that is an expression, not a number, or a zero divisor
+        made = spy_consumers(monkeypatch)
+        src = (":- table p/2.\np(X,C) :- e(X,C).\n"
+               "p(Y,C) :- p(X,C1), f(X,Y,C2), C is C1 // C2 + 1.\n"
+               f"e(1,4). f(1,2,{weight}). f(2,3,2).\n")
+
+        def run():
+            try:
+                return observed(make(src), ["p(Y,C)."])
+            except EvalError as exc:
+                return exc.kind, str(exc)
+
+        joins = run()
+        assert joined(made) == ["f"]
+        monkeypatch.setattr(engine_module, "_return_plan",
+                            lambda *args: None)
+        assert joins == run()
+
+    @pytest.mark.parametrize("added", [
+        "e(X,Y) :- g(X,Y).\ng(3,9).", ":- table e/2.\ne(3,9)."],
+        ids=["rule", "table"])
+    def test_a_later_consult_takes_effect(self, added, monkeypatch):
+        made = spy_consumers(monkeypatch)
+        src = CLOSURE + "e(1,2). e(2,3).\n"
+        eng = make(src, query_level_tabling=True)
+        assert solutions(eng, "reach(1,Y).") == ["reach(1,2)", "reach(1,3)"]
+        assert joined(made) == ["e"]
+        del made[:]
+        eng.consult(added)
+        want = solutions(make(src + added), "reach(1,Y).")
+        assert "reach(1,9)" in want
+        assert solutions(eng, "reach(1,Y).") == want
+        assert joined(made) == []
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    def test_general_cases_take_the_general_path(self, strategy,
+                                                 monkeypatch):
+        made = spy_consumers(monkeypatch)
+        # a non-ground fact; a non-ground answer read by a join
+        eng = make(CLOSURE + "e(1,2). e(2,3). e(X,X).\n"
+                   ":- table p/1, q/1.\np(_).\nq(Y) :- p(Z), f(Z,Y).\n"
+                   "f(1,a). f(2,b).\n", strategy=strategy)
+        assert sorted(solutions(eng, "reach(1,Y).")) == [
+            "reach(1,1)", "reach(1,2)", "reach(1,3)"]
+        assert sorted(solutions(eng, "q(Y).")) == ["q(a)", "q(b)"]
+        assert joined(made) == ["f"]
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    def test_findall_of_the_shape(self, strategy, monkeypatch):
+        made = spy_consumers(monkeypatch)
+        edges = random_digraph(random.Random(4), 10, 25)
+        eng = make(CLOSURE + facts("e", edges), strategy=strategy)
+        [a] = eng.query("findall(Y, (reach(1,Z), e(Z,Y)), L).")
+        items, t = [], a.goal.args[2]
+        while type(t) is Struct:
+            items.append(t.args[0].value)
+            t = t.args[1]
+        assert sorted(items) == sorted(
+            y for z in bfs_reachable(edges, 1) for x, y in edges if x == z)
+        # the findall reader takes the general path, reach's own join
+        assert [type(c.cont.owner) for c in made if c.plan is not None] \
+            == [SubgoalTable]
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    def test_incremental_facts_answer_as_a_fresh_engine(self, strategy):
+        head = (":- use_incremental_dynamic e/2.\n:- table reach/2 as "
+                "incremental.\nreach(X,Y) :- reach(X,Z), e(Z,Y).\n"
+                "reach(X,Y) :- e(X,Y).\n")
+        edges = {(1, 2), (2, 3), (3, 1), (4, 5)}
+        eng = make(head + facts("e", sorted(edges)), strategy=strategy)
+        for update, edge in [(incr_assert, (3, 4)), (incr_retract, (2, 3)),
+                             (incr_assert, (5, 1))]:
+            for s in (1, 4):
+                fresh = make(head + facts("e", sorted(edges)),
+                             strategy=strategy)
+                assert truth_set(eng, f"reach({s},Y).") == \
+                    truth_set(fresh, f"reach({s},Y).")
+            update(eng, "e(%d,%d)." % edge)
+            edges ^= {edge}
 
 
 class TestAnswerOrder:

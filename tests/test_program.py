@@ -162,16 +162,20 @@ class TestAssertRetract:
 
     def test_retract_variant_matching(self):
         prog = load(":- dynamic q/2.\nq(a, b).\nq(X, X).\nq(Y, Z).")
+        assert prog.info("q", 2).general_clauses == 2   # non-ground facts
         # q(A, A) is a variant of q(X, X) but not of q(a, b) or q(Y, Z)
         assert prog.retract_clause(goal("q(A, A)"))
         left = [term_to_str(c.term) for c in prog.info("q", 2).clauses]
         assert left == ["q(a,b)", "q(_G0,_G1)"]
+        assert prog.info("q", 2).general_clauses == 1
         assert not prog.retract_clause(goal("q(A, A)"))
 
     def test_retract_rule(self):
         prog = load(":- dynamic p/1.\np(X) :- q(X), r(X).\np(a).")
+        assert prog.info("p", 1).general_clauses == 1
         assert prog.retract_clause(goal("p(V) :- q(V), r(V)"))
         assert [c.is_fact for c in prog.info("p", 1).clauses] == [True]
+        assert prog.info("p", 1).general_clauses == 0
 
     def test_cut_in_tabled_clause_rejected(self):
         with pytest.raises(StoreError):

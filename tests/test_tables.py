@@ -304,16 +304,6 @@ class TestAbolish:
         sp.abolish_call(t("q(a)"))
         assert sp.lookup_variant(t("p(W)")) is None
 
-    def test_keep_dependents_mode(self):
-        sp = TableSpace(Program(), gc_action="keep_dependents")
-        p, _ = intern(sp, "p", "p(X)")
-        q, _ = intern(sp, "q", "q(a)")
-        sp.add_answer(p, (Atom("a"),), [delay_neg(q)])
-        p.status = SubgoalTable.COMPLETE
-        q.status = SubgoalTable.COMPLETE
-        sp.abolish_call(t("q(a)"))
-        assert sp.lookup_variant(t("p(W)")) is p
-
 
 class TestIncrementalBookkeeping:
     def test_reset_clears_answers_and_counts(self):
