@@ -320,6 +320,21 @@ class TestTabledReach:
         assert stats["tables"] == 1
 
 
+def spy_consumers(monkeypatch):
+    """The consumers made from now on, in a list that fills as they are."""
+    made = []
+
+    class Spy(engine_module.Consumer):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(engine_module, "Consumer", Spy)
+    return made
+
+
 LAST_P = ":- table p/2, q/2.\nq(X,Y) :- p(X,Y).\n"
 LAST_W = (":- table p/0, q/0, r/0, w/0.\nw :- p.\np :- tnot q.\n"
           "q :- tnot r.\nr.\nr :- tnot p.")
@@ -359,16 +374,7 @@ class TestLastCall:
             "simplified_false", "subsumption", "findall"])
     def test_answers_as_on_the_general_path(self, src, goal, want, last,
                                             strategy, monkeypatch):
-        made = []
-
-        class Spy(engine_module.Consumer):
-            __slots__ = ()
-
-            def __init__(self, *args):
-                super().__init__(*args)
-                made.append(self)
-
-        monkeypatch.setattr(engine_module, "Consumer", Spy)
+        made = spy_consumers(monkeypatch)
         eng = make(src, strategy=strategy)
         got = [(term_to_str(a.goal), a.truth) for a in eng.query(goal)]
         if want is None:    # batched also lists the replaced best(a,3)
@@ -400,21 +406,6 @@ OPTION_SETS = [{"strategy": s, "default_tabling": t}
 
 def facts(name, rows):
     return "".join(f"{name}({','.join(map(str, r))}).\n" for r in rows)
-
-
-def spy_consumers(monkeypatch):
-    """The consumers made from now on, in a list that fills as they are."""
-    made = []
-
-    class Spy(engine_module.Consumer):
-        __slots__ = ()
-
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
-
-    monkeypatch.setattr(engine_module, "Consumer", Spy)
-    return made
 
 
 def joined(made):
