@@ -1,14 +1,16 @@
 """Builtin predicates: the one registry of their handlers.
 
-``BUILTINS`` maps name/arity to a handler
-``(engine, cont, goal, off, rest)``: ``goal`` is the call as written, its
-variables offset by ``off`` and bound in ``cont.frame``.  Arithmetic
-reads the frame as it evaluates; the other handlers instantiate their
-arguments.  The clause store reads its keys (no program may define a
-builtin, and builtins other than findall/3 add no call-graph edges); the
-engine dispatches calls through it.  A handler that succeeds hands its
-bindings to ``engine._continue``, so only the engine knows how the run
-stack holds a continuation.
+``BUILTINS`` maps name/arity to a handler ``(engine, cont, goal, off)
+-> bool``: ``goal`` is the call as written, its variables offset by
+``off`` and bound in ``cont.frame``.  Every builtin succeeds at most
+once.  A handler that succeeds binds what the call binds into
+``cont.frame`` (findall also moves ``cont.nv`` past the fresh variables
+of its list) and returns True; the engine then runs the next goal of the
+same state.  A handler that fails returns False and leaves the state to
+be dropped.  Arithmetic reads the frame as it evaluates; the other
+handlers instantiate their arguments.  The clause store reads the keys
+(no program may define a builtin, and builtins other than findall/3 add
+no call-graph edges); the engine dispatches calls through them.
 """
 
 import operator
@@ -101,65 +103,54 @@ def compile_arith(t: Term, slot: Dict[int, int]) -> Optional[Callable]:
 # builtins
 # ---------------------------------------------------------------------------
 
-def _bi_true(engine, cont, goal, off, rest):
-    engine._continue(cont, rest)
-
-
-def _bi_fail(engine, cont, goal, off, rest):
-    return
-
-
-def _bi_cut(engine, cont, goal, off, rest):
+def _bi_cut(engine, cont, goal, off):
     engine._cut(cont.goals[3])      # the scope of the body the ! is in
-    engine._continue(cont, rest)
+    return True
 
 
-def _unify_on(engine, cont, rest, a: Term, b: Term, nv=None) -> None:
-    """Run ``rest`` with ``a`` and ``b`` unified, if they unify."""
+def _unify_into(engine, cont, a: Term, b: Term) -> bool:
+    """Unify ``a`` and ``b`` into the frame of ``cont``, if they unify."""
     env = unify(a, b, occurs_check=engine.occurs_check)
-    if env is not None:
-        engine._continue(cont, rest, env, nv)
+    if env is None:
+        return False
+    cont.frame.update(env)
+    return True
 
 
-def _bi_unify(engine, cont, goal, off, rest):
-    _unify_on(engine, cont, rest, *instantiate(goal, off, cont.frame).args)
+def _bi_unify(engine, cont, goal, off):
+    return _unify_into(engine, cont, *instantiate(goal, off, cont.frame).args)
 
 
-def _bi_not_unify(engine, cont, goal, off, rest):
+def _bi_not_unify(engine, cont, goal, off):
     a, b = instantiate(goal, off, cont.frame).args
-    if unify(a, b, occurs_check=engine.occurs_check) is None:
-        engine._continue(cont, rest)
+    return unify(a, b, occurs_check=engine.occurs_check) is None
 
 
 def _order(test):
-    def run(engine, cont, goal, off, rest):
+    def run(engine, cont, goal, off):
         a, b = instantiate(goal, off, cont.frame).args
-        if test(compare(a, b)):
-            engine._continue(cont, rest)
+        return test(compare(a, b))
     return run
 
 
-def _bi_is(engine, cont, goal, off, rest):
+def _bi_is(engine, cont, goal, off):
     frame = cont.frame
     val = Int(eval_arith(goal.args[1], frame, off))
     x = goal.args[0]
     if type(x) is Var and x.id + off not in frame:
         frame[x.id + off] = val     # a free variable: bind it in place
-        engine._continue(cont, rest)
-    else:
-        _unify_on(engine, cont, rest, instantiate(x, off, frame), val)
+        return True
+    return _unify_into(engine, cont, instantiate(x, off, frame), val)
 
 
 def _cmp(op):
-    def run(engine, cont, goal, off, rest):
-        a = eval_arith(goal.args[0], cont.frame, off)
-        b = eval_arith(goal.args[1], cont.frame, off)
-        if op(a, b):
-            engine._continue(cont, rest)
+    def run(engine, cont, goal, off):
+        return op(eval_arith(goal.args[0], cont.frame, off),
+                  eval_arith(goal.args[1], cont.frame, off))
     return run
 
 
-def _bi_findall(engine, cont, goal, off, rest):
+def _bi_findall(engine, cont, goal, off):
     template, sub, out = instantiate(goal, off, cont.frame).args
     if type(sub) is Var or not is_callable(sub):
         raise EvalError("instantiation", "findall/3 goal is not callable")
@@ -171,7 +162,8 @@ def _bi_findall(engine, cont, goal, off, rest):
         csol, n = canonicalize(sol)
         items.append(rename(csol, nv))
         nv += n
-    _unify_on(engine, cont, rest, out, make_list(items), nv)
+    cont.nv = nv
+    return _unify_into(engine, cont, out, make_list(items))
 
 
 def _proper_list(t: Term, what: str) -> List[Term]:
@@ -183,12 +175,12 @@ def _proper_list(t: Term, what: str) -> List[Term]:
     return elems
 
 
-def _bi_sort(engine, cont, goal, off, rest):
+def _bi_sort(engine, cont, goal, off):
     goal = instantiate(goal, off, cont.frame)
     items = _proper_list(goal.args[0], "sort/2")
     keyed = {order_key(x): x for x in items}     # equal terms, one key
-    _unify_on(engine, cont, rest, goal.args[1],
-              make_list([keyed[k] for k in sorted(keyed)]))
+    return _unify_into(engine, cont, goal.args[1],
+                       make_list([keyed[k] for k in sorted(keyed)]))
 
 
 def _flatten_into(t: Term, out: List[Term]) -> None:
@@ -200,14 +192,14 @@ def _flatten_into(t: Term, out: List[Term]) -> None:
             out.append(e)
 
 
-def _bi_flatten(engine, cont, goal, off, rest):
+def _bi_flatten(engine, cont, goal, off):
     goal = instantiate(goal, off, cont.frame)
     flat: List[Term] = []
     _flatten_into(goal.args[0], flat)
-    _unify_on(engine, cont, rest, goal.args[1], make_list(flat))
+    return _unify_into(engine, cont, goal.args[1], make_list(flat))
 
 
-def _bi_ord_subset(engine, cont, goal, off, rest):
+def _bi_ord_subset(engine, cont, goal, off):
     goal = instantiate(goal, off, cont.frame)
     sub = _proper_list(goal.args[0], "ord_subset/2")
     sup = _proper_list(goal.args[1], "ord_subset/2")
@@ -216,12 +208,12 @@ def _bi_ord_subset(engine, cont, goal, off, rest):
         while i < len(sup) and compare(sup[i], x) < 0:
             i += 1
         if i >= len(sup) or compare(sup[i], x) != 0:
-            return
+            return False
         i += 1
-    engine._continue(cont, rest)
+    return True
 
 
-def _bi_ord_disjoint(engine, cont, goal, off, rest):
+def _bi_ord_disjoint(engine, cont, goal, off):
     goal = instantiate(goal, off, cont.frame)
     a = _proper_list(goal.args[0], "ord_disjoint/2")
     b = _proper_list(goal.args[1], "ord_disjoint/2")
@@ -229,15 +221,15 @@ def _bi_ord_disjoint(engine, cont, goal, off, rest):
     while i < len(a) and j < len(b):
         c = compare(a[i], b[j])
         if c == 0:
-            return
+            return False
         if c < 0:
             i += 1
         else:
             j += 1
-    engine._continue(cont, rest)
+    return True
 
 
-def _bi_ord_subtract(engine, cont, goal, off, rest):
+def _bi_ord_subtract(engine, cont, goal, off):
     goal = instantiate(goal, off, cont.frame)
     a = _proper_list(goal.args[0], "ord_subtract/3")
     b = _proper_list(goal.args[1], "ord_subtract/3")
@@ -249,12 +241,12 @@ def _bi_ord_subtract(engine, cont, goal, off, rest):
         if j < len(b) and compare(b[j], x) == 0:
             continue
         out.append(x)
-    _unify_on(engine, cont, rest, goal.args[2], make_list(out))
+    return _unify_into(engine, cont, goal.args[2], make_list(out))
 
 
 BUILTINS: Dict[Tuple[str, int], Callable] = {
-    ("true", 0): _bi_true,
-    ("fail", 0): _bi_fail,
+    ("true", 0): lambda engine, cont, goal, off: True,
+    ("fail", 0): lambda engine, cont, goal, off: False,
     ("!", 0): _bi_cut,
     ("=", 2): _bi_unify,
     ("\\=", 2): _bi_not_unify,

@@ -21,7 +21,9 @@ like; arithmetic reads the frame.  A continuation is copied into
 instantiated terms only where it outlives the step: it suspends as a
 consumer or a negative waiter, or yields an answer or a findall result.
 Each body literal records, the first time it is reached, what a call of
-it runs: its builtin handler or its predicate.
+it runs: its builtin handler or its predicate.  A builtin succeeds at
+most once, binding into the frame, and so does a ``tnot`` of a complete
+table: after either, the state goes on to its next goal in a loop.
 
 Fused fact joins: a returned answer skips the rest of its clause where
 that rest has a fixed shape.  A last call hands the answer, projected,
@@ -64,7 +66,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Set
 from .builtins import BUILTINS, compile_arith
 from .errors import EvalError
 from .parser import ParsedItem, parse_goal, parse_program
-from .program import Clause, Literal, PredicateInfo, Program, split_clause
+from .program import (Clause, Literal, PredicateInfo, Program, has_cut,
+                      split_clause)
 from .sccs import tarjan_sccs
 from .tables import DelayLit, SubgoalTable, TableSpace
 from .terms import (Atom, CyclicTermError, Int, Struct, Term, Var,
@@ -108,7 +111,9 @@ class Cont:
     state at a time, which binds into it and hands it on; each clause of
     a call but the last to run copies it.  The continuation of a
     ``Consumer`` or a ``NegWaiter`` is copied out of it (``_detach``).
-    A state the run stack would pop next runs at once instead.
+    A state the run stack would pop next runs at once instead: a clause
+    body, a returned answer, and the goal after a builtin that succeeds
+    or a ``tnot`` of a complete table, which moves the state on in place.
     """
 
     __slots__ = ("owner", "ans", "goals", "delays", "scopes", "k", "nv",
@@ -558,49 +563,37 @@ class Engine:
     # continuation stepping
 
     def _step_cont(self, cont: Cont) -> None:
-        goals = cont.goals
-        if goals is None:
-            owner = cont.owner
-            ans = resolve(cont.ans, cont.frame)
-            if type(owner) is Collector:
-                owner.results.append((ans, cont.delays))
-            else:
-                self._produce(owner, ans.args, cont.delays)
-            return
-        lits, i, off, scope, rest = goals
-        if i + 1 < len(lits):
-            rest = (lits, i + 1, off, scope, rest)
-        lit = lits[i]
-        goal = lit.goal
-        if lit.neg:
-            self._call_negative(cont, instantiate(goal, off, cont.frame),
-                                rest)
-            return
-        call = lit.call or _decode(lit, self.program)
-        if type(call) is not PredicateInfo:
-            if call is not None:    # else undefined: it fails quietly
-                call(self, cont, goal, off, rest)
-            return
-        goal = instantiate(goal, off, cont.frame)
-        if call.tabled:
-            self._call_tabled(call, cont, goal, rest)
-        else:
-            self._call_inline(call, cont, goal, rest)
-
-    def _continue(self, cont: Cont, rest, env=None, nv: Optional[int] = None,
-                  extra_delay=None, k: Optional[int] = None) -> None:
-        """Run the goals ``rest`` in ``cont``, its frame extended in place
-        by ``env``."""
-        frame = cont.frame
-        if env:
-            frame.update(env)
-        delays = cont.delays
-        if extra_delay is not None:
-            delays = delays + (extra_delay,)
-        self.stack.append(("run", Cont(
-            cont.owner, cont.ans, rest, delays, cont.scopes,
-            cont.k if k is None else k, cont.nv if nv is None else nv,
-            frame, cont.limit)))
+        """Run ``cont`` in a loop up to its first goal that branches,
+        suspends, fails or ends it."""
+        while True:
+            goals = cont.goals
+            if goals is None:
+                owner = cont.owner
+                ans = resolve(cont.ans, cont.frame)
+                if type(owner) is Collector:
+                    owner.results.append((ans, cont.delays))
+                else:
+                    self._produce(owner, ans.args, cont.delays)
+                return
+            lits, i, off, scope, rest = goals
+            if i + 1 < len(lits):
+                rest = (lits, i + 1, off, scope, rest)
+            lit = lits[i]
+            call = lit.call or _decode(lit, self.program)
+            if lit.neg:
+                going = self._call_negative(cont, call, lit.goal, off, rest)
+            elif type(call) is PredicateInfo:
+                goal = instantiate(lit.goal, off, cont.frame)
+                if call.tabled:
+                    self._call_tabled(call, cont, goal, rest)
+                else:
+                    self._call_inline(call, cont, goal, rest)
+                return
+            else:   # a builtin; an undefined predicate fails quietly
+                going = call is not None and call(self, cont, lit.goal, off)
+            if not going:
+                return
+            cont.goals = rest
 
     def _detach(self, cont: Cont, rest) -> Cont:
         """``cont`` to run ``rest``, copied out of its frame: its goals
@@ -721,7 +714,7 @@ class Engine:
         and produces ``ans``; its variables are those below ``nv``."""
         _, lits = split_clause(Struct(":-", (_BODY_HEAD, body)))
         scope = None
-        if any(type(l.goal) is Atom and l.goal.name == "!" for l in lits):
+        if has_cut(lits):
             self._scope_seq += 1
             scope = self._scope_seq
         return Cont(owner, ans, (lits, 0, 0, scope, None), (),
@@ -891,8 +884,8 @@ class Engine:
             if caller is not None:
                 # findall sees every copy of a clause; a cut, enclosing
                 # the call or among the predicate's clauses, their order
-                ordered = (pi.any_cut or type(cont.owner) is Collector
-                           or bool(cont.scopes))
+                ordered = (pi.cut_clauses > 0 or bool(cont.scopes)
+                           or type(cont.owner) is Collector)
                 self.space.note_dyn_read(caller, pi.key, ordered)
         clauses = self.program.lookup_clauses(goal, cont.nv,
                                               self.occurs_check)
@@ -901,7 +894,7 @@ class Engine:
         scope = None
         after = Cont(cont.owner, cont.ans, rest, cont.delays, cont.scopes,
                      cont.k, cont.nv, cont.frame, cont.limit)
-        if pi.any_cut:
+        if pi.cut_clauses:
             # the call opens a cut scope: a ! in one of its clauses
             # discards every entry still carrying it, its other clauses
             # first of all
@@ -943,14 +936,18 @@ class Engine:
     # ------------------------------------------------------------------
     # negation
 
-    def _call_negative(self, cont: Cont, goal: Term, rest) -> None:
+    def _call_negative(self, cont: Cont, pi, goal: Term, off: int,
+                       rest) -> Optional[Cont]:
+        """Call ``tnot goal``, ``goal`` as written and ``pi`` what it
+        calls: ``cont`` to go on with, if a complete table resolves it,
+        else None (the call fails or suspends)."""
+        goal = instantiate(goal, off, cont.frame)
         if not is_ground(goal):
             raise EvalError(
                 "floundered",
                 f"tnot {term_to_str(goal)}: negative call is not ground")
-        name, arity = functor_of(goal)
-        pi = self.program.info(name, arity)
-        if pi is None or not pi.tabled:
+        if type(pi) is not PredicateInfo or not pi.tabled:
+            name, arity = functor_of(goal)
             raise EvalError(
                 "negation_untabled",
                 f"tnot {term_to_str(goal)}: predicate {name}/{arity} is "
@@ -960,11 +957,10 @@ class Engine:
         table = self._intern(pi, goal, variant=True)
         self._note_call(cont, table, neg=True)
         if table.complete:
-            self._negative_return(cont, table, goal, rest)
-            return
+            return self._negative_return(cont, table, goal)
         if table.has_unconditional and pi.subsumption is None:
             self._op("negative_return", "NEGATIVE_RETURN", table)
-            return      # the path fails now: an answer already exists
+            return None     # the path fails now: an answer already exists
         self._waiter_seq += 1
         w = NegWaiter(table, goal, self._detach(cont, rest), self._waiter_seq)
         table.neg_waiters.append(w)
@@ -982,21 +978,21 @@ class Engine:
             rs.drop_waiter(w)
 
     def _negative_return(self, cont: Cont, table: SubgoalTable,
-                         goal: Term, rest) -> None:
-        """Resolve ``tnot goal`` against its completed table, then run
-        ``rest`` in ``cont``."""
-        k = self._op("negative_return", "NEGATIVE_RETURN", table)
+                         goal: Term) -> Optional[Cont]:
+        """Resolve ``tnot goal`` against its completed table: ``cont`` to
+        go on with, at the new node and delaying the literal if the table
+        has only conditional answers for it, or None if the call fails."""
+        cont.k = self._op("negative_return", "NEGATIVE_RETURN", table)
         spec = table.pred.subsumption
         # under answer subsumption the table is the one of the goal's plain
         # arguments, its one variable the aggregated argument
         if not table.has_answers or spec is not None and (
                 goal.args[spec.position],) not in table.index:
-            self._continue(cont, rest, k=k)
-        elif table.has_unconditional:
-            return      # fails
-        else:
-            extra = DelayLit(True, table, None)
-            self._continue(cont, rest, extra_delay=extra, k=k)
+            return cont
+        if table.has_unconditional:
+            return None
+        cont.delays += (DelayLit(True, table, None),)
+        return cont
 
     # ------------------------------------------------------------------
     # scheduling
@@ -1105,9 +1101,10 @@ class Engine:
             raise EvalError("internal", "blocked region without waiters")
         best = heappop(heap)[3]
         self._kill_waiter(best)
-        k = self._op("delaying", "DELAYING", best.table)
-        extra = DelayLit(True, best.table, None)
-        self._continue(best.cont, best.cont.goals, extra_delay=extra, k=k)
+        cont = best.cont
+        cont.k = self._op("delaying", "DELAYING", best.table)
+        cont.delays += (DelayLit(True, best.table, None),)
+        self.stack.append(("run", cont))
 
     def _blocked_region(self, rs: RoundState) -> Set[SubgoalTable]:
         """The sink SCCs, all blocked, plus, transitively, any incomplete
@@ -1214,7 +1211,9 @@ class Engine:
         for w in table.neg_waiters:
             if not w.dead:
                 self._kill_waiter(w)
-                self._negative_return(w.cont, table, w.goal, w.cont.goals)
+                cont = self._negative_return(w.cont, table, w.goal)
+                if cont is not None:    # to run at once would reorder them
+                    self.stack.append(("run", cont))
         table.neg_waiters = []
         for c in table.consumers:
             if not c.dead:

@@ -239,9 +239,14 @@ class _Parser:
             if prec > max_prec:
                 return left
             self.next()
-            rp = prec if typ == "xfy" else prec - 1
-            right = self.parse_term(rp)
-            left = self._mk_op(t, (left, right))
+            args = [left, self.parse_term(prec - 1)]
+            # a , chain (the one xfy operator) is read in a loop, folded right
+            while typ == "xfy" and self.peek().value == t.value:
+                self.next()
+                args.append(self.parse_term(prec - 1))
+            left = args.pop()
+            while args:
+                left = self._mk_op(t, (args.pop(), left))
 
     def _mk_op(self, tok: Token, args: Tuple[Term, ...]) -> Term:
         if tok.value == "tnot" and len(args) == 1 and \

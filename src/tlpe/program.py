@@ -178,7 +178,7 @@ class PredicateInfo:
     indexes: List[ClauseIndex] = field(default_factory=list)
     clauses: List[Clause] = field(default_factory=list)
     recomputations: int = 0
-    any_cut: bool = False               # some clause body contains !
+    cut_clauses: int = 0                # clauses whose body contains !
     general_clauses: int = 0            # rules and non-ground facts
 
     @property
@@ -214,6 +214,11 @@ def split_clause(term: Term) -> Tuple[Term, Tuple[Literal, ...]]:
                 raise StoreError(f"body goal is not callable: {term_to_str(goal)}")
             lits.append(Literal(neg, goal))
     return head, tuple(lits)
+
+
+def has_cut(lits) -> bool:
+    """Whether the body literals ``lits`` hold a ``!``."""
+    return any(type(l.goal) is Atom and l.goal.name == "!" for l in lits)
 
 
 def conj_items(term: Term) -> List[Term]:
@@ -436,12 +441,8 @@ class Program:
         return IndexSpec(tuple(comps))
 
     def _check_no_cut(self, pi: PredicateInfo) -> None:
-        if not pi.tabled:
-            return
-        for cl in pi.clauses:
-            for lit in cl.body:
-                if type(lit.goal) is Atom and lit.goal.name == "!":
-                    raise StoreError(f"{pi}: cut inside a tabled predicate")
+        if pi.tabled and pi.cut_clauses:
+            raise StoreError(f"{pi}: cut inside a tabled predicate")
 
     # ------------------------------------------------------------------
     # clause addition / removal
@@ -465,10 +466,9 @@ class Program:
                         f"{pi} is static; declare it dynamic to assert")
                 pi.dynamic = True
 
-        if pi.tabled and body:
-            for lit in body:
-                if type(lit.goal) is Atom and lit.goal.name == "!":
-                    raise StoreError(f"{pi}: cut inside a tabled predicate")
+        cut = has_cut(body)
+        if pi.tabled and cut:
+            raise StoreError(f"{pi}: cut inside a tabled predicate")
 
         if pi.trie_indexed and body:
             raise StoreError(f"{pi}: trie-indexed predicates hold facts only")
@@ -477,8 +477,7 @@ class Program:
         for ix in pi.indexes:
             if not ix.add(cl):
                 return None
-        if any(type(lit.goal) is Atom and lit.goal.name == "!" for lit in body):
-            pi.any_cut = True
+        pi.cut_clauses += cut
         if body or not head.ground:
             pi.general_clauses += 1
         if not pi.trie_indexed:
@@ -498,6 +497,7 @@ class Program:
             pi.clauses.remove(cl)
         for ix in pi.indexes:
             ix.remove(cl)
+        pi.cut_clauses -= has_cut(cl.body)
         if cl.body or not cl.head.ground:
             pi.general_clauses -= 1
         return True

@@ -213,6 +213,58 @@ class TestRecursionDepth:
         with shallow_stack():
             assert solutions(eng, goal.format(n=n)) == [f"cnt({n},{n})"]
 
+    def test_long_clause_body(self):
+        # one clause of 5,000 goals: read as one , chain, run in one loop
+        n = 5000
+        body = ", ".join(f"X{i + 1} is X{i} + 1" for i in range(n))
+        eng = make(f"count(X0, X{n}) :- {body}.")
+        with shallow_stack():
+            assert solutions(eng, "count(0, N).") == [f"count(0,{n})"]
+
+
+class PushLog(list):
+    """A run stack that logs the kind of each entry pushed onto it."""
+
+    def __init__(self):
+        super().__init__()
+        self.kinds = []
+
+    def append(self, entry):
+        self.kinds.append(entry[0])
+        super().append(entry)
+
+    def extend(self, entries):
+        entries = list(entries)
+        self.kinds += [e[0] for e in entries]
+        super().extend(entries)
+
+
+class TestBuiltinsInLine:
+    """A builtin succeeds at most once, and so does a ``tnot`` of a
+    complete table: the state goes on to its next goal at once."""
+
+    def test_builtins_and_resolved_tnot_push_nothing(self):
+        eng = make(":- table t/0.\nt :- v(3).\nv(1). v(2).")
+        assert solutions(eng, "t.") == []
+        eng.stack = log = PushLog()
+        answers = eng.query("X = f(Y), Y is 2 + 1, Y < 4, X == f(3), "
+                            "X \\= g, !, findall(Z, v(Z), L), tnot t.")
+        # the bindings of X and L, variables 0 and 3
+        assert [(term_to_str(a.bindings[0]), term_to_str(a.bindings[3]))
+                for a in answers] == [("f(3)", "[1,2]")]
+        # the findall runs on a stack of its own; only the query's own
+        # state is ever pushed here
+        assert log.kinds == ["run"]
+
+    def test_findall_list_variables_stay_apart(self):
+        # the list's fresh variables are the state's: the clause of the
+        # inline call after the findall is renamed above them
+        eng = make("v(1). v(2).\nmk(W) :- W = g(V), V = 7.")
+        answers = eng.query("findall(X-_, v(X), L), mk(W).")
+        # the bindings of L and W, variables 2 and 3
+        assert [(term_to_str(a.bindings[2]), term_to_str(a.bindings[3]))
+                for a in answers] == [("[-(1,_G2),-(2,_G3)]", "g(7)")]
+
 
 FANOUT = (":- dynamic e/2.\n:- index(e/2, trie).\n"
           ":- table p/2 as subsumptive.\np(X,Y) :- e(X,Y).\n")

@@ -49,6 +49,25 @@ class TestTerms:
             S("is", Var(0), S("+", Var(1), Var(2)))
         assert parse_term_text("*(1)+2") == S("+", S("*", Int(1)), Int(2))
 
+    def test_conjunction_folds_right(self):
+        a, b, c, d = map(Atom, "abcd")
+        assert parse_term_text("a, X = 1, (b, c), tnot d") == S(
+            ",", a, S(",", S("=", Var(0), Int(1)),
+                      S(",", S(",", b, c), S("tnot", d))))
+        assert parse_term_text("a, b :- c, d") == \
+            S(":-", S(",", a, b), S(",", c, d))
+        assert parse_term_text("f((a, b), c)") == S("f", S(",", a, b), c)
+
+    def test_long_conjunction(self):
+        # a , chain longer than the recursion limit, read in a loop
+        n = 5000
+        [item] = parse_program("p :- " + ", ".join(["q"] * n) + ".")
+        body, goals = item.term.args[1], 1
+        while body.name == ",":
+            assert body.args[0] == Atom("q")
+            body, goals = body.args[1], goals + 1
+        assert body == Atom("q") and goals == n
+
     def test_tnot_prefix(self):
         item = parse_program("p(c) :- tnot p(a).")[0]
         assert item.term.args[1] == S("tnot", S("p", Atom("a")))
