@@ -73,7 +73,7 @@ from .tables import DelayLit, SubgoalTable, TableSpace
 from .terms import (Atom, CyclicTermError, Int, Struct, Term, Var,
                     canonical_key, canonicalize, functor_of, instantiate,
                     is_ground, match, order_key, rename, resolve,
-                    term_to_str, term_vars, unify_all)
+                    substitute, term_to_str, term_vars, unify_all)
 from . import subsumption
 
 _BODY_HEAD = Atom("$body")
@@ -410,7 +410,8 @@ class Engine:
         traced.  Returns the node number K."""
         self.K += 1
         self.counters[counter] += 1
-        self._trace(op, table)
+        if self.trace_enabled:
+            self._trace(op, table)
         return self.K
 
     def _trace(self, op: str, table: SubgoalTable) -> None:
@@ -444,7 +445,10 @@ class Engine:
         with self._evaluation() as watermark:
             table = self._eval_wrapper(goal)
             qvars = term_vars(goal)
-            out = [self._query_answer(a, qvars)
+            cgoal = table.subgoal.args[0]   # numbered like ``qvars``
+            out = [QueryAnswer(dict(zip(qvars, a.bindings)),
+                               substitute(cgoal, a.bindings),
+                               "undefined" if a.delay_lists else "true")
                    for a in table.answers if not a.deleted]
         if self.query_level_tabling:
             self.space.discard_from(watermark)
@@ -521,11 +525,6 @@ class Engine:
             self.space.unlink(table)
             table.abolished = True
         return table
-
-    def _query_answer(self, ans, qvars) -> QueryAnswer:
-        bindings = {qvars[i]: ans.bindings[i] for i in range(len(qvars))}
-        truth = "undefined" if ans.conditional else "true"
-        return QueryAnswer(bindings, ans.term.args[0], truth)
 
     # ------------------------------------------------------------------
     # main loop

@@ -257,6 +257,7 @@ class Program:
         self.preds: Dict[PredKey, PredicateInfo] = {}
         self.auto_table_requested = False
         self._seq = 0
+        self._changed = True    # since ``finalize`` last ran through
 
     # ------------------------------------------------------------------
     # predicate records
@@ -280,6 +281,7 @@ class Program:
     # directives
 
     def apply_directive(self, term: Term) -> None:
+        self._changed = True
         if type(term) is Atom:
             if term.name == "auto_table":
                 self.auto_table_requested = True
@@ -450,6 +452,7 @@ class Program:
     def add_clause(self, term: Term, at_load: bool = True) -> Optional[Clause]:
         """Store one clause.  Returns the Clause, or None for a duplicate
         fact in a trie-indexed predicate."""
+        self._changed = True
         cterm, nvars = canonicalize(term)
         head, body = split_clause(cterm)
         name, arity = functor_of(head)
@@ -487,6 +490,7 @@ class Program:
     def retract_clause(self, term: Term) -> bool:
         """Remove the first clause whose canonical form is a variant of
         ``term``.  Returns False when nothing matches."""
+        self._changed = True
         pi, found = self._variants(term)
         if pi is not None and not pi.dynamic:
             raise StoreError(f"{pi} is static; declare it dynamic to retract")
@@ -626,23 +630,47 @@ class Program:
         return chosen
 
     def finalize(self) -> List[PredKey]:
-        """End-of-load processing: auto tabling and consistency checks."""
+        """End-of-load processing, once per change of the program: auto
+        tabling, variant tabling above cuts and consistency checks."""
+        if not self._changed:
+            return []
         auto: List[PredKey] = []
         if self.auto_table_requested:
             auto = self.run_auto_table()
-        self._check_subsumption_stratified()
+        pis = self.preds.values()
+        cuts = any(pi.cut_clauses for pi in pis) \
+            and any(pi.tabling == "subsumptive" for pi in pis)
+        if cuts or any(pi.subsumption for pi in pis):
+            # looked up at the call, where the traced benchmark wraps it
+            from .sccs import tarjan_sccs
+            graph = self.call_graph()
+            comps = tarjan_sccs(list(graph), graph.__getitem__)
+            if cuts:
+                self._variant_above_cuts(graph, comps)
+            self._check_subsumption_stratified(comps)
+        self._changed = False
         return auto
 
-    def _check_subsumption_stratified(self) -> None:
+    def _variant_above_cuts(self, graph, comps) -> None:
+        """Table by variant every predicate that reaches a cut through
+        its calls: what a cut keeps depends on how bound the call is, so
+        a specific call must not read the table of a general one."""
+        reach: Set[PredKey] = set()
+        for scc in comps:       # callees first
+            if any(self.preds[k].cut_clauses or not reach.isdisjoint(graph[k])
+                   for k in scc):
+                reach.update(scc)
+        for k in reach:
+            if self.preds[k].tabling == "subsumptive":
+                self.preds[k].tabling = "variant"
+
+    def _check_subsumption_stratified(self, comps) -> None:
         """An answer-subsumption predicate may not depend on itself
         through tnot: its aggregate is only safe once fully computed."""
         as_preds = [k for k, pi in self.preds.items() if pi.subsumption]
         if not as_preds:
             return
-        graph = self.call_graph()
         neg = self.negative_edges()
-        from .sccs import tarjan_sccs
-        comps = tarjan_sccs(list(graph), lambda v: graph.get(v, ()))
         comp_of = {}
         for i, comp in enumerate(comps):
             for v in comp:

@@ -6,7 +6,7 @@ answer record stores only the bindings of the subgoal's variables, and
 an answer table is a hash index from the canonical binding tuple to the
 live record, so checking and inserting a derived answer is one probe.
 The whole answer term is built on demand, for the few readers that need
-it (query answers, residuals, printing).  An answer
+it (residuals, printing).  An answer
 trie exists only for goal-directed walks: it is built the first time a
 subsumed call reads a complete table, then kept in step.
 
@@ -79,10 +79,11 @@ class AnswerRecord:
         self.bindings = bindings
         self._term: Optional[Term] = None
         self.nvars = nvars
-        self.delay_lists: List[DelayList] = []
+        # shared empty tuples, each a list from its first entry on
+        self.delay_lists: List[DelayList] = ()
         self.deleted = False
         self.leaf = None
-        self.pos_watchers: List[Tuple[DelayList, DelayLit]] = []
+        self.pos_watchers: List[Tuple[DelayList, DelayLit]] = ()
         self.seq = seq
 
     @property
@@ -210,7 +211,7 @@ def _retire_answers(table: SubgoalTable) -> None:
     for ans in table.answers:
         for dl in ans.delay_lists:
             dl.dead = True
-        ans.delay_lists = []
+        ans.delay_lists = ()
         ans.deleted = True
 
 
@@ -334,20 +335,26 @@ class TableSpace:
         if lits:
             self._attach_dl(table, ans, lits)
         else:
+            # a new record has no positive watchers to strike
             table.uncond_answers += 1
-            self._on_uncond(table, ans)
-            self._pump()
+            if table.subgoal_is_ground():
+                self._kill_neg_watchers(table)
+                self._pump()
         return "added", ans
 
     def _attach_dl(self, table: SubgoalTable, ans: AnswerRecord,
                    lits: List[DelayLit]) -> None:
         dl = DelayList(ans, lits)
+        if not ans.delay_lists:
+            ans.delay_lists = []
         ans.delay_lists.append(dl)
         for lit in lits:
             watched = lit.table
             if lit.neg:
                 watched.neg_watchers.append((dl, lit))
             else:
+                if not lit.ans.pos_watchers:
+                    lit.ans.pos_watchers = []
                 lit.ans.pos_watchers.append((dl, lit))
             watched.cond_dependents.add(table)
         # A literal may already be decided by the time it is attached: a
@@ -397,7 +404,8 @@ class TableSpace:
                 lit.table.cond_dependents.discard(table)
                 ws = lit.table.neg_watchers if lit.neg \
                     else lit.ans.pos_watchers
-                ws[:] = [w for w in ws if w[0] is not dl]
+                if ws:
+                    ws[:] = [w for w in ws if w[0] is not dl]
         for callee in table.dep_out:
             callee.dep_in.pop(table, None)
         table.dep_out = {}
@@ -412,7 +420,7 @@ class TableSpace:
             return
         if not ans.delay_lists:
             table.uncond_answers -= 1
-        ans.delay_lists = []
+        ans.delay_lists = ()
         self._drop(table, ans)
 
     def _drop(self, table: SubgoalTable, ans: AnswerRecord) -> None:
@@ -432,11 +440,8 @@ class TableSpace:
         table = ans.table
         for dl in ans.delay_lists:
             dl.dead = True
-        ans.delay_lists = []
+        ans.delay_lists = ()
         table.uncond_answers += 1
-        self._on_uncond(table, ans)
-
-    def _on_uncond(self, table: SubgoalTable, ans: AnswerRecord) -> None:
         self._pending.append(("uncond", (table, ans)))
 
     def on_completed(self, table: SubgoalTable) -> None:
@@ -460,7 +465,7 @@ class TableSpace:
                     if dl.dead or ans.deleted:
                         continue
                     self._strike_lit(dl, lit)
-                ans.pos_watchers = []
+                ans.pos_watchers = ()
                 if table.subgoal_is_ground():
                     self._kill_neg_watchers(table)
             elif kind == "deleted":
@@ -468,7 +473,7 @@ class TableSpace:
                 for dl, lit in ans.pos_watchers:
                     if not dl.dead:
                         self._kill_dl(dl)
-                ans.pos_watchers = []
+                ans.pos_watchers = ()
                 if table.complete and not table.has_answers:
                     self._pending.append(("empty", table))
             elif kind == "empty":

@@ -210,6 +210,14 @@ def _map_vars(t: Term, fn) -> Term:
     """Rebuild t with every Var leaf replaced by fn(var) (a Term)."""
     if t.ground:
         return t
+    if type(t) is Var:
+        return fn(t)
+    for a in t.args:    # the common case first: flat arguments
+        if not a.ground and type(a) is not Var:
+            break
+    else:
+        args = tuple([a if a.ground else fn(a) for a in t.args])
+        return t if all(map(_is, args, t.args)) else Struct(t.name, args)
     ostack: List[Term] = []
     stack: list = [t]
     while stack:

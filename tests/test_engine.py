@@ -17,8 +17,9 @@ from tlpe.engine import Engine
 from tlpe.errors import (DirectiveError, EvalError, ParseError, StoreError,
                          TlpeError)
 from tlpe.incremental import incr_assert, incr_invalidate, incr_retract
+from tlpe.parser import parse_goal
 from tlpe.tables import SubgoalTable
-from tlpe.terms import Atom, Struct, Var, term_to_str
+from tlpe.terms import Atom, Struct, Var, term_to_str, term_vars
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from oracles import bfs_reachable, dijkstra, random_digraph
@@ -678,6 +679,47 @@ class TestCallSubsumption:
         # the specific call could not reuse anything, so two tables
         assert eng.statistics()["tables"]["p/2"]["tables"] == 2
 
+    # under the general call r(X,Y), the cut in g/2 commits to e(b,b)
+    CUT = """
+    :- table r/2.
+    g(X,Y) :- e(X,Z), X == Z, !, Y = Z.
+    g(X,Y) :- e(X,Z), e(Z,Y).
+    r(X,Y) :- g(X,Z), e(Z,Y).
+    r(X,X) :- e(X,_), r(X,_).
+    e(b,b). e(c,d). e(d,a). e(d,c).
+    """
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    def test_a_predicate_above_a_cut_is_tabled_by_variant(self, strategy):
+        want = ["r(b,b)", "r(c,c)", "r(d,d)"]
+        for mode in ("variant", "subsumptive"):
+            eng = make(self.CUT, strategy=strategy, default_tabling=mode)
+            assert sorted(solutions(eng, "r(X,Y).")) == want
+            assert eng.program.info("r", 2).tabling == "variant"
+
+    def test_callers_of_a_table_above_a_cut_are_tabled_by_variant(self):
+        # top/2 reaches the cut only through the table of r/2; p/1 none
+        src = (self.CUT + ":- table top/2 as subsumptive.\n"
+               ":- table p/1 as subsumptive.\n"
+               "top(X,Y) :- r(X,Y).\np(X) :- e(X,_).\n")
+        goals = ("top(X,Y).", "top(c,Y).", "top(d,Y).", "p(X).", "p(c).")
+        want = [solutions(make(src.replace("subsumptive", "variant")), g)
+                for g in goals]
+        eng = make(src)
+        assert [solutions(eng, g) for g in goals] == want
+        assert want[1] == ["top(c,d)", "top(c,c)"]
+        assert [eng.program.info(*k).tabling
+                for k in (("r", 2), ("top", 2), ("p", 1))] \
+            == ["variant", "variant", "subsumptive"]
+
+    def test_a_consult_that_adds_a_cut_takes_effect_at_the_next_query(self):
+        eng = make(":- table p/1 as subsumptive.\np(X) :- q(X).\nq(a).")
+        assert solutions(eng, "p(X).") == ["p(a)"]
+        assert eng.program.info("p", 1).tabling == "subsumptive"
+        eng.consult("q(b) :- !.")
+        assert solutions(eng, "q(X).") == ["q(a)", "q(b)"]
+        assert eng.program.info("p", 1).tabling == "variant"
+
     @pytest.mark.parametrize("mode", [" as subsumptive", ""])
     def test_findall_over_incomplete_producer_is_refused(self, mode):
         # findall(Z, p(1,Z), L) runs while p(X,Y) is still incomplete: a
@@ -1034,6 +1076,46 @@ class TestQueryTable:
         for t in eng.space.tables:
             assert t.complete and t.consumers == [] \
                 and t.owned_consumers == []
+
+
+class TestQueryAnswers:
+    """A query answer's goal and bindings are those of the query table's
+    answer term, whatever the goal's shape."""
+
+    SRC = """
+    :- table t/2, u/0, v/0.
+    p(a,b). p(c,d). p(f(a),g(W)). p(X,X). p(f(Y),h(Y,Z)). p(e,e).
+    t(X,Y) :- p(X,Y).
+    q.
+    u :- tnot v.
+    v :- tnot u.
+    """
+
+    @pytest.mark.parametrize("goal,n", [
+        ("p(X,Y).", 6),             # flat; answers that hold variables
+        ("p(f(X),Y).", 3),          # nested
+        ("p(X,X).", 2),             # a repeated variable
+        ("q.", 1),                  # an atom
+        ("t(X,Y).", 6),             # a tabled call
+        ("t(f(a),h(a,V)).", 1),     # a ground subterm and a fresh one
+        ("p(X,Y), u.", 6),          # a conjunction, undefined answers
+    ])
+    def test_goal_and_bindings_match_the_answer_term(self, goal, n):
+        eng = make(self.SRC)
+        wrapper = eng._eval_wrapper
+        tables = []
+        eng._eval_wrapper = lambda g: tables.append(wrapper(g)) or tables[-1]
+        got = eng.query(goal)
+        [table] = tables
+        qvars = term_vars(parse_goal(goal).term)
+        want = [a for a in table.answers if not a.deleted]
+        assert len(got) == len(want) == n
+        for a, ans in zip(got, want):
+            assert a.goal == ans.term.args[0]
+            assert a.bindings == dict(zip(qvars, ans.bindings))
+            assert a.truth == ("undefined" if ans.conditional else "true")
+        assert {a.truth for a in got} == \
+            {"undefined" if "u" in goal else "true"}
 
 
 class TestRepl:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from tlpe.builtins import BUILTINS
+from tlpe.engine import Engine
 from tlpe.errors import DirectiveError, StoreError
 from tlpe.parser import parse_program, parse_term_text
 from tlpe.program import STAR_CAP, ClauseIndex, Program
@@ -588,3 +589,47 @@ class TestSubsumptionStratification:
     def test_negation_outside_cycle_allowed(self):
         prog = load(":- table p(min).\np(C) :- tnot q(C).\nq(1).")
         assert prog.info("p", 1).subsumption is not None
+
+
+class TestFinalizeAfterChanges:
+    """``finalize`` redoes its analysis only after a change to the
+    program, and every change is one: a consult between two queries takes
+    effect at the second."""
+
+    def test_queries_without_a_change_skip_the_analysis(self, monkeypatch):
+        built = []
+        call_graph = Program.call_graph
+        monkeypatch.setattr(Program, "call_graph",
+                            lambda self: built.append(1) or call_graph(self))
+        eng = Engine()
+        eng.consult(":- table sp(_,min).\nsp(X,C) :- e(X,C).\n"
+                    "e(a,2). e(a,1). e(b,3).")
+        for _ in range(3):
+            assert [term_to_str(a.goal) for a in eng.query("sp(a,C).")] \
+                == ["sp(a,1)"]
+        assert len(built) == 1
+        eng.consult("e(c,4).")
+        assert [term_to_str(a.goal) for a in eng.query("sp(c,C).")] \
+            == ["sp(c,4)"]
+        assert len(built) == 2
+
+    def test_a_consult_closing_a_tnot_cycle_raises_at_the_next_query(self):
+        eng = Engine()
+        eng.consult(":- table sp(_,min), q/1.\nsp(X,C) :- e(X,C).\n"
+                    "q(X) :- sp(X,_).\ne(a,1).")
+        assert len(eng.query("q(a).")) == 1
+        eng.consult("sp(X,0) :- e(X,_), tnot q(X).")
+        for _ in range(2):      # and at every query until it is mended
+            with pytest.raises(StoreError, match="cycle through tnot"):
+                eng.query("e(X,Y).")
+
+    def test_auto_table_tables_a_predicate_a_later_consult_makes_cyclic(self):
+        eng = Engine()
+        eng.consult(":- auto_table.\np(X) :- e(X,_).\ne(1,2). e(2,1).")
+        assert len(eng.query("p(X).")) == 2
+        assert not eng.program.info("p", 1).tabled
+        eng.consult("p(X) :- e(X,Y), p(Y).")
+        assert len(eng.query("e(1,Y).")) == 1
+        assert eng.program.info("p", 1).auto_tabled
+        assert sorted(term_to_str(a.goal) for a in eng.query("p(X).")) \
+            == ["p(1)", "p(2)"]

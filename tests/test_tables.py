@@ -105,6 +105,24 @@ class TestAnswers:
         _, ans = sp.add_answer(tab, (Atom("a"), t("h(b)")))
         assert term_to_str(ans.term) == "p(g(a),h(b))"
 
+    def test_unconditional_records_share_empty_watch_lists(self):
+        # a record makes its lists with its first delay list or watcher
+        sp = make_space()
+        p, _ = intern(sp, "p", "p(X)")
+        q, _ = intern(sp, "q", "q(X)")
+        blocker, _ = intern(sp, "b", "b")
+        _, a = sp.add_answer(p, (Atom("a"),))
+        _, b = sp.add_answer(p, (Atom("b"),))
+        assert a.delay_lists is b.delay_lists is a.pos_watchers == ()
+        _, qc = sp.add_answer(q, (Atom("c"),), [delay_neg(blocker)])
+        _, qd = sp.add_answer(q, (Atom("d"),), [delay_pos(qc)])
+        assert len(qc.delay_lists) == 1 and len(qc.pos_watchers) == 1
+        assert qd.pos_watchers == ()
+        blocker.status = SubgoalTable.COMPLETE
+        sp.on_completed(blocker)
+        assert qc.unconditional and qd.unconditional
+        assert qc.delay_lists == qc.pos_watchers == qd.delay_lists == ()
+
     def test_factoring_stores_only_bindings(self):
         # the answer trie never re-stores the fixed part of the subgoal:
         # one answer for a one-variable subgoal is a single-symbol path

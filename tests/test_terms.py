@@ -4,8 +4,8 @@ from hypothesis import given, strategies as st
 from tlpe.terms import (
     Atom, CyclicTermError, Int, Struct, Var, canonical_key,
     canonicalize, compare, instantiate, is_ground, make_list, match,
-    order_key, rename, resolve, subsumes, symbols, term_to_str, term_vars,
-    unify, variant,
+    order_key, rename, resolve, substitute, subsumes, symbols, term_to_str,
+    term_vars, unify, variant,
 )
 
 
@@ -159,6 +159,9 @@ class TestGroundSharing:
         assert canonicalize(S("f", Y, g))[0].args[1] is g
         # nothing bound below it: the compound itself
         assert resolve(t, {5: a}) is t
+        assert canonicalize(t)[0] is t
+        assert substitute(t, [X]) is t
+        assert substitute(t, [Y]).args == (Y, g)
 
     def test_long_lists_through_every_traversal(self):
         n = 100000
