@@ -2,9 +2,11 @@
 
 Tabled calls intern a subgoal table and read it through a ``Consumer``,
 the one path by which answers return: a complete table feeds it all its
-answers, an incomplete one feeds it as answers arrive.  Answers stay
-factored: the consumer maps its goal onto the subgoal's variables once,
-and an answer returns by unifying that map with its bindings.  Under
+answers, an incomplete one feeds it as answers arrive.  A feed is one
+run-stack entry over a range of the table's append-only answer list,
+which returns them in order.  Answers stay factored: the consumer maps
+its goal onto the subgoal's variables once, and an answer returns by
+unifying that map with its bindings.  Under
 subsumptive tabling a call reads the first table that subsumes it in
 place, in the table's answer order, a complete one through its answer
 trie; a call that no table subsumes, or a ground ``tnot``, gets a table
@@ -60,7 +62,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from heapq import heapify, heappop, heappush
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Set
 
 from .builtins import BUILTINS, compile_arith
@@ -112,8 +114,9 @@ class Cont:
     a call but the last to run copies it.  The continuation of a
     ``Consumer`` or a ``NegWaiter`` is copied out of it (``_detach``).
     A state the run stack would pop next runs at once instead: a clause
-    body, a returned answer, and the goal after a builtin that succeeds
-    or a ``tnot`` of a complete table, which moves the state on in place.
+    body, each answer of a feed, and the goal after a builtin that
+    succeeds or a ``tnot`` of a complete table, which moves the state on
+    in place.
     """
 
     __slots__ = ("owner", "ans", "goals", "delays", "scopes", "k", "nv",
@@ -156,6 +159,9 @@ class Consumer:
     subsumed call keeps ``seen``, instance to "returned unconditionally",
     as two answers can give it one instance; a reader of an
     answer-subsumption table keeps ``heap``, the answers it has to feed.
+    A feed is one ``("resume", consumer, answers, i, n)`` entry: the
+    answers ``answers[i:n]`` of the table's list past ``cursor``, of the
+    sorted trie hits of a subsumed call, or of the heap's best.
 
     A variant call of a table's clause keeps ``plan``, a ``ReturnPlan``
     made with the consumer, when the rest of the clause has a fixed
@@ -203,7 +209,7 @@ class ReturnPlan(NamedTuple):
     probe: tuple
     checks: tuple
     arith: tuple
-    proj: tuple
+    proj: Callable[[tuple], tuple]
 
 
 def _return_plan(cont: Cont, ids: tuple, program: Program):
@@ -242,8 +248,11 @@ def _return_plan(cont: Cont, ids: tuple, program: Program):
     if None in arith or not all(type(a) is Var and a.id in slot
                                 for a in ans):
         return None
-    return ReturnPlan(pi, tuple(probe), tuple(checks), tuple(arith),
-                      tuple([slot[a.id] for a in ans]))
+    slots = [slot[a.id] for a in ans]
+    j = slots[0] if slots else 0        # a run of slots picks a slice
+    proj = itemgetter(slice(j, j + len(slots))) \
+        if slots == list(range(j, j + len(slots))) else itemgetter(*slots)
+    return ReturnPlan(pi, tuple(probe), tuple(checks), tuple(arith), proj)
 
 
 def _decode(lit: Literal, program: Program):
@@ -542,9 +551,7 @@ class Engine:
         if kind == "run":
             self._step_cont(entry[1])
         elif kind == "resume":
-            _, consumer, ans = entry
-            if not consumer.dead and not ans.deleted:
-                self._return_answer(consumer, ans)
+            self._resume(*entry[1:])
         elif kind == "inline":
             _, after, clause, env, scope, shared = entry
             self._push_body(after, clause, env, scope, after.k, shared)
@@ -655,13 +662,12 @@ class Engine:
         consumer = Consumer(table, goal, self._detach(cont, rest),
                             self.program)
         if table.complete:
+            answers = table.answers
             if consumer.vars is None:
                 # a subsumed call reads the answers its trie walk keeps
-                hits = table.answer_trie.matching_leaves(*consumer.terms)
-                hits.sort(key=attrgetter("seq"))
-                self._push_returns(consumer, hits)
-            else:
-                self._feed_answers(consumer)
+                answers = table.answer_trie.matching_leaves(*consumer.terms)
+                answers.sort(key=attrgetter("seq"))
+            self._push_returns(consumer, answers)
             return
         self._register_consumer(table, consumer)
         if self.strategy == "batched":
@@ -752,22 +758,22 @@ class Engine:
     # answer return
 
     def _feed_consumer(self, consumer: Consumer, one: bool = False) -> bool:
+        """Feed a consumer the answers past its cursor; whether any."""
         if consumer.table.pred.subsumption is not None:
             return self._feed_reduced(consumer, one)
-        return self._feed_answers(consumer)
+        i = consumer.cursor
+        consumer.cursor = len(consumer.table.answers)
+        return self._push_returns(consumer, consumer.table.answers, i)
 
-    def _feed_answers(self, consumer: Consumer) -> bool:
-        """Return the answers past the consumer's cursor, in order."""
-        answers = consumer.table.answers
-        pending = [a for a in answers[consumer.cursor:] if not a.deleted]
-        consumer.cursor = len(answers)
-        self._push_returns(consumer, pending)
-        return bool(pending)
-
-    def _push_returns(self, consumer: Consumer, answers) -> None:
-        """Return ``answers`` in order, each after the last one's run."""
-        self.stack.extend([("resume", consumer, a)
-                           for a in reversed(answers)])
+    def _push_returns(self, consumer: Consumer, answers: list,
+                      i: int = 0) -> bool:
+        """Feed the live answers of ``answers[i:]``, in order."""
+        n = len(answers)
+        while i < n and answers[i].deleted:
+            i += 1
+        if i < n:
+            self.stack.append(("resume", consumer, answers, i, n))
+        return i < n
 
     def _feed_reduced(self, consumer: Consumer, one: bool) -> bool:
         """Feed a consumer of an answer-subsumption table best value first,
@@ -792,21 +798,52 @@ class Engine:
             a = heappop(heap)[2]
             if not a.deleted:
                 pending.append(a)
-        self._push_returns(consumer, pending)
-        return bool(pending)
+        return self._push_returns(consumer, pending)
+
+    def _resume(self, consumer: Consumer, answers: list, i: int,
+                n: int) -> None:
+        """Return ``answers[i:n]`` to ``consumer`` in order, passing over
+        deleted ones, while it lives.  What an answer's return pushes runs
+        before the rest of the range; under a cut scope the rest waits on
+        the stack, where ``_cut`` finds it, while each answer runs."""
+        stack, table, plan = self.stack, consumer.table, consumer.plan
+        hold = bool(consumer.scopes)
+        last = plan is not None and plan.pred is None
+        if last:    # each answer, projected, is an answer of the owner
+            owner, delays, proj = consumer.cont.owner, consumer.cont.delays, \
+                plan.proj
+            produce = self.insert_reduced \
+                if owner.pred.subsumption is None else self._produce
+        while i < n and not consumer.dead:
+            ans = answers[i]
+            i += 1
+            if ans.deleted:
+                continue
+            mark = len(stack)
+            if hold and i < n:
+                stack.append(("resume", consumer, answers, i, n))
+            if last:
+                self._op("positive_return", "POSITIVE_RETURN", table)
+                produce(owner, proj(ans.bindings),
+                        delays + (DelayLit(False, table, ans),)
+                        if ans.delay_lists else delays)
+            else:
+                self._return_answer(consumer, ans)
+            if hold or len(stack) > mark:
+                if not hold and i < n:
+                    stack.insert(mark, ("resume", consumer, answers, i, n))
+                return
 
     def _return_answer(self, consumer: Consumer, ans) -> None:
-        """The one place an answer returns to a call.  A call with a
-        ``Consumer.plan`` hands its owner's table the answer projected,
-        or, for a ground answer, what it joins with facts: no other
-        variable meets them.  Any other call unifies its goal map with
-        the bindings, renamed above its variables if any, and runs on."""
+        """Return one answer to a call that is not a last call.  A fused
+        fact join (``Consumer.plan``) hands its owner's table what a
+        ground answer joins with facts: no other variable meets them.
+        Any other call unifies its goal map with the bindings, renamed
+        above its variables if any, and runs on."""
         cont = consumer.cont
         nv = cont.nv
         bindings = ans.bindings
-        plan = consumer.plan
-        if plan is not None and ans.nvars and plan.pred is not None:
-            plan = None
+        plan = None if ans.nvars else consumer.plan
         if plan is None:
             if ans.nvars:
                 bindings = [rename(b, nv) for b in bindings]
@@ -833,9 +870,6 @@ class Engine:
         if plan is None:
             self._step_cont(Cont(cont.owner, cont.ans, cont.goals, delays,
                                  cont.scopes, k, nv + ans.nvars, env))
-        elif plan.pred is None:
-            bindings = tuple([bindings[j] for j in plan.proj])
-            self._produce(cont.owner, bindings, delays)
         else:
             pi = plan.pred
             goal = Struct(pi.name, tuple([bindings[a] if type(a) is int
@@ -867,7 +901,7 @@ class Engine:
                 for f in arith:
                     row += (Int(f(row)),)
                 mark = len(stack)
-                self._produce(owner, tuple([row[s] for s in proj]), delays)
+                self._produce(owner, proj(row), delays)
                 if len(stack) > mark and i < n:
                     stack.insert(mark, ("join", consumer, base, delays,
                                         facts, i))
@@ -1216,10 +1250,10 @@ class Engine:
         table.neg_waiters = []
         for c in table.consumers:
             if not c.dead:
-                # catch up; pending resume entries still pop, so the
-                # consumer is merely finished, not discarded
+                # catch up; its feed entries still run, so the consumer
+                # is merely finished, not discarded
                 self._feed_consumer(c)
-        # nothing reads a complete table's readers again; the resume
+        # nothing reads a complete table's readers again; the feed
         # entries hold their own references
         table.consumers = []
         table.owned_consumers = []

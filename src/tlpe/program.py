@@ -336,6 +336,7 @@ class Program:
         if pi.dynamic:
             raise DirectiveError(
                 f"{pi} is dynamic and cannot also be tabled")
+        self._check_no_cut(pi)
         if sub is not None:
             if mode == "subsumptive" and explicit_mode:
                 raise DirectiveError(
@@ -350,7 +351,6 @@ class Program:
                 f"{pi}: incremental tabling requires variant tabling")
         pi.tabling = mode
         pi.incremental_table = pi.incremental_table or incremental
-        self._check_no_cut(pi)
 
     def _answer_subsumption_spec(self, spec: Struct) -> SubsumptionSpec:
         pos = -1
@@ -443,7 +443,9 @@ class Program:
         return IndexSpec(tuple(comps))
 
     def _check_no_cut(self, pi: PredicateInfo) -> None:
-        if pi.tabled and pi.cut_clauses:
+        """Refuse to table ``pi``, before any of its state changes, if a
+        clause of it holds a cut."""
+        if pi.cut_clauses:
             raise StoreError(f"{pi}: cut inside a tabled predicate")
 
     # ------------------------------------------------------------------
@@ -622,9 +624,9 @@ class Program:
                         indeg[s] += 1
             best = min(cyc, key=lambda v: (-(indeg[v] * outdeg[v]), v))
             pi = self.preds[best]
+            self._check_no_cut(pi)
             pi.tabling = self.default_tabling
             pi.auto_tabled = True
-            self._check_no_cut(pi)
             chosen.append(best)
             removed.add(best)
         return chosen
@@ -638,26 +640,27 @@ class Program:
         if self.auto_table_requested:
             auto = self.run_auto_table()
         pis = self.preds.values()
-        cuts = any(pi.cut_clauses for pi in pis) \
-            and any(pi.tabling == "subsumptive" for pi in pis)
-        if cuts or any(pi.subsumption for pi in pis):
+        readers = {k for k, pi in self.preds.items() if _reads_binding(pi)} \
+            if any(pi.tabling == "subsumptive" for pi in pis) else None
+        if readers or any(pi.subsumption for pi in pis):
             # looked up at the call, where the traced benchmark wraps it
             from .sccs import tarjan_sccs
             graph = self.call_graph()
             comps = tarjan_sccs(list(graph), graph.__getitem__)
-            if cuts:
-                self._variant_above_cuts(graph, comps)
+            if readers:
+                self._variant_above(readers, graph, comps)
             self._check_subsumption_stratified(comps)
         self._changed = False
         return auto
 
-    def _variant_above_cuts(self, graph, comps) -> None:
-        """Table by variant every predicate that reaches a cut through
-        its calls: what a cut keeps depends on how bound the call is, so
-        a specific call must not read the table of a general one."""
+    def _variant_above(self, readers: Set[PredKey], graph, comps) -> None:
+        """Table by variant every predicate that reaches one of
+        ``readers`` through its calls: what a cut keeps, or what ``==``
+        or ``findall/3`` finds, depends on how bound the call is, so a
+        specific call must not read the table of a general one."""
         reach: Set[PredKey] = set()
         for scc in comps:       # callees first
-            if any(self.preds[k].cut_clauses or not reach.isdisjoint(graph[k])
+            if any(k in readers or not reach.isdisjoint(graph[k])
                    for k in scc):
                 reach.update(scc)
         for k in reach:
@@ -694,6 +697,18 @@ class Program:
         if pi.trie_indexed:
             return pi.indexes[0].trie.leaf_count
         return len(pi.clauses)
+
+
+# builtins whose outcome depends on how bound their arguments are
+_BINDING_READERS = {("==", 2), ("\\==", 2), ("\\=", 2), ("findall", 3)}
+
+
+def _reads_binding(pi: PredicateInfo) -> bool:
+    """Whether a clause of ``pi`` cuts or calls one of
+    ``_BINDING_READERS``."""
+    return bool(pi.cut_clauses) or any(
+        functor_of(lit.goal) in _BINDING_READERS
+        for cl in pi.clauses for lit in cl.body)
 
 
 def _head_unifier(head: Term, nv: int, goal: Term, occurs_check: bool):

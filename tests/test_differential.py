@@ -12,9 +12,16 @@ A broader generator (``broad_program``) adds inline rules, cuts, calls
 with ground arguments, ``min`` answer subsumption and more ``tnot``; its
 programs run under every option set of ``BROAD_OPTIONS`` against one
 reference engine.
+
+A third check reads the well-founded model: random ground normal
+programs (``oracles.random_ground_program``) run on a subsumptive engine
+under every option set of ``OPTIONS``, and the truth of each atom must
+be the one ``oracles.wfs_model`` computes.  Their conditional answers
+return through the same path as any other answer.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -22,6 +29,9 @@ from tlpe.engine import Engine
 from tlpe.errors import EvalError
 from tlpe.parser import parse_term_text
 from tlpe.terms import Struct, canonicalize, term_to_str
+
+sys.path.insert(0, __file__.rsplit("/", 1)[0])
+from oracles import program_text, random_ground_program, wfs_model
 
 PREDS = ("p", "q", "r", "s", "t", "u")
 CONSTS = ("a", "b", "c", "d")
@@ -534,8 +544,43 @@ def test_broad_programs_agree_under_every_option(seed):
     assert broad_mismatches(src, queries) == [], src
 
 
+def wfs_mismatches(seed):
+    """(options, query, truths, model truths) of the first query whose
+    truths differ from the well-founded model of the random ground
+    program of ``seed``, under each option set of ``OPTIONS`` on a
+    subsumptive engine.  Each engine answers one open query per
+    predicate, which later calls of its atoms may read, then one query
+    per atom."""
+    rules = random_ground_program(random.Random(seed), 30, 75)
+    model = wfs_model(rules)
+    out = []
+    for options in OPTIONS:
+        eng = Engine(default_tabling="subsumptive", **options)
+        eng.consult(program_text(rules))
+        got = {}
+        for pred in ("p", "q", "r"):
+            got.update((term_to_str(a.goal), a.truth)
+                       for a in eng.query(f"{pred}(X)."))
+        rows = [("open queries", {a: got.get(a, "false") for a in model},
+                 model)]
+        for atom in sorted(model):
+            truths = [a.truth for a in eng.query(atom + ".")] or ["false"]
+            rows.append((atom + ".", truths, [model[atom]]))
+        out += [(options,) + row for row in rows if row[1] != row[2]][:1]
+    return out
+
+
+# each but seed 0 has undefined atoms in its model
+WFS_SEEDS = [0, 4, 5, 7, 8, 10]
+
+
+@pytest.mark.parametrize("seed", WFS_SEEDS)
+def test_ground_programs_match_the_well_founded_model(seed):
+    assert wfs_mismatches(seed) == []
+
+
 def main(argv=None):
-    """Run both differential checks over a range of seeds:
+    """Run the three differential checks over a range of seeds:
     ``python tests/test_differential.py FIRST LAST`` (inclusive) prints
     each mismatching seed with its first mismatch, and the count."""
     import argparse
@@ -547,7 +592,8 @@ def main(argv=None):
     for seed in range(args.first, args.last + 1):
         src, queries = random_program(seed)
         rows = mismatches(src, queries) \
-            or broad_mismatches(*broad_program(seed))
+            or broad_mismatches(*broad_program(seed)) \
+            or wfs_mismatches(seed)
         if rows:
             bad.append(seed)
             print(f"seed {seed}: mismatch", flush=True)

@@ -267,6 +267,40 @@ class TestBuiltinsInLine:
                 for a in answers] == [("[-(1,_G2),-(2,_G3)]", "g(7)")]
 
 
+class TestFeeds:
+    """A feed returns a range of a table's answers from one ``resume``
+    entry, in answer order; what an answer's return pushes runs before
+    the rest of the range."""
+
+    T = ":- table t/1.\nt(a). t(b). t(c).\n"
+
+    def test_a_read_of_a_complete_table_pushes_one_entry(self):
+        eng = make(self.T)
+        assert len(eng.query("t(X).")) == 3
+        eng.stack = log = PushLog()
+        # not a last call: each answer runs on through true/0
+        assert [term_to_str(a.bindings[0])
+                for a in eng.query("t(X), true.")] == ["a", "b", "c"]
+        assert log.kinds == ["run", "resume"]
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    def test_a_cut_discards_the_rest_of_a_feed(self, strategy):
+        eng = make(self.T + "first(X) :- t(X), !.", strategy=strategy)
+        assert len(eng.query("t(X).")) == 3
+        assert solutions(eng, "first(X).") == ["first(a)"]
+
+    def test_a_batched_feed_runs_before_the_rest_of_the_feed(self):
+        # each answer of p/1, a last call of t/1, feeds the query's reader
+        # of p/1 at once: that return comes before the next one of t/1
+        eng = make(self.T.replace("t/1", "t/1, p/1") + "p(X) :- t(X).",
+                   strategy="batched")
+        assert len(eng.query("t(X).")) == 3
+        eng.trace_enabled = True
+        assert solutions(eng, "p(X).") == ["p(a)", "p(b)", "p(c)"]
+        assert [line.split()[2] for line in eng.trace_lines
+                if "POSITIVE_RETURN" in line] == ["t(_G0)", "p(_G0)"] * 3
+
+
 FANOUT = (":- dynamic e/2.\n:- index(e/2, trie).\n"
           ":- table p/2 as subsumptive.\np(X,Y) :- e(X,Y).\n")
 
@@ -696,6 +730,26 @@ class TestCallSubsumption:
             eng = make(self.CUT, strategy=strategy, default_tabling=mode)
             assert sorted(solutions(eng, "r(X,Y).")) == want
             assert eng.program.info("r", 2).tabling == "variant"
+
+    # each pair: a program, then a general and a specific query whose
+    # answers a builtin that reads how bound a term is makes differ
+    READERS = [
+        (":- table p/1.\np(X) :- X == a.", "p(X).", "p(a).", ["p(a)"]),
+        (":- table p/1.\np(X) :- X \\= a.", "p(X).", "p(b).", ["p(b)"]),
+        (":- table s/2.\ns(X,L) :- findall(X, q(X), L).\nq(a). q(b).",
+         "s(X,L).", "s(a,L).", ["s(a,[a])"]),
+    ]
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    @pytest.mark.parametrize("src,general,specific,want", READERS)
+    def test_a_predicate_above_a_binding_reader_is_tabled_by_variant(
+            self, strategy, src, general, specific, want):
+        for mode in ("variant", "subsumptive"):
+            eng = make(src, strategy=strategy, default_tabling=mode)
+            eng.query(general)
+            assert solutions(eng, specific) == want, mode
+            assert all(pi.tabling in ("none", "variant")
+                       for pi in eng.program.user_predicates())
 
     def test_callers_of_a_table_above_a_cut_are_tabled_by_variant(self):
         # top/2 reaches the cut only through the table of r/2; p/1 none

@@ -550,6 +550,16 @@ class TestAutoTable:
         assert prog.retract_clause(goal("p(X) :- p(X), !"))
         assert prog.finalize() == [("p", 1)]
 
+    def test_a_refused_cut_leaves_the_predicate_untabled(self):
+        # the refusal comes before the predicate is tabled, so every
+        # query raises it, not only the first
+        eng = Engine()
+        eng.consult(":- auto_table.\np(X) :- q(X), p(X), !.\np(a).\nq(a).")
+        for _ in range(2):
+            with pytest.raises(StoreError, match="cut inside a tabled"):
+                eng.query("p(X).")
+            assert not eng.program.info("p", 1).tabled
+
     def test_acyclic_program_tables_nothing(self):
         prog = load(":- auto_table.\np(X) :- q(X).\nq(a).")
         assert not any(pi.tabled for pi in prog.user_predicates())
