@@ -15,6 +15,12 @@ calls suspend on incomplete tables and are resolved at completion,
 delayed inside negative loops, or failed eagerly as soon as an
 unconditional answer shows up.
 
+A query runs its goal under a table of its own, which lives one
+evaluation.  A query of one tabled call, a variant call of a table
+without answer subsumption, returns that table's records instead: its
+consumer keeps each record it is fed, in order, and the query reads
+their final truth, passing over the deleted ones.
+
 Continuations share structure.  One keeps the rest of each clause body
 as written, by reference, and a binding frame, which each step extends
 in place.  A goal is instantiated only when it is selected, and only
@@ -161,7 +167,8 @@ class Consumer:
     answer-subsumption table keeps ``heap``, the answers it has to feed.
     A feed is one ``("resume", consumer, answers, i, n)`` entry: the
     answers ``answers[i:n]`` of the table's list past ``cursor``, of the
-    sorted trie hits of a subsumed call, or of the heap's best.
+    sorted trie hits of a subsumed call, or of the heap's best.  The
+    query's one tabled call keeps ``fed``, the records it is fed.
 
     A variant call of a table's clause keeps ``plan``, a ``ReturnPlan``
     made with the consumer, when the rest of the clause has a fixed
@@ -172,7 +179,7 @@ class Consumer:
     an answer of the owner."""
 
     __slots__ = ("table", "goal", "cont", "cursor", "scopes", "dead", "heap",
-                 "terms", "vars", "seen", "plan")
+                 "terms", "vars", "seen", "plan", "fed")
 
     def __init__(self, table: SubgoalTable, goal: Term, cont: Cont,
                  program: Program):
@@ -191,6 +198,7 @@ class Consumer:
         self.scopes = cont.scopes
         self.dead = False
         self.heap = [] if table.pred.subsumption is not None else None
+        self.fed = None
 
 
 class ReturnPlan(NamedTuple):
@@ -388,6 +396,7 @@ class Engine:
         self._waiter_seq = 0
         self._graph_version = 0
         self.query_active = False
+        self._query_reader: Optional[Consumer] = None
 
         self.trace_enabled = False
         self.trace_lines: List[str] = []
@@ -453,12 +462,15 @@ class Engine:
             goal = parse_goal(goal).term
         with self._evaluation() as watermark:
             table = self._eval_wrapper(goal)
+            reader = self._query_reader
+            # both subgoals are numbered like ``qvars``
+            cgoal, records = (table.subgoal.args[0], table.answers) \
+                if reader is None else (reader.table.subgoal, reader.fed)
             qvars = term_vars(goal)
-            cgoal = table.subgoal.args[0]   # numbered like ``qvars``
             out = [QueryAnswer(dict(zip(qvars, a.bindings)),
                                substitute(cgoal, a.bindings),
                                "undefined" if a.delay_lists else "true")
-                   for a in table.answers if not a.deleted]
+                   for a in records if not a.deleted]
         if self.query_level_tabling:
             self.space.discard_from(watermark)
         return out
@@ -491,6 +503,7 @@ class Engine:
             self.stack = []
             self.comp = []
             self._round = None
+            self._query_reader = None
             self.ctx = 0
             self.query_active = False
 
@@ -661,6 +674,11 @@ class Engine:
         self._note_call(cont, table, neg=False)
         consumer = Consumer(table, goal, self._detach(cont, rest),
                             self.program)
+        if rest is None and consumer.plan is not None \
+                and consumer.heap is None and cont.owner.pred is self._query_pi:
+            # the query's one call: its answers are the records it is fed
+            consumer.fed = []
+            self._query_reader = consumer
         if table.complete:
             answers = table.answers
             if consumer.vars is None:
@@ -807,6 +825,12 @@ class Engine:
         before the rest of the range; under a cut scope the rest waits on
         the stack, where ``_cut`` finds it, while each answer runs."""
         stack, table, plan = self.stack, consumer.table, consumer.plan
+        if consumer.fed is not None:    # the query's own call
+            for ans in answers[i:n]:
+                if not ans.deleted:
+                    self._op("positive_return", "POSITIVE_RETURN", table)
+                    consumer.fed.append(ans)
+            return
         hold = bool(consumer.scopes)
         last = plan is not None and plan.pred is None
         if last:    # each answer, projected, is an answer of the owner

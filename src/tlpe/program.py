@@ -700,7 +700,9 @@ class Program:
 
 
 # builtins whose outcome depends on how bound their arguments are
-_BINDING_READERS = {("==", 2), ("\\==", 2), ("\\=", 2), ("findall", 3)}
+_BINDING_READERS = {("==", 2), ("\\==", 2), ("\\=", 2), ("findall", 3),
+                    ("sort", 2), ("flatten", 2), ("ord_subset", 2),
+                    ("ord_disjoint", 2), ("ord_subtract", 3)}
 
 
 def _reads_binding(pi: PredicateInfo) -> bool:

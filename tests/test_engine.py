@@ -23,6 +23,7 @@ from tlpe.terms import Atom, Struct, Var, term_to_str, term_vars
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from oracles import bfs_reachable, dijkstra, random_digraph
+from test_golden import INCR, REACH_LEFT, WIN_GAME
 
 
 def make(src, **kw):
@@ -738,6 +739,16 @@ class TestCallSubsumption:
         (":- table p/1.\np(X) :- X \\= a.", "p(X).", "p(b).", ["p(b)"]),
         (":- table s/2.\ns(X,L) :- findall(X, q(X), L).\nq(a). q(b).",
          "s(X,L).", "s(a,L).", ["s(a,[a])"]),
+        (":- table p/2.\np(X,L) :- sort([X,a],L).", "p(X,L).", "p(b,L).",
+         ["p(b,[a,b])"]),
+        (":- table p/2.\np(X,L) :- flatten([X],L).", "p(X,L).",
+         "p([a,b],L).", ["p([a,b],[a,b])"]),
+        (":- table p/1.\np(X) :- ord_subset([X],[a]).", "p(X).", "p(a).",
+         ["p(a)"]),
+        (":- table p/1.\np(X) :- ord_disjoint([X],[a]).", "p(X).", "p(a).",
+         []),
+        (":- table p/2.\np(X,L) :- ord_subtract([X,b],[a],L).", "p(X,L).",
+         "p(a,L).", ["p(a,[b])"]),
     ]
 
     @pytest.mark.parametrize("strategy", ["local", "batched"])
@@ -1098,7 +1109,7 @@ class TestQueryTable:
             assert truth_set(eng, "p.") == {("p", "undefined")}
         p, q = (eng.space.lookup_variant(Atom(n)) for n in "pq")
         [ans] = p.answers
-        watchers = ans.pos_watchers + p.neg_watchers + q.neg_watchers
+        watchers = list(ans.pos_watchers) + p.neg_watchers + q.neg_watchers
         assert [dl.owner.table.pred.name for dl, _ in watchers] == ["q", "p"]
         assert p.cond_dependents == {q} and q.cond_dependents == {p}
         assert truth_set(eng, "q.") == {("q", "undefined")}
@@ -1133,8 +1144,9 @@ class TestQueryTable:
 
 
 class TestQueryAnswers:
-    """A query answer's goal and bindings are those of the query table's
-    answer term, whatever the goal's shape."""
+    """A query answer's goal and bindings are those of the answer term it
+    was read from, whatever the goal's shape: the query table's, or, for
+    a query of one tabled call, the called table's."""
 
     SRC = """
     :- table t/2, u/0, v/0.
@@ -1161,15 +1173,131 @@ class TestQueryAnswers:
         eng._eval_wrapper = lambda g: tables.append(wrapper(g)) or tables[-1]
         got = eng.query(goal)
         [table] = tables
-        qvars = term_vars(parse_goal(goal).term)
-        want = [a for a in table.answers if not a.deleted]
+        term = parse_goal(goal).term
+        qvars = term_vars(term)
+        if goal.startswith("t("):
+            assert table.answers == []
+            callee = eng.space.lookup_variant(term)
+            want = [(a, a.term) for a in callee.answers if not a.deleted]
+        else:
+            want = [(a, a.term.args[0]) for a in table.answers
+                    if not a.deleted]
         assert len(got) == len(want) == n
-        for a, ans in zip(got, want):
-            assert a.goal == ans.term.args[0]
+        for a, (ans, instance) in zip(got, want):
+            assert a.goal == instance
             assert a.bindings == dict(zip(qvars, ans.bindings))
             assert a.truth == ("undefined" if ans.conditional else "true")
         assert {a.truth for a in got} == \
             {"undefined" if "u" in goal else "true"}
+
+
+class TestQueryOfOneTabledCall:
+    """A query of one variant call of a table without answer subsumption
+    returns the records of the called table; any other goal reads the
+    answers of a table of its own.  Both give the same answers."""
+
+    # answer completion deletes p(0): its one delay list left leans on
+    # p(0) itself
+    COMPLETION = """
+    :- table p/1, q/1, r/1.
+    q(0) :- p(0), r(2), tnot(p(0)), tnot(q(3)).
+    p(0) :- tnot(p(1)), tnot(r(1)).
+    r(1) :- tnot(q(0)).
+    p(0) :- p(0), tnot(r(2)).
+    """
+
+    PROGRAMS = {
+        "reach_left": (REACH_LEFT, ["reach(1,Y)", "reach(X,Y)",
+                                    "reach(3,Y)"]),
+        "win_game": (WIN_GAME, ["win(X)", "win(1)", "win(5)"]),
+        "completion": (COMPLETION, ["p(X)", "q(X)", "r(X)", "p(0)"]),
+        "incr": (INCR, ["reach(1,Y)", "un(X)", ("assert", "e(3,4)."),
+                        "reach(1,Y)", "un(X)"]),
+    }
+
+    @staticmethod
+    def run(src, steps, conj, **options):
+        """What each step gives, queried as a goal ``G`` or, with ``conj``
+        set, as ``(G, true)``."""
+        eng = make(src, **options)
+        eng.trace_enabled = True
+        results = []
+        for step in steps:
+            if isinstance(step, tuple):
+                results.append(len(incr_assert(eng, step[1])))
+            else:
+                answers = eng.query(f"({step}, true)." if conj else step + ".")
+                results.append([
+                    (term_to_str(a.goal.args[0] if conj else a.goal), a.truth,
+                     {v: term_to_str(t) for v, t in a.bindings.items()})
+                    for a in answers])
+        deleted = sum(a.deleted for t in eng.space.tables for a in t.answers)
+        return results, deleted, eng.K, eng.counters, eng.trace_lines
+
+    @pytest.mark.parametrize("mode", ["variant", "subsumptive"])
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_the_called_table_gives_the_answers_of_a_table_of_its_own(
+            self, name, strategy, mode):
+        src, steps = self.PROGRAMS[name]
+        if mode == "subsumptive":   # incremental tables must be variant
+            src = src.replace("as incremental", "as incremental as variant")
+        options = {"strategy": strategy, "default_tabling": mode}
+        direct = self.run(src, steps, False, **options)
+        own = self.run(src, steps, True, **options)
+        assert direct == own
+        results, deleted = direct[:2]
+        assert any(truth == "undefined" for answers in results
+                   if isinstance(answers, list) for _, truth, _ in answers) \
+            == (name == "win_game")
+        assert bool(deleted) == (name == "completion")
+        if name == "completion":    # p(0) is false, its record deleted
+            assert results[0] == []
+
+    @staticmethod
+    def inserts(eng, goal):
+        """The predicates of the tables ``goal``'s query inserts into."""
+        names = []
+        add_answer = eng.space.add_answer
+
+        def spy(table, *args):
+            names.append(table.pred.name)
+            return add_answer(table, *args)
+
+        eng.space.add_answer = spy
+        try:
+            assert eng.query(goal)
+        finally:
+            eng.space.add_answer = add_answer
+        return names
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    def test_the_query_keeps_no_copies(self, strategy):
+        eng = make(WIN_GAME, strategy=strategy)
+        assert "$query" not in self.inserts(eng, "win(X).")
+        assert "$query" not in self.inserts(eng, "win(X).")
+        assert {a.truth for a in eng.query("win(X).")} \
+            == {"true", "undefined"}
+        for t in eng.space.tables:
+            owners = [dl.owner.table for a in t.answers
+                      for dl, _ in a.pos_watchers] \
+                + [dl.owner.table for dl, _ in t.neg_watchers] \
+                + list(t.cond_dependents)
+            assert all(o.pred.name == "win" for o in owners)
+
+    @pytest.mark.parametrize("src,goals", [
+        (WIN_GAME, ["win(X), true."]),                  # a conjunction
+        (":- table p/2 as subsumptive.\np(a,1). p(b,2).",
+         ["p(X,Y).", "p(a,Y)."]),                       # a subsumed read
+        (":- table sp(_,_,min).\nsp(1,2,5). sp(1,2,3).",
+         ["sp(1,Y,C)."]),                               # answer subsumption
+    ])
+    def test_other_goals_insert_into_their_own_table(self, src, goals):
+        eng = make(src)
+        *first, last = goals
+        for g in first:
+            eng.query(g)
+        assert "$query" in self.inserts(eng, last)
 
 
 class TestRepl:
