@@ -16,10 +16,10 @@ delayed inside negative loops, or failed eagerly as soon as an
 unconditional answer shows up.
 
 A query runs its goal under a table of its own, which lives one
-evaluation.  A query of one tabled call, a variant call of a table
-without answer subsumption, returns that table's records instead: its
-consumer keeps each record it is fed, in order, and the query reads
-their final truth, passing over the deleted ones.
+evaluation.  A query whose goal is itself one tabled call, a variant
+call of a table without answer subsumption, returns that table's
+records instead: the records fed to that call are kept, in order, and
+the query reads their final truth, passing over the deleted ones.
 
 Continuations share structure.  One keeps the rest of each clause body
 as written, by reference, and a binding frame, which each step extends
@@ -167,8 +167,7 @@ class Consumer:
     answer-subsumption table keeps ``heap``, the answers it has to feed.
     A feed is one ``("resume", consumer, answers, i, n)`` entry: the
     answers ``answers[i:n]`` of the table's list past ``cursor``, of the
-    sorted trie hits of a subsumed call, or of the heap's best.  The
-    query's one tabled call keeps ``fed``, the records it is fed.
+    sorted trie hits of a subsumed call, or of the heap's best.
 
     A variant call of a table's clause keeps ``plan``, a ``ReturnPlan``
     made with the consumer, when the rest of the clause has a fixed
@@ -179,7 +178,7 @@ class Consumer:
     an answer of the owner."""
 
     __slots__ = ("table", "goal", "cont", "cursor", "scopes", "dead", "heap",
-                 "terms", "vars", "seen", "plan", "fed")
+                 "terms", "vars", "seen", "plan")
 
     def __init__(self, table: SubgoalTable, goal: Term, cont: Cont,
                  program: Program):
@@ -198,7 +197,6 @@ class Consumer:
         self.scopes = cont.scopes
         self.dead = False
         self.heap = [] if table.pred.subsumption is not None else None
-        self.fed = None
 
 
 class ReturnPlan(NamedTuple):
@@ -396,7 +394,11 @@ class Engine:
         self._waiter_seq = 0
         self._graph_version = 0
         self.query_active = False
+        # the query goal's own literal, when it is one; the consumer of
+        # its tabled call, and the records that call is fed
+        self._query_lits: Optional[tuple] = None
         self._query_reader: Optional[Consumer] = None
+        self._query_fed: Optional[list] = None
 
         self.trace_enabled = False
         self.trace_lines: List[str] = []
@@ -465,7 +467,7 @@ class Engine:
             reader = self._query_reader
             # both subgoals are numbered like ``qvars``
             cgoal, records = (table.subgoal.args[0], table.answers) \
-                if reader is None else (reader.table.subgoal, reader.fed)
+                if reader is None else (reader.table.subgoal, self._query_fed)
             qvars = term_vars(goal)
             out = [QueryAnswer(dict(zip(qvars, a.bindings)),
                                substitute(cgoal, a.bindings),
@@ -503,7 +505,7 @@ class Engine:
             self.stack = []
             self.comp = []
             self._round = None
-            self._query_reader = None
+            self._query_lits = self._query_reader = self._query_fed = None
             self.ctx = 0
             self.query_active = False
 
@@ -674,11 +676,11 @@ class Engine:
         self._note_call(cont, table, neg=False)
         consumer = Consumer(table, goal, self._detach(cont, rest),
                             self.program)
-        if rest is None and consumer.plan is not None \
-                and consumer.heap is None and cont.owner.pred is self._query_pi:
-            # the query's one call: its answers are the records it is fed
-            consumer.fed = []
-            self._query_reader = consumer
+        if cont.goals[0] is self._query_lits and consumer.vars is not None \
+                and consumer.heap is None:
+            # the query goal's variant call: its answers are the records
+            # it is fed
+            self._query_reader, self._query_fed = consumer, []
         if table.complete:
             answers = table.answers
             if consumer.vars is None:
@@ -720,9 +722,11 @@ class Engine:
         self.comp.append(table)
         self._graph_version += 1
         if table.pred is self._query_pi:
-            self.stack.append(("run", self._body_cont(
-                table, _answer_vars(table), table.subgoal.args[0],
-                table.nvars)))
+            cont = self._body_cont(table, _answer_vars(table),
+                                   table.subgoal.args[0], table.nvars)
+            lits = cont.goals[0]
+            self._query_lits = lits if len(lits) == 1 else None
+            self.stack.append(("run", cont))
             return
         # the root continuation of the table's producers: no goals, no
         # cut scopes (a tabled clause cannot cut), answers are bindings
@@ -825,11 +829,11 @@ class Engine:
         before the rest of the range; under a cut scope the rest waits on
         the stack, where ``_cut`` finds it, while each answer runs."""
         stack, table, plan = self.stack, consumer.table, consumer.plan
-        if consumer.fed is not None:    # the query's own call
+        if consumer is self._query_reader:
             for ans in answers[i:n]:
                 if not ans.deleted:
                     self._op("positive_return", "POSITIVE_RETURN", table)
-                    consumer.fed.append(ans)
+                    self._query_fed.append(ans)
             return
         hold = bool(consumer.scopes)
         last = plan is not None and plan.pred is None

@@ -1206,6 +1206,18 @@ class TestQueryOfOneTabledCall:
     p(0) :- p(0), tnot(r(2)).
     """
 
+    # untabled predicates over tabled calls: two clauses over two tables,
+    # arguments swapped, a fact beside the call
+    WRAPPERS = """
+    :- table p/1, q/1, t/2.
+    p(a). q(b). t(a,1). t(b,2).
+    r(X) :- p(X).
+    r(X) :- q(X).
+    s(X,Y) :- t(Y,X).
+    u(X) :- p(X).
+    u(c).
+    """
+
     PROGRAMS = {
         "reach_left": (REACH_LEFT, ["reach(1,Y)", "reach(X,Y)",
                                     "reach(3,Y)"]),
@@ -1213,6 +1225,7 @@ class TestQueryOfOneTabledCall:
         "completion": (COMPLETION, ["p(X)", "q(X)", "r(X)", "p(0)"]),
         "incr": (INCR, ["reach(1,Y)", "un(X)", ("assert", "e(3,4)."),
                         "reach(1,Y)", "un(X)"]),
+        "wrappers": (WRAPPERS, ["r(X)", "s(X,Y)", "u(X)", "r(X)"]),
     }
 
     @staticmethod
@@ -1254,6 +1267,26 @@ class TestQueryOfOneTabledCall:
         if name == "completion":    # p(0) is false, its record deleted
             assert results[0] == []
 
+    @pytest.mark.parametrize("mode", ["variant", "subsumptive"])
+    @pytest.mark.parametrize("strategy,r", [
+        ("local", [("r(b)", ["b"]), ("r(a)", ["a"])]),
+        ("batched", [("r(a)", ["a"]), ("r(b)", ["b"])]),
+    ])
+    def test_a_wrapper_answers_with_its_own_goal(self, strategy, r, mode):
+        eng = make(self.WRAPPERS, strategy=strategy, default_tabling=mode)
+
+        def answers(goal):
+            return [(term_to_str(a.goal),
+                     [term_to_str(t) for t in a.bindings.values()])
+                    for a in eng.query(goal)]
+
+        for _ in range(2):  # the tables new, then complete
+            assert answers("r(X).") == r
+            assert answers("s(X,Y).") == [("s(1,a)", ["1", "a"]),
+                                          ("s(2,b)", ["2", "b"])]
+            assert answers("u(X).") == [("u(a)", ["a"]), ("u(c)", ["c"])]
+            r = sorted(r)
+
     @staticmethod
     def inserts(eng, goal):
         """The predicates of the tables ``goal``'s query inserts into."""
@@ -1291,6 +1324,10 @@ class TestQueryOfOneTabledCall:
          ["p(X,Y).", "p(a,Y)."]),                       # a subsumed read
         (":- table sp(_,_,min).\nsp(1,2,5). sp(1,2,3).",
          ["sp(1,Y,C)."]),                               # answer subsumption
+        pytest.param(WRAPPERS, ["r(X)."], id="wrapper-r"),
+        pytest.param(WRAPPERS, ["s(X,Y)."], id="wrapper-s"),
+        pytest.param(WRAPPERS, ["u(X)."], id="wrapper-u"),
+        pytest.param(WRAPPERS, ["X = a, p(X)."], id="builtin-first"),
     ])
     def test_other_goals_insert_into_their_own_table(self, src, goals):
         eng = make(src)
