@@ -266,3 +266,11 @@ BUILTINS: Dict[Tuple[str, int], Callable] = {
     ("ord_disjoint", 2): _bi_ord_disjoint,
     ("ord_subtract", 3): _bi_ord_subtract,
 }
+
+# Every builtin whose outcome depends on how bound its arguments are must
+# be listed here.  A predicate that reaches one is tabled by variant even
+# under call subsumption (``Program._variant_above``): the instances of a
+# general call's answers need not be the answers of a specific call.
+BINDING_READERS = {("==", 2), ("\\==", 2), ("\\=", 2), ("findall", 3),
+                   ("sort", 2), ("flatten", 2), ("ord_subset", 2),
+                   ("ord_disjoint", 2), ("ord_subtract", 3)}

@@ -45,8 +45,9 @@ in clause order, and one whose answer pushes entries (a batched feed)
 leaves the facts still to join beneath them, so answers, their order, K
 and the traces are those of the inline path.
 
-Scheduling maintains a completion stack of incomplete tables, the
-scheduler's only registry of them.  Tables record one call graph,
+Scheduling maintains a completion stack of exactly the incomplete
+tables, the scheduler's only registry of them: a completed SCC leaves
+it at once.  Tables record one call graph,
 ``SubgoalTable.dep_out``, which scheduling shares with incremental
 invalidation and error recovery.  When the run stack drains, the
 topmost closed segment of the completion stack is partitioned into
@@ -85,6 +86,7 @@ from .terms import (Atom, CyclicTermError, Int, Struct, Term, Var,
 from . import subsumption
 
 _BODY_HEAD = Atom("$body")
+_TOO_DEEP = "nested past the recursion limit"
 
 
 class Collector:
@@ -92,6 +94,7 @@ class Collector:
     ``results`` holds each instance with the delay literals it carried."""
 
     __slots__ = ("results", "owner_table")
+    complete = False        # an owner of readers, like a table; never complete
 
     def __init__(self, owner_table: Optional[SubgoalTable]):
         self.results: List[tuple] = []
@@ -165,9 +168,11 @@ class Consumer:
     subsumed call keeps ``seen``, instance to "returned unconditionally",
     as two answers can give it one instance; a reader of an
     answer-subsumption table keeps ``heap``, the answers it has to feed.
-    A feed is one ``("resume", consumer, answers, i, n)`` entry: the
-    answers ``answers[i:n]`` of the table's list past ``cursor``, of the
-    sorted trie hits of a subsumed call, or of the heap's best.
+    A feed is one ``(_resume, consumer, answers, i, n)`` run-stack entry:
+    the answers ``answers[i:n]`` of the table's list past ``cursor``, of
+    the sorted trie hits of a subsumed call, or of the heap's best.  A
+    reader lives while its owner (``cont.owner``) is incomplete: a
+    complete owner takes no more answers, so its readers' feeds end.
 
     A variant call of a table's clause keeps ``plan``, a ``ReturnPlan``
     made with the consumer, when the rest of the clause has a fixed
@@ -177,7 +182,7 @@ class Consumer:
     goals, join each ground answer with those facts, and each match is
     an answer of the owner."""
 
-    __slots__ = ("table", "goal", "cont", "cursor", "scopes", "dead", "heap",
+    __slots__ = ("table", "goal", "cont", "cursor", "scopes", "heap",
                  "terms", "vars", "seen", "plan")
 
     def __init__(self, table: SubgoalTable, goal: Term, cont: Cont,
@@ -195,7 +200,6 @@ class Consumer:
             self.plan = _return_plan(cont, ids, program)
         self.cursor = 0
         self.scopes = cont.scopes
-        self.dead = False
         self.heap = [] if table.pred.subsumption is not None else None
 
 
@@ -231,7 +235,7 @@ def _return_plan(cont: Cont, ids: tuple, program: Program):
             return None
         pi = call.call or _decode(call, program)
         if type(pi) is not PredicateInfo or pi.tabled \
-                or pi.general_clauses or pi.dynamic or pi.incremental_source:
+                or pi.general_clauses or pi.dynamic:
             return None
         args = call.goal.args
         for p, a in enumerate(args):
@@ -383,9 +387,8 @@ class Engine:
         # the predicate of each query's own table; never in the program
         self._query_pi = PredicateInfo("$query", 1, tabling="variant")
 
-        self.stack: list = []
+        self.stack: list = []         # entries (handler, state, *args)
         self.comp: List[SubgoalTable] = []
-        self._comp_cap = 64
         self._round: Optional[RoundState] = None
         self.K = 0                  # global node-creation counter
         self.ctx = 0                # evaluation context (sub-runs get fresh)
@@ -409,7 +412,13 @@ class Engine:
     # program loading
 
     def consult(self, text: str) -> None:
-        for item in parse_program(text):
+        """Load program text; text nested too deeply to parse raises
+        ``EvalError("resource_exhausted")`` before any item is applied."""
+        try:
+            items = parse_program(text)
+        except RecursionError:
+            raise EvalError("resource_exhausted", _TOO_DEEP) from None
+        for item in items:
             self._apply_item(item)
 
     def load_file(self, path: str) -> None:
@@ -460,9 +469,9 @@ class Engine:
     def query(self, goal) -> List[QueryAnswer]:
         """Evaluate a goal to quiescence; list its answers in derivation
         order.  Undefined answers are those still carrying delay lists."""
-        if isinstance(goal, str):
-            goal = parse_goal(goal).term
         with self._evaluation() as watermark:
+            if isinstance(goal, str):
+                goal = parse_goal(goal).term
             table = self._eval_wrapper(goal)
             reader = self._query_reader
             # both subgoals are numbered like ``qvars``
@@ -486,7 +495,8 @@ class Engine:
         answers, and nothing else.  Whatever
         it raises, the tables it created are dropped too, and every live
         table is left COMPLETE or INVALID; a cyclic term surfaces as
-        ``EvalError("cyclic_term")``."""
+        ``EvalError("cyclic_term")``, and a term or a computation nested
+        past the recursion limit as ``EvalError("resource_exhausted")``."""
         if self.query_active:
             raise EvalError("nested_query",
                             "a query is already being evaluated")
@@ -498,6 +508,9 @@ class Engine:
         except CyclicTermError as exc:
             self._recover(watermark)
             raise EvalError("cyclic_term", str(exc)) from None
+        except RecursionError:
+            self._recover(watermark)
+            raise EvalError("resource_exhausted", _TOO_DEEP) from None
         except BaseException:
             self._recover(watermark)
             raise
@@ -557,28 +570,10 @@ class Engine:
         stack = self.stack
         while True:
             while stack:
-                self._step(stack.pop())
+                entry = stack.pop()
+                entry[0](*entry[1:])
             if not self._schedule():
                 return
-
-    def _step(self, entry) -> None:
-        kind = entry[0]
-        if kind == "run":
-            self._step_cont(entry[1])
-        elif kind == "resume":
-            self._resume(*entry[1:])
-        elif kind == "inline":
-            _, after, clause, env, scope, shared = entry
-            self._push_body(after, clause, env, scope, after.k, shared)
-        elif kind == "join":
-            self._join_facts(*entry[1:])
-        else:  # "clause": a producer's, unless its table has completed
-            _, root, clause, env = entry
-            table = root.owner
-            if not table.complete:
-                k = self._op("clause_resolution", "PROGRAM_CLAUSE_RESOLUTION",
-                             table)
-                self._push_body(root, clause, env, None, k)
 
     # ------------------------------------------------------------------
     # continuation stepping
@@ -654,8 +649,7 @@ class Engine:
         if status == "added":
             if self.strategy == "batched":
                 for c in table.consumers:
-                    if not c.dead:
-                        self._feed_consumer(c)
+                    self._feed_consumer(c)
             elif self._round is not None:
                 self._round.dirty.add(table)
         if table.neg_waiters and table.subgoal_is_ground() \
@@ -716,7 +710,6 @@ class Engine:
     def _activate(self, table: SubgoalTable) -> None:
         """First call of a subgoal: set up its producers."""
         table.ctx = self.ctx
-        table.owned_consumers = []
         self._op("new_subgoal", "NEW_SUBGOAL", table)
         table.stack_pos = len(self.comp)
         self.comp.append(table)
@@ -726,7 +719,7 @@ class Engine:
                                    table.subgoal.args[0], table.nvars)
             lits = cont.goals[0]
             self._query_lits = lits if len(lits) == 1 else None
-            self.stack.append(("run", cont))
+            self.stack.append((self._step_cont, cont))
             return
         # the root continuation of the table's producers: no goals, no
         # cut scopes (a tabled clause cannot cut), answers are bindings
@@ -734,7 +727,13 @@ class Engine:
                     table.nvars, {})
         for clause, env in reversed(self.program.lookup_clauses(
                 table.subgoal, root.nv, self.occurs_check)):
-            self.stack.append(("clause", root, clause, env))
+            self.stack.append((self._resolve_clause, root, clause, env))
+
+    def _resolve_clause(self, root: Cont, clause: Clause, env) -> None:
+        """Resolve a clause of the producer of ``root.owner``."""
+        k = self._op("clause_resolution", "PROGRAM_CLAUSE_RESOLUTION",
+                     root.owner)
+        self._push_body(root, clause, env, None, k)
 
     def _body_cont(self, owner, ans: Term, body: Term, nv: int) -> Cont:
         """A state that runs the goal ``body``, which opens a cut scope,
@@ -772,9 +771,6 @@ class Engine:
         table.consumers.append(consumer)
         if self._round is not None:
             self._round.dirty.add(table)
-        owner = consumer.cont.owner
-        if isinstance(owner, SubgoalTable):
-            owner.owned_consumers.append(consumer)
 
     # ------------------------------------------------------------------
     # answer return
@@ -794,7 +790,7 @@ class Engine:
         while i < n and answers[i].deleted:
             i += 1
         if i < n:
-            self.stack.append(("resume", consumer, answers, i, n))
+            self.stack.append((self._resume, consumer, answers, i, n))
         return i < n
 
     def _feed_reduced(self, consumer: Consumer, one: bool) -> bool:
@@ -827,7 +823,10 @@ class Engine:
         """Return ``answers[i:n]`` to ``consumer`` in order, passing over
         deleted ones, while it lives.  What an answer's return pushes runs
         before the rest of the range; under a cut scope the rest waits on
-        the stack, where ``_cut`` finds it, while each answer runs."""
+        the stack, where ``_cut`` finds it, while each answer runs.  No
+        owner completes inside the range: completion waits for the stack."""
+        if consumer.cont.owner.complete:
+            return
         stack, table, plan = self.stack, consumer.table, consumer.plan
         if consumer is self._query_reader:
             for ans in answers[i:n]:
@@ -842,14 +841,14 @@ class Engine:
                 plan.proj
             produce = self.insert_reduced \
                 if owner.pred.subsumption is None else self._produce
-        while i < n and not consumer.dead:
+        while i < n:
             ans = answers[i]
             i += 1
             if ans.deleted:
                 continue
             mark = len(stack)
             if hold and i < n:
-                stack.append(("resume", consumer, answers, i, n))
+                stack.append((self._resume, consumer, answers, i, n))
             if last:
                 self._op("positive_return", "POSITIVE_RETURN", table)
                 produce(owner, proj(ans.bindings),
@@ -859,7 +858,7 @@ class Engine:
                 self._return_answer(consumer, ans)
             if hold or len(stack) > mark:
                 if not hold and i < n:
-                    stack.insert(mark, ("resume", consumer, answers, i, n))
+                    stack.insert(mark, (self._resume, consumer, answers, i, n))
                 return
 
     def _return_answer(self, consumer: Consumer, ans) -> None:
@@ -909,9 +908,9 @@ class Engine:
                     facts: list, i: int) -> None:
         """Hand the owner of ``consumer`` the answer of each fact from
         ``facts[i]`` on that joins the row ``base`` (``ReturnPlan``).  An
-        answer that pushes entries (a batched feed) leaves a ``join``
-        entry for the facts still to join beneath them: they run first,
-        as before each next fact of an inline call."""
+        answer that pushes entries (a batched feed) leaves an entry for
+        the facts still to join beneath them: they run first, as before
+        each next fact of an inline call."""
         plan = consumer.plan
         owner = consumer.cont.owner
         checks, arith, proj = plan.checks, plan.arith, plan.proj
@@ -931,8 +930,8 @@ class Engine:
                 mark = len(stack)
                 self._produce(owner, proj(row), delays)
                 if len(stack) > mark and i < n:
-                    stack.insert(mark, ("join", consumer, base, delays,
-                                        facts, i))
+                    stack.insert(mark, (self._join_facts, consumer, base,
+                                        delays, facts, i))
                     return
 
     # ------------------------------------------------------------------
@@ -940,7 +939,7 @@ class Engine:
 
     def _call_inline(self, pi: PredicateInfo, cont: Cont, goal: Term,
                      rest) -> None:
-        if pi.dynamic or pi.incremental_source:
+        if pi.dynamic:
             caller = self._owner_of(cont)
             if caller is not None:
                 # findall sees every copy of a clause; a cut, enclosing
@@ -965,8 +964,8 @@ class Engine:
         # the last clause to run binds into the frame in place
         last = clauses[-1][0]
         for clause, env in reversed(clauses):
-            self.stack.append(("inline", after, clause, env, scope,
-                               clause is not last))
+            self.stack.append((self._push_body, after, clause, env, scope,
+                               after.k, clause is not last))
 
     # ------------------------------------------------------------------
     # cut
@@ -977,12 +976,10 @@ class Engine:
         self.stack[:] = [e for e in self.stack if scope not in e[1].scopes]
         # so would a reader suspended under it on an incomplete table, all
         # of which are on the completion stack (a sub-evaluation's scopes
-        # never reach an outer table); a complete table feeds no more
+        # never reach an outer table); a complete table has no readers
         for t in self.comp:
-            if t.complete:
-                continue
             for c in t.consumers:
-                if not c.dead and scope in c.scopes:
+                if scope in c.scopes:
                     raise EvalError(
                         "cut_over_incomplete_table",
                         f"! would discard a consumer of incomplete table "
@@ -1069,16 +1066,20 @@ class Engine:
 
     def _schedule(self) -> bool:
         comp = self.comp
-        while comp and comp[-1].complete:
-            comp.pop()
         if not comp:
             return False
         rs = self._round = self._live_round() or self._new_round()
         if self.strategy == "local" and rs.dirty and self._feed_local(rs):
             return True
         if rs.open:
-            for scc in [rs.comps[i] for i in rs.sinks if not rs.blocked[i]]:
+            done = [rs.comps[i] for i in rs.sinks if not rs.blocked[i]]
+            for scc in done:
                 self._complete_scc(scc)
+            # the completed tables, all in the top segment, leave the stack
+            low = min(t.stack_pos for scc in done for t in scc)
+            comp[low:] = [t for t in comp[low:] if not t.complete]
+            for i in range(low, len(comp)):
+                comp[i].stack_pos = i
             return True
         self._delay(rs)
         return True
@@ -1094,15 +1095,7 @@ class Engine:
         """Partition the top segment of the completion stack afresh: the
         call graph changed (a table, an edge to an incomplete table, or a
         completion) since the round state was built."""
-        comp = self.comp
-        # the stack is compacted when it doubles past the last
-        # compaction, keeping the per-call cost amortized constant
-        if len(comp) > self._comp_cap:
-            self.comp = comp = [t for t in comp if not t.complete]
-            for i, t in enumerate(comp):
-                t.stack_pos = i
-            self._comp_cap = max(64, 2 * len(comp))
-        segment = self._top_segment(comp)
+        segment = self._top_segment(self.comp)
         edges = {t: [d for d in t.dep_out if not d.complete]
                  for t in segment}
         return RoundState(self._graph_version,
@@ -1111,19 +1104,15 @@ class Engine:
     def _top_segment(self, comp: List[SubgoalTable]) -> List[SubgoalTable]:
         """Longest top run of the completion stack closed under
         dependencies on incomplete tables."""
-        top = len(comp) - 1
-        bound = top
-        i = top
+        bound = i = len(comp) - 1
         while True:
-            t = comp[i]
-            if not t.complete:
-                for dep in t.dep_out:
-                    if not dep.complete and dep.stack_pos < bound:
-                        bound = dep.stack_pos
+            for dep in comp[i].dep_out:
+                if not dep.complete and dep.stack_pos < bound:
+                    bound = dep.stack_pos
             if i <= bound:
                 break
             i -= 1
-        return [t for t in comp[bound:] if not t.complete]
+        return comp[bound:]
 
     def _feed_local(self, rs: RoundState) -> bool:
         """Feed answers to consumers inside their own SCC, in the order
@@ -1136,7 +1125,7 @@ class Engine:
         for t in tables:
             i = comp_of[t]
             for c in t.consumers:
-                if not c.dead and comp_of.get(c.cont.owner) == i \
+                if comp_of.get(c.cont.owner) == i \
                         and self._feed_consumer(c, one=True):
                     fed = True
                     # an answer-subsumption table feeds one answer a round
@@ -1165,7 +1154,7 @@ class Engine:
         cont = best.cont
         cont.k = self._op("delaying", "DELAYING", best.table)
         cont.delays += (DelayLit(True, best.table, None),)
-        self.stack.append(("run", cont))
+        self.stack.append((self._step_cont, cont))
 
     def _blocked_region(self, rs: RoundState) -> Set[SubgoalTable]:
         """The sink SCCs, all blocked, plus, transitively, any incomplete
@@ -1184,7 +1173,7 @@ class Engine:
                 waiting[i] = {d for t in scc for d in t.dep_out
                               if not d.complete and comp_of.get(d) != i}
         for t in self.comp:
-            if not t.complete and t not in comp_of:
+            if t not in comp_of:
                 # a table below with no incomplete dependency stays out
                 deps = {d for d in t.dep_out if not d.complete}
                 if deps:
@@ -1228,18 +1217,12 @@ class Engine:
         undefineds."""
         members = set(scc)
         while True:
-            supported: Set[object] = set()
-            conds = []
-            for t in scc:
-                for a in t.answers:
-                    if a.deleted:
-                        continue
-                    if a.delay_lists:
-                        conds.append(a)
-                    else:
-                        supported.add(a)
+            # simplification strikes each positive literal on an
+            # unconditional answer: only conditional answers need support
+            conds = [a for t in scc for a in t.answers if a.conditional]
             if not conds:
                 return
+            supported: Set[object] = set()
 
             def ok(lit):
                 if lit.neg:
@@ -1267,24 +1250,20 @@ class Engine:
             self.space._pump()
 
     def _post_complete(self, table: SubgoalTable) -> None:
-        for c in table.owned_consumers:
-            c.dead = True
         for w in table.neg_waiters:
             if not w.dead:
                 self._kill_waiter(w)
                 cont = self._negative_return(w.cont, table, w.goal)
                 if cont is not None:    # to run at once would reorder them
-                    self.stack.append(("run", cont))
+                    self.stack.append((self._step_cont, cont))
         table.neg_waiters = []
         for c in table.consumers:
-            if not c.dead:
-                # catch up; its feed entries still run, so the consumer
-                # is merely finished, not discarded
-                self._feed_consumer(c)
+            # catch up; its feed entries still run, so the consumer is
+            # merely finished, not discarded
+            self._feed_consumer(c)
         # nothing reads a complete table's readers again; the feed
         # entries hold their own references
         table.consumers = []
-        table.owned_consumers = []
 
     # ------------------------------------------------------------------
     # sub-evaluations (findall, join/leq)
@@ -1305,7 +1284,7 @@ class Engine:
         self.ctx = self._ctx_seq
         self.stack, self.comp, self._round = [], [], None
         try:
-            self.stack.append(("run", cont))
+            self.stack.append((self._step_cont, cont))
             self._run()
         finally:
             self.stack, self.comp, self._round, self.ctx = saved

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Dict, List, Optional, Set, Tuple
 
-from .builtins import BUILTINS
+from .builtins import BINDING_READERS, BUILTINS
 from .errors import DirectiveError, StoreError
 from .sccs import cyclic_vertices
 from .terms import (
@@ -169,7 +169,7 @@ class PredicateInfo:
     name: str
     arity: int
     dynamic: bool = False
-    incremental_source: bool = False    # use_incremental_dynamic
+    incremental_source: bool = False    # use_incremental_dynamic; dynamic too
     tabling: str = "none"               # none | variant | subsumptive
     incremental_table: bool = False
     auto_tabled: bool = False
@@ -699,17 +699,11 @@ class Program:
         return len(pi.clauses)
 
 
-# builtins whose outcome depends on how bound their arguments are
-_BINDING_READERS = {("==", 2), ("\\==", 2), ("\\=", 2), ("findall", 3),
-                    ("sort", 2), ("flatten", 2), ("ord_subset", 2),
-                    ("ord_disjoint", 2), ("ord_subtract", 3)}
-
-
 def _reads_binding(pi: PredicateInfo) -> bool:
     """Whether a clause of ``pi`` cuts or calls one of
-    ``_BINDING_READERS``."""
+    ``BINDING_READERS``."""
     return bool(pi.cut_clauses) or any(
-        functor_of(lit.goal) in _BINDING_READERS
+        functor_of(lit.goal) in BINDING_READERS
         for cl in pi.clauses for lit in cl.body)
 
 

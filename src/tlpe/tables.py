@@ -129,7 +129,6 @@ class SubgoalTable:
         self.answers: List[AnswerRecord] = []   # append-only, tombstones
         self.index: Dict[Tuple[Term, ...], AnswerRecord] = {}
         self._answer_trie: Optional[Trie] = None
-        self.live_answers = 0
         self.uncond_answers = 0
         self.neg_watchers: List[Tuple[DelayList, DelayLit]] = []
         self.cond_dependents: Set["SubgoalTable"] = set()
@@ -138,7 +137,6 @@ class SubgoalTable:
         self.consumers: list = []
         self.neg_waiters: list = []
         self.ctx = 0                    # evaluation context of its run
-        self.owned_consumers: list = []  # consumers its continuations made
         self.leaf_node = None           # its leaf in the subgoal trie
         # answer subsumption: the binding slot of the aggregated argument,
         # the kept record(s) per variant key of the other bindings, and
@@ -177,7 +175,7 @@ class SubgoalTable:
 
     @property
     def has_answers(self) -> bool:
-        return self.live_answers > 0
+        return bool(self.index)
 
     def subgoal_is_ground(self) -> bool:
         return self.nvars == 0
@@ -331,7 +329,6 @@ class TableSpace:
         if table._answer_trie is not None:
             _trie_insert(table._answer_trie, ans)
         table.answers.append(ans)
-        table.live_answers += 1
         if lits:
             self._attach_dl(table, ans, lits)
         else:
@@ -384,7 +381,6 @@ class TableSpace:
         table.answers = []
         table.index = {}
         table._answer_trie = None
-        table.live_answers = 0
         table.uncond_answers = 0
         table.neg_watchers = []
         table.consumers = []
@@ -424,9 +420,8 @@ class TableSpace:
         self._drop(table, ans)
 
     def _drop(self, table: SubgoalTable, ans: AnswerRecord) -> None:
-        """Delete a live answer: out of its table's count, index and trie."""
+        """Delete a live answer: out of its table's index and trie."""
         ans.deleted = True
-        table.live_answers -= 1
         del table.index[ans.bindings]
         if ans.leaf is not None:
             table._answer_trie.remove_leaf(ans.leaf)
@@ -620,7 +615,7 @@ class TableSpace:
                 "tables": 0, "answers": 0, "conditional": 0,
                 "complete": 0, "invalid": 0})
             st["tables"] += 1
-            st["answers"] += table.live_answers
+            st["answers"] += len(table.index)
             st["conditional"] += sum(1 for a in table.answers
                                      if a.conditional)
             if table.complete:

@@ -17,6 +17,8 @@ from __future__ import annotations
 from operator import is_ as _is
 from typing import Dict, List, Optional, Tuple, Union
 
+from .errors import EvalError
+
 
 class CyclicTermError(Exception):
     """Raised when a substitution application would build an infinite term."""
@@ -600,12 +602,15 @@ def _fmt(t: Term, names: Dict[int, str], out: List[str]) -> None:
 
 
 def functor_of(t: Term) -> Tuple[str, int]:
-    """(name, arity) of a callable term: an atom is a 0-ary call."""
+    """(name, arity) of a callable term: an atom is a 0-ary call.  Any
+    other term raises ``EvalError``, of kind ``instantiation`` for a
+    variable and ``type_error`` for any other term."""
     if type(t) is Atom:
         return (t.name, 0)
     if type(t) is Struct:
         return (t.name, len(t.args))
-    raise TypeError(f"not a callable term: {t!r}")
+    raise EvalError("instantiation" if type(t) is Var else "type_error",
+                    f"not a callable term: {term_to_str(t)}")
 
 
 def is_callable(t: Term) -> bool:

@@ -12,11 +12,14 @@ distinct derived tuple once.  Each kind runs under ``local`` and
 ``batched`` scheduling.
 
 A call that binds the aggregated argument, and ``tnot`` of one, are
-checked per key against the same aggregate.  ``python
-tests/test_answer_subsumption.py FIRST LAST`` (inclusive) runs every
-check over that range of seeds; tier-1 runs seeds 0-2."""
+checked per key against the same aggregate.  Every check runs its
+engines checked (``invariants``): after each query the table space must
+keep its invariants.  ``python tests/test_answer_subsumption.py FIRST
+LAST`` (inclusive) runs every check over that range of seeds; tier-1
+runs seeds 0-2."""
 
 import random
+import sys
 from collections import defaultdict
 
 import pytest
@@ -25,6 +28,9 @@ from tlpe.engine import Engine
 from tlpe.negation import get_residual, truth_of
 from tlpe.parser import parse_goal
 from tlpe.terms import Int, Struct, term_to_str
+
+sys.path.insert(0, __file__.rsplit("/", 1)[0])
+from invariants import CheckedEngine
 
 PAIR_PATHS = """
 pp(X,Y,c(1,C)) :- e(X,Y,C).
@@ -91,7 +97,7 @@ def _by_key(terms):
 def _answers(src, goal, strategy):
     """The answers a query of ``goal`` returns, all true, and the live
     answers its table keeps afterwards, each by key."""
-    eng = Engine(strategy=strategy)
+    eng = CheckedEngine(strategy=strategy)
     eng.consult(src)
     answers = eng.query(goal)
     assert {a.truth for a in answers} == {"true"}
@@ -157,7 +163,7 @@ def check_bound(kind, seed, strategy):
     tables, holds of the value its table keeps and of no other value the
     plain table derives."""
     src, name, plain = _plain_values(kind, seed, strategy)
-    eng = Engine(strategy=strategy, query_level_tabling=True)
+    eng = CheckedEngine(strategy=strategy, query_level_tabling=True)
     eng.consult(src)
     for (x, y), values in plain.items():
         kept = _aggregate(kind, values)
@@ -180,7 +186,7 @@ def check_tnot(kind, seed, strategy):
                    for (x, y), vs in cands.items() for v in vs)
     src += (":- table far/3.\n"
             f"far(X,Y,V) :- cand(X,Y,V), tnot {name}(X,Y,V).\n")
-    eng = Engine(strategy=strategy)
+    eng = CheckedEngine(strategy=strategy)
     eng.consult(src)
     answers = eng.query("far(X,Y,V).")
     assert all(a.truth == "true" for a in answers)
@@ -281,10 +287,10 @@ def main(argv=None):
                 for check in CHECKS:
                     try:
                         check(kind, seed, strategy)
-                    except AssertionError:
+                    except AssertionError as exc:
                         bad.add(seed)
                         print(f"seed {seed}: {check.__name__} {kind} "
-                              f"{strategy} fails", flush=True)
+                              f"{strategy} fails: {exc}", flush=True)
     print(f"{len(bad)} of {args.last - args.first + 1} seeds fail")
     return 1 if bad else 0
 

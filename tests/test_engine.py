@@ -13,17 +13,19 @@ import pytest
 
 from tlpe import cli
 from tlpe import engine as engine_module
+from tlpe.builtins import BINDING_READERS, BUILTINS
 from tlpe.engine import Engine
 from tlpe.errors import (DirectiveError, EvalError, ParseError, StoreError,
                          TlpeError)
 from tlpe.incremental import incr_assert, incr_invalidate, incr_retract
+from tlpe.negation import get_residual
 from tlpe.parser import parse_goal
 from tlpe.tables import SubgoalTable
 from tlpe.terms import Atom, Struct, Var, term_to_str, term_vars
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from oracles import bfs_reachable, dijkstra, random_digraph
-from test_golden import INCR, REACH_LEFT, WIN_GAME
+from test_golden import INCR, REACH_LEFT, WIN, WIN_GAME
 
 
 def make(src, **kw):
@@ -223,21 +225,42 @@ class TestRecursionDepth:
         with shallow_stack():
             assert solutions(eng, "count(0, N).") == [f"count(0,{n})"]
 
+    # what the parser or the arithmetic still reads by recursion: a sum of
+    # 3,000 operands, and a term nested 5,000 deep in a query or a clause
+    DEEP = "f(" * 5000 + "a" + ")" * 5000
+    TOO_DEEP = {
+        "sum": lambda eng: eng.query("X is " + "+".join(["1"] * 3000) + "."),
+        "query": lambda eng: eng.query(
+            f"X = {TestRecursionDepth.DEEP}, Y = X."),
+        "consult": lambda eng: eng.consult(
+            f"q(X) :- X = {TestRecursionDepth.DEEP}.\n"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(TOO_DEEP))
+    def test_too_deep_a_nesting_exhausts_a_resource(self, case):
+        eng = make(REACH_L)
+        for _ in range(2):
+            with shallow_stack(), pytest.raises(EvalError) as err:
+                self.TOO_DEEP[case](eng)
+            assert err.value.kind == "resource_exhausted"
+            assert solutions(eng, "reach(1,Y).") == ["reach(1,2)",
+                                                     "reach(1,3)"]
+
 
 class PushLog(list):
-    """A run stack that logs the kind of each entry pushed onto it."""
+    """A run stack that logs the handler of each entry pushed onto it."""
 
     def __init__(self):
         super().__init__()
         self.kinds = []
 
     def append(self, entry):
-        self.kinds.append(entry[0])
+        self.kinds.append(entry[0].__name__)
         super().append(entry)
 
     def extend(self, entries):
         entries = list(entries)
-        self.kinds += [e[0] for e in entries]
+        self.kinds += [e[0].__name__ for e in entries]
         super().extend(entries)
 
 
@@ -256,7 +279,7 @@ class TestBuiltinsInLine:
                 for a in answers] == [("f(3)", "[1,2]")]
         # the findall runs on a stack of its own; only the query's own
         # state is ever pushed here
-        assert log.kinds == ["run"]
+        assert log.kinds == ["_step_cont"]
 
     def test_findall_list_variables_stay_apart(self):
         # the list's fresh variables are the state's: the clause of the
@@ -266,6 +289,29 @@ class TestBuiltinsInLine:
         # the bindings of L and W, variables 2 and 3
         assert [(term_to_str(a.bindings[2]), term_to_str(a.bindings[3]))
                 for a in answers] == [("[-(1,_G2),-(2,_G3)]", "g(7)")]
+
+
+class TestCompletionStack:
+    """The completion stack holds exactly the incomplete tables, each at
+    its own ``stack_pos``, whenever a scheduling round starts."""
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    @pytest.mark.parametrize("goal", ["win(X).", "findall(X, win(X), L)."])
+    @pytest.mark.parametrize("src", [WIN, WIN_GAME], ids=["win", "win_game"])
+    def test_it_holds_only_incomplete_tables(self, src, goal, strategy):
+        eng = make(src, strategy=strategy)
+        schedule, calls, bad = eng._schedule, [], []
+
+        def checked():
+            calls.append(1)
+            if any(t.complete or t.stack_pos != i
+                   for i, t in enumerate(eng.comp)):
+                bad.append(list(eng.comp))
+            return schedule()
+
+        eng._schedule = checked
+        assert eng.query(goal)
+        assert calls and not bad
 
 
 class TestFeeds:
@@ -282,7 +328,7 @@ class TestFeeds:
         # not a last call: each answer runs on through true/0
         assert [term_to_str(a.bindings[0])
                 for a in eng.query("t(X), true.")] == ["a", "b", "c"]
-        assert log.kinds == ["run", "resume"]
+        assert log.kinds == ["_step_cont", "_resume"]
 
     @pytest.mark.parametrize("strategy", ["local", "batched"])
     def test_a_cut_discards_the_rest_of_a_feed(self, strategy):
@@ -762,6 +808,9 @@ class TestCallSubsumption:
             assert all(pi.tabling in ("none", "variant")
                        for pi in eng.program.user_predicates())
 
+    def test_every_binding_reader_is_a_builtin(self):
+        assert BINDING_READERS <= BUILTINS.keys()
+
     def test_callers_of_a_table_above_a_cut_are_tabled_by_variant(self):
         # top/2 reaches the cut only through the table of r/2; p/1 none
         src = (self.CUT + ":- table top/2 as subsumptive.\n"
@@ -1139,8 +1188,7 @@ class TestQueryTable:
             assert solutions(eng, f"reach({x},Y).")
         assert eng.space.tables
         for t in eng.space.tables:
-            assert t.complete and t.consumers == [] \
-                and t.owned_consumers == []
+            assert t.complete and t.consumers == []
 
 
 class TestQueryAnswers:
@@ -1357,6 +1405,12 @@ class TestRepl:
         assert err == "error: bad_command: expected name/arity, got 3/2\n"
         assert "Y = 2" in out
 
+    def test_a_goal_that_is_not_callable_is_an_error(self):
+        out, err = self.session(REACH_L, ":residual 3.\n:abolish call 3.\n"
+                                "edge(1,Y).\n")
+        assert err == "error: type_error: not a callable term: 3\n" * 2
+        assert "Y = 2" in out
+
     def test_stats_after_a_query_lists_only_program_tables(self):
         out, err = self.session(REACH_L, "reach(1,Y).\n\n:stats.\n")
         assert err == ""
@@ -1439,6 +1493,29 @@ class TestErrorKinds:
         EvalError: ("p(1).", "X is foo.",
                     "arith_type: not an arithmetic expression: foo"),
     }
+
+    # each call on a goal that is no callable term: a number or a variable
+    NOT_CALLABLE = {
+        "residual_of_a_number": (lambda e: get_residual(e, "3"),
+                                 "type_error"),
+        "residual_of_a_variable": (lambda e: get_residual(e, "X"),
+                                   "instantiation"),
+        "abolish_call": (lambda e: e.abolish_call("3"), "type_error"),
+        "incr_invalidate": (lambda e: incr_invalidate(e, "3"), "type_error"),
+        "incr_assert": (lambda e: incr_assert(e, "X"), "instantiation"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NOT_CALLABLE))
+    def test_a_goal_that_is_not_callable(self, case):
+        call, kind = self.NOT_CALLABLE[case]
+        eng = make(self.INCR)
+        assert truth_set(eng, "p.") == {("p", "undefined")}
+        for _ in range(2):
+            with pytest.raises(EvalError) as err:
+                call(eng)
+            assert err.value.kind == kind
+            assert settled(eng)
+        assert truth_set(eng, "q.") == {("q", "undefined")}
 
     @pytest.mark.parametrize("cls", list(CLASSES), ids=lambda c: c.__name__)
     def test_every_error_class_has_its_kind(self, cls, tmp_path, capsys):

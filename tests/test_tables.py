@@ -89,7 +89,7 @@ class TestAnswers:
         st2, a2 = sp.add_answer(tab, (Atom("a"),))
         assert (st1, st2) == ("added", "duplicate")
         assert a1 is a2
-        assert tab.live_answers == 1 and tab.uncond_answers == 1
+        assert len(tab.index) == 1 and tab.uncond_answers == 1
 
     def test_variant_bindings_are_duplicates(self):
         sp = make_space()
@@ -154,7 +154,7 @@ class TestAnswerIndex:
         assert old.deleted and p.index == {}
         st, new = sp.add_answer(p, (Atom("a"),))
         assert st == "added" and new is not old and not new.deleted
-        assert p.index == {(Atom("a"),): new} and p.live_answers == 1
+        assert p.index == {(Atom("a"),): new} and len(p.index) == 1
 
     def test_replaced_answer_comes_back_as_new(self):
         sp = make_space()
@@ -192,7 +192,7 @@ class TestAnswerIndex:
         sp.add_answer(p, t("b(a, 1)").args)
         sp.add_answer(p, t("b(a, 3)").args)
         assert walk() == ["p(_G0,4)", "p(a,1)", "p(a,3)"]
-        assert p.answer_trie.leaf_count == p.live_answers == 4
+        assert p.answer_trie.leaf_count == len(p.index) == 4
 
 
 def delay_neg(table):
@@ -221,7 +221,7 @@ class TestConditionalAnswers:
         _, ans = sp.add_answer(p, (Atom("a"),), [delay_neg(q)])
         sp.add_answer(q, ())      # q(a) is true: tnot q(a) is false
         assert ans.deleted
-        assert p.live_answers == 0
+        assert len(p.index) == 0
 
     def test_positive_chain_collapses(self):
         sp = make_space()
@@ -331,7 +331,7 @@ class TestIncrementalBookkeeping:
         tab.status = SubgoalTable.COMPLETE
         sp.reset_table(tab)
         assert tab.status == SubgoalTable.INCOMPLETE
-        assert tab.live_answers == 0 and not tab.answers
+        assert len(tab.index) == 0 and not tab.answers
         assert tab.pred.recomputations == 1
 
     def test_dyn_reader_edges(self):
