@@ -17,7 +17,7 @@ import operator
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import EvalError
-from .terms import (Atom, CyclicTermError, Int, Struct, Term, Var, unify,
+from .terms import (NIL, CyclicTermError, Int, Struct, Term, Var, unify,
                     canonicalize, compare, instantiate, is_callable,
                     list_parts, make_list, order_key, rename, term_to_str)
 
@@ -170,7 +170,7 @@ def _proper_list(t: Term, what: str) -> List[Term]:
     elems, tail = list_parts(t)
     if type(tail) is Var:
         raise EvalError("instantiation", f"{what}: open-ended list")
-    if not (type(tail) is Atom and tail.name == "[]"):
+    if tail is not NIL:
         raise EvalError("type_error", f"{what}: not a proper list")
     return elems
 
@@ -185,8 +185,7 @@ def _bi_sort(engine, cont, goal, off):
 
 def _flatten_into(t: Term, out: List[Term]) -> None:
     for e in _proper_list(t, "flatten/2"):
-        if (type(e) is Struct and e.name == "." and len(e.args) == 2) \
-                or (type(e) is Atom and e.name == "[]"):
+        if e is NIL or type(e) is Struct and e.name == "." and len(e.args) == 2:
             _flatten_into(e, out)
         else:
             out.append(e)

@@ -22,7 +22,7 @@ from .builtins import BINDING_READERS, BUILTINS
 from .errors import DirectiveError, StoreError
 from .sccs import cyclic_vertices
 from .terms import (
-    Atom, Int, Struct, Term, Var, canonical_key, canonicalize, functor_of,
+    NIL, Atom, Int, Struct, Term, Var, canonical_key, canonicalize, functor_of,
     is_callable, is_ground, list_parts, match, rename, symbols, term_to_str,
     unify,
 )
@@ -218,7 +218,7 @@ def split_clause(term: Term) -> Tuple[Term, Tuple[Literal, ...]]:
 
 def has_cut(lits) -> bool:
     """Whether the body literals ``lits`` hold a ``!``."""
-    return any(type(l.goal) is Atom and l.goal.name == "!" for l in lits)
+    return any(l.goal is Atom("!") for l in lits)
 
 
 def conj_items(term: Term) -> List[Term]:
@@ -398,11 +398,11 @@ class Program:
         key = _indicator(ind)
         pi = self.info(key[0], key[1], create=True)
         items, tail = list_parts(spec)
-        if items or (type(tail) is Atom and tail.name == "[]"):
+        if items or tail is NIL:
             specs = items
         else:
             specs = [spec]
-        if any(type(s) is Atom and s.name == "trie" for s in specs):
+        if Atom("trie") in specs:
             if len(specs) != 1:
                 raise DirectiveError(
                     f"{pi}: a trie index cannot be combined with others")

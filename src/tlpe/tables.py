@@ -395,13 +395,15 @@ class TableSpace:
         """Take a table's calls, delay lists and reads of dynamic code out
         of the call graph, the watcher lists and ``cond_dependents`` they
         joined, and ``dyn_readers``: no change reaches it now."""
+        watched = {}    # each watcher list once, so each is read once
         for dl in [dl for ans in table.answers for dl in ans.delay_lists]:
             for lit in dl.lits:
                 lit.table.cond_dependents.discard(table)
-                ws = lit.table.neg_watchers if lit.neg \
-                    else lit.ans.pos_watchers
+                ws = lit.table.neg_watchers if lit.neg else lit.ans.pos_watchers
                 if ws:
-                    ws[:] = [w for w in ws if w[0] is not dl]
+                    watched[id(ws)] = ws
+        for ws in watched.values():
+            ws[:] = [w for w in ws if w[0].owner.table is not table]
         for callee in table.dep_out:
             callee.dep_in.pop(table, None)
         table.dep_out = {}
@@ -572,20 +574,23 @@ class TableSpace:
 
     def sweep(self) -> None:
         """Reclaim abolished tables at once: out of their subgoal tries,
-        ``dyn_readers`` and ``tables``.  Nothing else reads them; an
-        answer stream reads a list of its own."""
-        remaining: List[SubgoalTable] = []
+        the call graph both ways, what ``unlink`` reaches, and ``tables``.
+        Nothing else reads them; an answer stream reads a list of its own."""
+        live = [t for t in self.tables if not t.abolished]
+        if not live:    # nothing is left that could hold an abolished table
+            self.tries, self.dyn_readers, self.tables = {}, {}, []
+            return
         for table in self.tables:
             if table.abolished:
                 node = table.leaf_node
                 trie = self.tries.get(table.pred.key)
                 if node is not None and trie is not None and node.leaf is table:
                     trie.remove_leaf(node)
-                for readers in self.dyn_readers.values():
-                    readers.discard(table)
-            else:
-                remaining.append(table)
-        self.tables = remaining
+                self.unlink(table)
+                for caller in table.dep_in:
+                    caller.dep_out.pop(table, None)
+                    caller.neg_dep_out.pop(table, None)
+        self.tables = live
 
     # ------------------------------------------------------------------
     # incremental bookkeeping

@@ -1,9 +1,12 @@
 """First-order terms and the operations the rest of the engine is built on.
 
-Terms are immutable: atoms, integers, variables and compounds.  Variable
-ids are plain integers local to whatever structure owns the term (a clause,
-a subgoal, a resolution state); cross-term identity is always mediated by
-an explicit substitution or by renaming.  All traversals are iterative so
+Terms are immutable: atoms, integers, variables and compounds.  Atoms
+and integers are interned, one shared object per value, so they compare
+and hash by identity: an atom stays shared for the life of the process,
+an integer as long as anything holds it.  Variable ids are plain
+integers local to whatever structure owns the term (a clause, a subgoal,
+a resolution state); cross-term identity is always mediated by an
+explicit substitution or by renaming.  All traversals are iterative so
 that long lists and deep conjunctions never hit the interpreter's
 recursion limit.
 
@@ -14,6 +17,8 @@ the very object they were given.  A compound is hashed on first use.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from operator import is_ as _is
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -24,42 +29,64 @@ class CyclicTermError(Exception):
     """Raised when a substitution application would build an infinite term."""
 
 
+_ATOMS: Dict[str, "Atom"] = {}
+_INTS: Dict[int, "_IntRef"] = {}
+_INTERN = threading.RLock()     # guards _INTS; a collection may re-enter it
+
+
 class Atom:
-    __slots__ = ("name", "_hash")
+    __slots__ = ("name",)
     ground = True
 
-    def __init__(self, name: str):
-        self.name = name
-        self._hash = hash(("a", name))
+    def __new__(cls, name: str):
+        atom = _ATOMS.get(name)
+        if atom is None:
+            atom = object.__new__(cls)
+            atom.name = name
+            atom = _ATOMS.setdefault(name, atom)    # one thread wins a race
+        return atom
+
+    def __reduce__(self):
+        return (Atom, (self.name,))
 
     def __repr__(self):
         return f"Atom({self.name!r})"
 
-    def __hash__(self):
-        return self._hash
 
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Atom and other.name == self.name
-        )
+class _IntRef(weakref.ref):
+    """The entry of ``value`` in ``_INTS``, dropped with its ``Int``."""
+    __slots__ = ("value",)
+
+    def forget(self, ints=_INTS, lock=_INTERN):  # defaults outlive globals
+        with lock:
+            if ints.get(self.value) is self:
+                del ints[self.value]
 
 
 class Int:
-    __slots__ = ("value", "_hash")
+    __slots__ = ("value", "__weakref__")
     ground = True
 
-    def __init__(self, value: int):
-        self.value = value
-        self._hash = hash(("i", value))
+    def __new__(cls, value: int):
+        value = int(value)
+        ref = _INTS.get(value)
+        i = None if ref is None else ref()
+        if i is None:
+            with _INTERN:   # again: another thread may have entered one
+                ref = _INTS.get(value)
+                i = None if ref is None else ref()
+                if i is None:
+                    i = object.__new__(cls)
+                    i.value = value
+                    _INTS[value] = ref = _IntRef(i, _IntRef.forget)
+                    ref.value = value
+        return i
+
+    def __reduce__(self):
+        return (Int, (self.value,))
 
     def __repr__(self):
         return f"Int({self.value})"
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return type(other) is Int and other.value == self.value
 
 
 class Var:
@@ -107,44 +134,32 @@ class Struct:
                 stack.extend(todo)
                 continue
             stack.pop()
-            x._hash = hash(("f", x.name, tuple(a._hash for a in x.args)))
+            x._hash = hash((x.name, x.args))
         return self._hash
 
     def __eq__(self, other):
-        return self is other or (type(other) is Struct
-                                 and term_eq(self, other))
+        """Structural equality, iterative to survive deep lists."""
+        stack = [(self, other)]
+        while stack:
+            x, y = stack.pop()
+            if x is y:
+                continue
+            tx = type(x)
+            if tx is not type(y):
+                return False
+            if tx is Struct:
+                if x.name != y.name or len(x.args) != len(y.args):
+                    return False
+                stack.extend(zip(x.args, y.args))
+            elif tx is not Var or x.id != y.id:  # atoms and integers: x is not y
+                return False
+        return True
 
 
 Term = Union[Atom, Int, Var, Struct]
 Subst = Dict[int, Term]
 
 NIL = Atom("[]")
-
-
-def term_eq(a: Term, b: Term) -> bool:
-    """Structural equality, iterative to survive deep lists."""
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is y:
-            continue
-        tx = type(x)
-        if tx is not type(y):
-            return False
-        if tx is Struct:
-            if x.name != y.name or len(x.args) != len(y.args):
-                return False
-            stack.extend(zip(x.args, y.args))
-        elif tx is Atom:
-            if x.name != y.name:
-                return False
-        elif tx is Int:
-            if x.value != y.value:
-                return False
-        else:  # Var
-            if x.id != y.id:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +424,11 @@ def _unify(stack: List[tuple], env: Subst,
             if occurs_check and _occurs(y.id, x, env):
                 return None
             env[y.id] = x
-        elif tx is Atom:
-            if ty is not Atom or x.name != y.name:
-                return None
-        elif tx is Int:
-            if ty is not Int or x.value != y.value:
-                return None
-        else:  # Struct
-            if ty is not Struct or x.name != y.name or len(x.args) != len(y.args):
-                return None
+        elif tx is Struct and ty is Struct and x.name == y.name \
+                and len(x.args) == len(y.args):
             stack.extend(zip(x.args, y.args))
+        else:   # atoms and integers unify only when x is y
+            return None
     return env
 
 
@@ -438,19 +448,14 @@ def match(general: Term, specific: Term,
             bound = env.get(x.id)
             if bound is None:
                 env[x.id] = y
-            elif not term_eq(bound, y):
+            elif bound != y:
                 return None
             continue
-        ty = type(y)
-        if tx is Atom:
-            if ty is not Atom or x.name != y.name:
+        if tx is not Struct or type(y) is not Struct or x.name != y.name \
+                or len(x.args) != len(y.args):
+            if x is not y:  # an atom or an integer matches only itself
                 return None
-        elif tx is Int:
-            if ty is not Int or x.value != y.value:
-                return None
-        else:  # Struct
-            if ty is not Struct or x.name != y.name or len(x.args) != len(y.args):
-                return None
+        else:   # even if x is y: its variables must still bind
             stack.extend(zip(x.args, y.args))
     return env
 
@@ -489,12 +494,10 @@ def compare(a: Term, b: Term) -> int:
         if rx == 0:
             if x.id != y.id:
                 return -1 if x.id < y.id else 1
-        elif rx == 1:
-            if x.value != y.value:
-                return -1 if x.value < y.value else 1
-        elif rx == 2:
-            if x.name != y.name:
-                return -1 if x.name < y.name else 1
+        elif rx < 3:
+            if x is not y:  # distinct atoms or integers differ in value
+                kx, ky = (x.value, y.value) if rx == 1 else (x.name, y.name)
+                return -1 if kx < ky else 1
         else:
             if len(x.args) != len(y.args):
                 return -1 if len(x.args) < len(y.args) else 1
@@ -544,22 +547,14 @@ def list_parts(t: Term) -> Tuple[List[Term], Term]:
 _SYMBOLIC = set("+-*/\\^<>=~:.?@#&$")
 
 
-def atom_needs_quotes(name: str) -> bool:
-    if name in ("[]", "!", ";", "{}"):
-        return False
-    if not name:
-        return True
-    if name[0].islower() and all(c.isalnum() or c == "_" for c in name):
-        return False
-    if all(c in _SYMBOLIC for c in name):
-        return False
-    return True
-
-
 def _atom_str(name: str) -> str:
-    if atom_needs_quotes(name):
-        return "'" + name.replace("\\", "\\\\").replace("'", "\\'") + "'"
-    return name
+    """``name`` as written in a term: quoted unless it is a letter-digit
+    word starting lowercase, symbol characters only, or a solo atom."""
+    if name in ("[]", "!", ";", "{}") or name and (
+            name[0].islower() and all(c.isalnum() or c == "_" for c in name)
+            or all(c in _SYMBOLIC for c in name)):
+        return name
+    return "'" + name.replace("\\", "\\\\").replace("'", "\\'") + "'"
 
 
 def term_to_str(t: Term, var_names: Optional[Dict[int, str]] = None) -> str:
@@ -587,7 +582,7 @@ def _fmt(t: Term, names: Dict[int, str], out: List[str]) -> None:
                 if i:
                     out.append(",")
                 _fmt(e, names, out)
-            if not (type(tail) is Atom and tail.name == "[]"):
+            if tail is not NIL:
                 out.append("|")
                 _fmt(tail, names, out)
             out.append("]")

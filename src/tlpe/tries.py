@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .terms import Int, Struct, Term, Var, term_eq, unify
+from .terms import Int, Struct, Term, Var, unify
 
 
 class TrieNode:
@@ -164,6 +164,6 @@ def _bind(env: dict, vid: int, value: Term, unifying: bool) -> Optional[dict]:
         env = dict(env)
         env[vid] = value
         return env
-    if term_eq(prev, value) or unifying and unify(prev, value) is not None:
+    if prev == value or unifying and unify(prev, value) is not None:
         return env
     return None

@@ -2,7 +2,9 @@
 
 import gc
 import io
+import os
 import random
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -13,6 +15,7 @@ import pytest
 
 from tlpe import cli
 from tlpe import engine as engine_module
+from tlpe import terms as terms_module
 from tlpe.builtins import BINDING_READERS, BUILTINS
 from tlpe.engine import Engine
 from tlpe.errors import (DirectiveError, EvalError, ParseError, StoreError,
@@ -24,6 +27,7 @@ from tlpe.tables import SubgoalTable
 from tlpe.terms import Atom, Struct, Var, term_to_str, term_vars
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
+from invariants import faults
 from oracles import bfs_reachable, dijkstra, random_digraph
 from test_golden import INCR, REACH_LEFT, WIN, WIN_GAME
 
@@ -707,6 +711,43 @@ class TestAnswerOrder:
         b = solutions(make(REACH_L + "edge(1,3)."), "reach(1,Y).")
         assert a == b
 
+    # Atoms and integers hash by identity, so by address: a process that
+    # made and dropped other terms first must print the same answers and
+    # trace, byte for byte.
+    ORDER_RUN = """
+import sys
+from tlpe.engine import Engine
+from tlpe.terms import Atom, Int, term_to_str
+if sys.argv[1] == "shift":
+    junk = [(Atom(f"junk{i}"), Int(10 ** 9 + i)) for i in range(3000)]
+    del junk
+eng = Engine()
+eng.trace_enabled = True
+eng.consult(sys.stdin.read())
+for goal in ("reach(n1,Y).", "reach(X,Y)."):
+    for a in eng.query(goal):
+        print(term_to_str(a.goal), a.truth)
+print("\\n".join(eng.trace_lines))
+"""
+
+    def test_order_does_not_depend_on_addresses(self):
+        edges = random_digraph(random.Random(7), 30, 90)
+        node = lambda i: f"n{i}" if i % 2 else str(i)
+        program = REACH_L + "".join(
+            f"edge({node(a)},{node(b)}). " for a, b in edges)
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "src")
+        outs = []
+        for shift, seed in (("plain", "1"), ("shift", "2")):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            run = subprocess.run(
+                [sys.executable, "-c", self.ORDER_RUN, shift], input=program,
+                capture_output=True, text=True, env=env, timeout=120)
+            assert run.returncode == 0, run.stderr
+            outs.append(run.stdout)
+        assert outs[0] == outs[1]
+        assert outs[0].count(" true\n") > 100
+
 
 class TestStrategies:
     PROGRAMS = [
@@ -1109,6 +1150,30 @@ class TestEngineGuards:
         assert st["counters"]["new_subgoal"] >= 1
 
 
+class TestInternTable:
+    """The table of shared integers keeps no ``Int`` that nothing else
+    holds: ``is/2`` can make any number of distinct values."""
+
+    COUNT = """
+    upto(0, []).
+    upto(N, [N|T]) :- N > 0, M is N - 1, upto(M, T).
+    down(0).
+    down(N) :- N > 0, M is N - 1, down(M).
+    """
+
+    def test_integers_made_by_is_are_released(self):
+        eng = make(self.COUNT)
+        gc.collect()
+        before = len(terms_module._INTS)
+        held = eng.query("upto(10000, L).")
+        assert len(held) == 1
+        assert len(terms_module._INTS) >= before + 9990
+        del held
+        assert len(eng.query("down(10000).")) == 1
+        gc.collect()
+        assert len(terms_module._INTS) <= before + 10
+
+
 class TestQueryTable:
     """A query's own table lives one evaluation: what outlives it is
     its complete tables and their answers."""
@@ -1189,6 +1254,66 @@ class TestQueryTable:
         assert eng.space.tables
         for t in eng.space.tables:
             assert t.complete and t.consumers == []
+
+
+class TestAbolishReclaims:
+    """An abolished table leaves the call graph in both directions, and
+    the watcher lists of the tables it leans on."""
+
+    @pytest.mark.parametrize("abolish", [
+        lambda eng: eng.abolish_call("q(X)"),
+        lambda eng: eng.abolish_pred("q", 1),
+        lambda eng: eng.abolish_call("p(X)"),
+    ], ids=["call_callee", "pred_callee", "call_caller"])
+    def test_no_call_edge_survives(self, abolish):
+        eng = make(":- table p/1, q/1.\np(X) :- q(X).\nq(a).")
+        assert solutions(eng, "p(X).") == ["p(a)"]
+        abolish(eng)
+        assert faults(eng) == []
+        assert solutions(eng, "p(X).") == ["p(a)"]
+        assert faults(eng) == []
+
+    @pytest.mark.parametrize("abolish", [
+        lambda eng: eng.abolish_all(), lambda eng: eng.abolish_call("q(X)")],
+        ids=["all", "one"])
+    def test_no_dynamic_reader_survives(self, abolish):
+        eng = make(":- table p/1, q/1.\n:- dynamic e/1.\n"
+                   "p(X) :- e(X).\nq(X) :- e(X).\ne(a).")
+        assert solutions(eng, "p(X).") == ["p(a)"]
+        assert solutions(eng, "q(X).") == ["q(a)"]
+        abolish(eng)
+        readers = {t for r in eng.space.dyn_readers.values() for t in r}
+        assert readers == set(eng.space.tables) and faults(eng) == []
+
+    def test_cost_per_conditional_answer_stays_flat(self):
+        # every answer of p leans on tnot u: u's watcher list is read
+        # once, not once per answer
+        def cpu_per_answer(n):
+            eng = make(":- table p/1, u/0.\nu :- tnot u.\n"
+                       "p(X) :- n(X), tnot u.\n"
+                       + "".join(f"n({i}).\n" for i in range(n)))
+            assert len(eng.query("p(X).")) == n
+            start = time.thread_time()
+            eng.abolish_call("p(X)")
+            spent = (time.thread_time() - start) / n
+            [u] = eng.space.tables
+            assert [dl.owner.table for dl, _ in u.neg_watchers] == [u]
+            return spent
+
+        runs = [(cpu_per_answer(500), cpu_per_answer(4000))
+                for _ in range(3)]
+        small, large = map(min, zip(*runs))
+        assert large < 2.0 * small, (small, large)
+
+    def test_no_watcher_survives(self):
+        eng = make(":- table r/0, u/0.\nr :- tnot u.\nu :- tnot u.")
+        assert truth_set(eng, "r.") == {("r", "undefined")}
+        eng.abolish_call("r")
+        assert faults(eng) == []
+        [u] = eng.space.tables
+        assert [dl.owner.table for dl, _ in u.neg_watchers] == [u]
+        assert list(u.dep_in) == [u] and u.cond_dependents == {u}
+        assert truth_set(eng, "r.") == {("r", "undefined")}
 
 
 class TestQueryAnswers:

@@ -1,3 +1,8 @@
+import copy
+import pickle
+import sys
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -178,6 +183,51 @@ class TestGroundSharing:
         assert nv == 4 and ct.args[1].args[1].args[0] == Var(2)
         same = make_list([Var(i % 3) for i in range(n)], tail=Var(3))
         assert hash(ct) == hash(same) and ct == same
+
+
+class TestInterning:
+    def test_one_object_per_value(self):
+        assert Atom("a") is Atom("a") and Int(3) is Int(3)
+        assert Int(True) is Int(1) and Int(-0) is Int(0)
+        assert Atom("a") is not Atom("b") and Int(3) is not Int(4)
+        assert Atom("1") is not Int(1) and Atom("a") != S("a")
+
+    @pytest.mark.parametrize("copy_of", [
+        copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))])
+    def test_copies_are_the_shared_object(self, copy_of):
+        for t in (a, NIL_LIST, Int(3), Int(-7)):
+            assert copy_of(t) is t
+        f = copy_of(S("f", a, Int(3), X))
+        assert f == S("f", a, Int(3), X)
+        assert f.args[0] is a and f.args[1] is Int(3)
+
+    def test_threads_share_one_object_per_value(self):
+        # the threads make the same fresh values at once: a switch between
+        # a miss and its entry must not leave two objects for one value
+        made = [None] * 4
+
+        def make(k):
+            made[k] = [Int(10 ** 8 + v) for v in range(20000)] \
+                + [Atom(f"thread{v}") for v in range(20000)]
+
+        threads = [threading.Thread(target=make, args=(k,)) for k in range(4)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert all(len(set(map(id, same))) == 1 for same in zip(*made))
+
+    def test_match_binds_inside_a_shared_compound(self):
+        g = S("g", X)
+        assert match(g, g) == {0: X}
+        # X takes a first, then g(X) must match g(X) itself
+        assert match(S("f", g, X), S("f", g, a)) is None
 
 
 # -- property tests ---------------------------------------------------------
