@@ -371,14 +371,12 @@ _COUNTER_KEYS = ("new_subgoal", "clause_resolution", "positive_return",
 class Engine:
     """One evaluation forest over a program and its table space."""
 
-    def __init__(self, program: Optional[Program] = None,
-                 strategy: str = "local", occurs_check: bool = False,
+    def __init__(self, strategy: str = "local", occurs_check: bool = False,
                  query_level_tabling: bool = False,
                  default_tabling: str = "variant"):
         if strategy not in ("local", "batched"):
             raise ValueError(f"unknown strategy: {strategy}")
-        self.program = program if program is not None \
-            else Program(default_tabling=default_tabling)
+        self.program = Program(default_tabling=default_tabling)
         self.space = TableSpace(self.program)
         self.space.trace_hook = self._trace
         self.strategy = strategy
@@ -530,15 +528,14 @@ class Engine:
         does every table that reads it: each is recomputed at its next
         call."""
         stale = [t for t in self.space.tables
-                 if t.dfn <= watermark and not t.abolished
+                 if t.dfn <= watermark
                  and (t.status == SubgoalTable.INCOMPLETE
                       or any(d.dfn > watermark for d in t.dep_out))]
         while stale:
             t = stale.pop()
             if t.status != SubgoalTable.INVALID:
                 t.status = SubgoalTable.INVALID
-                stale.extend(c for c in t.dep_in
-                             if c.dfn <= watermark and not c.abolished)
+                stale.extend(c for c in t.dep_in if c.dfn <= watermark)
         self.space.discard_from(watermark, force=True)
 
     def answers(self, goal):
@@ -551,8 +548,8 @@ class Engine:
         """Evaluate ``goal`` under a table of its own, which lives one
         evaluation: it is in no subgoal trie nor in ``space.tables``,
         and it leaves the call graph and ``dyn_readers`` as the
-        evaluation ends.  Marked abolished then, it is passed over by an
-        abolish that reaches it through ``cond_dependents``."""
+        evaluation ends.  ABOLISHED then, it is passed over by an abolish
+        that reaches it through ``cond_dependents``."""
         cgoal, nvars = canonicalize(Struct("$query", (goal,)))
         table = SubgoalTable(self._query_pi, cgoal, nvars, self.space._dfn)
         try:
@@ -560,7 +557,7 @@ class Engine:
             self._run()
         finally:
             self.space.unlink(table)
-            table.abolished = True
+            table.status = SubgoalTable.ABOLISHED
         return table
 
     # ------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Incremental table maintenance.
 
 Dynamic predicates declared with use_incremental_dynamic feed an
-invalidation graph: every table records which dynamic predicates it
-consulted and which tables it called.  A change to a fact walks callers
-backwards from the tables that read it and marks each affected complete
-table INVALID.
+invalidation graph: the table space records which tables read each
+dynamic predicate, and every table which tables it called.  A change to
+a fact walks callers backwards from the tables that read it and marks
+each affected complete table INVALID.
 
 A table is recomputed in one way only: a call that finds it INVALID
 resets it and evaluates it afresh (``Engine._intern``).  After
@@ -57,8 +57,7 @@ def incr_table_update(engine: Engine) -> List[SubgoalTable]:
     """Recompute every invalid table now; returns them."""
     engine._guard_no_query("incremental update")
     return _recompute(engine, [t for t in engine.space.tables
-                               if t.status == SubgoalTable.INVALID
-                               and not t.abolished])
+                               if t.status == SubgoalTable.INVALID])
 
 
 def _as_change(change) -> Tuple[str, Term]:
@@ -88,7 +87,7 @@ def incr_invalidate(engine: Engine, change) -> List[SubgoalTable]:
     op, fact = _as_change(change)
     pi = _source_info(engine, fact)
     program = engine.program
-    readers = engine.space.dyn_readers.get(pi.key, ())
+    readers = engine.space.dyn_readers.get(pi.key, {})
     affected = _affected(readers)
     _validate(affected)
     # kept: a variant of the clause is held before and after the change
@@ -101,7 +100,7 @@ def incr_invalidate(engine: Engine, change) -> List[SubgoalTable]:
     if not changed:
         return []
     if kept:
-        affected = _affected(t for t in readers if t.consulted_dyn[pi.key])
+        affected = _affected(t for t, ordered in readers.items() if ordered)
     marked = []
     for table in sorted(affected, key=lambda t: t.dfn):
         if table.status == SubgoalTable.COMPLETE:
@@ -115,7 +114,7 @@ def _recompute(engine: Engine,
     """Call each table of ``tables`` that is still invalid."""
     with engine._evaluation():
         for table in tables:
-            if table.status == SubgoalTable.INVALID and not table.abolished:
+            if table.status == SubgoalTable.INVALID:
                 engine._intern(table.pred, table.subgoal)
                 engine._run()
     return tables
@@ -123,18 +122,22 @@ def _recompute(engine: Engine,
 
 def _affected(readers: Iterable[SubgoalTable]) -> Set[SubgoalTable]:
     """Reverse reachability from the direct readers of changed facts."""
-    frontier = [t for t in readers if not t.abolished]
+    frontier = list(readers)
     out: Set[SubgoalTable] = set()
     while frontier:
         t = frontier.pop()
         if t not in out:
             out.add(t)
-            frontier.extend(c for c in t.dep_in
-                            if not c.abolished and c not in out)
+            frontier.extend(c for c in t.dep_in if c not in out)
     return out
 
 
 def _validate(affected: Set[SubgoalTable]) -> None:
+    """Refuse a change that some affected table cannot follow.  Both
+    checks read the tables in creation order, so the table an error
+    names does not depend on where tables sit in memory: an unsupported
+    one is the oldest."""
+    affected = sorted(affected, key=lambda t: t.dfn)
     for t in affected:
         if t.pred.tabling == "subsumptive":
             raise EvalError(
@@ -148,8 +151,8 @@ def _validate(affected: Set[SubgoalTable]) -> None:
     for scc in tarjan_sccs(affected, lambda t: t.dep_out):
         members = set(scc)
         for t in scc:
-            for d in t.neg_dep_out:
-                if d in members:
+            for d, neg in t.dep_out.items():
+                if neg and d in members:
                     raise EvalError(
                         "incremental_nonstratified",
                         f"update would recompute through a negative loop "

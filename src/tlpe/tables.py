@@ -68,16 +68,15 @@ class AnswerRecord:
     ``bindings`` are the terms the subgoal's variables take, in one
     canonical namespace of ``nvars`` variables numbered in order of first
     occurrence.  ``term``, the subgoal instantiated by them, is built on
-    first use; it is canonical too, with the same numbering."""
+    each read; it is canonical too, with the same numbering."""
 
-    __slots__ = ("bindings", "_term", "nvars", "delay_lists", "deleted",
+    __slots__ = ("bindings", "nvars", "delay_lists", "deleted",
                  "leaf", "pos_watchers", "seq", "table")
 
     def __init__(self, table: "SubgoalTable", bindings: Tuple[Term, ...],
                  nvars: int, seq: int):
         self.table = table
         self.bindings = bindings
-        self._term: Optional[Term] = None
         self.nvars = nvars
         # shared empty tuples, each a list from its first entry on
         self.delay_lists: List[DelayList] = ()
@@ -88,9 +87,7 @@ class AnswerRecord:
 
     @property
     def term(self) -> Term:
-        if self._term is None:
-            self._term = substitute(self.table.subgoal, self.bindings)
-        return self._term
+        return substitute(self.table.subgoal, self.bindings)
 
     @property
     def unconditional(self) -> bool:
@@ -110,14 +107,27 @@ class SubgoalTable:
 
     ``dep_out``/``dep_in`` are the one call graph between tables:
     scheduling reads it restricted to incomplete tables, incremental
-    invalidation and error recovery walk it backwards.  The engine keeps
-    its scheduling state here too (completion-stack position, suspended
-    readers), next to the conditional-answer dependency state.
+    invalidation and error recovery walk it backwards.  ``dep_out`` maps
+    each callee to whether some call of it is under ``tnot``.  The
+    engine keeps its scheduling state here too (completion-stack
+    position, suspended readers), next to the conditional-answer
+    dependency state.
+
+    An ABOLISHED table is out of the table space: ``sweep`` reclaims it
+    as it is marked.  The status remains for the references that outlive
+    it, stale ``cond_dependents`` entries and a query's own table.
     """
 
     INCOMPLETE = "incomplete"
     COMPLETE = "complete"
     INVALID = "invalid"
+    ABOLISHED = "abolished"
+
+    __slots__ = ("pred", "subgoal", "nvars", "dfn", "status", "answers",
+                 "index", "_answer_trie", "uncond_answers", "neg_watchers",
+                 "cond_dependents", "consumers", "neg_waiters", "ctx",
+                 "stack_pos", "as_slot", "as_map", "as_seen", "dep_in",
+                 "dep_out", "__weakref__")
 
     def __init__(self, pred: PredicateInfo, subgoal: Term, nvars: int,
                  dfn: int):
@@ -132,12 +142,11 @@ class SubgoalTable:
         self.uncond_answers = 0
         self.neg_watchers: List[Tuple[DelayList, DelayLit]] = []
         self.cond_dependents: Set["SubgoalTable"] = set()
-        self.abolished = False
         # engine scheduling state
         self.consumers: list = []
         self.neg_waiters: list = []
         self.ctx = 0                    # evaluation context of its run
-        self.leaf_node = None           # its leaf in the subgoal trie
+        self.stack_pos = 0              # completion-stack position
         # answer subsumption: the binding slot of the aggregated argument,
         # the kept record(s) per variant key of the other bindings, and
         # the contributions already counted (sum and count)
@@ -149,11 +158,7 @@ class SubgoalTable:
         # as ordered sets, so the scheduler sees the edges in call order
         # and its choices do not depend on where tables sit in memory
         self.dep_in: Dict["SubgoalTable", None] = {}
-        self.dep_out: Dict["SubgoalTable", None] = {}
-        self.neg_dep_out: Dict["SubgoalTable", None] = {}
-        # dynamic predicates read -> whether a read saw the number or
-        # order of their clauses (under findall or a cut)
-        self.consulted_dyn: Dict[Tuple[str, int], bool] = {}
+        self.dep_out: Dict["SubgoalTable", bool] = {}
 
     @property
     def complete(self) -> bool:
@@ -220,7 +225,10 @@ class TableSpace:
         self.program = program
         self.tries: Dict[Tuple[str, int], Trie] = {}
         self.tables: List[SubgoalTable] = []
-        self.dyn_readers: Dict[Tuple[str, int], Set[SubgoalTable]] = {}
+        # dynamic predicate -> {table that read it: whether a read saw
+        # the number or order of its clauses (under findall or a cut)}
+        self.dyn_readers: Dict[Tuple[str, int],
+                               Dict[SubgoalTable, bool]] = {}
         self._dfn = 0
         self._ans_seq = 0
         self._pending: List[Tuple[str, object]] = []
@@ -258,13 +266,12 @@ class TableSpace:
             trie = self.tries[pi.key] = Trie()
         node = trie.check_insert(symbols(cgoal))
         existing = node.leaf
-        if existing is not None and not existing.abolished:
+        if existing is not None:
             if existing.status == SubgoalTable.INVALID:
                 return existing, True     # invalidated: caller recomputes
             return existing, False
         table = self._new_table(pi, cgoal, nvars)
         trie.set_leaf(node, table)
-        table.leaf_node = node
         return table, True
 
     def _new_table(self, pi, cgoal, nvars) -> SubgoalTable:
@@ -281,9 +288,7 @@ class TableSpace:
             return None
         cgoal, _ = canonicalize(call_pattern(self.program.preds[key], goal))
         node = trie.lookup(symbols(cgoal))
-        if node is None or node.leaf is None or node.leaf.abolished:
-            return None
-        return node.leaf
+        return None if node is None else node.leaf
 
     def lookup_subsuming(self, goal: Term) -> Optional[SubgoalTable]:
         """The first live table in trie order whose subgoal subsumes
@@ -292,7 +297,7 @@ class TableSpace:
         if trie is None:
             return None
         for t in trie.matching_leaves(goal, mode="subsume"):
-            if not t.abolished and t.status != SubgoalTable.INVALID:
+            if t.status != SubgoalTable.INVALID:
                 return t
         return None
 
@@ -407,10 +412,8 @@ class TableSpace:
         for callee in table.dep_out:
             callee.dep_in.pop(table, None)
         table.dep_out = {}
-        table.neg_dep_out = {}
-        for key in table.consulted_dyn:
-            self.dyn_readers.get(key, set()).discard(table)
-        table.consulted_dyn = {}
+        for readers in self.dyn_readers.values():
+            readers.pop(table, None)
 
     def delete_answer(self, table: SubgoalTable, ans: AnswerRecord) -> None:
         """Remove an answer outright (answer subsumption replacement)."""
@@ -518,22 +521,14 @@ class TableSpace:
     # abolishing
 
     def abolish_all(self) -> None:
-        for table in list(self.tables):
-            if not table.abolished:
-                self._abolish(table)
-        self.sweep()
+        self._abolish(self.tables)
 
     def abolish_pred(self, key: Tuple[str, int]) -> None:
-        for table in list(self.tables):
-            if table.pred.key == key and not table.abolished:
-                self._abolish(table)
-        self.sweep()
+        self._abolish([t for t in self.tables if t.pred.key == key])
 
     def abolish_call(self, goal: Term) -> None:
         table = self.lookup_variant(goal)
-        if table is not None:
-            self._abolish(table)
-        self.sweep()
+        self._abolish(() if table is None else (table,))
 
     def discard_from(self, dfn_watermark: int, force: bool = False) -> None:
         """Abolish every table created after the watermark.
@@ -541,55 +536,48 @@ class TableSpace:
         Used for query-scoped tables and for error recovery, where the
         interrupted evaluation leaves incomplete tables behind; these are
         neutralised first so the usual abolish path accepts them."""
-        fresh = [t for t in self.tables
-                 if t.dfn > dfn_watermark and not t.abolished]
+        fresh = [t for t in self.tables if t.dfn > dfn_watermark]
         if force:
             for table in fresh:
                 if table.status == SubgoalTable.INCOMPLETE:
                     _retire_answers(table)
                     table.status = SubgoalTable.COMPLETE
-        for table in fresh:
-            if not table.abolished:
-                self._abolish(table)
-        self.sweep()
+        self._abolish(fresh)
 
-    def _abolish(self, table: SubgoalTable) -> None:
-        """Abolish a table and every table whose conditional answers lean
-        on it, depth first; a worklist of iterators, as chains of
-        dependents can be thousands long."""
-        work = [iter((table,))]
-        while work:
-            for t in work[-1]:
-                if t.abolished:
-                    continue
-                if t.status == SubgoalTable.INCOMPLETE:
-                    raise EvalError("abolish_incomplete",
-                                    f"table {term_to_str(t.subgoal)} is "
-                                    "not yet complete")
-                t.abolished = True
-                work.append(iter(list(t.cond_dependents)))
-                break
-            else:
-                work.pop()
+    def _abolish(self, roots: Iterable[SubgoalTable]) -> None:
+        """Abolish the tables ``roots`` and every table whose conditional
+        answers lean on one of them, then sweep.  An incomplete table
+        among them refuses the whole abolish before any is marked."""
+        work = list(roots)
+        seen = set(work)
+        for t in work:      # grows as it is read: chains can be long
+            if t.status == SubgoalTable.INCOMPLETE:
+                raise EvalError("abolish_incomplete",
+                                f"table {term_to_str(t.subgoal)} is "
+                                "not yet complete")
+            for d in t.cond_dependents:
+                if d not in seen and d.status != SubgoalTable.ABOLISHED:
+                    seen.add(d)
+                    work.append(d)
+        for t in work:
+            t.status = SubgoalTable.ABOLISHED
+        self.sweep()
 
     def sweep(self) -> None:
         """Reclaim abolished tables at once: out of their subgoal tries,
         the call graph both ways, what ``unlink`` reaches, and ``tables``.
         Nothing else reads them; an answer stream reads a list of its own."""
-        live = [t for t in self.tables if not t.abolished]
+        live = [t for t in self.tables if t.status != SubgoalTable.ABOLISHED]
         if not live:    # nothing is left that could hold an abolished table
             self.tries, self.dyn_readers, self.tables = {}, {}, []
             return
         for table in self.tables:
-            if table.abolished:
-                node = table.leaf_node
-                trie = self.tries.get(table.pred.key)
-                if node is not None and trie is not None and node.leaf is table:
-                    trie.remove_leaf(node)
+            if table.status == SubgoalTable.ABOLISHED:
+                trie = self.tries[table.pred.key]
+                trie.remove_leaf(trie.lookup(symbols(table.subgoal)))
                 self.unlink(table)
                 for caller in table.dep_in:
                     caller.dep_out.pop(table, None)
-                    caller.neg_dep_out.pop(table, None)
         self.tables = live
 
     # ------------------------------------------------------------------
@@ -597,16 +585,14 @@ class TableSpace:
 
     def note_dyn_read(self, table: SubgoalTable, key: Tuple[str, int],
                       ordered: bool) -> None:
-        reads = table.consulted_dyn
-        reads[key] = ordered or reads.get(key, False)
-        self.dyn_readers.setdefault(key, set()).add(table)
+        readers = self.dyn_readers.setdefault(key, {})
+        readers[table] = ordered or readers.get(table, False)
 
     def note_call_edge(self, caller: SubgoalTable, callee: SubgoalTable,
                        neg: bool) -> None:
-        caller.dep_out[callee] = None
+        # a new value keeps the key's place: the edges stay in call order
+        caller.dep_out[callee] = neg or caller.dep_out.get(callee, False)
         callee.dep_in[caller] = None
-        if neg:
-            caller.neg_dep_out[callee] = None
 
     # ------------------------------------------------------------------
     # statistics
@@ -614,8 +600,6 @@ class TableSpace:
     def statistics(self) -> Dict[str, dict]:
         out: Dict[str, dict] = {}
         for table in self.tables:
-            if table.abolished:
-                continue
             st = out.setdefault(str(table.pred), {
                 "tables": 0, "answers": 0, "conditional": 0,
                 "complete": 0, "invalid": 0})

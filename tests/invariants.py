@@ -47,7 +47,7 @@ def faults(eng):
         live = [a for a in t.answers if not a.deleted]
         watched.update((id(dl), id(lit)) for a in live
                        for dl, lit in a.pos_watchers)
-        if t.abolished:
+        if t.status == SubgoalTable.ABOLISHED:
             out.append(f"{name}: abolished, still in the table space")
         if t.status == SubgoalTable.INCOMPLETE:
             out.append(f"{name}: incomplete after the evaluation")
@@ -63,14 +63,14 @@ def faults(eng):
             out.append(f"{name}: uncond_answers {t.uncond_answers} is not "
                        "the count of unconditional answers")
         for d in t.dep_out:
-            if t not in d.dep_in or d.abolished:
+            if t not in d.dep_in or d.status == SubgoalTable.ABOLISHED:
                 out.append(f"{name}: call edge to {term_to_str(d.subgoal)}")
         for c in t.dep_in:
-            if t not in c.dep_out or c.abolished:
+            if t not in c.dep_out or c.status == SubgoalTable.ABOLISHED:
                 out.append(f"{name}: call edge from {term_to_str(c.subgoal)}")
         entries = t.neg_watchers + [w for a in live for w in a.pos_watchers]
         for dl, _ in entries:
-            if not dl.dead and dl.owner.table.abolished:
+            if not dl.dead and dl.owner.table.status == SubgoalTable.ABOLISHED:
                 out.append(f"{name}: watched from abolished "
                            f"{term_to_str(dl.owner.table.subgoal)}")
     for t in tables:
@@ -80,7 +80,7 @@ def faults(eng):
                 for lit in dl.lits:
                     target = lit.table
                     what = f"{name}: delay literal {lit!r}"
-                    if target.abolished:
+                    if target.status == SubgoalTable.ABOLISHED:
                         out.append(f"{what} rests on an abolished table")
                     if (id(dl), id(lit)) not in watched:
                         out.append(f"{what} is not watched")

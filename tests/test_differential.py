@@ -290,7 +290,7 @@ def test_ground_tnot_reads_its_own_table(strategy):
     general = eng.space.lookup_variant(parse_term_text("p(X,Y)"))
     # p(b,a) read p(X,Y), which waited on tnot p(b,a): one SCC
     ba = eng.space.lookup_variant(parse_term_text("p(b,a)"))
-    assert general in ba.dep_out and ba in general.neg_dep_out
+    assert general in ba.dep_out and general.dep_out[ba]
     # p(d,d) was first called by tnot, with p(X,Y) complete
     assert eng.space.lookup_variant(parse_term_text("p(d,d)")) is not None
 
@@ -574,8 +574,9 @@ def wfs_mismatches(seed):
     return out
 
 
-# each but seed 0 has undefined atoms in its model
-WFS_SEEDS = [0, 4, 5, 7, 8, 10]
+# each but seed 0 has undefined atoms in its model; 149, 235 and 240
+# settle delay literals before ``TableSpace._attach_dl`` attaches them
+WFS_SEEDS = [0, 4, 5, 7, 8, 10, 149, 235, 240]
 
 
 @pytest.mark.parametrize("seed", WFS_SEEDS)

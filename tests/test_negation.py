@@ -194,6 +194,31 @@ class TestDelayedSupport:
         assert truth(eng, "p(1).") == model["p"]
         assert truth(eng, "r(1).") == model["r"]
 
+    # under batched scheduling q(0)'s second clause delays tnot p(0)
+    # while p(0) has only a conditional answer, and derives q(0) after
+    # that answer turned true: the delay list is refuted as it is attached
+    LATE_TNOT = """
+    :- table p/1, q/1, r/1.
+    r(0) :- q(2).
+    p(2).
+    q(0) :- tnot(q(0)).
+    r(1) :- r(0), tnot(p(2)).
+    p(0) :- tnot(r(1)).
+    q(0) :- q(0), p(0), tnot(p(0)), tnot(r(1)).
+    r(2) :- q(0).
+    p(1) :- r(2).
+    q(2) :- tnot(p(1)).
+    """
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    def test_tnot_of_an_atom_that_turned_true(self, strategy):
+        eng = make(self.LATE_TNOT, strategy=strategy)
+        assert [(term_to_str(a.goal), a.truth) for a in eng.query("q(X).")] \
+            == [("q(0)", "undefined"), ("q(2)", "undefined")]
+        assert [(term_to_str(h), [term_to_str(b) for b in body])
+                for h, body in get_residual(eng, "q(X).")] == [
+            ("q(0)", ["tnot(q(0))"]), ("q(2)", ["tnot(p(1))"])]
+
 
 class TestOracleAgreement:
     @pytest.mark.parametrize("seed,options", [

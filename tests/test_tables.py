@@ -322,6 +322,28 @@ class TestAbolish:
         sp.abolish_call(t("q(a)"))
         assert sp.lookup_variant(t("p(W)")) is None
 
+    def test_refused_abolish_changes_nothing(self):
+        # q(a) is complete, but p(X), which leans on tnot q(a), is not
+        sp = make_space()
+        p, _ = intern(sp, "p", "p(X)")
+        q, _ = intern(sp, "q", "q(a)")
+        sp.add_answer(p, (Atom("a"),), [delay_neg(q)])
+        q.status = SubgoalTable.COMPLETE
+        with pytest.raises(EvalError) as err:
+            sp.abolish_call(t("q(a)"))
+        assert err.value.kind == "abolish_incomplete"
+        assert sp.lookup_variant(t("q(a)")) is q
+        assert q.status == SubgoalTable.COMPLETE
+        assert q in sp.tables
+
+
+class TestDeclaredFields:
+    def test_an_undeclared_table_field_is_refused(self):
+        sp = make_space()
+        tab, _ = intern(sp, "p", "p(X)")
+        with pytest.raises(AttributeError):
+            tab.undeclared = 1
+
 
 class TestIncrementalBookkeeping:
     def test_reset_clears_answers_and_counts(self):
@@ -338,16 +360,21 @@ class TestIncrementalBookkeeping:
         sp = make_space()
         tab, _ = intern(sp, "p", "p(X)")
         sp.note_dyn_read(tab, ("e", 2), False)
-        assert sp.dyn_readers[("e", 2)] == {tab}
+        assert sp.dyn_readers[("e", 2)] == {tab: False}
         sp.reset_table(tab)
-        assert sp.dyn_readers[("e", 2)] == set()
+        assert sp.dyn_readers[("e", 2)] == {}
 
     def test_call_edges(self):
         sp = make_space()
         a, _ = intern(sp, "p", "p(X)")
         b, _ = intern(sp, "q", "q(X)")
         sp.note_call_edge(a, b, neg=True)
-        assert b in a.dep_out and a in b.dep_in and b in a.neg_dep_out
+        assert a.dep_out[b] and a in b.dep_in
+        # a later positive call keeps the polarity and the call order
+        c, _ = intern(sp, "r", "r(X)")
+        sp.note_call_edge(a, c, neg=False)
+        sp.note_call_edge(a, b, neg=False)
+        assert list(a.dep_out.items()) == [(b, True), (c, False)]
 
 
 class TestStatistics:
