@@ -546,8 +546,8 @@ class Engine:
 
     def _eval_wrapper(self, goal: Term) -> SubgoalTable:
         """Evaluate ``goal`` under a table of its own, which lives one
-        evaluation: it is in no subgoal trie nor in ``space.tables``,
-        and it leaves the call graph and ``dyn_readers`` as the
+        evaluation: it is in none of the table space's maps, records no
+        reads of dynamic code, and leaves the call graph as the
         evaluation ends.  ABOLISHED then, it is passed over by an abolish
         that reaches it through ``cond_dependents``."""
         cgoal, nvars = canonicalize(Struct("$query", (goal,)))
@@ -938,7 +938,8 @@ class Engine:
                      rest) -> None:
         if pi.dynamic:
             caller = self._owner_of(cont)
-            if caller is not None:
+            # a query's own table is gone before any update could reach it
+            if caller is not None and caller.pred is not self._query_pi:
                 # findall sees every copy of a clause; a cut, enclosing
                 # the call or among the predicate's clauses, their order
                 ordered = (pi.cut_clauses > 0 or bool(cont.scopes)

@@ -98,7 +98,9 @@ class ClauseIndex:
     variable; whatever is cut off is stored as a variable that occurs
     once.  A trie index reads the arguments whole, so a variant of a
     stored clause finds its leaf.  A leaf lists its clauses in program
-    order.  A lookup walks the goal's component arguments in unify mode.
+    order.  A lookup walks the goal's component arguments in unify mode;
+    one of a single ``arg`` component by an atom or an integer reads just
+    two children of the root, the argument's own and the variable's.
     """
 
     def __init__(self, spec: IndexSpec):
@@ -108,6 +110,7 @@ class ClauseIndex:
         self.caps = [1 if kind == "arg" else STAR_CAP
                      for kind, _ in spec.components]
         self.trie = Trie()
+        self.probe = [kind for kind, _ in spec.components] == ["arg"]
 
     def path(self, head: Term) -> Tuple[tuple, ...]:
         if self.whole:
@@ -153,10 +156,18 @@ class ClauseIndex:
         """The clauses whose heads may unify with ``goal``, in program
         order; None if ``goal`` leaves a component unbound, unless this
         is a trie index."""
-        args = [goal.args[i] for i in self.argnos]
-        if Var in map(type, args) and not self.whole:
-            return None
-        leaves = self.trie.matching_leaves(*args)
+        a = goal.args[self.argnos[0]] if self.probe else None
+        ta = type(a)
+        if ta is Atom or ta is Int:
+            kids = self.trie.root.children
+            leaves = [n.leaf for n in (
+                kids.get(("i", a.value) if ta is Int else ("a", a.name)),
+                kids.get(_ANON)) if n is not None]
+        else:
+            args = [goal.args[i] for i in self.argnos]
+            if Var in map(type, args) and not self.whole:
+                return None
+            leaves = self.trie.matching_leaves(*args)
         if len(leaves) == 1:
             return leaves[0]
         out = [cl for leaf in leaves for cl in leaf]

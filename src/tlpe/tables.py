@@ -1,7 +1,9 @@
 """Table space: subgoal tables, answer tables, conditional answers.
 
-Subgoals are interned per predicate in a trie keyed by the canonical
-subgoal's preorder symbols.  Answers use substitution factoring: an
+A call finds its variant table by one probe of a dict keyed by the
+canonical subgoal.  A predicate's subgoal trie, for subsumed calls,
+is built from its live tables the first time such a call looks for
+one, then kept in step.  Answers use substitution factoring: an
 answer record stores only the bindings of the subgoal's variables, and
 an answer table is a hash index from the canonical binding tuple to the
 live record, so checking and inserting a derived answer is one probe.
@@ -223,8 +225,11 @@ class TableSpace:
 
     def __init__(self, program: Program):
         self.program = program
+        # predicate -> its tables in a trie, once a subsumed call looked
         self.tries: Dict[Tuple[str, int], Trie] = {}
         self.tables: List[SubgoalTable] = []
+        # canonical subgoal -> its table, for every table in ``tables``
+        self.variants: Dict[Term, SubgoalTable] = {}
         # dynamic predicate -> {table that read it: whether a read saw
         # the number or order of its clauses (under findall or a cut)}
         self.dyn_readers: Dict[Tuple[str, int],
@@ -242,11 +247,12 @@ class TableSpace:
                              variant: bool = False):
         """Intern a call.  Returns (table, is_new).
 
-        Variant tabling reuses a table per canonical call.  Subsumptive
-        tabling returns the first live table in trie order whose subgoal
-        subsumes the call, which the call reads in place (the answers
-        that unify with it, in the table's order); only a call that no
-        table subsumes gets a table of its own.
+        Variant tabling reuses a table per canonical call, found by one
+        probe of ``variants``.  Subsumptive tabling returns the first
+        live table in trie order whose subgoal subsumes the call, which
+        the call reads in place (the answers that unify with it, in the
+        table's order); only a call that no table subsumes gets a table
+        of its own.
 
         ``variant`` asks for a variant table under subsumptive tabling
         too, as a ground negative call (``tnot``) does: an unconditional
@@ -261,41 +267,39 @@ class TableSpace:
             if table is not None:
                 return table, False
         cgoal, nvars = canonicalize(call_pattern(pi, goal))
-        trie = self.tries.get(pi.key)
-        if trie is None:
-            trie = self.tries[pi.key] = Trie()
-        node = trie.check_insert(symbols(cgoal))
-        existing = node.leaf
-        if existing is not None:
-            if existing.status == SubgoalTable.INVALID:
-                return existing, True     # invalidated: caller recomputes
-            return existing, False
-        table = self._new_table(pi, cgoal, nvars)
-        trie.set_leaf(node, table)
-        return table, True
+        table = self.variants.get(cgoal)
+        if table is not None:
+            # an invalidated table is new to its caller, who recomputes it
+            return table, table.status == SubgoalTable.INVALID
+        return self._new_table(pi, cgoal, nvars), True
 
     def _new_table(self, pi, cgoal, nvars) -> SubgoalTable:
         self._dfn += 1
         table = SubgoalTable(pi, cgoal, nvars, self._dfn)
         self.tables.append(table)
+        self.variants[cgoal] = table
+        trie = self.tries.get(pi.key)
+        if trie is not None:
+            trie.set_leaf(trie.check_insert(symbols(cgoal)), table)
         return table
 
     def lookup_variant(self, goal: Term) -> Optional[SubgoalTable]:
         """The live table a variant call of ``goal`` reads, if any."""
-        key = functor_of(goal)
-        trie = self.tries.get(key)
-        if trie is None:
+        pi = self.program.preds.get(functor_of(goal))
+        if pi is None:
             return None
-        cgoal, _ = canonicalize(call_pattern(self.program.preds[key], goal))
-        node = trie.lookup(symbols(cgoal))
-        return None if node is None else node.leaf
+        return self.variants.get(canonicalize(call_pattern(pi, goal))[0])
 
     def lookup_subsuming(self, goal: Term) -> Optional[SubgoalTable]:
         """The first live table in trie order whose subgoal subsumes
         ``goal``: the table a subsumptive call of ``goal`` reads."""
-        trie = self.tries.get(functor_of(goal))
+        key = functor_of(goal)
+        trie = self.tries.get(key)
         if trie is None:
-            return None
+            trie = self.tries[key] = Trie()
+            for t in self.tables:
+                if t.pred.key == key:
+                    trie.set_leaf(trie.check_insert(symbols(t.subgoal)), t)
         for t in trie.matching_leaves(goal, mode="subsume"):
             if t.status != SubgoalTable.INVALID:
                 return t
@@ -392,14 +396,16 @@ class TableSpace:
         table.neg_waiters = []
         table.cond_dependents = set()
         self.unlink(table)
+        for readers in self.dyn_readers.values():
+            readers.pop(table, None)
         if table.as_map is not None:
             table.as_map, table.as_seen = {}, set()
         table.pred.recomputations += 1
 
     def unlink(self, table: SubgoalTable) -> None:
-        """Take a table's calls, delay lists and reads of dynamic code out
-        of the call graph, the watcher lists and ``cond_dependents`` they
-        joined, and ``dyn_readers``: no change reaches it now."""
+        """Take a table's calls and delay lists out of the call graph, the
+        watcher lists and ``cond_dependents`` they joined; its callers
+        take it out of ``dyn_readers`` (a query's own table is in none)."""
         watched = {}    # each watcher list once, so each is read once
         for dl in [dl for ans in table.answers for dl in ans.delay_lists]:
             for lit in dl.lits:
@@ -412,8 +418,6 @@ class TableSpace:
         for callee in table.dep_out:
             callee.dep_in.pop(table, None)
         table.dep_out = {}
-        for readers in self.dyn_readers.values():
-            readers.pop(table, None)
 
     def delete_answer(self, table: SubgoalTable, ans: AnswerRecord) -> None:
         """Remove an answer outright (answer subsumption replacement)."""
@@ -564,20 +568,27 @@ class TableSpace:
         self.sweep()
 
     def sweep(self) -> None:
-        """Reclaim abolished tables at once: out of their subgoal tries,
-        the call graph both ways, what ``unlink`` reaches, and ``tables``.
-        Nothing else reads them; an answer stream reads a list of its own."""
+        """Reclaim abolished tables at once: out of ``variants``, their
+        subgoal tries, the call graph both ways, what ``unlink`` reaches,
+        ``dyn_readers`` and ``tables``.  Nothing else reads them; an
+        answer stream reads a list of its own."""
         live = [t for t in self.tables if t.status != SubgoalTable.ABOLISHED]
         if not live:    # nothing is left that could hold an abolished table
-            self.tries, self.dyn_readers, self.tables = {}, {}, []
-            return
-        for table in self.tables:
-            if table.status == SubgoalTable.ABOLISHED:
-                trie = self.tries[table.pred.key]
-                trie.remove_leaf(trie.lookup(symbols(table.subgoal)))
-                self.unlink(table)
-                for caller in table.dep_in:
-                    caller.dep_out.pop(table, None)
+            self.variants, self.tries, self.dyn_readers = {}, {}, {}
+        elif len(live) < len(self.tables):
+            for table in self.tables:
+                if table.status == SubgoalTable.ABOLISHED:
+                    del self.variants[table.subgoal]
+                    trie = self.tries.get(table.pred.key)
+                    if trie is not None:
+                        trie.remove_leaf(trie.lookup(symbols(table.subgoal)))
+                    self.unlink(table)
+                    for caller in table.dep_in:
+                        caller.dep_out.pop(table, None)
+            for readers in self.dyn_readers.values():
+                for t in [t for t in readers
+                          if t.status == SubgoalTable.ABOLISHED]:
+                    del readers[t]
         self.tables = live
 
     # ------------------------------------------------------------------

@@ -3,9 +3,10 @@
 A trie node per preorder symbol; terms sharing a prefix share nodes.
 Variables appear as canonical-index symbols, so variant terms map to the
 same path; the symbol ``("v", None)`` is a variable that occurs once and
-binds nothing.  Three structures are tries: the subgoal tables of a
-predicate, the answers of a table read by subsumed calls, and the clause
-indexes of ``program.ClauseIndex``.  Exact check/insert is one iterative
+binds nothing.  Three structures are tries: the tables of a predicate
+and the answers of a table, each only once a subsumed call reads them
+(exact lookups of both are dict probes), and the clause indexes of
+``program.ClauseIndex``.  Exact check/insert is one iterative
 walk; goal-directed retrieval (unification or subsumption filtering)
 walks with structure skipping so a stored variable edge can swallow a
 whole goal subterm and vice versa.  A node keeps its variable edges in a

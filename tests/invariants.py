@@ -22,12 +22,16 @@ Between evaluations:
   rests on a conditional answer, as simplification strikes a literal on
   an unconditional one;
 * no delay literal rests on an abolished table, and no live watcher
-  entry comes from one.
+  entry comes from one;
+* ``variants`` maps the subgoal of each live table to it and holds
+  nothing else, no abolished table and no query's own; each subgoal
+  trie built holds exactly its predicate's live tables, each at the
+  leaf of its subgoal's symbols.
 """
 
 from tlpe.engine import Engine
 from tlpe.tables import SubgoalTable
-from tlpe.terms import term_to_str
+from tlpe.terms import symbols, term_to_str
 
 
 class TableSpaceFault(AssertionError):
@@ -88,6 +92,19 @@ def faults(eng):
                         out.append(f"{what}: its table is not a dependent")
                     if not lit.neg and not lit.ans.conditional:
                         out.append(f"{what} rests on a settled answer")
+    variants = eng.space.variants
+    if variants != {t.subgoal: t for t in tables}:
+        out.append("variants is not the live tables by their subgoals")
+    for t in variants.values():
+        if t.status == SubgoalTable.ABOLISHED or t.pred is eng._query_pi:
+            out.append(f"{term_to_str(t.subgoal)}: in variants, abolished "
+                       "or a query's own")
+    for key, trie in eng.space.tries.items():
+        own = [t for t in tables if t.pred.key == key]
+        if len(list(trie.leaves())) != len(own) or any(
+                getattr(trie.lookup(symbols(t.subgoal)), "leaf", None)
+                is not t for t in own):
+            out.append(f"{key[0]}/{key[1]}: subgoal trie is not its tables")
     return out
 
 

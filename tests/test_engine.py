@@ -424,6 +424,51 @@ class TestTrieFanoutScales:
         assert large < 2.0 * small, (small, large)
 
 
+def _dynamic_reads(n):
+    """``n`` dynamic predicates ``d_i/1``, each read by the complete
+    table of a tabled ``p_i/1``, and an untabled fact ``f/1``."""
+    eng = make("".join(f":- dynamic d{i}/1.\n:- table p{i}/1.\n"
+                       f"d{i}({i}).\np{i}(X) :- d{i}(X).\n"
+                       for i in range(n)) + "f(1).\n")
+    for i in range(n):
+        assert len(eng.query(Struct(f"p{i}", (Var(0),)))) == 1
+    assert len(eng.space.dyn_readers) == n
+    return eng
+
+
+class TestQueryCostFlatInDynamicReads:
+    """A query's own table records no reads of dynamic code, and none
+    are looked for as it ends: a query of an untabled fact costs the
+    same after 200 and after 2,000 dynamic predicates were read."""
+
+    OPS = 200
+
+    @pytest.fixture(scope="class")
+    def engines(self):
+        engines = _dynamic_reads(200), _dynamic_reads(2000)
+        gc.collect()
+        gc.freeze()
+        yield engines
+        gc.unfreeze()
+
+    def test_cost_per_query_stays_flat(self, engines):
+        goal = Struct("f", (Var(0),))
+
+        def cpu_per_query(eng):
+            start = time.thread_time()
+            for _ in range(self.OPS):
+                eng.query(goal)
+            return (time.thread_time() - start) / self.OPS
+
+        # the sizes take turns, best of 5 each, as in TestTrieFanoutScales
+        runs = [tuple(cpu_per_query(eng) for eng in engines)
+                for _ in range(5)]
+        small, large = map(min, zip(*runs))
+        assert large < 1.3 * small, (small, large)
+        assert all(len(readers) == 1
+                   for readers in engines[1].space.dyn_readers.values())
+
+
 class TestTabledReach:
     def test_left_recursion_terminates(self):
         eng = make(REACH_L)

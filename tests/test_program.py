@@ -503,6 +503,55 @@ class TestIndexPruningInvariant:
             _check_indexes(indexed)
 
 
+class TestAtomicArgumentProbe:
+    """A lookup of a first-argument index by an atom or an integer reads
+    two children of the trie's root; it returns what the walk returns."""
+
+    @staticmethod
+    def _walk(ix, g):
+        leaves = ix.trie.matching_leaves(g.args[0])
+        return sorted((cl for leaf in leaves for cl in leaf),
+                      key=lambda cl: cl.seq)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_probe_matches_the_walk_under_changes(self, seed):
+        # variable-headed clauses between the facts, and asserts and
+        # retracts between the lookups
+        rng = random.Random(4000 + seed)
+        firsts = ["a", "b", "c", "1", "2", "X", "f(a)", "[X]"]
+        prog = load(":- dynamic p/2.\n" + "".join(
+            f"p({rng.choice(firsts)}, {i}).\n" for i in range(16)))
+        pi = prog.preds[("p", 2)]
+        ix = pi.indexes[0]
+        assert ix.probe
+        keys = [Atom(n) for n in "abcd"] + [Int(n) for n in range(4)]
+        for step in range(30):
+            if step % 3 == 1:
+                prog.add_clause(goal(f"p({rng.choice(firsts)}, {100 + step})"),
+                                at_load=False)
+            elif step % 3 == 2 and pi.clauses:
+                assert prog.retract_clause(rng.choice(pi.clauses).term)
+            for k in keys:
+                g = Struct("p", (k, Var(0)))
+                assert ix.lookup(g) == self._walk(ix, g), term_to_str(g)
+
+    def test_compound_or_unbound_argument_takes_the_walk(self, monkeypatch):
+        prog = load("p(a, 1). p(f(a), 2). p(X, 3). p(f(Y), 4). p(g, 5).")
+        ix = prog.preds[("p", 2)].indexes[0]
+        walks = []
+        walk = ix.trie.matching_leaves
+        monkeypatch.setattr(ix.trie, "matching_leaves",
+                            lambda *g, **kw: walks.append(g) or walk(*g, **kw))
+        got = ix.lookup(goal("p(f(Z), W)"))
+        assert [term_to_str(cl.head) for cl in got] == \
+            ["p(f(a),2)", "p(_G0,3)", "p(f(_G0),4)"]
+        assert len(walks) == 1
+        assert [cl.seq for cl in ix.lookup(goal("p(a, W)"))] == \
+            [cl.seq for cl in self._walk(ix, goal("p(a, W)"))]
+        assert len(walks) == 2      # the walk above; the probe walks none
+        assert ix.lookup(goal("p(Z, W)")) is None
+
+
 # ---------------------------------------------------------------------------
 # auto tabling
 

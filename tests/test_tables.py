@@ -2,11 +2,14 @@
 
 import pytest
 
+from tlpe.engine import Engine
 from tlpe.errors import EvalError
 from tlpe.parser import parse_term_text
 from tlpe.program import Program
 from tlpe.tables import DelayLit, SubgoalTable, TableSpace
 from tlpe.terms import Atom, canonicalize, term_to_str
+
+from invariants import faults
 
 
 def t(src):
@@ -73,6 +76,50 @@ class TestSubgoalInterning:
         t1, _ = intern(sp, "p", "p(a, Y)", mode="subsumptive")
         t2, new = intern(sp, "p", "p(a, Z)", mode="subsumptive")
         assert t2 is t1 and not new
+
+    def test_tables_made_before_a_mode_change_serve_subsumed_calls(self):
+        # the subgoal trie is built from the predicate's live tables at
+        # its first subsumed call, not from the calls made subsumptively
+        eng = Engine()
+        eng.consult(":- table p/2.\np(1,a). p(2,b). p(1,c). "
+                    "p(X,Y) :- q(X,Y).\nq(1,d). q(3,e).")
+        general = [term_to_str(a.goal) for a in eng.query("p(X,Y).")]
+        eng.consult(":- table p/2 as subsumptive.")
+        got = [term_to_str(a.goal) for a in eng.query("p(1,Y).")]
+        assert got == [g for g in general if g.startswith("p(1,")] \
+            == ["p(1,a)", "p(1,c)", "p(1,d)"]
+        assert [term_to_str(x.subgoal) for x in eng.space.tables] == \
+            ["p(_G0,_G1)"]
+        assert faults(eng) == []
+        eng.space.tries[("p", 2)].root.children.clear()
+        eng.space.variants.clear()
+        assert faults(eng) == [
+            "variants is not the live tables by their subgoals",
+            "p/2: subgoal trie is not its tables"]
+
+    def test_abolished_and_remade_tables_keep_the_trie_in_step(self):
+        sp = make_space()
+        gen, _ = intern(sp, "p", "p(X, Y)", mode="subsumptive")
+        mid, _ = intern(sp, "p", "p(a, Y)", mode="subsumptive", variant=True)
+        gen.status = mid.status = SubgoalTable.COMPLETE
+        assert intern(sp, "p", "p(a, b)", mode="subsumptive") == (mid, False)
+        sp.abolish_call(t("p(a, Y)"))
+        assert intern(sp, "p", "p(a, b)", mode="subsumptive") == (gen, False)
+        # made again, the more specific table is the first hit once more
+        again, new = intern(sp, "p", "p(a, Y)", mode="subsumptive",
+                            variant=True)
+        assert new and again is not mid
+        assert intern(sp, "p", "p(a, b)", mode="subsumptive") == \
+            (again, False)
+        again.status = SubgoalTable.COMPLETE
+        sp.abolish_call(t("p(X, Y)"))
+        assert intern(sp, "p", "p(a, c)", mode="subsumptive") == \
+            (again, False)
+        other, new = intern(sp, "p", "p(b, c)", mode="subsumptive")
+        assert new and sp.tables == [again, other]
+        assert sp.variants == {x.subgoal: x for x in sp.tables}
+        trie = sp.tries[("p", 2)]
+        assert [n.leaf for n in trie.leaves()] == [again, other]
 
     def test_lookup_variant(self):
         sp = make_space()
