@@ -47,7 +47,8 @@ and the traces are those of the inline path.
 
 Scheduling maintains a completion stack of exactly the incomplete
 tables, the scheduler's only registry of them: a completed SCC leaves
-it at once.  Tables record one call graph,
+it at once, and an incomplete table off the stack belongs to an
+enclosing evaluation.  Tables record one call graph,
 ``SubgoalTable.dep_out``, which scheduling shares with incremental
 invalidation and error recovery.  When the run stack drains, the
 topmost closed segment of the completion stack is partitioned into
@@ -80,9 +81,9 @@ from .program import (Clause, Literal, PredicateInfo, Program, has_cut,
 from .sccs import tarjan_sccs
 from .tables import DelayLit, SubgoalTable, TableSpace
 from .terms import (Atom, CyclicTermError, Int, Struct, Term, Var,
-                    canonical_key, canonicalize, functor_of, instantiate,
-                    is_ground, match, order_key, rename, resolve,
-                    substitute, term_to_str, term_vars, unify_all)
+                    canonicalize, functor_of, instantiate, is_ground, match,
+                    order_key, rename, resolve, substitute, term_to_str,
+                    term_vars, unify_all, variant_tuple)
 from . import subsumption
 
 _BODY_HEAD = Atom("$body")
@@ -160,13 +161,14 @@ class _Desc(tuple):
 
 
 class Consumer:
-    """A reader of a table: the call ``goal``, which the table's subgoal
+    """A reader of a table: a call of a goal, which the table's subgoal
     equals or subsumes, continued by ``cont``.  ``terms``, the goal map,
-    holds the subterm of ``goal`` each subgoal variable stands for; an
+    holds the subterm of the goal each subgoal variable stands for; an
     answer returns by unifying it with the answer's bindings, or, for a
     variant call (distinct variables ``vars``), by binding them.  A
-    subsumed call keeps ``seen``, instance to "returned unconditionally",
-    as two answers can give it one instance; a reader of an
+    subsumed call keeps ``seen``, instance (the ``variant_tuple`` of its
+    resolved goal map) to "returned unconditionally", as two answers can
+    give it one instance; a reader of an
     answer-subsumption table keeps ``heap``, the answers it has to feed.
     A feed is one ``(_resume, consumer, answers, i, n)`` run-stack entry:
     the answers ``answers[i:n]`` of the table's list past ``cursor``, of
@@ -182,13 +184,12 @@ class Consumer:
     goals, join each ground answer with those facts, and each match is
     an answer of the owner."""
 
-    __slots__ = ("table", "goal", "cont", "cursor", "scopes", "heap",
-                 "terms", "vars", "seen", "plan")
+    __slots__ = ("table", "cont", "cursor", "scopes", "heap", "terms",
+                 "vars", "seen", "plan")
 
     def __init__(self, table: SubgoalTable, goal: Term, cont: Cont,
                  program: Program):
         self.table = table
-        self.goal = goal
         self.cont = cont
         env = match(table.subgoal, goal)
         self.terms = terms = tuple(env[i] for i in range(table.nvars))
@@ -292,7 +293,8 @@ class NegWaiter:
 
 
 class RoundState:
-    """What scheduling rounds share while the call graph holds.
+    """What scheduling rounds share while the call graph holds; any
+    change to it drops the state (``Engine._round``).
 
     ``comps`` are the SCCs of the top segment of the completion stack,
     ``comp_of`` maps each of its tables to its SCC and ``rank`` to its
@@ -306,11 +308,10 @@ class RoundState:
     with the smallest K first.
     """
 
-    __slots__ = ("version", "comps", "comp_of", "rank", "sinks", "is_sink",
-                 "blocked", "open", "dirty", "region", "heap")
+    __slots__ = ("comps", "comp_of", "rank", "sinks", "is_sink", "blocked",
+                 "open", "dirty", "region", "heap")
 
-    def __init__(self, version: int, comps, edges):
-        self.version = version
+    def __init__(self, comps, edges):
         self.comps = comps
         self.comp_of = comp_of = {t: i for i, scc in enumerate(comps)
                                   for t in scc}
@@ -389,14 +390,13 @@ class Engine:
         self.comp: List[SubgoalTable] = []
         self._round: Optional[RoundState] = None
         self.K = 0                  # global node-creation counter
-        self.ctx = 0                # evaluation context (sub-runs get fresh)
-        self._ctx_seq = 0
         self._scope_seq = 0
         self._waiter_seq = 0
-        self._graph_version = 0
         self.query_active = False
         # the query goal's own literal, when it is one; the consumer of
-        # its tabled call, and the records that call is fed
+        # its tabled call, and the records that call is fed.  The fed
+        # records are not the table's list: under ``batched`` the feed
+        # entries pop last in, first out, so they arrive in another order
         self._query_lits: Optional[tuple] = None
         self._query_reader: Optional[Consumer] = None
         self._query_fed: Optional[list] = None
@@ -517,7 +517,6 @@ class Engine:
             self.comp = []
             self._round = None
             self._query_lits = self._query_reader = self._query_fed = None
-            self.ctx = 0
             self.query_active = False
 
     def _recover(self, watermark: int) -> None:
@@ -691,26 +690,27 @@ class Engine:
         if table.status == SubgoalTable.INVALID:
             self.reset_for_recompute(table)
             is_new = True
-        # findall cannot read a table that its enclosing evaluation has
-        # not completed, by a variant call or by a subsumed one
-        if not is_new and table.status == SubgoalTable.INCOMPLETE \
-                and table.ctx != self.ctx:
-            raise EvalError(
-                "incomplete_outer",
-                f"call to {term_to_str(goal)} reads table "
-                f"{term_to_str(table.subgoal)}, incomplete in an enclosing "
-                "evaluation")
         if is_new:
             self._activate(table)
+        elif table.status == SubgoalTable.INCOMPLETE:
+            # findall cannot read a table that an enclosing evaluation has
+            # not completed, by a variant call or by a subsumed one: an
+            # incomplete table off this evaluation's completion stack
+            comp, pos = self.comp, table.stack_pos
+            if pos >= len(comp) or comp[pos] is not table:
+                raise EvalError(
+                    "incomplete_outer",
+                    f"call to {term_to_str(goal)} reads table "
+                    f"{term_to_str(table.subgoal)}, incomplete in an "
+                    "enclosing evaluation")
         return table
 
     def _activate(self, table: SubgoalTable) -> None:
         """First call of a subgoal: set up its producers."""
-        table.ctx = self.ctx
         self._op("new_subgoal", "NEW_SUBGOAL", table)
         table.stack_pos = len(self.comp)
         self.comp.append(table)
-        self._graph_version += 1
+        self._round = None
         if table.pred is self._query_pi:
             cont = self._body_cont(table, _answer_vars(table),
                                    table.subgoal.args[0], table.nvars)
@@ -881,7 +881,8 @@ class Engine:
                 # conditional (the delay literal differs); findall ignores
                 # delays
                 seen = consumer.seen
-                key = canonical_key(resolve(consumer.goal, env))
+                key = variant_tuple([resolve(t, env)
+                                     for t in consumer.terms])[0]
                 if seen.get(key) or key in seen \
                         and type(cont.owner) is Collector:
                     return
@@ -1020,18 +1021,16 @@ class Engine:
         self._waiter_seq += 1
         w = NegWaiter(table, goal, self._detach(cont, rest), self._waiter_seq)
         table.neg_waiters.append(w)
-        # a new edge has moved the graph version; with an old edge the
-        # round state stays and learns of the waiter here
-        rs = self._live_round()
-        if rs is not None:
-            rs.add_waiter(w)
+        # a new edge has dropped the round state; with an old edge it
+        # stays and learns of the waiter here
+        if self._round is not None:
+            self._round.add_waiter(w)
 
     def _kill_waiter(self, w: NegWaiter) -> None:
         """A waiter is resolved: by an answer, a completion or a delay."""
         w.dead = True
-        rs = self._live_round()
-        if rs is not None:
-            rs.drop_waiter(w)
+        if self._round is not None:
+            self._round.drop_waiter(w)
 
     def _negative_return(self, cont: Cont, table: SubgoalTable,
                          goal: Term) -> Optional[Cont]:
@@ -1056,17 +1055,20 @@ class Engine:
     # A round runs when the run stack drains: it feeds answers inside
     # their SCCs (local strategy), else completes the ready sinks, else
     # delays one literal.  It reads the ``RoundState``, which holds the
-    # partition of the top segment and what the rounds learn about it,
-    # and which is rebuilt only when ``_graph_version`` moves: a new
-    # table, a new edge to an incomplete table, or a completion.  The
-    # delay rounds of a negative loop leave the graph alone, so none of
-    # them rescans the segment, the region or the waiters.
+    # partition of the top segment and what the rounds learn about it.
+    # Whatever changes that graph drops the state, to be rebuilt at the
+    # next round: a new table, a new edge to an incomplete table, or a
+    # completion.  The delay rounds of a negative loop leave the graph
+    # alone, so none of them rescans the segment, the region or the
+    # waiters.  A sub-evaluation keeps the state of the one it runs in:
+    # it completes every table it makes, and reads no incomplete table
+    # of an enclosing evaluation (``incomplete_outer``).
 
     def _schedule(self) -> bool:
         comp = self.comp
         if not comp:
             return False
-        rs = self._round = self._live_round() or self._new_round()
+        rs = self._round = self._round or self._new_round()
         if self.strategy == "local" and rs.dirty and self._feed_local(rs):
             return True
         if rs.open:
@@ -1082,22 +1084,14 @@ class Engine:
         self._delay(rs)
         return True
 
-    def _live_round(self) -> Optional[RoundState]:
-        """The round state, unless the call graph changed since it was
-        built."""
-        rs = self._round
-        return rs if rs is not None and rs.version == self._graph_version \
-            else None
-
     def _new_round(self) -> RoundState:
         """Partition the top segment of the completion stack afresh: the
         call graph changed (a table, an edge to an incomplete table, or a
-        completion) since the round state was built."""
+        completion) since the last round state was built."""
         segment = self._top_segment(self.comp)
         edges = {t: [d for d in t.dep_out if not d.complete]
                  for t in segment}
-        return RoundState(self._graph_version,
-                          tarjan_sccs(segment, edges.__getitem__), edges)
+        return RoundState(tarjan_sccs(segment, edges.__getitem__), edges)
 
     def _top_segment(self, comp: List[SubgoalTable]) -> List[SubgoalTable]:
         """Longest top run of the completion stack closed under
@@ -1197,7 +1191,7 @@ class Engine:
     def _complete_scc(self, scc) -> None:
         for t in scc:
             t.status = SubgoalTable.COMPLETE
-        self._graph_version += 1
+        self._round = None
         for t in scc:
             self._trace("COMPLETION", t)
             self.space.on_completed(t)
@@ -1277,15 +1271,13 @@ class Engine:
         collector = Collector(owner_table)
         cont = self._body_cont(collector, template, goal, nv)
 
-        saved = self.stack, self.comp, self._round, self.ctx
-        self._ctx_seq += 1
-        self.ctx = self._ctx_seq
+        saved = self.stack, self.comp, self._round
         self.stack, self.comp, self._round = [], [], None
         try:
             self.stack.append((self._step_cont, cont))
             self._run()
         finally:
-            self.stack, self.comp, self._round, self.ctx = saved
+            self.stack, self.comp, self._round = saved
         return [r for r, delays in collector.results
                 if not any(not d.neg and d.ans.deleted for d in delays)]
 
@@ -1301,7 +1293,7 @@ class Engine:
         if caller is None:
             return
         if not table.complete and table not in caller.dep_out:
-            self._graph_version += 1
+            self._round = None
         self.space.note_call_edge(caller, table, neg)
 
     # ------------------------------------------------------------------
@@ -1317,14 +1309,9 @@ class Engine:
         """Run join(a, b, Z); it must succeed deterministically."""
         name, _ = key
         goal = Struct(name, (a, b, Var(0)))
-        results = self._sub_eval(None, Var(0), goal, 1)
-        distinct: List[Term] = []
-        seen = set()
-        for r in results:
-            ck = canonical_key(r)
-            if ck not in seen:
-                seen.add(ck)
-                distinct.append(r)
+        distinct: Dict[Term, Term] = {}     # the first result of each variant
+        for r in self._sub_eval(None, Var(0), goal, 1):
+            distinct.setdefault(canonicalize(r)[0], r)
         if not distinct:
             raise EvalError("join_failed",
                             f"{name}/3 failed on "
@@ -1333,7 +1320,7 @@ class Engine:
             raise EvalError("join_nondet",
                             f"{name}/3 is nondeterministic on "
                             f"{term_to_str(a)}, {term_to_str(b)}")
-        return distinct[0]
+        return next(iter(distinct.values()))
 
     def eval_leq(self, key, a: Term, b: Term) -> bool:
         name, _ = key

@@ -22,7 +22,7 @@ from .builtins import BINDING_READERS, BUILTINS
 from .errors import DirectiveError, StoreError
 from .sccs import cyclic_vertices
 from .terms import (
-    NIL, Atom, Int, Struct, Term, Var, canonical_key, canonicalize, functor_of,
+    NIL, Atom, Int, Struct, Term, Var, canonicalize, functor_of,
     is_callable, is_ground, list_parts, match, rename, symbols, term_to_str,
     unify,
 )
@@ -268,7 +268,9 @@ class Program:
         self.preds: Dict[PredKey, PredicateInfo] = {}
         self.auto_table_requested = False
         self._seq = 0
-        self._changed = True    # since ``finalize`` last ran through
+        # a directive or a rule since ``finalize`` last ran through; it
+        # reads no fact
+        self._changed = True
 
     # ------------------------------------------------------------------
     # predicate records
@@ -465,9 +467,10 @@ class Program:
     def add_clause(self, term: Term, at_load: bool = True) -> Optional[Clause]:
         """Store one clause.  Returns the Clause, or None for a duplicate
         fact in a trie-indexed predicate."""
-        self._changed = True
         cterm, nvars = canonicalize(term)
         head, body = split_clause(cterm)
+        if body:
+            self._changed = True
         name, arity = functor_of(head)
         if (name, arity) in _RESERVED_HEADS:
             raise StoreError(f"cannot define built-in predicate {name}/{arity}")
@@ -503,13 +506,14 @@ class Program:
     def retract_clause(self, term: Term) -> bool:
         """Remove the first clause whose canonical form is a variant of
         ``term``.  Returns False when nothing matches."""
-        self._changed = True
         pi, found = self._variants(term)
         if pi is not None and not pi.dynamic:
             raise StoreError(f"{pi} is static; declare it dynamic to retract")
         if not found:
             return False
         cl = found[0]
+        if cl.body:
+            self._changed = True
         if not pi.trie_indexed:
             pi.clauses.remove(cl)
         for ix in pi.indexes:
@@ -532,9 +536,8 @@ class Program:
         pi = self.preds.get(functor_of(head))
         if pi is None:
             return None, []
-        key = canonical_key(cterm)
         return pi, [cl for cl in self._candidates(pi, head)[1]
-                    if canonical_key(cl.term) == key]
+                    if cl.term == cterm]
 
     def _next_seq(self) -> int:
         self._seq += 1
@@ -572,41 +575,33 @@ class Program:
     # program-wide analysis
 
     def call_graph(self):
-        """Static predicate call graph: key -> set of called keys.
+        """Static predicate call graph: key -> {called key: whether some
+        body literal calls it under tnot}, callees in call order.
 
         Covers plain calls, calls under tnot, and the goal argument of
         findall/3.  Built-ins other than findall contribute no edges.
         """
-        graph: Dict[PredKey, Set[PredKey]] = {k: set() for k in self.preds}
+        graph: Dict[PredKey, Dict[PredKey, bool]] = {k: {} for k in self.preds}
         for key, pi in self.preds.items():
             edges = graph[key]
             for cl in pi.clauses:
                 for lit in cl.body:
-                    self._goal_edges(lit.goal, edges)
+                    self._goal_edges(lit.goal, edges, lit.neg)
         return graph
 
-    def _goal_edges(self, goal: Term, edges: Set[PredKey]) -> None:
+    def _goal_edges(self, goal: Term, edges: Dict[PredKey, bool],
+                    neg: bool) -> None:
         name, arity = functor_of(goal)
         if (name, arity) == ("findall", 3):
             sub = goal.args[1]
             if type(sub) is Struct and sub.name == "tnot" and len(sub.args) == 1:
                 sub = sub.args[0]
             if is_callable(sub):
-                self._goal_edges(sub, edges)
+                self._goal_edges(sub, edges, False)
             return
         if (name, arity) in BUILTINS:
             return
-        edges.add((name, arity))
-
-    def negative_edges(self):
-        """Edges (caller, callee) that pass through tnot."""
-        out: Set[Tuple[PredKey, PredKey]] = set()
-        for key, pi in self.preds.items():
-            for cl in pi.clauses:
-                for lit in cl.body:
-                    if lit.neg:
-                        out.add((key, functor_of(lit.goal)))
-        return out
+        edges[name, arity] = neg or edges.get((name, arity), False)
 
     def run_auto_table(self) -> List[PredKey]:
         """Greedy feedback-vertex-set choice over the call graph.
@@ -660,7 +655,7 @@ class Program:
             comps = tarjan_sccs(list(graph), graph.__getitem__)
             if readers:
                 self._variant_above(readers, graph, comps)
-            self._check_subsumption_stratified(comps)
+            self._check_subsumption_stratified(graph, comps)
         self._changed = False
         return auto
 
@@ -678,23 +673,16 @@ class Program:
             if self.preds[k].tabling == "subsumptive":
                 self.preds[k].tabling = "variant"
 
-    def _check_subsumption_stratified(self, comps) -> None:
+    def _check_subsumption_stratified(self, graph, comps) -> None:
         """An answer-subsumption predicate may not depend on itself
         through tnot: its aggregate is only safe once fully computed."""
-        as_preds = [k for k, pi in self.preds.items() if pi.subsumption]
-        if not as_preds:
-            return
-        neg = self.negative_edges()
-        comp_of = {}
-        for i, comp in enumerate(comps):
-            for v in comp:
-                comp_of[v] = i
-        bad_comps = {comp_of[a] for a, b in neg
-                     if a in comp_of and b in comp_of
-                     and comp_of[a] == comp_of[b]}
-        for k in as_preds:
-            if comp_of.get(k) in bad_comps:
-                pi = self.preds[k]
+        comp_of = {k: i for i, scc in enumerate(comps) for k in scc}
+        # the SCCs with a call under tnot inside
+        bad = {i for k, i in comp_of.items()
+               if any(neg and comp_of.get(d) == i
+                      for d, neg in graph[k].items())}
+        for k, pi in self.preds.items():
+            if pi.subsumption and comp_of[k] in bad:
                 raise StoreError(
                     f"{pi}: answer subsumption in a cycle through tnot")
 

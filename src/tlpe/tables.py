@@ -127,8 +127,8 @@ class SubgoalTable:
 
     __slots__ = ("pred", "subgoal", "nvars", "dfn", "status", "answers",
                  "index", "_answer_trie", "uncond_answers", "neg_watchers",
-                 "cond_dependents", "consumers", "neg_waiters", "ctx",
-                 "stack_pos", "as_slot", "as_map", "as_seen", "dep_in",
+                 "cond_dependents", "consumers", "neg_waiters", "stack_pos",
+                 "as_slot", "as_map", "as_seen", "dep_in",
                  "dep_out", "__weakref__")
 
     def __init__(self, pred: PredicateInfo, subgoal: Term, nvars: int,
@@ -147,7 +147,6 @@ class SubgoalTable:
         # engine scheduling state
         self.consumers: list = []
         self.neg_waiters: list = []
-        self.ctx = 0                    # evaluation context of its run
         self.stack_pos = 0              # completion-stack position
         # answer subsumption: the binding slot of the aggregated argument,
         # the kept record(s) per variant key of the other bindings, and
@@ -227,8 +226,8 @@ class TableSpace:
         self.program = program
         # predicate -> its tables in a trie, once a subsumed call looked
         self.tries: Dict[Tuple[str, int], Trie] = {}
-        self.tables: List[SubgoalTable] = []
-        # canonical subgoal -> its table, for every table in ``tables``
+        # canonical subgoal -> its table, for every live table, in
+        # creation order
         self.variants: Dict[Term, SubgoalTable] = {}
         # dynamic predicate -> {table that read it: whether a read saw
         # the number or order of its clauses (under findall or a cut)}
@@ -239,6 +238,11 @@ class TableSpace:
         self._pending: List[Tuple[str, object]] = []
         self.n_simplifications = 0
         self.trace_hook: Optional[Callable[[str, SubgoalTable], None]] = None
+
+    @property
+    def tables(self) -> List[SubgoalTable]:
+        """The live tables, in creation order."""
+        return list(self.variants.values())
 
     # ------------------------------------------------------------------
     # subgoal interning
@@ -276,7 +280,6 @@ class TableSpace:
     def _new_table(self, pi, cgoal, nvars) -> SubgoalTable:
         self._dfn += 1
         table = SubgoalTable(pi, cgoal, nvars, self._dfn)
-        self.tables.append(table)
         self.variants[cgoal] = table
         trie = self.tries.get(pi.key)
         if trie is not None:
@@ -297,7 +300,7 @@ class TableSpace:
         trie = self.tries.get(key)
         if trie is None:
             trie = self.tries[key] = Trie()
-            for t in self.tables:
+            for t in self.variants.values():
                 if t.pred.key == key:
                     trie.set_leaf(trie.check_insert(symbols(t.subgoal)), t)
         for t in trie.matching_leaves(goal, mode="subsume"):
@@ -528,7 +531,8 @@ class TableSpace:
         self._abolish(self.tables)
 
     def abolish_pred(self, key: Tuple[str, int]) -> None:
-        self._abolish([t for t in self.tables if t.pred.key == key])
+        self._abolish([t for t in self.variants.values()
+                       if t.pred.key == key])
 
     def abolish_call(self, goal: Term) -> None:
         table = self.lookup_variant(goal)
@@ -540,7 +544,7 @@ class TableSpace:
         Used for query-scoped tables and for error recovery, where the
         interrupted evaluation leaves incomplete tables behind; these are
         neutralised first so the usual abolish path accepts them."""
-        fresh = [t for t in self.tables if t.dfn > dfn_watermark]
+        fresh = [t for t in self.variants.values() if t.dfn > dfn_watermark]
         if force:
             for table in fresh:
                 if table.status == SubgoalTable.INCOMPLETE:
@@ -569,27 +573,27 @@ class TableSpace:
 
     def sweep(self) -> None:
         """Reclaim abolished tables at once: out of ``variants``, their
-        subgoal tries, the call graph both ways, what ``unlink`` reaches,
-        ``dyn_readers`` and ``tables``.  Nothing else reads them; an
-        answer stream reads a list of its own."""
-        live = [t for t in self.tables if t.status != SubgoalTable.ABOLISHED]
-        if not live:    # nothing is left that could hold an abolished table
+        subgoal tries, the call graph both ways, what ``unlink`` reaches
+        and ``dyn_readers``.  Nothing else reads them; an answer stream
+        reads a list of its own."""
+        dead = [t for t in self.variants.values()
+                if t.status == SubgoalTable.ABOLISHED]
+        if len(dead) == len(self.variants):
+            # nothing is left that could hold an abolished table
             self.variants, self.tries, self.dyn_readers = {}, {}, {}
-        elif len(live) < len(self.tables):
-            for table in self.tables:
-                if table.status == SubgoalTable.ABOLISHED:
-                    del self.variants[table.subgoal]
-                    trie = self.tries.get(table.pred.key)
-                    if trie is not None:
-                        trie.remove_leaf(trie.lookup(symbols(table.subgoal)))
-                    self.unlink(table)
-                    for caller in table.dep_in:
-                        caller.dep_out.pop(table, None)
+        elif dead:
+            for table in dead:
+                del self.variants[table.subgoal]
+                trie = self.tries.get(table.pred.key)
+                if trie is not None:
+                    trie.remove_leaf(trie.lookup(symbols(table.subgoal)))
+                self.unlink(table)
+                for caller in table.dep_in:
+                    caller.dep_out.pop(table, None)
             for readers in self.dyn_readers.values():
                 for t in [t for t in readers
                           if t.status == SubgoalTable.ABOLISHED]:
                     del readers[t]
-        self.tables = live
 
     # ------------------------------------------------------------------
     # incremental bookkeeping
@@ -610,7 +614,7 @@ class TableSpace:
 
     def statistics(self) -> Dict[str, dict]:
         out: Dict[str, dict] = {}
-        for table in self.tables:
+        for table in self.variants.values():
             st = out.setdefault(str(table.pred), {
                 "tables": 0, "answers": 0, "conditional": 0,
                 "complete": 0, "invalid": 0})

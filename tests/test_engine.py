@@ -295,27 +295,74 @@ class TestBuiltinsInLine:
                 for a in answers] == [("[-(1,_G2),-(2,_G3)]", "g(7)")]
 
 
+# WIN with a findall after the negation: a delayed literal's
+# continuation runs a sub-evaluation while its round state is kept
+WIN_FINDALL = WIN.replace("win/1.", "win/1, n/1.\nn(1).").replace(
+    "tnot win(Y).", "tnot win(Y), findall(Z, n(Z), _).")
+
+
 class TestCompletionStack:
     """The completion stack holds exactly the incomplete tables, each at
-    its own ``stack_pos``, whenever a scheduling round starts."""
+    its own ``stack_pos``, whenever a scheduling round starts; a round
+    state kept into a round, after a sub-evaluation too, is the one the
+    round would build afresh."""
 
-    @pytest.mark.parametrize("strategy", ["local", "batched"])
-    @pytest.mark.parametrize("goal", ["win(X).", "findall(X, win(X), L)."])
-    @pytest.mark.parametrize("src", [WIN, WIN_GAME], ids=["win", "win_game"])
-    def test_it_holds_only_incomplete_tables(self, src, goal, strategy):
-        eng = make(src, strategy=strategy)
-        schedule, calls, bad = eng._schedule, [], []
+    @staticmethod
+    def checked_query(eng, goal):
+        """The answers of ``goal``, each round checked, and for each
+        round state kept into a round whether a sub-evaluation had just
+        restored it."""
+        schedule, sub_eval = eng._schedule, eng._sub_eval
+        calls, bad, kept = [], [], []
+        restored = [False]      # since the last round
 
         def checked():
             calls.append(1)
             if any(t.complete or t.stack_pos != i
                    for i, t in enumerate(eng.comp)):
                 bad.append(list(eng.comp))
+            rs = eng._round
+            if rs is not None:
+                fresh = eng._new_round()
+                kept.append(restored[0])
+                if (rs.comps, rs.is_sink, rs.blocked, rs.open) != \
+                        (fresh.comps, fresh.is_sink, fresh.blocked, fresh.open):
+                    bad.append(rs)
+            restored[0] = False
             return schedule()
 
-        eng._schedule = checked
-        assert eng.query(goal)
+        def sub(*args):
+            out = sub_eval(*args)
+            restored[0] = eng._round is not None
+            return out
+
+        eng._schedule, eng._sub_eval = checked, sub
+        answers = [term_to_str(a.goal) for a in eng.query(goal)]
         assert calls and not bad
+        return answers, kept
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    @pytest.mark.parametrize("goal", ["win(X).", "findall(X, win(X), L)."])
+    @pytest.mark.parametrize("src", [WIN, WIN_GAME, WIN_FINDALL],
+                             ids=["win", "win_game", "win_findall"])
+    def test_it_holds_only_incomplete_tables(self, src, goal, strategy):
+        answers, kept = self.checked_query(make(src, strategy=strategy), goal)
+        assert answers and kept
+        # a state restored after a sub-evaluation was checked
+        assert any(kept) == (src is WIN_FINDALL)
+
+    def test_a_new_edge_between_sinks_drops_the_round_state(self):
+        # under local, the feeds of p(_) call r(_), which both/1 made and
+        # which is still incomplete: the new edge makes p(_) wait for
+        # r(_).  A state kept past it would complete both sinks at once,
+        # and p(_) would miss the answers of r(_)
+        eng = make(":- table p/1, r/1.\nr(0).\n"
+                   "r(Y) :- r(X), X < 3, Y is X + 1.\np(0).\n"
+                   "p(Y) :- p(X), X < 2, r(W), Y is X + W + 1.\n"
+                   "both(X) :- r(_), fail.\nboth(X) :- p(X).")
+        answers, kept = self.checked_query(eng, "both(X).")
+        assert sorted(answers) == [f"both({i})" for i in range(6)]
+        assert kept
 
 
 class TestFeeds:
@@ -467,6 +514,51 @@ class TestQueryCostFlatInDynamicReads:
         assert large < 1.3 * small, (small, large)
         assert all(len(readers) == 1
                    for readers in engines[1].space.dyn_readers.values())
+
+
+def _static_rules(n):
+    """``n`` static tabled rule predicates ``p_i/1``, each over a fact,
+    and an incremental ``q/1`` over an incremental dynamic ``e/1``."""
+    eng = make("".join(f":- table p{i}/1.\np{i}(X) :- s{i}(X).\ns{i}({i}).\n"
+                       for i in range(n))
+               + ":- use_incremental_dynamic e/1.\n:- table q/1 as incremental.\n"
+                 "q(X) :- e(X).\ne(0).\n")
+    assert len(eng.query(Struct("q", (Var(0),)))) == 1
+    return eng
+
+
+class TestUpdateCostFlatInRules:
+    """An incremental update asserts or retracts a fact, which changes
+    nothing ``finalize`` reads: a round of updates and queries costs the
+    same beside 200 and beside 2,000 tabled rule predicates."""
+
+    OPS = 100
+
+    @pytest.fixture(scope="class")
+    def engines(self):
+        engines = _static_rules(200), _static_rules(2000)
+        gc.collect()
+        gc.freeze()
+        yield engines
+        gc.unfreeze()
+
+    def test_cost_per_round_stays_flat(self, engines):
+        goal = Struct("q", (Var(0),))
+
+        def cpu_per_round(eng):
+            start = time.thread_time()
+            for _ in range(self.OPS):
+                incr_assert(eng, "e(1)")
+                assert len(eng.query(goal)) == 2
+                incr_retract(eng, "e(1)")
+                assert len(eng.query(goal)) == 1
+            return (time.thread_time() - start) / self.OPS
+
+        # the sizes take turns, best of 5 each, as in TestTrieFanoutScales
+        runs = [tuple(cpu_per_round(eng) for eng in engines)
+                for _ in range(5)]
+        small, large = map(min, zip(*runs))
+        assert large < 1.3 * small, (small, large)
 
 
 class TestTabledReach:
@@ -936,6 +1028,31 @@ class TestCallSubsumption:
             assert err.value.kind == "incomplete_outer"
             assert all(t.complete for t in eng.space.tables)
         assert sorted(solutions(eng, "e(X,Y).")) == ["e(1,2)", "e(2,3)"]
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    def test_findall_in_findall_reads_only_its_own_incomplete_tables(
+            self, strategy):
+        # the middle findall makes q(_), the inner one r(_): each table is
+        # first on its own evaluation's completion stack.  The inner one
+        # may read r(_) while it is incomplete, but not q(_); under
+        # batched r(_) is still incomplete as q(_) is called
+        src = """
+        :- table p/1, q/1, r/1.
+        e(1). e(2).
+        p(X) :- findall(Y, q(Y), _), e(X).
+        q(Y) :- findall(Z, (r(Z), READ), _), e(Y).
+        r(Z) :- e(Z).
+        r(Z) :- r(Z).
+        """
+        eng = make(src.replace("READ", "q(_)"), strategy=strategy)
+        with pytest.raises(EvalError) as err:
+            eng.query("p(X).")
+        assert err.value.kind == "incomplete_outer"
+        assert "reads table q(_G0)" in str(err.value)
+        assert all(t.complete for t in eng.space.tables)
+        eng = make(src.replace("READ", "r(Z)"), strategy=strategy)
+        assert solutions(eng, "p(X).") == ["p(1)", "p(2)"]
+        assert solutions(eng, "q(X).") == ["q(1)", "q(2)"]
 
     def test_repeated_subsumed_call_returns_only_its_matches(self):
         # p(X,Y) has 2,000 answers, 40 of them p(c0,_); once it is

@@ -652,8 +652,9 @@ class TestSubsumptionStratification:
 
 class TestFinalizeAfterChanges:
     """``finalize`` redoes its analysis only after a change to the
-    program, and every change is one: a consult between two queries takes
-    effect at the second."""
+    program it reads, a directive or a rule: a consult between two
+    queries takes effect at the second, and a fact changes nothing it
+    reads."""
 
     def test_queries_without_a_change_skip_the_analysis(self, monkeypatch):
         built = []
@@ -670,6 +671,10 @@ class TestFinalizeAfterChanges:
         eng.consult("e(c,4).")
         assert [term_to_str(a.goal) for a in eng.query("sp(c,C).")] \
             == ["sp(c,4)"]
+        assert len(built) == 1
+        eng.consult("e(d,0) :- e(c,4).")
+        assert [term_to_str(a.goal) for a in eng.query("sp(d,C).")] \
+            == ["sp(d,0)"]
         assert len(built) == 2
 
     def test_a_consult_closing_a_tnot_cycle_raises_at_the_next_query(self):

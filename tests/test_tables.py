@@ -7,7 +7,7 @@ from tlpe.errors import EvalError
 from tlpe.parser import parse_term_text
 from tlpe.program import Program
 from tlpe.tables import DelayLit, SubgoalTable, TableSpace
-from tlpe.terms import Atom, canonicalize, term_to_str
+from tlpe.terms import Atom, Int, Struct, Var, canonicalize, term_to_str
 
 from invariants import faults
 
@@ -91,8 +91,11 @@ class TestSubgoalInterning:
         assert [term_to_str(x.subgoal) for x in eng.space.tables] == \
             ["p(_G0,_G1)"]
         assert faults(eng) == []
+        # the table kept under a key that is not its subgoal
+        variants = eng.space.variants
+        [key] = variants
+        variants[Struct("p", (Int(1), Var(0)))] = variants.pop(key)
         eng.space.tries[("p", 2)].root.children.clear()
-        eng.space.variants.clear()
         assert faults(eng) == [
             "variants is not the live tables by their subgoals",
             "p/2: subgoal trie is not its tables"]
