@@ -33,17 +33,19 @@ it runs: its builtin handler or its predicate.  A builtin succeeds at
 most once, binding into the frame, and so does a ``tnot`` of a complete
 table: after either, the state goes on to its next goal in a loop.
 
-Fused fact joins: a returned answer skips the rest of its clause where
-that rest has a fixed shape.  A last call hands the answer, projected,
-to its owner's table.  A call followed by one call of a static
-predicate of ground facts, then only ``is/2`` goals that bind fresh
-variables, joins each ground answer with the facts the clause index
-keeps for it (``ReturnPlan``); every fact that matches makes one answer of
-the owner, its ``is/2`` values computed by functions compiled once per
-consumer, with no continuation, inline stack entry or frame.  Facts join
-in clause order, and one whose answer pushes entries (a batched feed)
-leaves the facts still to join beneath them, so answers, their order, K
-and the traces are those of the inline path.
+Fused returns: in the loop that feeds a consumer, a returned answer
+skips the rest of its clause where that rest has a fixed shape
+(``ReturnPlan``).  A last call hands the answer, projected, to its
+owner's table.  A call followed by one call of a static predicate of
+ground facts, then only ``is/2`` goals that bind fresh variables, joins
+each ground answer with the facts its clause index keeps for it, by one
+probe where the answer binds the indexed argument to an atom or an
+integer; each fact that matches makes one answer of the owner, with no
+continuation or frame.  A ground answer without delays that one probe
+of the owner's answer index finds settled is passed over: it would
+change nothing.  Facts join in clause order, and one whose answer pushes
+entries (a batched feed) leaves the facts still to join beneath them,
+so answers, their order, K and the traces are those of the inline path.
 
 Scheduling maintains a completion stack of exactly the incomplete
 tables, the scheduler's only registry of them: a completed SCC leaves
@@ -69,6 +71,7 @@ conditional answers that simplification later repairs.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import partial
 from heapq import heapify, heappop, heappush
 from operator import attrgetter, itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Set
@@ -178,11 +181,8 @@ class Consumer:
 
     A variant call of a table's clause keeps ``plan``, a ``ReturnPlan``
     made with the consumer, when the rest of the clause has a fixed
-    shape; its answers then go straight to the owner's table, and the
-    rest never runs.  A last call projects each answer.  Fused fact
-    joins, where the rest is one call of ground facts and then ``is/2``
-    goals, join each ground answer with those facts, and each match is
-    an answer of the owner."""
+    shape; ``Engine._resume`` then hands each answer's result straight
+    to the owner's table in its feed loop, and the rest never runs."""
 
     __slots__ = ("table", "cont", "cursor", "scopes", "heap", "terms",
                  "vars", "seen", "plan")
@@ -213,14 +213,23 @@ class ReturnPlan(NamedTuple):
     the row goes on with a fact's arguments, then the value of each
     ``arith`` function in turn.  ``probe`` is that call, an int reading
     the row and a variable an output, and ``checks`` pairs each argument
-    position with the row slot it must equal.  Every argument of the call
-    and of the owner's answer is a variable."""
+    position with the row slot it must equal.  ``direct``, where the
+    predicate's first index reads one argument that the row binds at
+    ``slot``, is ``(lookup_atomic, slot)``: a row with an atom or an
+    integer there finds by one probe what the general lookup finds.
+    Every argument of the call and of the owner's answer is a variable."""
 
     pred: Optional[PredicateInfo]
     probe: tuple
     checks: tuple
     arith: tuple
     proj: Callable[[tuple], tuple]
+    direct: Optional[tuple]
+
+    def call(self, row: tuple) -> Struct:
+        """The fact call of ``row``."""
+        return Struct(self.pred.name, tuple([row[x] if type(x) is int else x
+                                             for x in self.probe]))
 
 
 def _return_plan(cont: Cont, ids: tuple, program: Program):
@@ -228,7 +237,7 @@ def _return_plan(cont: Cont, ids: tuple, program: Program):
     whose continuation is ``cont``; None if these lack its shape."""
     slot = {v: j for j, v in enumerate(ids)}    # variable -> row slot
     n = len(ids)
-    pi, probe, checks, arith = None, [], [], []
+    pi, probe, checks, arith, direct = None, [], [], [], None
     if cont.goals is not None:
         lits, _, _, _, rest = cont.goals
         call = lits[0]
@@ -247,6 +256,9 @@ def _return_plan(cont: Cont, ids: tuple, program: Program):
             else:
                 slot[a.id] = n + p
         probe = [slot[a.id] if slot[a.id] < n else a for a in args]
+        ix = pi.indexes[0] if pi.indexes else None
+        if ix is not None and ix.probe and type(probe[ix.argnos[0]]) is int:
+            direct = ix.lookup_atomic, probe[ix.argnos[0]]
         for lit in lits[1:]:
             g = lit.goal
             if lit.neg or type(g) is not Struct or g.name != "is" \
@@ -263,7 +275,22 @@ def _return_plan(cont: Cont, ids: tuple, program: Program):
     j = slots[0] if slots else 0        # a run of slots picks a slice
     proj = itemgetter(slice(j, j + len(slots))) \
         if slots == list(range(j, j + len(slots))) else itemgetter(*slots)
-    return ReturnPlan(pi, tuple(probe), tuple(checks), tuple(arith), proj)
+    return ReturnPlan(pi, tuple(probe), tuple(checks), tuple(arith), proj,
+                      direct)
+
+
+def _instancer(t: Term) -> Callable[[tuple], Term]:
+    """``t``, a canonical term, as a function of its bindings: a compound
+    of two or more arguments, each ground or a variable, takes them into
+    its slots; any other term goes through ``substitute``."""
+    args = () if t.ground or type(t) is not Struct else t.args
+    if len(args) < 2 or any(type(a) is not Var and not a.ground
+                            for a in args):
+        return partial(substitute, t)
+    # each slot reads the goal's own argument or a binding
+    pick = itemgetter(*[len(args) + a.id if type(a) is Var else j
+                        for j, a in enumerate(args)])
+    return lambda b, name=t.name: Struct(name, pick(args + b))
 
 
 def _decode(lit: Literal, program: Program):
@@ -376,7 +403,8 @@ class Engine:
                  query_level_tabling: bool = False,
                  default_tabling: str = "variant"):
         if strategy not in ("local", "batched"):
-            raise ValueError(f"unknown strategy: {strategy}")
+            raise ValueError(f"unknown strategy: {strategy!r} "
+                             "(local or batched)")
         self.program = Program(default_tabling=default_tabling)
         self.space = TableSpace(self.program)
         self.space.trace_hook = self._trace
@@ -475,9 +503,9 @@ class Engine:
             # both subgoals are numbered like ``qvars``
             cgoal, records = (table.subgoal.args[0], table.answers) \
                 if reader is None else (reader.table.subgoal, self._query_fed)
-            qvars = term_vars(goal)
+            qvars, instance = term_vars(goal), _instancer(cgoal)
             out = [QueryAnswer(dict(zip(qvars, a.bindings)),
-                               substitute(cgoal, a.bindings),
+                               instance(a.bindings),
                                "undefined" if a.delay_lists else "true")
                    for a in records if not a.deleted]
         if self.query_level_tabling:
@@ -832,12 +860,13 @@ class Engine:
                     self._query_fed.append(ans)
             return
         hold = bool(consumer.scopes)
-        last = plan is not None and plan.pred is None
-        if last:    # each answer, projected, is an answer of the owner
+        if plan is not None:
             owner, delays, proj = consumer.cont.owner, consumer.cont.delays, \
                 plan.proj
             produce = self.insert_reduced \
                 if owner.pred.subsumption is None else self._produce
+            index = owner.index if owner.pred.subsumption is None else None
+            pi, (lookup, slot) = plan.pred, plan.direct or (None, 0)
         while i < n:
             ans = answers[i]
             i += 1
@@ -846,72 +875,76 @@ class Engine:
             mark = len(stack)
             if hold and i < n:
                 stack.append((self._resume, consumer, answers, i, n))
-            if last:
-                self._op("positive_return", "POSITIVE_RETURN", table)
-                produce(owner, proj(ans.bindings),
-                        delays + (DelayLit(False, table, ans),)
-                        if ans.delay_lists else delays)
-            else:
+            if plan is None or ans.nvars and pi is not None:
                 self._return_answer(consumer, ans)
+            else:
+                self._op("positive_return", "POSITIVE_RETURN", table)
+                b, d = ans.bindings, delays
+                if ans.delay_lists:
+                    d += (DelayLit(False, table, ans),)
+                if pi is None:
+                    # a last call: a derivation that meets a settled answer
+                    # of the owner by one probe of its index changes nothing
+                    if d or ans.nvars or index is None or (rec := index.get(
+                            proj(b))) is None or rec.delay_lists \
+                            or owner.neg_waiters:
+                        produce(owner, proj(b), d)
+                else:
+                    a = b[slot] if lookup else None
+                    self._join_facts(consumer, b, d, lookup(a)
+                                     if type(a) is Atom or type(a) is Int
+                                     else self.program._candidates(
+                                         pi, plan.call(b))[1], 0)
             if hold or len(stack) > mark:
                 if not hold and i < n:
                     stack.insert(mark, (self._resume, consumer, answers, i, n))
                 return
 
     def _return_answer(self, consumer: Consumer, ans) -> None:
-        """Return one answer to a call that is not a last call.  A fused
-        fact join (``Consumer.plan``) hands its owner's table what a
-        ground answer joins with facts: no other variable meets them.
-        Any other call unifies its goal map with the bindings, renamed
-        above its variables if any, and runs on."""
+        """Return one answer to a call by the general path: unify its goal
+        map with the bindings, renamed above its variables if any, and run
+        on."""
         cont = consumer.cont
         nv = cont.nv
         bindings = ans.bindings
-        plan = None if ans.nvars else consumer.plan
-        if plan is None:
-            if ans.nvars:
-                bindings = [rename(b, nv) for b in bindings]
-            if consumer.vars is not None:
-                env = dict(zip(consumer.vars, bindings))
-            else:
-                env = unify_all(consumer.terms, bindings, self.occurs_check)
-                if env is None:
-                    return
-                # a table owner takes an instance again while it is
-                # conditional (the delay literal differs); findall ignores
-                # delays
-                seen = consumer.seen
-                key = variant_tuple([resolve(t, env)
-                                     for t in consumer.terms])[0]
-                if seen.get(key) or key in seen \
-                        and type(cont.owner) is Collector:
-                    return
-                seen[key] = not ans.conditional
+        if ans.nvars:
+            bindings = [rename(b, nv) for b in bindings]
+        if consumer.vars is not None:
+            env = dict(zip(consumer.vars, bindings))
+        else:
+            env = unify_all(consumer.terms, bindings, self.occurs_check)
+            if env is None:
+                return
+            # a table owner takes an instance again while it is
+            # conditional (the delay literal differs); findall ignores
+            # delays
+            seen = consumer.seen
+            key = variant_tuple([resolve(t, env) for t in consumer.terms])[0]
+            if seen.get(key) or key in seen \
+                    and type(cont.owner) is Collector:
+                return
+            seen[key] = not ans.conditional
         table = consumer.table
         k = self._op("positive_return", "POSITIVE_RETURN", table)
         delays = cont.delays
         if ans.conditional:
             delays = delays + (DelayLit(False, table, ans),)
-        if plan is None:
-            self._step_cont(Cont(cont.owner, cont.ans, cont.goals, delays,
-                                 cont.scopes, k, nv + ans.nvars, env))
-        else:
-            pi = plan.pred
-            goal = Struct(pi.name, tuple([bindings[a] if type(a) is int
-                                          else a for a in plan.probe]))
-            self._join_facts(consumer, bindings, delays,
-                             self.program._candidates(pi, goal)[1], 0)
+        self._step_cont(Cont(cont.owner, cont.ans, cont.goals, delays,
+                             cont.scopes, k, nv + ans.nvars, env))
 
     def _join_facts(self, consumer: Consumer, base: tuple, delays: tuple,
                     facts: list, i: int) -> None:
         """Hand the owner of ``consumer`` the answer of each fact from
-        ``facts[i]`` on that joins the row ``base`` (``ReturnPlan``).  An
+        ``facts[i]`` on that joins the ground row ``base``
+        (``ReturnPlan``), but a duplicate that would change nothing.  An
         answer that pushes entries (a batched feed) leaves an entry for
         the facts still to join beneath them: they run first, as before
         each next fact of an inline call."""
         plan = consumer.plan
         owner = consumer.cont.owner
         checks, arith, proj = plan.checks, plan.arith, plan.proj
+        index = owner.index if owner.pred.subsumption is None \
+            and not delays else None
         stack = self.stack
         n = len(facts)
         while i < n:
@@ -925,8 +958,12 @@ class Engine:
             else:
                 for f in arith:
                     row += (Int(f(row)),)
+                row = proj(row)
+                if index is not None and (rec := index.get(row)) is not None \
+                        and not rec.delay_lists and not owner.neg_waiters:
+                    continue
                 mark = len(stack)
-                self._produce(owner, proj(row), delays)
+                self._produce(owner, row, delays)
                 if len(stack) > mark and i < n:
                     stack.insert(mark, (self._join_facts, consumer, base,
                                         delays, facts, i))

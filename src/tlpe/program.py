@@ -157,22 +157,26 @@ class ClauseIndex:
         order; None if ``goal`` leaves a component unbound, unless this
         is a trie index."""
         a = goal.args[self.argnos[0]] if self.probe else None
-        ta = type(a)
-        if ta is Atom or ta is Int:
-            kids = self.trie.root.children
-            leaves = [n.leaf for n in (
-                kids.get(("i", a.value) if ta is Int else ("a", a.name)),
-                kids.get(_ANON)) if n is not None]
-        else:
-            args = [goal.args[i] for i in self.argnos]
-            if Var in map(type, args) and not self.whole:
-                return None
-            leaves = self.trie.matching_leaves(*args)
+        if type(a) is Atom or type(a) is Int:
+            return self.lookup_atomic(a)
+        args = [goal.args[i] for i in self.argnos]
+        if Var in map(type, args) and not self.whole:
+            return None
+        leaves = self.trie.matching_leaves(*args)
         if len(leaves) == 1:
             return leaves[0]
-        out = [cl for leaf in leaves for cl in leaf]
-        out.sort(key=attrgetter("seq"))
-        return out
+        return sorted([cl for leaf in leaves for cl in leaf],
+                      key=attrgetter("seq"))
+
+    def lookup_atomic(self, a: Term) -> List[Clause]:
+        """``lookup`` of a goal whose argument under this index, of one
+        ``arg`` component, is the atom or integer ``a``."""
+        kids = self.trie.root.children
+        hit = kids.get(("i", a.value) if type(a) is Int else ("a", a.name))
+        anon = kids.get(_ANON)
+        if hit is None or anon is None:
+            return [] if hit is anon else (anon if hit is None else hit).leaf
+        return sorted(hit.leaf + anon.leaf, key=attrgetter("seq"))
 
 
 @dataclass
@@ -263,7 +267,8 @@ class Program:
 
     def __init__(self, default_tabling: str = "variant"):
         if default_tabling not in ("variant", "subsumptive"):
-            raise ValueError(default_tabling)
+            raise ValueError(f"unknown default_tabling: {default_tabling!r} "
+                             "(variant or subsumptive)")
         self.default_tabling = default_tabling
         self.preds: Dict[PredKey, PredicateInfo] = {}
         self.auto_table_requested = False

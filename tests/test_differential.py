@@ -19,11 +19,18 @@ under every option set of ``OPTIONS``, and the truth of each atom must
 be the one ``oracles.wfs_model`` computes.  Their conditional answers
 return through the same path as any other answer.
 
-The three checks run their engines checked (``invariants``): after each
+A fourth check grounds ``random_program``'s clauses over its constants
+(``ground_program``): each answer, expanded to its ground instances,
+must give every instance of its query the truth ``oracles.wfs_model``
+gives the ground program, on variant and subsumptive engines alike.
+
+The checks run their engines checked (``invariants``): after each
 query the table space must keep its invariants.
 """
 
+import itertools
 import random
+import re
 import sys
 
 import pytest
@@ -31,7 +38,7 @@ import pytest
 from tlpe.engine import Engine
 from tlpe.errors import EvalError
 from tlpe.parser import parse_term_text
-from tlpe.terms import Struct, canonicalize, term_to_str
+from tlpe.terms import Struct, Var, canonicalize, term_to_str
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from invariants import CheckedEngine, TableSpaceFault
@@ -584,8 +591,94 @@ def test_ground_programs_match_the_well_founded_model(seed):
     assert wfs_mismatches(seed) == []
 
 
+def _literals(text):
+    """``[negated, name, args]`` of each atom of ``text``, in order."""
+    return [[bool(neg), name, args.split(",")]
+            for neg, name, args in re.findall(r"(tnot )?(\w+)\(([^)]*)\)",
+                                              text)]
+
+
+def _atom(name, args, env):
+    return f"{name}({','.join(env.get(a, a) for a in args)})"
+
+
+def ground_program(src):
+    """The ground rules of ``src``, a program of ``random_program``: each
+    clause instantiated by every assignment of ``CONSTS`` to its
+    variables, each ``_`` a variable of its own."""
+    rules = []
+    for line in src.splitlines():
+        if line.startswith(":-"):
+            continue
+        head, _, body = line.rstrip(".").partition(" :- ")
+        lits = _literals(head) + _literals(body)
+        for n, (_, _, args) in enumerate(lits):
+            args[:] = [f"_{n}_{j}" if a == "_" else a
+                       for j, a in enumerate(args)]
+        names = sorted({a for _, _, args in lits for a in args
+                        if a[0].isupper() or a[0] == "_"})
+        for values in itertools.product(CONSTS, repeat=len(names)):
+            env = dict(zip(names, values))
+            body = [(neg, _atom(name, args, env))
+                    for neg, name, args in lits[1:]]
+            rules.append((_atom(lits[0][1], lits[0][2], env),
+                          tuple(a for neg, a in body if not neg),
+                          tuple(a for neg, a in body if neg)))
+    return rules
+
+
+def _instances(term):
+    """Each ground instance of a function-free atom over ``CONSTS``."""
+    args = [term_to_str(a) if type(a) is not Var else a.id
+            for a in term.args]
+    ids = sorted({a for a in args if type(a) is int})
+    for values in itertools.product(CONSTS, repeat=len(ids)):
+        env = dict(zip(ids, values))
+        yield f"{term.name}({','.join(env.get(a, a) for a in args)})"
+
+
+_RANK = {"false": 0, "undefined": 1, "true": 2}
+
+
+def grounding_mismatches(seed):
+    """(options, query, truths, model truths) of the first query of
+    ``random_program(seed)`` whose answers, each expanded to its ground
+    instances, do not give every instance of the query its truth in the
+    well-founded model of the ground program, on engines of both tabling
+    modes under each option set of ``OPTIONS``."""
+    src, queries = random_program(seed)
+    model = wfs_model(ground_program(src))
+    out = []
+    for options in OPTIONS:
+        for tabling in ("variant", "subsumptive"):
+            eng = CheckedEngine(default_tabling=tabling, **options)
+            eng.consult(src)
+            for g in queries:
+                want = {a: model.get(a, "false") for a in
+                        _instances(parse_term_text(g.rstrip(".")))}
+                got = dict.fromkeys(want, "false")
+                for ans in eng.query(g):
+                    for a in _instances(ans.goal):
+                        if _RANK[ans.truth] > _RANK[got[a]]:
+                            got[a] = ans.truth
+                if got != want:
+                    out.append((dict(options, default_tabling=tabling), g,
+                                got, want))
+                    break
+    return out[:1]
+
+
+# a small range in tier-1; ``main`` runs any range
+GROUNDING_SEEDS = range(8)
+
+
+@pytest.mark.parametrize("seed", GROUNDING_SEEDS)
+def test_answers_match_the_grounded_program(seed):
+    assert grounding_mismatches(seed) == []
+
+
 def main(argv=None):
-    """Run the three differential checks over a range of seeds:
+    """Run the four differential checks over a range of seeds:
     ``python tests/test_differential.py FIRST LAST`` (inclusive) prints
     each mismatching seed with its first mismatch or table-space fault,
     and the count."""
@@ -599,6 +692,7 @@ def main(argv=None):
         src, queries = random_program(seed)
         try:
             rows = mismatches(src, queries) \
+                or grounding_mismatches(seed) \
                 or broad_mismatches(*broad_program(seed)) \
                 or wfs_mismatches(seed)
         except TableSpaceFault as exc:

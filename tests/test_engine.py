@@ -23,7 +23,7 @@ from tlpe.errors import (DirectiveError, EvalError, ParseError, StoreError,
 from tlpe.incremental import incr_assert, incr_invalidate, incr_retract
 from tlpe.negation import get_residual
 from tlpe.parser import parse_goal
-from tlpe.tables import SubgoalTable
+from tlpe.tables import SubgoalTable, TableSpace
 from tlpe.terms import Atom, Struct, Var, term_to_str, term_vars
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
@@ -833,6 +833,242 @@ class TestFactJoin:
             edges ^= {edge}
 
 
+def _counted(eng):
+    return tuple(eng.counters[k] for k in (
+        "new_subgoal", "clause_resolution", "positive_return",
+        "negative_return", "delaying"))
+
+
+# p/1 takes one answer twice, through a last call (p(X) :- q(X)) or a
+# fact join (p(Y) :- q(X), f(X,Y)): conditional first, then true, which
+# promotes it; or conditional twice, on other delay lists, which merges
+# them
+DUP_LAST_PROMOTE = """
+:- table p/1, q/1, r/1, u/0, v/0.
+u :- tnot u.
+v :- tnot u, fail.
+q(1) :- tnot u.
+r(1) :- tnot v.
+p(X) :- r(X).
+p(X) :- q(X).
+"""
+DUP_LAST_MERGE = """
+:- table p/1, q/1, r/1, u/0, w/0.
+u :- tnot u.
+w :- tnot w.
+q(1) :- tnot u.
+r(1) :- tnot w.
+p(X) :- q(X).
+p(X) :- r(X).
+"""
+DUP_JOIN = """
+:- table p/1, q/1, u/0, v/0, w/0.
+u :- tnot u.
+v :- tnot u, fail.
+w :- tnot w.
+q(1) :- tnot u.
+q(2) :- tnot SECOND.
+f(1,a). f(2,a). f(2,b).
+p(Y) :- q(X), f(X,Y).
+"""
+
+# ground owners, each read by tnot, whose answer simplification settles
+# while readers still wait on it, and which a last call (P_LAST) or a
+# fact join (P_JOIN_A, P_JOIN_B) then derives again
+P_LAST = """
+:- table p/1, q/1, r/1.
+p(1) :- tnot(p(4)).
+q(3).
+p(4) :- tnot(q(0)).
+p(3) :- r(2).
+q(0) :- p(0).
+r(1) :- q(0).
+r(2) :- q(3).
+p(0) :- q(0), tnot(q(1)).
+p(0) :- p(1).
+r(1) :- p(3).
+q(1) :- r(1).
+q(1) :- q(1).
+q(2) :- tnot(q(0)).
+r(2) :- tnot(q(2)).
+"""
+P_JOIN_A = """
+:- table p/1, q/1, r/1.
+e(1). e(2).
+q(0) :- r(4), e(Z).
+r(2) :- r(3), tnot(q(3)).
+r(3) :- q(0), tnot(p(0)).
+p(0) :- q(0), e(Z).
+p(4) :- tnot(p(2)).
+p(2) :- q(1).
+r(2).
+q(0) :- tnot(p(0)).
+r(4) :- p(0), e(Z).
+q(1) :- tnot(p(4)).
+r(1) :- r(2).
+q(2) :- p(4), e(Z).
+p(0) :- q(2), e(Z).
+q(2) :- r(1), e(Z).
+"""
+P_JOIN_B = """
+:- table p/1, q/1, r/1.
+e(1). e(2).
+r(2).
+p(2) :- p(3), e(Z).
+q(2) :- tnot(q(0)).
+q(0) :- q(2), e(Z).
+q(2) :- p(2), e(Z).
+p(0) :- tnot(p(0)).
+p(3) :- p(0).
+q(2) :- r(2).
+q(0) :- q(0), e(Z).
+"""
+U, T = "undefined", "true"
+
+
+class TestDuplicateProbe:
+    """A fused return passes over a derivation that one probe of its
+    owner's answer index finds settled (ground, without delays, meeting
+    an unconditional answer); anything else still reaches the table.
+    Answers, truths, K and the counters are those the general insert
+    gave (the values are the ones before the probe existed)."""
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    @pytest.mark.parametrize("src,goals,want,k,counted,event", [
+        (DUP_LAST_PROMOTE, ["p(X).", "p(1)."], [[("p(1)", T)]] * 2, 32,
+         (10, 10, 6, 4, 2), "promote"),
+        (DUP_LAST_MERGE, ["p(X).", "p(1)."], [[("p(1)", U)]] * 2, 32,
+         (10, 10, 6, 2, 4), "merged"),
+        (DUP_JOIN.replace("SECOND", "v"), ["p(Y).", "p(a)."],
+         [[("p(a)", T), ("p(b)", T)], [("p(a)", T)]], 24,
+         (7, 6, 7, 2, 2), "promote"),
+        (DUP_JOIN.replace("SECOND", "w"), ["p(Y).", "p(a)."],
+         [[("p(a)", U), ("p(b)", U)], [("p(a)", U)]], 24,
+         (7, 6, 7, 1, 3), "merged"),
+    ], ids=["last_promote", "last_merge", "join_promote", "join_merge"])
+    def test_a_conditional_answer_is_still_promoted_or_merged(
+            self, src, goals, want, k, counted, event, strategy,
+            monkeypatch):
+        made = spy_consumers(monkeypatch)
+        seen = []   # (what the table space did, the table's predicate)
+        add, promote = TableSpace.add_answer, TableSpace._promote
+
+        def spy_add(space, table, *args):
+            status, rec = add(space, table, *args)
+            seen.append((status, table.pred.name))
+            return status, rec
+
+        def spy_promote(space, ans):
+            seen.append(("promote", ans.table.pred.name))
+            promote(space, ans)
+
+        monkeypatch.setattr(TableSpace, "add_answer", spy_add)
+        monkeypatch.setattr(TableSpace, "_promote", spy_promote)
+        eng = make(src, strategy=strategy)
+        got = [[(term_to_str(a.goal), a.truth) for a in eng.query(g)]
+               for g in goals]
+        assert (got, eng.K, _counted(eng)) == (want, k, counted)
+        assert (event, "p") in seen
+        # p's answers come through the fused path the case names
+        last_call = "f(X,Y)" not in src
+        assert {c.plan.pred is None for c in made if c.plan is not None
+                and c.cont.owner.pred.name == "p"} == {last_call}
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    @pytest.mark.parametrize("src,goals,pinned", [
+        (P_LAST, ["q(X)."], {
+            "local": ([[("q(3)", T), ("q(0)", U), ("q(2)", U), ("q(1)", T)]],
+                      53, (12, 19, 16, 2, 4)),
+            "batched": ([[("q(3)", T), ("q(1)", T), ("q(0)", U),
+                          ("q(2)", U)]], 53, (12, 19, 16, 2, 4))}),
+        (P_LAST, ["p(0)."], {
+            "local": ([[("p(0)", U)]], 40, (11, 14, 10, 0, 5)),
+            "batched": ([[("p(0)", U)]], 40, (11, 14, 10, 1, 4))}),
+        (P_JOIN_A, ["p(4).", "q(X)."], {
+            "local": ([[("p(4)", U)], [("q(1)", U), ("q(2)", T),
+                                       ("q(0)", T)]], 54, (13, 19, 16, 4, 2)),
+            "batched": ([[("p(4)", U)], [("q(0)", T), ("q(1)", U),
+                                         ("q(2)", T)]], 54,
+                        (13, 19, 16, 2, 4))}),
+        (P_JOIN_B, ["p(2).", "q(X)."], {
+            "local": ([[("p(2)", U)], [("q(2)", T), ("q(0)", T)]], 39,
+                      (9, 14, 13, 2, 1)),
+            "batched": ([[("p(2)", U)], [("q(0)", T), ("q(2)", T)]], 39,
+                        (9, 14, 13, 2, 1))}),
+    ], ids=["last_open", "last_ground", "join_a", "join_b"])
+    def test_tnot_readers_of_a_ground_owner_resolve_as_before(
+            self, src, goals, pinned, strategy):
+        # a derivation of a settled ground answer whose table has waiting
+        # tnot readers still resolves them at once
+        eng = make(src, strategy=strategy)
+        got = [[(term_to_str(a.goal), a.truth) for a in eng.query(g)]
+               for g in goals]
+        assert (got, eng.K, _counted(eng)) == pinned[strategy]
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    def test_duplicates_do_not_reach_the_table_space(self, strategy):
+        # a cycle of 6 with two chords: reach(1,Y) derives its 6 answers
+        # 10 times, 2 by the clause e(X,Y) and 8 by the join, of which 4
+        # are duplicates; each answer returns twice, to the join and to
+        # the query, and only the 6 new derivations reach the table space
+        # (10 before the probe).  Under batched the clause derives
+        # reach(1,3) once the join has: the general path inserts it
+        eng = make(CLOSURE + facts("e", [(i, i % 6 + 1) for i in range(1, 7)]
+                                   + [(1, 3), (2, 5)]), strategy=strategy)
+        calls = []
+        add = eng.space.add_answer
+        eng.space.add_answer = lambda t, *a: calls.append(t) or add(t, *a)
+        assert len(eng.query("reach(1,Y).")) == 6
+        assert eng.counters["positive_return"] == 12
+        assert len(calls) == {"local": 6, "batched": 7}[strategy]
+
+
+class TestDirectFactProbe:
+    """A fact join whose row binds the argument the predicate's first
+    index reads, to an atom or an integer, finds its facts by one probe
+    of that index; any other row or index takes the general lookup.
+    Either way, answers, their order, the traces, K and the counters are
+    those of the general return path."""
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    @pytest.mark.parametrize("src,goals,direct", [
+        (CLOSURE + "e(1,2). e(2,f(1)). e(f(1),2). e(f(1),3). e(3,a).\n"
+         "e(a,f(1)).\n", ["reach(1,Y).", "reach(X,Y)."], [True]),
+        # an index on the second argument, which the row binds in back/2
+        # and leaves unbound in reach/2
+        (BACK + CLOSURE + ":- index(e/2, 2).\ne(1,2). e(2,3). e(3,1). "
+         "e(3,4).\nd(1,a,a).\n", ["back(1,Y).", "reach(1,Y).",
+                                  "pair(2,W)."], [False, True]),
+        (CLOSURE + ":- index(e/2, trie).\ne(1,2). e(2,3). e(3,1). "
+         "e(3,4).\n", ["reach(1,Y).", "reach(X,Y)."], [False]),
+    ], ids=["compound_first_argument", "index_on_another_argument",
+            "trie_index"])
+    def test_runs_as_the_general_path(self, src, goals, direct, strategy,
+                                      monkeypatch):
+        made = spy_consumers(monkeypatch)
+        joins = observed(make(src, strategy=strategy), goals)
+        assert sorted({c.plan.direct is not None for c in made
+                       if c.plan is not None and c.plan.pred is not None}) \
+            == direct
+        monkeypatch.setattr(engine_module, "_return_plan",
+                            lambda *args: None)
+        assert joins == observed(make(src, strategy=strategy), goals)
+
+    @pytest.mark.parametrize("src,goal", [
+        ("e(1,a). e(X,b). e(2,c). e(1,d).", "e(1,Y)"),
+        (":- index(e/2, 2).\ne(1,a). e(2,b). e(3,a).", "e(X,a)"),
+        ("e(1,a). e(2,b).", "e(3,Y)"),
+        ("e(f(1),a). e(1,b).", "e(1,Y)"),
+    ])
+    def test_lookup_atomic_is_the_lookup(self, src, goal):
+        eng = make(src)
+        pi = eng.program.preds[("e", 2)]
+        g = parse_goal(goal + ".").term
+        a = g.args[pi.indexes[0].argnos[0]]
+        assert pi.indexes[0].lookup_atomic(a) == \
+            eng.program._candidates(pi, g)[1]
+
+
 class TestAnswerOrder:
     def test_clause_order_then_insertion_order(self):
         eng = make(REACH_R)
@@ -1285,6 +1521,14 @@ class TestCutOverIncompleteTable:
 
 
 class TestEngineGuards:
+    @pytest.mark.parametrize("option,allowed", [
+        ("strategy", "local or batched"),
+        ("default_tabling", "variant or subsumptive")])
+    def test_an_unknown_mode_names_its_parameter(self, option, allowed):
+        with pytest.raises(ValueError) as err:
+            Engine(**{option: "foo"})
+        assert str(err.value) == f"unknown {option}: 'foo' ({allowed})"
+
     def test_nested_query_rejected(self):
         eng = make("p(1).")
         stream = eng.answers("p(X).")
@@ -1499,6 +1743,10 @@ class TestQueryAnswers:
         ("q.", 1),                  # an atom
         ("t(X,Y).", 6),             # a tabled call
         ("t(f(a),h(a,V)).", 1),     # a ground subterm and a fresh one
+        ("t(X,X).", 2),             # tabled: a repeated variable
+        ("t(a,b).", 1),             # ground arguments
+        ("t(a,Y).", 2),             # a ground argument and a variable
+        ("t(f(X),Y).", 3),          # a nested compound argument
         ("p(X,Y), u.", 6),          # a conjunction, undefined answers
     ])
     def test_goal_and_bindings_match_the_answer_term(self, goal, n):
@@ -1524,6 +1772,19 @@ class TestQueryAnswers:
             assert a.truth == ("undefined" if ans.conditional else "true")
         assert {a.truth for a in got} == \
             {"undefined" if "u" in goal else "true"}
+
+
+    @pytest.mark.parametrize("text", [
+        "r(X,Y)", "r(X,X)", "r(Y,X,Y)", "r(a,b)", "r(a,Y,X)", "r(f(X),Y)",
+        "r(X)", "r(f(X))", "r", "X", "(r(X), s(Y))"])
+    def test_answer_goals_are_the_substituted_goal(self, text):
+        # a goal of flat arguments takes its bindings into slots; any
+        # other goes through substitute, the general path
+        t, n = terms_module.canonicalize(parse_goal(text + ".").term)
+        b = (Atom("k"), Struct("g", (Var(0), Var(1))), Var(0))[:n]
+        got = engine_module._instancer(t)(b)
+        assert got == terms_module.substitute(t, b)
+        assert term_to_str(got) == term_to_str(terms_module.substitute(t, b))
 
 
 class TestQueryOfOneTabledCall:
