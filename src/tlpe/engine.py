@@ -41,11 +41,11 @@ ground facts, then only ``is/2`` goals that bind fresh variables, joins
 each ground answer with the facts its clause index keeps for it, by one
 probe where the answer binds the indexed argument to an atom or an
 integer; each fact that matches makes one answer of the owner, with no
-continuation or frame.  A ground answer without delays that one probe
-of the owner's answer index finds settled is passed over: it would
-change nothing.  Facts join in clause order, and one whose answer pushes
-entries (a batched feed) leaves the facts still to join beneath them,
-so answers, their order, K and the traces are those of the inline path.
+continuation or frame.  A ground answer that one probe of the owner's
+answer index finds settled is passed over: it would change nothing.
+Facts join in clause order, and one whose answer pushes entries (a
+batched feed) leaves the facts still to join beneath them, so answers,
+their order, K and the traces are those of the inline path.
 
 Scheduling maintains a completion stack of exactly the incomplete
 tables, the scheduler's only registry of them: a completed SCC leaves
@@ -79,8 +79,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Set
 from .builtins import BUILTINS, compile_arith
 from .errors import EvalError
 from .parser import ParsedItem, parse_goal, parse_program
-from .program import (Clause, Literal, PredicateInfo, Program, has_cut,
-                      split_clause)
+from .program import (Clause, Literal, PredicateInfo, Program, _head_unifier,
+                      has_cut, split_clause)
 from .sccs import tarjan_sccs
 from .tables import DelayLit, SubgoalTable, TableSpace
 from .terms import (Atom, CyclicTermError, Int, Struct, Term, Var,
@@ -99,6 +99,7 @@ class Collector:
 
     __slots__ = ("results", "owner_table")
     complete = False        # an owner of readers, like a table; never complete
+    reads = None            # and one that never follows an assert's delta
 
     def __init__(self, owner_table: Optional[SubgoalTable]):
         self.results: List[tuple] = []
@@ -444,6 +445,9 @@ class Engine:
             items = parse_program(text)
         except RecursionError:
             raise EvalError("resource_exhausted", _TOO_DEEP) from None
+        for t in self.space.tables:     # a new clause may void what they keep
+            t.reads, t.consumers = None, []
+        self.space.deltas = []
         for item in items:
             self._apply_item(item)
 
@@ -553,7 +557,7 @@ class Engine:
         An older table that the evaluation reset and left incomplete,
         or that read a table dropped here, becomes INVALID again, and so
         does every table that reads it: each is recomputed at its next
-        call."""
+        call, as is each table that a waiting assert marked."""
         stale = [t for t in self.space.tables
                  if t.dfn <= watermark
                  and (t.status == SubgoalTable.INCOMPLETE
@@ -705,6 +709,9 @@ class Engine:
                 # a subsumed call reads the answers its trie walk keeps
                 answers = table.answer_trie.matching_leaves(*consumer.terms)
                 answers.sort(key=attrgetter("seq"))
+            elif table.reads is not None and cont.owner.reads is not None:
+                consumer.cursor = len(answers)
+                table.consumers.append(consumer)
             self._push_returns(consumer, answers)
             return
         self._register_consumer(table, consumer)
@@ -716,8 +723,11 @@ class Engine:
         """The table a call of ``goal`` reads, set up to run if new."""
         table, is_new = self.space.check_insert_subgoal(pi, goal, variant)
         if table.status == SubgoalTable.INVALID:
-            self.reset_for_recompute(table)
-            is_new = True
+            is_new = not any(table in ts for _, ts in self.space.deltas)
+            if is_new:
+                self.reset_for_recompute(table)
+            else:
+                self._run_deltas()
         if is_new:
             self._activate(table)
         elif table.status == SubgoalTable.INCOMPLETE:
@@ -885,7 +895,7 @@ class Engine:
                 if pi is None:
                     # a last call: a derivation that meets a settled answer
                     # of the owner by one probe of its index changes nothing
-                    if d or ans.nvars or index is None or (rec := index.get(
+                    if ans.nvars or index is None or (rec := index.get(
                             proj(b))) is None or rec.delay_lists \
                             or owner.neg_waiters:
                         produce(owner, proj(b), d)
@@ -943,8 +953,7 @@ class Engine:
         plan = consumer.plan
         owner = consumer.cont.owner
         checks, arith, proj = plan.checks, plan.arith, plan.proj
-        index = owner.index if owner.pred.subsumption is None \
-            and not delays else None
+        index = owner.index if owner.pred.subsumption is None else None
         stack = self.stack
         n = len(facts)
         while i < n:
@@ -983,6 +992,9 @@ class Engine:
                 ordered = (pi.cut_clauses > 0 or bool(cont.scopes)
                            or type(cont.owner) is Collector)
                 self.space.note_dyn_read(caller, pi.key, ordered)
+                if caller.reads is not None and pi.incremental_source:
+                    # an assert resumes it against the new clause
+                    caller.reads.append((goal, self._detach(cont, rest)))
         clauses = self.program.lookup_clauses(goal, cont.nv,
                                               self.occurs_check)
         if not clauses:
@@ -1012,7 +1024,7 @@ class Engine:
         self.stack[:] = [e for e in self.stack if scope not in e[1].scopes]
         # so would a reader suspended under it on an incomplete table, all
         # of which are on the completion stack (a sub-evaluation's scopes
-        # never reach an outer table); a complete table has no readers
+        # never reach an outer table); a complete table's are finished
         for t in self.comp:
             for c in t.consumers:
                 if scope in c.scopes:
@@ -1290,9 +1302,12 @@ class Engine:
             # catch up; its feed entries still run, so the consumer is
             # merely finished, not discarded
             self._feed_consumer(c)
-        # nothing reads a complete table's readers again; the feed
-        # entries hold their own references
-        table.consumers = []
+        # an assert reads again only the readers owned by tables it may
+        # reopen; the feed entries hold their own references
+        if table.reads is not None and not table.monotone():
+            table.reads = None
+        table.consumers = [] if table.reads is None else [
+            c for c in table.consumers if c.cont.owner.reads is not None]
 
     # ------------------------------------------------------------------
     # sub-evaluations (findall, join/leq)
@@ -1338,6 +1353,26 @@ class Engine:
 
     def reset_for_recompute(self, table: SubgoalTable) -> None:
         self.space.reset_table(table)
+
+    def _run_deltas(self) -> None:
+        """Follow every waiting assert: its tables go back on the completion
+        stack with their answers and the readers they kept whose owners
+        reopen too, and each read they stored that the clause unifies with
+        resumes against that clause alone."""
+        deltas, self.space.deltas = self.space.deltas, []
+        tables = {t for _, ts in deltas for t in ts}
+        for t in sorted(tables, key=attrgetter("dfn")):
+            t.status = SubgoalTable.INCOMPLETE
+            t.stack_pos = len(self.comp)
+            self.comp.append(t)
+            t.consumers = [c for c in t.consumers if c.cont.owner in tables]
+        self._round = None
+        resumed = [(self._resolve_clause, cont, clause, env)
+                   for clause, ts in deltas for t in ts
+                   for goal, cont in t.reads if (env := _head_unifier(
+                       clause.head, cont.nv, goal, self.occurs_check))
+                   is not None]
+        self.stack.extend(reversed(resumed))    # to run in order
 
     # ------------------------------------------------------------------
     # join / leq evaluation for answer subsumption

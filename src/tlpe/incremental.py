@@ -6,14 +6,21 @@ dynamic predicate, and every table which tables it called.  A change to
 a fact walks callers backwards from the tables that read it and marks
 each affected complete table INVALID.
 
-A table is recomputed in one way only: a call that finds it INVALID
-resets it and evaluates it afresh (``Engine._intern``).  After
+A marked table comes back in one place: a call that finds it INVALID
+(``Engine._intern``).  An assert whose affected tables are all monotone
+(no tnot, no findall or cut reached inline, no answer subsumption, no
+conditional answer) waits as a delta: that call reopens the tables with
+their answers, resumes each read they stored against the new fact alone,
+and feeds new answers to the readers they kept (Saha & Ramakrishnan,
+ICLP 2003).  Any other change, an abolish, a consult or a failed
+evaluation drops the waiting deltas; the call then resets each marked
+table, and ``recomputations`` counts these resets.  After
 ``incr_invalidate`` that call is the next query that reaches the table.
-``incr_assert`` and ``incr_retract`` make that call at once for each
-table their change marked; ``incr_table_update`` makes it for every
-table still invalid, so several invalidations followed by one update
-recompute each table once.  A table that an earlier call has already
-recomputed is skipped, so the order of the calls does not matter.
+``incr_assert`` and ``incr_retract`` make it at once for each table
+their change marked; ``incr_table_update`` makes it for every table
+still invalid, so several invalidations followed by one update bring
+each table back once.  A table that an earlier call has already brought
+back is skipped, so the order of the calls does not matter.
 """
 
 from typing import Iterable, List, Set, Tuple
@@ -70,8 +77,8 @@ def _as_change(change) -> Tuple[str, Term]:
 
 def incr_invalidate(engine: Engine, change) -> List[SubgoalTable]:
     """Apply a change but only mark the affected tables invalid; each
-    is recomputed at its next call, not now.  Returns the marked tables
-    in creation order.
+    comes back at its next call, not now.  Returns the marked tables in
+    creation order.
 
     ``change`` is ``assert(Fact)`` or ``retract(Fact)``; a bare fact
     means assert.  A change that some affected table cannot follow is
@@ -82,7 +89,8 @@ def incr_invalidate(engine: Engine, change) -> List[SubgoalTable]:
     iff one was there (a second copy asserted, one of two retracted)
     marks only the readers that see copies: under findall or a cut, or
     of a predicate with a cut among its clauses.  The other readers keep
-    their answer order, which may differ from a fresh evaluation's."""
+    their answer order, which may differ from a fresh evaluation's.  An
+    assert into monotone tables waits as a delta (module docstring)."""
     engine._guard_no_query("incremental update")
     op, fact = _as_change(change)
     pi = _source_info(engine, fact)
@@ -93,7 +101,8 @@ def incr_invalidate(engine: Engine, change) -> List[SubgoalTable]:
     # kept: a variant of the clause is held before and after the change
     if op == "assert":
         kept = program.holds_variant(fact)      # a stored clause is one
-        changed = program.add_clause(fact, at_load=False) is not None
+        clause = program.add_clause(fact, at_load=False)
+        changed = clause is not None
     else:
         changed = program.retract_clause(fact)  # a removed clause was one
         kept = changed and program.holds_variant(fact)
@@ -101,11 +110,17 @@ def incr_invalidate(engine: Engine, change) -> List[SubgoalTable]:
         return []
     if kept:
         affected = _affected(t for t, ordered in readers.items() if ordered)
-    marked = []
-    for table in sorted(affected, key=lambda t: t.dfn):
-        if table.status == SubgoalTable.COMPLETE:
-            table.status = SubgoalTable.INVALID
-            marked.append(table)
+    # the tables to follow the change, but those marked to be reset
+    deltas = engine.space.deltas
+    pending = {t for _, ts in deltas for t in ts}
+    tables = [t for t in sorted(affected, key=lambda t: t.dfn)
+              if t.complete or t in pending]
+    monotone = op == "assert" and all(
+        t.reads is not None and not t.pred.prunes for t in tables)
+    engine.space.deltas = deltas + [(clause, tables)] if monotone else []
+    marked = [t for t in tables if t.complete]
+    for table in marked:
+        table.status = SubgoalTable.INVALID
     return marked
 
 

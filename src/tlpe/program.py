@@ -194,6 +194,7 @@ class PredicateInfo:
     clauses: List[Clause] = field(default_factory=list)
     recomputations: int = 0
     cut_clauses: int = 0                # clauses whose body contains !
+    prunes: bool = False                # reaches ! or findall/3 inline
     general_clauses: int = 0            # rules and non-ground facts
 
     @property
@@ -653,6 +654,7 @@ class Program:
         pis = self.preds.values()
         readers = {k for k, pi in self.preds.items() if _reads_binding(pi)} \
             if any(pi.tabling == "subsumptive" for pi in pis) else None
+        graph = None
         if readers or any(pi.subsumption for pi in pis):
             # looked up at the call, where the traced benchmark wraps it
             from .sccs import tarjan_sccs
@@ -661,6 +663,8 @@ class Program:
             if readers:
                 self._variant_above(readers, graph, comps)
             self._check_subsumption_stratified(graph, comps)
+        if any(pi.incremental_table for pi in pis):
+            self._mark_pruning(graph or self.call_graph())
         self._changed = False
         return auto
 
@@ -677,6 +681,23 @@ class Program:
         for k in reach:
             if self.preds[k].tabling == "subsumptive":
                 self.preds[k].tabling = "variant"
+
+    def _mark_pruning(self, graph) -> None:
+        """Set ``prunes`` on every predicate whose clauses, or those of
+        the untabled predicates it reaches, hold a ``!`` or call
+        ``findall/3``: what a cut keeps or findall collects can change
+        when a clause is added, so its tables do not follow an assert by
+        its delta (``incremental``)."""
+        found = {k for k, pi in self.preds.items() if pi.cut_clauses or any(
+            functor_of(lit.goal) == ("findall", 3)
+            for cl in pi.clauses for lit in cl.body)}
+        new = found
+        while new:      # a tabled callee stands for its own calls
+            new = {k for k, edges in graph.items() if k not in found and any(
+                d in found and not self.preds[d].tabled for d in edges)}
+            found |= new
+        for k, pi in self.preds.items():
+            pi.prunes = k in found
 
     def _check_subsumption_stratified(self, graph, comps) -> None:
         """An answer-subsumption predicate may not depend on itself

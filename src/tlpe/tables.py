@@ -115,6 +115,12 @@ class SubgoalTable:
     position, suspended readers), next to the conditional-answer
     dependency state.
 
+    ``reads`` holds each read of incremental dynamic code an incremental
+    table's evaluation made, its goal and the continuation after it, as
+    long as an assert may reopen the table: a completion not ``monotone``
+    or a consult sets it to None.  Until then a complete table keeps in
+    ``consumers`` the readers owned by such tables.
+
     An ABOLISHED table is out of the table space: ``sweep`` reclaims it
     as it is marked.  The status remains for the references that outlive
     it, stale ``cond_dependents`` entries and a query's own table.
@@ -129,7 +135,7 @@ class SubgoalTable:
                  "index", "_answer_trie", "uncond_answers", "neg_watchers",
                  "cond_dependents", "consumers", "neg_waiters", "stack_pos",
                  "as_slot", "as_map", "as_seen", "dep_in",
-                 "dep_out", "__weakref__")
+                 "dep_out", "reads", "__weakref__")
 
     def __init__(self, pred: PredicateInfo, subgoal: Term, nvars: int,
                  dfn: int):
@@ -160,6 +166,7 @@ class SubgoalTable:
         # and its choices do not depend on where tables sit in memory
         self.dep_in: Dict["SubgoalTable", None] = {}
         self.dep_out: Dict["SubgoalTable", bool] = {}
+        self.reads: Optional[list] = _reads(pred)
 
     @property
     def complete(self) -> bool:
@@ -186,8 +193,20 @@ class SubgoalTable:
     def subgoal_is_ground(self) -> bool:
         return self.nvars == 0
 
+    def monotone(self) -> bool:
+        """Whether the answers can only grow as facts are added."""
+        return self.reads is not None \
+            and len(self.index) == self.uncond_answers \
+            and not any(self.dep_out.values())
+
     def __repr__(self):
         return f"<table {term_to_str(self.subgoal)} {self.status}>"
+
+
+def _reads(pi: PredicateInfo) -> Optional[list]:
+    """A new table's ``reads``: a list where an assert may reopen it."""
+    return [] if pi.incremental_table and pi.tabling == "variant" \
+        and pi.subsumption is None and not pi.prunes else None
 
 
 def _trie_insert(trie: Trie, ans: AnswerRecord) -> None:
@@ -236,6 +255,9 @@ class TableSpace:
         self._dfn = 0
         self._ans_seq = 0
         self._pending: List[Tuple[str, object]] = []
+        # asserts waiting for ``Engine._run_deltas``, each (clause, tables
+        # in creation order); an abolish drops them: the tables then reset
+        self.deltas: List[tuple] = []
         self.n_simplifications = 0
         self.trace_hook: Optional[Callable[[str, SubgoalTable], None]] = None
 
@@ -398,6 +420,7 @@ class TableSpace:
         table.consumers = []
         table.neg_waiters = []
         table.cond_dependents = set()
+        table.reads = _reads(table.pred)
         self.unlink(table)
         for readers in self.dyn_readers.values():
             readers.pop(table, None)
@@ -407,8 +430,9 @@ class TableSpace:
 
     def unlink(self, table: SubgoalTable) -> None:
         """Take a table's calls and delay lists out of the call graph, the
-        watcher lists and ``cond_dependents`` they joined; its callers
-        take it out of ``dyn_readers`` (a query's own table is in none)."""
+        watcher lists and ``cond_dependents`` they joined, and its readers
+        out of the complete tables that keep them; its callers take it
+        out of ``dyn_readers`` (a query's own table is in none)."""
         watched = {}    # each watcher list once, so each is read once
         for dl in [dl for ans in table.answers for dl in ans.delay_lists]:
             for lit in dl.lits:
@@ -420,6 +444,9 @@ class TableSpace:
             ws[:] = [w for w in ws if w[0].owner.table is not table]
         for callee in table.dep_out:
             callee.dep_in.pop(table, None)
+            if table.pred.incremental_table and callee.consumers:
+                callee.consumers = [c for c in callee.consumers
+                                    if c.cont.owner is not table]
         table.dep_out = {}
 
     def delete_answer(self, table: SubgoalTable, ans: AnswerRecord) -> None:
@@ -567,6 +594,7 @@ class TableSpace:
                 if d not in seen and d.status != SubgoalTable.ABOLISHED:
                     seen.add(d)
                     work.append(d)
+        self.deltas = []
         for t in work:
             t.status = SubgoalTable.ABOLISHED
         self.sweep()

@@ -10,8 +10,11 @@ does not run it after every query.
 Between evaluations:
 
 * the run stack and the completion stack are empty, every table is
-  COMPLETE or INVALID, and a COMPLETE table keeps no consumer and no
-  negative waiter;
+  COMPLETE or INVALID, and a COMPLETE table keeps no negative waiter;
+* a COMPLETE table keeps consumers only if it is a monotone incremental
+  table, and then only readers owned by live incremental tables that
+  call it, each with its cursor at the end of the answer list: what an
+  assert feeds them is new to them;
 * a table's ``index`` maps the bindings of each live answer to it, its
   answer trie, once built, holds exactly those, and ``uncond_answers``
   counts the live answers without delay lists;
@@ -45,6 +48,7 @@ def faults(eng):
     if eng.stack or eng.comp:
         out.append("the run stack or the completion stack is not empty")
     tables = eng.space.tables
+    variants = eng.space.variants
     watched = {(id(dl), id(lit)) for t in tables for dl, lit in t.neg_watchers}
     for t in tables:
         name = term_to_str(t.subgoal)
@@ -55,8 +59,25 @@ def faults(eng):
             out.append(f"{name}: abolished, still in the table space")
         if t.status == SubgoalTable.INCOMPLETE:
             out.append(f"{name}: incomplete after the evaluation")
-        elif t.complete and (t.consumers or t.neg_waiters):
-            out.append(f"{name}: complete, keeps readers")
+        elif t.complete and t.neg_waiters:
+            out.append(f"{name}: complete, keeps negative waiters")
+        elif t.complete and t.consumers and not (
+                t.pred.incremental_table and t.monotone()):
+            out.append(f"{name}: complete, keeps readers, not monotone")
+        for c in t.consumers if t.complete else ():
+            owner = c.cont.owner
+            if not (isinstance(owner, SubgoalTable)
+                    and owner.pred.incremental_table
+                    and variants.get(owner.subgoal) is owner):
+                out.append(f"{name}: keeps a reader of no live incremental "
+                           "table")
+            elif t not in owner.dep_out:
+                out.append(f"{name}: keeps a reader of "
+                           f"{term_to_str(owner.subgoal)}, which no longer "
+                           "calls it")
+            elif c.cursor != len(t.answers):
+                out.append(f"{name}: keeps a reader of "
+                           f"{term_to_str(owner.subgoal)} short of its end")
         if t.index != {a.bindings: a for a in live}:
             out.append(f"{name}: index is not the live answers")
         trie = t._answer_trie
@@ -92,7 +113,6 @@ def faults(eng):
                         out.append(f"{what}: its table is not a dependent")
                     if not lit.neg and not lit.ans.conditional:
                         out.append(f"{what} rests on a settled answer")
-    variants = eng.space.variants
     if variants != {t.subgoal: t for t in tables}:
         out.append("variants is not the live tables by their subgoals")
     for t in variants.values():

@@ -2,6 +2,7 @@
 error recovery, each checked against a fresh evaluation."""
 
 import random
+import sys
 
 import pytest
 
@@ -10,8 +11,12 @@ from tlpe.engine import Engine
 from tlpe.errors import EvalError
 from tlpe.incremental import (incr_assert, incr_invalidate, incr_retract,
                               incr_table_update)
+from tlpe.parser import parse_goal
 from tlpe.tables import SubgoalTable
 from tlpe.terms import term_to_str
+
+sys.path.insert(0, __file__.rsplit("/", 1)[0])
+from invariants import CheckedEngine, TableSpaceFault
 
 
 def make(src, **kw):
@@ -277,6 +282,216 @@ class TestRecovery:
         assert answer_set(eng, "c(X).") == set()
 
 
+def recomputations(eng):
+    return sum(pi.recomputations for pi in eng.program.user_predicates())
+
+
+def table_of(eng, goal):
+    return eng.space.lookup_variant(parse_goal(goal).term)
+
+
+class TestDelta:
+    """An assert into monotone tables reopens them and resumes only the
+    reads that the new fact answers; anything else resets them."""
+
+    def test_assert_resets_nothing(self):
+        eng = make(RULES + facts({(1, 2), (2, 3), (3, 1), (4, 5)}))
+        answer_set(eng, "reach(1,Y).")
+        incr_invalidate(eng, "assert(e(3,4)).")
+        assert answer_set(eng, "reach(1,Y).") == fresh(
+            {(1, 2), (2, 3), (3, 1), (4, 5), (3, 4)}, "reach(1,Y).")
+        assert recomputations(eng) == 0
+
+    FALLBACKS = {
+        "tnot": ("""
+            :- use_incremental_dynamic e/2.
+            :- table p/1 as incremental.
+            :- table q/1 as incremental.
+            p(X) :- e(X,_), tnot q(X).
+            q(X) :- e(_,X).
+            e(1,2).""", "e(2,1)", ["p(X).", "q(X)."]),
+        "findall": ("""
+            :- use_incremental_dynamic e/2.
+            :- table all/1 as incremental.
+            :- table r/1 as incremental.
+            all(L) :- findall(X, r(X), L0), sort(L0, L).
+            r(X) :- e(X,_).
+            e(3,2).""", "e(1,2)", ["all(L).", "r(X)."]),
+        "cut": ("""
+            :- use_incremental_dynamic e/2.
+            :- table first/1 as incremental.
+            :- table r/1 as incremental.
+            first(X) :- pick(X).
+            pick(X) :- r(X), !.
+            pick(none).
+            r(X) :- e(X,_).
+            e(5,5) :- fail.""", "e(1,2)", ["r(X).", "first(X)."]),
+        "answer subsumption": ("""
+            :- use_incremental_dynamic e/3.
+            :- table sp/3 as incremental.
+            :- table sp(_,_,min).
+            sp(X,Y,C) :- e(X,Y,C).
+            sp(X,Y,C) :- sp(X,Z,C1), e(Z,Y,C2), C is C1+C2.
+            e(1,2,5). e(2,3,1).""", "e(1,3,2)", ["sp(1,Y,C)."]),
+        "conditional answer": ("""
+            :- use_incremental_dynamic e/2.
+            :- table p/1 as incremental.
+            :- table u/0.
+            p(X) :- e(X,_), u.
+            u :- tnot u.
+            e(1,2).""", "e(3,4)", ["p(X)."]),
+    }
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    @pytest.mark.parametrize("case", sorted(FALLBACKS))
+    def test_reader_that_is_not_monotone_is_reset(self, case, strategy):
+        src, fact, goals = self.FALLBACKS[case]
+        eng = make(src, strategy=strategy)
+        for goal in goals:
+            answer_set(eng, goal)
+        assert incr_invalidate(eng, f"assert({fact}).")
+        assert eng.space.deltas == []
+        got = {goal: answer_set(eng, goal) for goal in goals}
+        assert recomputations(eng) > 0
+        again = make(f"{src}\n{fact}.", strategy=strategy)
+        assert got == {goal: answer_set(again, goal) for goal in goals}
+
+    FLOW = """
+    :- use_incremental_dynamic e/2.
+    :- use_incremental_dynamic f/2.
+    :- table p/1 as incremental.
+    :- table q/2 as incremental.
+    p(Z) :- e(1,Y), q(Y,Z).
+    q(Y,Z) :- f(Y,Z).
+    e(1,2). f(2,3).
+    """
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    def test_reset_table_leaves_no_reader_behind(self, strategy):
+        eng = CheckedEngine(strategy=strategy)
+        eng.consult(self.FLOW)
+        assert answer_set(eng, "p(Z).") == {("p(3)", "true")}
+        incr_invalidate(eng, "retract(e(1,2)).")
+        assert answer_set(eng, "p(Z).") == set()
+        assert table_of(eng, "q(2,Z)").consumers == []
+        # two pending asserts reopen p(_) and q(2,_) together: p(_) no
+        # longer calls q(2,_), so q(2,4) must not reach it
+        incr_invalidate(eng, "assert(e(1,7)).")
+        incr_invalidate(eng, "assert(f(2,4)).")
+        assert answer_set(eng, "p(Z).") == set()
+        assert answer_set(eng, "q(2,Z).") == {("q(2,3)", "true"),
+                                             ("q(2,4)", "true")}
+        assert recomputations(eng) == 1
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    def test_table_marked_for_reset_takes_no_delta(self, strategy):
+        eng = make(self.FLOW.replace("p(Z) :- e(1,Y), q(Y,Z).",
+                                     "p(Z) :- e(1,_), q(2,Z)."),
+                   strategy=strategy)
+        assert answer_set(eng, "p(Z).") == {("p(3)", "true")}
+        incr_invalidate(eng, "retract(e(1,2)).")
+        incr_invalidate(eng, "assert(f(2,4)).")
+        assert answer_set(eng, "q(2,Z).") == {("q(2,3)", "true"),
+                                             ("q(2,4)", "true")}
+        p = table_of(eng, "p(Z)")
+        assert p.status == SubgoalTable.INVALID
+        assert [term_to_str(a.term) for a in p.answers] == ["p(3)"]
+        assert answer_set(eng, "p(Z).") == set()
+
+    @pytest.mark.parametrize("change", ["consult", "abolish", "retract",
+                                        "raise"])
+    def test_other_changes_drop_pending_asserts(self, change):
+        eng = make(RULES + facts({(1, 2), (2, 3)}))
+        answer_set(eng, "reach(1,Y).")
+        incr_invalidate(eng, "assert(e(3,4)).")
+        assert eng.space.deltas
+        if change == "consult":
+            eng.consult("e(4,5).")
+        elif change == "abolish":
+            eng.abolish_call("reach(2,Y)")
+        elif change == "retract":
+            incr_invalidate(eng, "retract(e(1,2)).")
+        else:
+            with pytest.raises(EvalError):
+                eng.query("Z is 1 + a.")
+        assert eng.space.deltas == []
+        edges = {(1, 2), (2, 3), (3, 4)} | (
+            {(4, 5)} if change == "consult" else set())
+        edges -= {(1, 2)} if change == "retract" else set()
+        for goal in ("reach(1,Y).", "reach(2,Y).", "reach(3,Y)."):
+            assert answer_set(eng, goal) == fresh(edges, goal)
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    def test_consult_voids_what_tables_kept(self, strategy):
+        # p(1,_) keeps a reader of q(1,_) that joins the facts of f/2; a
+        # rule for f/2 consulted later must not meet that join
+        src = """
+        :- use_incremental_dynamic e/2.
+        :- table p/2 as incremental.
+        :- table q/2 as incremental.
+        p(X,Y) :- q(X,Z), f(Z,Y).
+        q(X,Y) :- e(X,Y).
+        e(1,2). f(2,5).
+        """
+        eng = CheckedEngine(strategy=strategy)
+        eng.consult(src)
+        assert answer_set(eng, "p(1,Y).") == {("p(1,5)", "true")}
+        more = "f(A,B) :- g(A,B).\ng(3,9).\n"
+        eng.consult(more)
+        incr_invalidate(eng, "assert(e(1,3)).")
+        want = answer_set(make(src + more + "e(1,3).\n"), "p(1,Y).")
+        assert answer_set(eng, "p(1,Y).") == want
+        assert want == {("p(1,5)", "true"), ("p(1,9)", "true")}
+
+    def test_kept_readers_do_not_grow(self):
+        # the shape of the update benchmark: periods of ten random
+        # changes, each period undone in reverse order, and four watched
+        # goals re-queried after each change
+        rng = random.Random(7)
+        core = {(i, i % 8 + 1) for i in range(1, 9)}
+        edges = set(core)
+        while len(edges) < 22:
+            edge = (rng.randint(1, 10), rng.randint(1, 10))
+            if edge[0] != edge[1]:
+                edges.add(edge)
+        eng = CheckedEngine()
+        eng.consult(RULES + facts(edges))
+        goals = [f"reach({s},Y)." for s in (1, 3, 5, 7)]
+
+        retracts = []
+
+        def change(kind, edge):
+            if kind == "retract":
+                retracts.append(edge)
+            (edges.add if kind == "assert" else edges.discard)(edge)
+            incr_invalidate(eng, f"{kind}(e({edge[0]},{edge[1]})).")
+            for goal in goals:
+                answer_set(eng, goal)
+
+        counts = []
+        for _ in range(10):
+            undo = []
+            for _ in range(10):
+                kind, edge = "retract", None
+                if rng.random() < 0.5:
+                    kind, edge = "assert", (rng.randint(1, 10),
+                                            rng.randint(1, 10))
+                if edge is None or edge in edges or edge[0] == edge[1]:
+                    kind, edge = "retract", rng.choice(sorted(edges - core))
+                change(kind, edge)
+                undo.append(("retract" if kind == "assert" else "assert",
+                             edge))
+            for kind, edge in reversed(undo):
+                change(kind, edge)
+            counts.append(sum(len(t.consumers) for t in eng.space.tables
+                              if t.complete))
+        assert 0 < max(counts) <= counts[0]
+        # only a retract resets, each table at most once
+        assert recomputations(eng) <= len(retracts) * len(eng.space.tables)
+        for goal in goals:
+            assert answer_set(eng, goal) == fresh(edges, goal)
+
+
 class TestCyclicTerms:
     SRC = ":- table p/1, r/1. p(X) :- r(X), X = f(X). r(Z)."
 
@@ -327,6 +542,15 @@ FUZZ_GOALS = ("reach(1,Y).", "reach(X,Y).", "reach(2,Y).", "rl(1,Y).",
               "rl(X,Y).", "un(X).")
 FUZZ_SEEDS = 20
 
+# without un/1, every table an assert marks is monotone: the assert is
+# followed by its delta, and only a retract resets tables
+MONOTONE_RULES = RULES.replace(":- table un/1 as incremental.\n", "") \
+    .replace("un(X) :- node(X), tnot reach(1,X).\n", "")
+MONOTONE_GOALS = FUZZ_GOALS[:-1]
+
+FUZZ_RUNS = [(RULES, FUZZ_GOALS, "local")] + [
+    (MONOTONE_RULES, MONOTONE_GOALS, s) for s in ("local", "batched")]
+
 
 def _fuzz_change(rng, edges):
     if edges and rng.random() < 0.5:
@@ -337,18 +561,27 @@ def _fuzz_change(rng, edges):
             return "assert", edge
 
 
-def _fuzz_seed(seed):
-    """Mismatches of one seed's run: a random edge set, then random
+def _fuzz_seed(seed, rules=RULES, goals=FUZZ_GOALS, strategy="local"):
+    """Mismatches of one seed's run, and its number of assert steps that
+    began with every table complete: a random edge set, then random
     eager updates, lone invalidations and invalidation batches closed by
-    incr_table_update, each followed by random checked queries."""
+    incr_table_update, each followed by random queries, on an engine
+    that checks its table space after each.  A step of asserts alone
+    that begins with every table complete and ends having reset a table
+    of the monotone rules is a mismatch too."""
     rng = random.Random(seed)
     edges = {(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(6)}
-    eng = make(RULES + facts(edges))
+    eng = CheckedEngine(strategy=strategy)
+    eng.consult(rules + facts(edges))
     mismatches = []
+    clean_asserts = 0
     for step in range(8):
         mode = rng.choice(("eager", "invalidate", "batch"))
+        before = recomputations(eng)
+        clean = all(t.complete for t in eng.space.tables)
         for _ in range(rng.randint(2, 3) if mode == "batch" else 1):
             kind, (a, b) = _fuzz_change(rng, edges)
+            clean = clean and kind == "assert"
             if kind == "assert":
                 edges.add((a, b))
             else:
@@ -363,14 +596,65 @@ def _fuzz_seed(seed):
             if not all(t.complete for t in eng.space.tables
                        if t.status != SubgoalTable.ABOLISHED):
                 mismatches.append((seed, step, "incomplete after update"))
-        for goal in rng.sample(FUZZ_GOALS, rng.randint(1, 3)):
-            if answer_set(eng, goal) != fresh(edges, goal):
+        for goal in rng.sample(goals, rng.randint(1, 3)):
+            if answer_set(eng, goal) != answer_set(
+                    make(rules + facts(edges)), goal):
                 mismatches.append((seed, step, goal))
-    return mismatches
+        clean_asserts += clean
+        if clean and rules is MONOTONE_RULES \
+                and recomputations(eng) != before:
+            mismatches.append((seed, step, "an assert reset a table"))
+    return mismatches, clean_asserts
+
+
+def _fuzz(rules, goals, strategy):
+    mismatches, clean_asserts = [], 0
+    for seed in range(FUZZ_SEEDS):
+        bad, clean = _fuzz_seed(seed, rules, goals, strategy)
+        mismatches.extend(bad)
+        clean_asserts += clean
+    return mismatches, clean_asserts
 
 
 def test_incremental_matches_fresh_evaluation():
-    mismatches = []
-    for seed in range(FUZZ_SEEDS):
-        mismatches.extend(_fuzz_seed(seed))
+    assert _fuzz(RULES, FUZZ_GOALS, "local")[0] == []
+
+
+@pytest.mark.parametrize("strategy", ["local", "batched"])
+def test_monotone_updates_match_fresh_evaluation(strategy):
+    mismatches, clean_asserts = _fuzz(MONOTONE_RULES, MONOTONE_GOALS,
+                                      strategy)
     assert mismatches == []
+    # the assert steps whose recomputations were checked
+    assert clean_asserts > 0
+
+
+def main(argv=None):
+    """Run the incremental fuzz over a range of seeds:
+    ``python tests/test_incremental.py FIRST LAST`` (inclusive) runs
+    each seed under each rule set and strategy, prints each mismatch or
+    table-space fault, and the count of mismatching runs."""
+    import argparse
+    parser = argparse.ArgumentParser(description=main.__doc__)
+    parser.add_argument("first", type=int)
+    parser.add_argument("last", type=int)
+    args = parser.parse_args(argv)
+    bad = 0
+    for seed in range(args.first, args.last + 1):
+        for rules, goals, strategy in FUZZ_RUNS:
+            try:
+                rows = _fuzz_seed(seed, rules, goals, strategy)[0]
+            except TableSpaceFault as exc:
+                rows = [(seed, "checked engine", str(exc))]
+            if rows:
+                bad += 1
+                print(f"seed {seed}, {strategy}, "
+                      f"{'tnot' if rules is RULES else 'monotone'} rules: "
+                      f"{rows[0]}", flush=True)
+    runs = (args.last - args.first + 1) * len(FUZZ_RUNS)
+    print(f"{bad} of {runs} runs mismatch")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
