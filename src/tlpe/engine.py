@@ -42,7 +42,8 @@ each ground answer with the facts its clause index keeps for it, by one
 probe where the answer binds the indexed argument to an atom or an
 integer; each fact that matches makes one answer of the owner, with no
 continuation or frame.  A ground answer that one probe of the owner's
-answer index finds settled is passed over: it would change nothing.
+answer index finds settled is passed over: it would change nothing.  So
+is one that a clause body makes as it ends.
 Facts join in clause order, and one whose answer pushes entries (a
 batched feed) leaves the facts still to join beneath them, so answers,
 their order, K and the traces are those of the inline path.
@@ -95,15 +96,18 @@ _TOO_DEEP = "nested past the recursion limit"
 
 class Collector:
     """Answer sink for sub-evaluations (findall, join/leq calls):
-    ``results`` holds each instance with the delay literals it carried."""
+    ``results`` holds each instance with the delay literals it carried.
+    A collector of ``supports`` is given each answer it consumes as a
+    positive delay literal, conditional or not."""
 
-    __slots__ = ("results", "owner_table")
+    __slots__ = ("results", "owner_table", "supports")
     complete = False        # an owner of readers, like a table; never complete
     reads = None            # and one that never follows an assert's delta
 
     def __init__(self, owner_table: Optional[SubgoalTable]):
         self.results: List[tuple] = []
         self.owner_table = owner_table
+        self.supports = False
 
 
 # bindings a frame may gain past its last compaction before it is compacted
@@ -616,8 +620,13 @@ class Engine:
                 ans = resolve(cont.ans, cont.frame)
                 if type(owner) is Collector:
                     owner.results.append((ans, cont.delays))
-                else:
+                elif owner.pred.subsumption is not None:
                     self._produce(owner, ans.args, cont.delays)
+                # a derivation that one probe finds settled changes nothing
+                elif not ans.ground \
+                        or (rec := owner.index.get(ans.args)) is None \
+                        or rec.delay_lists or owner.neg_waiters:
+                    self.insert_reduced(owner, ans.args, cont.delays)
                 return
             lits, i, off, scope, rest = goals
             if i + 1 < len(lits):
@@ -723,7 +732,7 @@ class Engine:
         """The table a call of ``goal`` reads, set up to run if new."""
         table, is_new = self.space.check_insert_subgoal(pi, goal, variant)
         if table.status == SubgoalTable.INVALID:
-            is_new = not any(table in ts for _, ts in self.space.deltas)
+            is_new = not any(table in ts for _, _, ts in self.space.deltas)
             if is_new:
                 self.reset_for_recompute(table)
             else:
@@ -763,6 +772,18 @@ class Engine:
         for clause, env in reversed(self.program.lookup_clauses(
                 table.subgoal, root.nv, self.occurs_check)):
             self.stack.append((self._resolve_clause, root, clause, env))
+
+    def _push_clauses(self, table: SubgoalTable, owner, stack: list):
+        """Push on ``stack`` what resolves the clauses of ``table`` for
+        ``owner``, as ``_activate`` does, but outside the hot path; the
+        clause of a collector is no new node."""
+        root = Cont(owner, _answer_vars(table), None, (), (), self.K,
+                    table.nvars, {})
+        for clause, env in reversed(self.program.lookup_clauses(
+                table.subgoal, root.nv, self.occurs_check)):
+            stack.append((self._resolve_clause, root, clause, env)
+                         if owner is table else
+                         (self._push_body, root, clause, env, None, root.k))
 
     def _resolve_clause(self, root: Cont, clause: Clause, env) -> None:
         """Resolve a clause of the producer of ``root.owner``."""
@@ -937,7 +958,8 @@ class Engine:
         table = consumer.table
         k = self._op("positive_return", "POSITIVE_RETURN", table)
         delays = cont.delays
-        if ans.conditional:
+        if ans.delay_lists or type(cont.owner) is Collector \
+                and cont.owner.supports:        # conditional, or a support
             delays = delays + (DelayLit(False, table, ans),)
         self._step_cont(Cont(cont.owner, cont.ans, cont.goals, delays,
                              cont.scopes, k, nv + ans.nvars, env))
@@ -1321,17 +1343,21 @@ class Engine:
         The caller's variables are shared: the goal and template arrive
         already instantiated, fresh variables start at nv."""
         collector = Collector(owner_table)
-        cont = self._body_cont(collector, template, goal, nv)
+        self._sub_run([(self._step_cont,
+                        self._body_cont(collector, template, goal, nv))])
+        return [r for r, delays in collector.results
+                if not any(not d.neg and d.ans.deleted for d in delays)]
 
+    def _sub_run(self, entries: list) -> None:
+        """Run the run-stack ``entries`` to quiescence in a context of
+        their own: the run stack, the completion stack and the round
+        state of the evaluation they run in are set aside meanwhile."""
         saved = self.stack, self.comp, self._round
-        self.stack, self.comp, self._round = [], [], None
+        self.stack, self.comp, self._round = entries, [], None
         try:
-            self.stack.append((self._step_cont, cont))
             self._run()
         finally:
             self.stack, self.comp, self._round = saved
-        return [r for r, delays in collector.results
-                if not any(not d.neg and d.ans.deleted for d in delays)]
 
     def _owner_of(self, cont: Cont) -> Optional[SubgoalTable]:
         owner = cont.owner
@@ -1355,24 +1381,122 @@ class Engine:
         self.space.reset_table(table)
 
     def _run_deltas(self) -> None:
-        """Follow every waiting assert: its tables go back on the completion
-        stack with their answers and the readers they kept whose owners
-        reopen too, and each read they stored that the clause unifies with
-        resumes against that clause alone."""
+        """Follow the waiting changes (``incremental``).  The tables of
+        the waiting asserts go back on the completion stack with their
+        answers and the readers they kept whose owners reopen too, and
+        each read they stored that a clause unifies with resumes against
+        that clause alone.  A retract waits alone."""
         deltas, self.space.deltas = self.space.deltas, []
-        tables = {t for _, ts in deltas for t in ts}
-        for t in sorted(tables, key=attrgetter("dfn")):
-            t.status = SubgoalTable.INCOMPLETE
-            t.stack_pos = len(self.comp)
-            self.comp.append(t)
-            t.consumers = [c for c in t.consumers if c.cont.owner in tables]
-        self._round = None
+        if deltas[0][0] == "retract":
+            self._follow_retract(*deltas[0][1:])
+            return
+        tables = {t for _, _, ts in deltas for t in ts}
+        self._reopen(sorted(tables, key=attrgetter("dfn")), tables)
         resumed = [(self._resolve_clause, cont, clause, env)
-                   for clause, ts in deltas for t in ts
+                   for _, clause, ts in deltas for t in ts
                    for goal, cont in t.reads if (env := _head_unifier(
                        clause.head, cont.nv, goal, self.occurs_check))
                    is not None]
         self.stack.extend(reversed(resumed))    # to run in order
+
+    def _reopen(self, tables: List[SubgoalTable], owners) -> None:
+        """Put ``tables`` back on the completion stack with their answers,
+        keeping the readers on them whose owners are among ``owners``."""
+        for t in tables:
+            t.status = SubgoalTable.INCOMPLETE
+            t.stack_pos = len(self.comp)
+            self.comp.append(t)
+            t.consumers = [c for c in t.consumers if c.cont.owner in owners]
+        self._round = None
+
+    def _follow_retract(self, fact: Term, tables: List[SubgoalTable]) -> None:
+        """Follow the retract of ``fact`` into ``tables``, monotone and
+        complete (``incremental``); a check that raises leaves them to be
+        reset."""
+        for t in tables:
+            t.status = SubgoalTable.COMPLETE
+        try:
+            readers, doomed = self._retract_check(fact, tables)
+        except BaseException:
+            for t in tables:
+                t.status = SubgoalTable.INVALID
+            raise
+        refresh = dict.fromkeys(readers)
+        for c in doomed:
+            self.space.delete_answer(c.table, c)
+            refresh.update(dict.fromkeys(c.table.dep_in))
+        refresh = sorted(refresh, key=attrgetter("dfn"))
+        for t in refresh:
+            self.space.drop_reads(t)
+        self._reopen(refresh, set(tables))
+        for t in reversed(refresh):
+            self._push_clauses(t, t, self.stack)
+
+    def _retract_check(self, fact: Term, tables: List[SubgoalTable]):
+        """The tables with a stored read that the retracted ``fact``
+        unifies with, and the answers of ``tables`` left without a
+        derivation: the check in stamp order of ``incremental``."""
+        derivs: Dict[SubgoalTable, tuple] = {}
+
+        def derivations(t):
+            if t not in derivs:
+                derivs[t] = self._derivations(t)
+            return derivs[t]
+
+        def gives(c):       # the supports of each derivation of ``c``
+            return derivations(c.table)[0].get(c, ())
+
+        def users(c):       # the answers of callers derived from ``c``
+            return [u for t in c.table.dep_in
+                    for u in derivations(t)[1].get(c, ())]
+
+        readers = [t for t in tables if any(
+            _head_unifier(fact, cont.nv, goal, self.occurs_check) is not None
+            for goal, cont in t.reads)]
+        heap = [(a.seq, a) for t in readers for a in t.answers
+                if not a.deleted]
+        queued = {a for _, a in heap}
+        heapify(heap)
+        doomed: Dict[object, None] = {}     # in stamp order
+        while heap:
+            seq, c = heappop(heap)
+            if any(all(s.seq < seq and s not in doomed for s in sup)
+                   for sup in gives(c)):
+                continue
+            doomed[c] = None
+            for u in users(c):
+                if u.seq > seq and u not in queued:
+                    queued.add(u)
+                    heappush(heap, (u.seq, u))
+        work = list(doomed)[::-1]
+        while work:
+            c = work.pop()
+            if c in doomed and any(all(s not in doomed for s in sup)
+                                   for sup in gives(c)):
+                del doomed[c]
+                self.space._ans_seq += 1
+                c.seq = self.space._ans_seq
+                work.extend(u for u in users(c) if u in doomed)
+        return readers, doomed
+
+    def _derivations(self, table: SubgoalTable) -> tuple:
+        """Each derivation of the clauses of ``table`` from the facts and
+        the answers the tables hold now, with its supports, the answers it
+        consumed: ``({answer: [supports]}, {support: [answers]})``."""
+        collector = Collector(None)
+        collector.supports = True
+        entries: list = []
+        self._push_clauses(table, collector, entries)
+        self._sub_run(entries)
+        gives: dict = {}
+        uses: dict = {}
+        for ans, delays in collector.results:
+            c = table.index.get(variant_tuple(ans.args)[0])
+            sup = [d.ans for d in delays]
+            gives.setdefault(c, []).append(sup)
+            for s in sup:
+                uses.setdefault(s, []).append(c)
+        return gives, uses
 
     # ------------------------------------------------------------------
     # join / leq evaluation for answer subsumption

@@ -7,15 +7,27 @@ a fact walks callers backwards from the tables that read it and marks
 each affected complete table INVALID.
 
 A marked table comes back in one place: a call that finds it INVALID
-(``Engine._intern``).  An assert whose affected tables are all monotone
-(no tnot, no findall or cut reached inline, no answer subsumption, no
-conditional answer) waits as a delta: that call reopens the tables with
+(``Engine._intern``).  A change whose affected tables are all monotone
+(no tnot, no findall or cut reached inline, no conditional answer) waits
+as a delta.  Asserts wait together: that call reopens the tables with
 their answers, resumes each read they stored against the new fact alone,
 and feeds new answers to the readers they kept (Saha & Ramakrishnan,
-ICLP 2003).  Any other change, an abolish, a consult or a failed
-evaluation drops the waiting deltas; the call then resets each marked
-table, and ``recomputations`` counts these resets.  After
-``incr_invalidate`` that call is the next query that reaches the table.
+ICLP 2003).  A retract waits alone, and only when every affected table
+is complete.  It rests on one invariant, W: every answer of a monotone
+table has a derivation from the current facts and from live answers
+with a smaller ``seq`` (SLG inserts an answer after what it consumed,
+and a restored answer takes a new ``seq``).  So the answers that may
+have lost their derivation are checked in ``seq`` order, as in the
+Backward/Forward algorithm (Motik et al., AAAI 2015): those of the
+tables that read the fact, then those of callers that a doomed answer
+helped to derive.  An answer stays if a derivation rests on older
+answers not doomed; a doomed answer that any derivation from answers not
+doomed still gives is restored; the rest are deleted.  Each table that
+read the fact, and each caller of one that lost an answer, resolves its
+clauses again to make its readers anew.  Any other change, an abolish, a
+consult or a failed evaluation drops the waiting deltas; the call then
+resets each marked table, and ``recomputations`` counts these resets.
+After ``incr_invalidate`` that call is the next query that reaches the table.
 ``incr_assert`` and ``incr_retract`` make it at once for each table
 their change marked; ``incr_table_update`` makes it for every table
 still invalid, so several invalidations followed by one update bring
@@ -30,7 +42,7 @@ from .errors import EvalError
 from .parser import parse_goal
 from .sccs import tarjan_sccs
 from .tables import SubgoalTable
-from .terms import Struct, Term, functor_of, term_to_str
+from .terms import Struct, Term, canonicalize, functor_of, term_to_str
 
 
 def _as_term(fact) -> Term:
@@ -89,8 +101,8 @@ def incr_invalidate(engine: Engine, change) -> List[SubgoalTable]:
     iff one was there (a second copy asserted, one of two retracted)
     marks only the readers that see copies: under findall or a cut, or
     of a predicate with a cut among its clauses.  The other readers keep
-    their answer order, which may differ from a fresh evaluation's.  An
-    assert into monotone tables waits as a delta (module docstring)."""
+    their answer order, which may differ from a fresh evaluation's.  A
+    change into monotone tables waits as a delta (module docstring)."""
     engine._guard_no_query("incremental update")
     op, fact = _as_change(change)
     pi = _source_info(engine, fact)
@@ -112,12 +124,18 @@ def incr_invalidate(engine: Engine, change) -> List[SubgoalTable]:
         affected = _affected(t for t, ordered in readers.items() if ordered)
     # the tables to follow the change, but those marked to be reset
     deltas = engine.space.deltas
-    pending = {t for _, ts in deltas for t in ts}
+    pending = {t for _, _, ts in deltas for t in ts}
     tables = [t for t in sorted(affected, key=lambda t: t.dfn)
               if t.complete or t in pending]
-    monotone = op == "assert" and all(
-        t.reads is not None and not t.pred.prunes for t in tables)
-    engine.space.deltas = deltas + [(clause, tables)] if monotone else []
+    # asserts wait together; a retract waits alone, for complete tables
+    follow = all(kind == "assert" for kind, _, _ in deltas) \
+        if op == "assert" else not deltas and len(tables) == len(affected)
+    if not follow or not all(t.reads is not None and not t.pred.prunes
+                             for t in tables):
+        engine.space.deltas = []
+    elif tables:
+        engine.space.deltas = deltas + [
+            (op, clause if op == "assert" else canonicalize(fact)[0], tables)]
     marked = [t for t in tables if t.complete]
     for table in marked:
         table.status = SubgoalTable.INVALID

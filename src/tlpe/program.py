@@ -356,6 +356,13 @@ class Program:
             raise DirectiveError(
                 f"{pi} is dynamic and cannot also be tabled")
         self._check_no_cut(pi)
+        # the state this directive leaves, whichever directive declared
+        # each part of it: a mode stated before stays unless one is now
+        if not explicit_mode and pi.tabling not in ("none", mode):
+            mode, explicit_mode = pi.tabling, True
+        if sub is None:
+            sub = pi.subsumption
+        incremental = incremental or pi.incremental_table
         if sub is not None:
             if mode == "subsumptive" and explicit_mode:
                 raise DirectiveError(
@@ -364,12 +371,12 @@ class Program:
                 raise DirectiveError(
                     f"{pi}: answer subsumption cannot be incremental")
             mode = "variant"
-            pi.subsumption = sub
         if incremental and mode == "subsumptive":
             raise DirectiveError(
                 f"{pi}: incremental tabling requires variant tabling")
+        pi.subsumption = sub
         pi.tabling = mode
-        pi.incremental_table = pi.incremental_table or incremental
+        pi.incremental_table = incremental
 
     def _answer_subsumption_spec(self, spec: Struct) -> SubsumptionSpec:
         pos = -1

@@ -204,9 +204,10 @@ class SubgoalTable:
 
 
 def _reads(pi: PredicateInfo) -> Optional[list]:
-    """A new table's ``reads``: a list where an assert may reopen it."""
+    """A new table's ``reads``: a list where a change may be followed
+    into it (an incremental table has no answer subsumption)."""
     return [] if pi.incremental_table and pi.tabling == "variant" \
-        and pi.subsumption is None and not pi.prunes else None
+        and not pi.prunes else None
 
 
 def _trie_insert(trie: Trie, ans: AnswerRecord) -> None:
@@ -255,8 +256,9 @@ class TableSpace:
         self._dfn = 0
         self._ans_seq = 0
         self._pending: List[Tuple[str, object]] = []
-        # asserts waiting for ``Engine._run_deltas``, each (clause, tables
-        # in creation order); an abolish drops them: the tables then reset
+        # changes waiting for ``Engine._run_deltas``, each ("assert",
+        # clause, tables in creation order), or one ("retract", fact,
+        # tables); an abolish drops them: the tables then reset
         self.deltas: List[tuple] = []
         self.n_simplifications = 0
         self.trace_hook: Optional[Callable[[str, SubgoalTable], None]] = None
@@ -420,13 +422,19 @@ class TableSpace:
         table.consumers = []
         table.neg_waiters = []
         table.cond_dependents = set()
-        table.reads = _reads(table.pred)
-        self.unlink(table)
-        for readers in self.dyn_readers.values():
-            readers.pop(table, None)
+        self.drop_reads(table)
         if table.as_map is not None:
             table.as_map, table.as_seen = {}, set()
         table.pred.recomputations += 1
+
+    def drop_reads(self, table: SubgoalTable) -> None:
+        """Take out what a table's evaluation made to read with: its calls
+        (``unlink``), its reads of dynamic code and ``reads``.  Its
+        answers stay, and so do the readers on it."""
+        self.unlink(table)
+        for readers in self.dyn_readers.values():
+            readers.pop(table, None)
+        table.reads = _reads(table.pred)
 
     def unlink(self, table: SubgoalTable) -> None:
         """Take a table's calls and delay lists out of the call graph, the
@@ -450,7 +458,8 @@ class TableSpace:
         table.dep_out = {}
 
     def delete_answer(self, table: SubgoalTable, ans: AnswerRecord) -> None:
-        """Remove an answer outright (answer subsumption replacement)."""
+        """Remove an answer outright (answer subsumption replacement, or
+        a retract that left it no derivation)."""
         if ans.deleted:
             return
         if not ans.delay_lists:

@@ -927,9 +927,10 @@ U, T = "undefined", "true"
 
 
 class TestDuplicateProbe:
-    """A fused return passes over a derivation that one probe of its
-    owner's answer index finds settled (ground, without delays, meeting
-    an unconditional answer); anything else still reaches the table.
+    """A fused return, or a clause body that ends, passes over a
+    derivation that one probe of its owner's answer index finds settled
+    (ground, meeting an unconditional answer of a table without answer
+    subsumption or tnot readers); anything else still reaches the table.
     Answers, truths, K and the counters are those the general insert
     gave (the values are the ones before the probe existed)."""
 
@@ -1012,15 +1013,23 @@ class TestDuplicateProbe:
         # are duplicates; each answer returns twice, to the join and to
         # the query, and only the 6 new derivations reach the table space
         # (10 before the probe).  Under batched the clause derives
-        # reach(1,3) once the join has: the general path inserts it
+        # reach(1,3) once the join has, at the end of its body, where the
+        # same probe passes over it; K, the counters and the traces are
+        # those the insert gave
         eng = make(CLOSURE + facts("e", [(i, i % 6 + 1) for i in range(1, 7)]
                                    + [(1, 3), (2, 5)]), strategy=strategy)
+        eng.trace_enabled = True
         calls = []
         add = eng.space.add_answer
         eng.space.add_answer = lambda t, *a: calls.append(t) or add(t, *a)
         assert len(eng.query("reach(1,Y).")) == 6
-        assert eng.counters["positive_return"] == 12
-        assert len(calls) == {"local": 6, "batched": 7}[strategy]
+        assert (eng.K, _counted(eng)) == (16, (2, 2, 12, 0, 0))
+        returns = ["POSITIVE_RETURN"] * 6
+        tail = {"local": ["COMPLETION"] + returns,
+                "batched": returns + ["COMPLETION"]}[strategy]
+        assert [line.split()[1] for line in eng.trace_lines] == [
+            "NEW_SUBGOAL"] + ["PROGRAM_CLAUSE_RESOLUTION"] * 2 + returns + tail
+        assert len(calls) == 6
 
 
 class TestDirectFactProbe:

@@ -8,12 +8,12 @@ import pytest
 
 from tlpe import cli
 from tlpe.engine import Engine
-from tlpe.errors import EvalError
+from tlpe.errors import DirectiveError, EvalError
 from tlpe.incremental import (incr_assert, incr_invalidate, incr_retract,
                               incr_table_update)
 from tlpe.parser import parse_goal
 from tlpe.tables import SubgoalTable
-from tlpe.terms import term_to_str
+from tlpe.terms import Int, Struct, Var, term_to_str
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from invariants import CheckedEngine, TableSpaceFault
@@ -326,13 +326,6 @@ class TestDelta:
             pick(none).
             r(X) :- e(X,_).
             e(5,5) :- fail.""", "e(1,2)", ["r(X).", "first(X)."]),
-        "answer subsumption": ("""
-            :- use_incremental_dynamic e/3.
-            :- table sp/3 as incremental.
-            :- table sp(_,_,min).
-            sp(X,Y,C) :- e(X,Y,C).
-            sp(X,Y,C) :- sp(X,Z,C1), e(Z,Y,C2), C is C1+C2.
-            e(1,2,5). e(2,3,1).""", "e(1,3,2)", ["sp(1,Y,C)."]),
         "conditional answer": ("""
             :- use_incremental_dynamic e/2.
             :- table p/1 as incremental.
@@ -355,6 +348,15 @@ class TestDelta:
         assert recomputations(eng) > 0
         again = make(f"{src}\n{fact}.", strategy=strategy)
         assert got == {goal: answer_set(again, goal) for goal in goals}
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_answer_subsumption_cannot_be_incremental(self, order):
+        # refused in two directives as in one, whichever comes first
+        tables = [":- table sp/3 as incremental.", ":- table sp(_,_,min)."]
+        with pytest.raises(DirectiveError, match="cannot be incremental"):
+            make(":- use_incremental_dynamic e/3.\n"
+                 + "\n".join(tables[::order])
+                 + "\nsp(X,Y,C) :- e(X,Y,C).\ne(1,2,5).\n")
 
     FLOW = """
     :- use_incremental_dynamic e/2.
@@ -381,22 +383,31 @@ class TestDelta:
         assert answer_set(eng, "p(Z).") == set()
         assert answer_set(eng, "q(2,Z).") == {("q(2,3)", "true"),
                                              ("q(2,4)", "true")}
-        assert recomputations(eng) == 1
+        # the retract was followed by its check, not by a reset
+        assert recomputations(eng) == 0
 
     @pytest.mark.parametrize("strategy", ["local", "batched"])
     def test_table_marked_for_reset_takes_no_delta(self, strategy):
-        eng = make(self.FLOW.replace("p(Z) :- e(1,Y), q(Y,Z).",
-                                     "p(Z) :- e(1,_), q(2,Z)."),
-                   strategy=strategy)
+        src = self.FLOW.replace("p(Z) :- e(1,Y), q(Y,Z).",
+                                "p(Z) :- e(1,_), q(2,Z).")
+        eng = make(src, strategy=strategy)
         assert answer_set(eng, "p(Z).") == {("p(3)", "true")}
+        # a retract that meets a waiting assert drops it: p(_) waits for
+        # its reset, and q(2,_), which f/2 alone reaches, for none
+        incr_invalidate(eng, "assert(e(1,8)).")
         incr_invalidate(eng, "retract(e(1,2)).")
+        assert eng.space.deltas == []
         incr_invalidate(eng, "assert(f(2,4)).")
         assert answer_set(eng, "q(2,Z).") == {("q(2,3)", "true"),
                                              ("q(2,4)", "true")}
+        assert recomputations(eng) == 0
         p = table_of(eng, "p(Z)")
         assert p.status == SubgoalTable.INVALID
         assert [term_to_str(a.term) for a in p.answers] == ["p(3)"]
-        assert answer_set(eng, "p(Z).") == set()
+        again = make(src.replace("e(1,2).", "e(1,8).") + "f(2,4).\n",
+                     strategy=strategy)
+        assert answer_set(eng, "p(Z).") == answer_set(again, "p(Z).")
+        assert recomputations(eng) == 1
 
     @pytest.mark.parametrize("change", ["consult", "abolish", "retract",
                                         "raise"])
@@ -486,10 +497,126 @@ class TestDelta:
             counts.append(sum(len(t.consumers) for t in eng.space.tables
                               if t.complete))
         assert 0 < max(counts) <= counts[0]
-        # only a retract resets, each table at most once
-        assert recomputations(eng) <= len(retracts) * len(eng.space.tables)
+        # neither an assert nor a retract resets a table
+        assert retracts and recomputations(eng) == 0
         for goal in goals:
             assert answer_set(eng, goal) == fresh(edges, goal)
+
+
+class TestRetractCheck:
+    """A retract into monotone tables checks in stamp order the answers
+    that may have lost their derivation and deletes only those that
+    did; every answer set matches a fresh engine's, and nothing resets."""
+
+    GOALS = ("reach(1,Y).", "reach(2,Y).", "reach(3,Y).", "rl(1,Y).")
+
+    def follow(self, edges, retracted, strategy):
+        eng = CheckedEngine(strategy=strategy)
+        eng.consult(MONOTONE_RULES + facts(edges))
+        for goal in self.GOALS:
+            answer_set(eng, goal)
+        incr_invalidate(eng, f"retract(e{retracted}).")
+        assert eng.space.deltas
+        edges = edges - {retracted}
+        for goal in self.GOALS:
+            assert answer_set(eng, goal) == fresh(edges, goal)
+        assert recomputations(eng) == 0
+        return eng
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    def test_retract_in_a_cycle_resets_nothing(self, strategy):
+        # e(1,3) lies on the cycle 1 -> 3 -> 1, and 1 -> 2 -> 3 still
+        # joins 1 to 3: no answer is lost
+        eng = self.follow({(1, 2), (2, 3), (3, 1), (1, 3), (3, 4)}, (1, 3),
+                          strategy)
+        assert all(not a.deleted for t in eng.space.tables
+                   for a in t.answers)
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    def test_retract_removes_answers_around_a_cycle(self, strategy):
+        # reach(1,4), reach(2,4) and reach(3,4) each derive the next
+        # around the cycle; only the oldest, reach(3,4), rested on e(3,4)
+        eng = self.follow({(1, 2), (2, 3), (3, 1), (3, 4)}, (3, 4), strategy)
+        lost = sorted(term_to_str(a.term) for t in eng.space.tables
+                      for a in t.answers if a.deleted)
+        assert lost == ["reach(1,4)", "reach(2,4)", "reach(3,4)", "rl(1,4)"]
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    def test_answer_that_loses_its_oldest_derivation_is_restamped(
+            self, strategy):
+        # reach(1,3) comes first from e(1,3), later from e(1,2) and
+        # reach(2,3): it outlives the retract with a stamp newer than
+        # that of the answer it now rests on
+        eng = CheckedEngine(strategy=strategy)
+        eng.consult(MONOTONE_RULES + facts({(1, 2), (2, 3), (1, 3)}))
+        answer_set(eng, "reach(1,Y).")
+        mine = table_of(eng, "reach(1,Y)").answers[1]
+        other = table_of(eng, "reach(2,Y)").answers[0]
+        assert term_to_str(mine.term) == "reach(1,3)" and mine.seq < other.seq
+        incr_invalidate(eng, "retract(e(1,3)).")
+        assert answer_set(eng, "reach(1,Y).") == fresh({(1, 2), (2, 3)},
+                                                       "reach(1,Y).")
+        assert not mine.deleted and mine.seq > other.seq
+        assert recomputations(eng) == 0
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    def test_stale_reader_does_not_pass_on_a_later_assert(self, strategy):
+        # reach(1,_) read reach(2,_) through e(1,2); once e(1,2) is gone,
+        # what an assert adds to reach(2,_) must not reach it
+        eng = CheckedEngine(strategy=strategy)
+        eng.consult(MONOTONE_RULES + facts({(1, 2), (2, 3), (1, 5)}))
+        answer_set(eng, "reach(1,Y).")
+        edges = {(2, 3), (1, 5)}
+        incr_invalidate(eng, "retract(e(1,2)).")
+        assert answer_set(eng, "reach(1,Y).") == fresh(edges, "reach(1,Y).")
+        incr_invalidate(eng, "assert(e(2,9)).")
+        edges.add((2, 9))
+        for goal in ("reach(2,Y).", "reach(1,Y)."):
+            assert answer_set(eng, goal) == fresh(edges, goal)
+        assert recomputations(eng) == 0
+
+    def test_check_that_raises_leaves_tables_to_reset(self, monkeypatch):
+        eng = CheckedEngine()
+        eng.consult(MONOTONE_RULES + facts({(1, 2), (2, 3), (3, 1)}))
+        answer_set(eng, "reach(1,Y).")
+        incr_invalidate(eng, "retract(e(3,1)).")
+
+        def fail(self, table):
+            raise EvalError("resource_exhausted", "in the check")
+
+        with monkeypatch.context() as m:
+            m.setattr(Engine, "_derivations", fail)
+            with pytest.raises(EvalError):
+                eng.query("reach(1,Y).")
+        assert eng.space.deltas == []
+        assert all(t.status == SubgoalTable.INVALID
+                   for t in eng.space.tables)
+        assert answer_set(eng, "reach(1,Y).") == fresh({(1, 2), (2, 3)},
+                                                       "reach(1,Y).")
+        assert recomputations(eng) > 0
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    def test_stale_read_through_a_lost_answer(self, strategy):
+        # p(1,_) read f(2,_) through q(1,2), which the retract takes, so
+        # p(1,_) resolves its clauses again though it reads no e/2
+        src = """
+        :- use_incremental_dynamic e/2.
+        :- use_incremental_dynamic f/2.
+        :- table p/2 as incremental.
+        :- table q/2 as incremental.
+        p(X,Y) :- q(X,Z), f(Z,Y).
+        q(X,Y) :- e(X,Y).
+        e(1,2). e(1,3). f(3,4).
+        """
+        eng = CheckedEngine(strategy=strategy)
+        eng.consult(src)
+        want = {("p(1,4)", "true")}
+        assert answer_set(eng, "p(1,Y).") == want
+        incr_invalidate(eng, "retract(e(1,2)).")
+        assert answer_set(eng, "p(1,Y).") == want
+        incr_invalidate(eng, "assert(f(2,9)).")
+        assert answer_set(eng, "p(1,Y).") == want
+        assert recomputations(eng) == 0
 
 
 class TestCyclicTerms:
@@ -561,27 +688,69 @@ def _fuzz_change(rng, edges):
             return "assert", edge
 
 
+def stamp_faults(eng, edges):
+    """Each live answer of a complete ``reach`` or ``rl`` table without a
+    derivation from ``edges`` and from live answers older than it, with
+    a smaller ``seq``: the invariant that lets a retract be followed by
+    a check in stamp order.  The derivations are read off the rules
+    here, not off the engine."""
+    terms = {}
+
+    def answer(goal, text):
+        # the live answer ``text`` of the table a call of ``goal`` reads
+        t = eng.space.lookup_variant(goal)
+        if t not in terms:
+            terms[t] = {} if t is None else {
+                term_to_str(a.term): a for a in t.answers if not a.deleted}
+        return terms[t].get(text)
+
+    out = []
+    for t in eng.space.tables:
+        name = t.pred.name
+        if not t.complete or name not in ("reach", "rl"):
+            continue
+        first, second = t.subgoal.args
+        for a in t.answers:
+            x, y = (arg.value for arg in a.term.args)
+            if a.deleted or (x, y) in edges:
+                continue
+            if name == "reach":     # e(X,Z), reach(Z,Y)
+                ok = any(c == x and (b := answer(
+                    Struct("reach", (Int(z), second)), f"reach({z},{y})"))
+                    and b.seq < a.seq for c, z in edges)
+            else:                   # rl(X,Z), e(Z,Y)
+                ok = any(d == y and (b := answer(
+                    Struct("rl", (first, Var(t.nvars))), f"rl({x},{z})"))
+                    and b.seq < a.seq for z, d in edges)
+            if not ok:
+                out.append(f"{term_to_str(a.term)} in "
+                           f"{term_to_str(t.subgoal)} has no older support")
+    return out
+
+
 def _fuzz_seed(seed, rules=RULES, goals=FUZZ_GOALS, strategy="local"):
-    """Mismatches of one seed's run, and its number of assert steps that
-    began with every table complete: a random edge set, then random
-    eager updates, lone invalidations and invalidation batches closed by
-    incr_table_update, each followed by random queries, on an engine
-    that checks its table space after each.  A step of asserts alone
-    that begins with every table complete and ends having reset a table
-    of the monotone rules is a mismatch too."""
+    """Mismatches of one seed's run, its number of steps checked to reset
+    nothing, and its number of answers checked for older supports: a
+    random edge set, then random eager updates, lone invalidations and
+    invalidation batches closed by incr_table_update, each followed by
+    random queries, on an engine that checks its table space after
+    each.  Under the monotone rules a step of one change, or of asserts
+    alone, that begins with every table complete and ends having reset
+    a table is a mismatch too; after each step, so is an answer that
+    ``stamp_faults`` finds."""
     rng = random.Random(seed)
     edges = {(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(6)}
     eng = CheckedEngine(strategy=strategy)
     eng.consult(rules + facts(edges))
     mismatches = []
-    clean_asserts = 0
+    clean_steps = stamped = 0
     for step in range(8):
         mode = rng.choice(("eager", "invalidate", "batch"))
         before = recomputations(eng)
         clean = all(t.complete for t in eng.space.tables)
         for _ in range(rng.randint(2, 3) if mode == "batch" else 1):
             kind, (a, b) = _fuzz_change(rng, edges)
-            clean = clean and kind == "assert"
+            clean = clean and (kind == "assert" or mode != "batch")
             if kind == "assert":
                 edges.add((a, b))
             else:
@@ -600,50 +769,59 @@ def _fuzz_seed(seed, rules=RULES, goals=FUZZ_GOALS, strategy="local"):
             if answer_set(eng, goal) != answer_set(
                     make(rules + facts(edges)), goal):
                 mismatches.append((seed, step, goal))
-        clean_asserts += clean
-        if clean and rules is MONOTONE_RULES \
-                and recomputations(eng) != before:
-            mismatches.append((seed, step, "an assert reset a table"))
-    return mismatches, clean_asserts
+        mismatches += [(seed, step, f) for f in stamp_faults(eng, edges)]
+        stamped += sum(len(t.index) for t in eng.space.tables if t.complete
+                       and t.pred.name in ("reach", "rl"))
+        if rules is MONOTONE_RULES and clean:
+            clean_steps += 1
+            if recomputations(eng) != before:
+                mismatches.append((seed, step, f"{mode} step reset a table"))
+    return mismatches, clean_steps, stamped
 
 
 def _fuzz(rules, goals, strategy):
-    mismatches, clean_asserts = [], 0
+    mismatches, clean_steps, stamped = [], 0, 0
     for seed in range(FUZZ_SEEDS):
-        bad, clean = _fuzz_seed(seed, rules, goals, strategy)
+        bad, clean, checked = _fuzz_seed(seed, rules, goals, strategy)
         mismatches.extend(bad)
-        clean_asserts += clean
-    return mismatches, clean_asserts
+        clean_steps += clean
+        stamped += checked
+    return mismatches, clean_steps, stamped
 
 
 def test_incremental_matches_fresh_evaluation():
-    assert _fuzz(RULES, FUZZ_GOALS, "local")[0] == []
+    mismatches, _, stamped = _fuzz(RULES, FUZZ_GOALS, "local")
+    assert mismatches == [] and stamped > 0
 
 
 @pytest.mark.parametrize("strategy", ["local", "batched"])
 def test_monotone_updates_match_fresh_evaluation(strategy):
-    mismatches, clean_asserts = _fuzz(MONOTONE_RULES, MONOTONE_GOALS,
-                                      strategy)
+    mismatches, clean_steps, stamped = _fuzz(MONOTONE_RULES, MONOTONE_GOALS,
+                                             strategy)
     assert mismatches == []
-    # the assert steps whose recomputations were checked
-    assert clean_asserts > 0
+    # the steps whose resets were checked, the answers whose supports were
+    assert clean_steps > 0 and stamped > 0
 
 
 def main(argv=None):
     """Run the incremental fuzz over a range of seeds:
     ``python tests/test_incremental.py FIRST LAST`` (inclusive) runs
     each seed under each rule set and strategy, prints each mismatch or
-    table-space fault, and the count of mismatching runs."""
+    table-space fault, the count of mismatching runs, and how many steps
+    and answers the reset and stamp checks read."""
     import argparse
     parser = argparse.ArgumentParser(description=main.__doc__)
     parser.add_argument("first", type=int)
     parser.add_argument("last", type=int)
     args = parser.parse_args(argv)
-    bad = 0
+    bad = clean_steps = stamped = 0
     for seed in range(args.first, args.last + 1):
         for rules, goals, strategy in FUZZ_RUNS:
             try:
-                rows = _fuzz_seed(seed, rules, goals, strategy)[0]
+                rows, clean, checked = _fuzz_seed(seed, rules, goals,
+                                                  strategy)
+                clean_steps += clean
+                stamped += checked
             except TableSpaceFault as exc:
                 rows = [(seed, "checked engine", str(exc))]
             if rows:
@@ -652,7 +830,8 @@ def main(argv=None):
                       f"{'tnot' if rules is RULES else 'monotone'} rules: "
                       f"{rows[0]}", flush=True)
     runs = (args.last - args.first + 1) * len(FUZZ_RUNS)
-    print(f"{bad} of {runs} runs mismatch")
+    print(f"{bad} of {runs} runs mismatch; {clean_steps} monotone steps "
+          f"checked to reset nothing, {stamped} answers for older supports")
     return 1 if bad else 0
 
 

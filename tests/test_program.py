@@ -96,6 +96,33 @@ class TestTableDirectives:
         with pytest.raises(DirectiveError):
             load(":- table sp(_, min) as subsumptive.")
 
+    @pytest.mark.parametrize("first,second,message", [
+        ("sp/3 as incremental", "sp(_,_,min)",
+         "answer subsumption cannot be incremental"),
+        ("sp/3 as incremental", "sp/3 as subsumptive",
+         "incremental tabling requires variant tabling"),
+        ("sp(_,_,min)", "sp/3 as subsumptive",
+         "answer subsumption requires variant tabling"),
+    ])
+    @pytest.mark.parametrize("order", ["as written", "reversed"])
+    def test_two_directives_combine_as_one(self, first, second, message,
+                                           order):
+        # each pair is refused in one directive, and so in two, either
+        # way round, before the second changes the predicate
+        if order == "reversed":
+            first, second = second, first
+        prog = load(f":- table {first}.")
+        before = vars(prog.info("sp", 3)).copy()
+        with pytest.raises(DirectiveError, match=message):
+            prog.apply_directive(parse_term_text(f"table({second})"))
+        assert vars(prog.info("sp", 3)) == before
+
+    def test_a_later_directive_keeps_what_it_does_not_state(self):
+        prog = load(":- table p/2 as subsumptive.\n:- table p/2.\n"
+                    ":- table q(_,min).\n:- table q/2.")
+        assert prog.info("p", 2).tabling == "subsumptive"
+        assert prog.info("q", 2).subsumption.kind == "min"
+
     def test_no_aggregated_argument(self):
         with pytest.raises(DirectiveError):
             load(":- table sp(_, _).")
