@@ -46,7 +46,9 @@ answer index finds settled is passed over: it would change nothing.  So
 is one that a clause body makes as it ends.
 Facts join in clause order, and one whose answer pushes entries (a
 batched feed) leaves the facts still to join beneath them, so answers,
-their order, K and the traces are those of the inline path.
+their order, K and the traces are those of the inline path.  The
+retract check's collector takes these returns too, and holds each as
+the bindings of a derivation with the records it consumed.
 
 Scheduling maintains a completion stack of exactly the incomplete
 tables, the scheduler's only registry of them: a completed SCC leaves
@@ -95,19 +97,26 @@ _TOO_DEEP = "nested past the recursion limit"
 
 
 class Collector:
-    """Answer sink for sub-evaluations (findall, join/leq calls):
-    ``results`` holds each instance with the delay literals it carried.
-    A collector of ``supports`` is given each answer it consumes as a
-    positive delay literal, conditional or not."""
+    """Answer sink for sub-evaluations (findall, join/leq calls, the
+    retract check): ``results`` holds each instance with the delay
+    literals it carried.  A collector of ``supports``, the retract
+    check's, is given each answer it consumes as a positive delay
+    literal, conditional or not; its readers take the fused returns
+    (``ReturnPlan``), which give it bindings and records instead."""
 
     __slots__ = ("results", "owner_table", "supports")
     complete = False        # an owner of readers, like a table; never complete
     reads = None            # and one that never follows an assert's delta
 
-    def __init__(self, owner_table: Optional[SubgoalTable]):
+    def __init__(self, owner_table: Optional[SubgoalTable],
+                 supports: bool = False):
         self.results: List[tuple] = []
         self.owner_table = owner_table
-        self.supports = False
+        self.supports = supports
+
+    def derive(self, row: tuple, sups: tuple) -> None:
+        """A fused return's derivation: bindings and the records used."""
+        self.results.append((row, sups))
 
 
 # bindings a frame may gain past its last compaction before it is compacted
@@ -202,7 +211,8 @@ class Consumer:
         self.vars = ids if len(ids) == len(terms) else None
         self.seen = {} if self.vars is None else None
         self.plan = None
-        if self.vars is not None and type(cont.owner) is not Collector:
+        if self.vars is not None and (type(cont.owner) is not Collector
+                                      or cont.owner.supports):
             self.plan = _return_plan(cont, ids, program)
         self.cursor = 0
         self.scopes = cont.scopes
@@ -894,9 +904,14 @@ class Engine:
         if plan is not None:
             owner, delays, proj = consumer.cont.owner, consumer.cont.delays, \
                 plan.proj
-            produce = self.insert_reduced \
-                if owner.pred.subsumption is None else self._produce
-            index = owner.index if owner.pred.subsumption is None else None
+            sups = type(owner) is Collector     # supports are records
+            if sups:
+                produce, index = Collector.derive, None
+                delays = tuple([d.ans for d in delays])
+            elif owner.pred.subsumption is None:
+                produce, index = self.insert_reduced, owner.index
+            else:
+                produce, index = self._produce, None
             pi, (lookup, slot) = plan.pred, plan.direct or (None, 0)
         while i < n:
             ans = answers[i]
@@ -911,8 +926,8 @@ class Engine:
             else:
                 self._op("positive_return", "POSITIVE_RETURN", table)
                 b, d = ans.bindings, delays
-                if ans.delay_lists:
-                    d += (DelayLit(False, table, ans),)
+                if ans.delay_lists or sups:
+                    d += (ans,) if sups else (DelayLit(False, table, ans),)
                 if pi is None:
                     # a last call: a derivation that meets a settled answer
                     # of the owner by one probe of its index changes nothing
@@ -925,7 +940,8 @@ class Engine:
                     self._join_facts(consumer, b, d, lookup(a)
                                      if type(a) is Atom or type(a) is Int
                                      else self.program._candidates(
-                                         pi, plan.call(b))[1], 0)
+                                         pi, plan.call(b))[1], 0,
+                                     produce, index)
             if hold or len(stack) > mark:
                 if not hold and i < n:
                     stack.insert(mark, (self._resume, consumer, answers, i, n))
@@ -965,17 +981,17 @@ class Engine:
                              cont.scopes, k, nv + ans.nvars, env))
 
     def _join_facts(self, consumer: Consumer, base: tuple, delays: tuple,
-                    facts: list, i: int) -> None:
+                    facts: list, i: int, produce, index) -> None:
         """Hand the owner of ``consumer`` the answer of each fact from
         ``facts[i]`` on that joins the ground row ``base``
-        (``ReturnPlan``), but a duplicate that would change nothing.  An
-        answer that pushes entries (a batched feed) leaves an entry for
-        the facts still to join beneath them: they run first, as before
-        each next fact of an inline call."""
+        (``ReturnPlan``) through ``produce``, but a duplicate that one
+        probe of ``index`` finds would change nothing.  An answer that
+        pushes entries (a batched feed) leaves an entry for the facts
+        still to join beneath them: they run first, as before each next
+        fact of an inline call."""
         plan = consumer.plan
         owner = consumer.cont.owner
         checks, arith, proj = plan.checks, plan.arith, plan.proj
-        index = owner.index if owner.pred.subsumption is None else None
         stack = self.stack
         n = len(facts)
         while i < n:
@@ -994,10 +1010,10 @@ class Engine:
                         and not rec.delay_lists and not owner.neg_waiters:
                     continue
                 mark = len(stack)
-                self._produce(owner, row, delays)
+                produce(owner, row, delays)
                 if len(stack) > mark and i < n:
                     stack.insert(mark, (self._join_facts, consumer, base,
-                                        delays, facts, i))
+                                        delays, facts, i, produce, index))
                     return
 
     # ------------------------------------------------------------------
@@ -1482,17 +1498,21 @@ class Engine:
     def _derivations(self, table: SubgoalTable) -> tuple:
         """Each derivation of the clauses of ``table`` from the facts and
         the answers the tables hold now, with its supports, the answers it
-        consumed: ``({answer: [supports]}, {support: [answers]})``."""
-        collector = Collector(None)
-        collector.supports = True
+        consumed: ``({answer: [supports]}, {support: [answers]})``.  A
+        fused return gives a derivation as bindings and records, the
+        general path as a term and delay literals."""
+        collector = Collector(None, supports=True)
         entries: list = []
         self._push_clauses(table, collector, entries)
         self._sub_run(entries)
+        index = table.index
         gives: dict = {}
         uses: dict = {}
-        for ans, delays in collector.results:
-            c = table.index.get(variant_tuple(ans.args)[0])
-            sup = [d.ans for d in delays]
+        for row, sup in collector.results:
+            if type(row) is Struct:     # by the general path
+                row, sup = row.args, tuple([d.ans for d in sup])
+            # one probe finds a ground row; a row with variables is renamed
+            c = index.get(row) or index.get(variant_tuple(row)[0])
             gives.setdefault(c, []).append(sup)
             for s in sup:
                 uses.setdefault(s, []).append(c)

@@ -35,6 +35,7 @@ each table back once.  A table that an earlier call has already brought
 back is skipped, so the order of the calls does not matter.
 """
 
+from operator import attrgetter
 from typing import Iterable, List, Set, Tuple
 
 from .engine import Engine
@@ -125,8 +126,7 @@ def incr_invalidate(engine: Engine, change) -> List[SubgoalTable]:
     # the tables to follow the change, but those marked to be reset
     deltas = engine.space.deltas
     pending = {t for _, _, ts in deltas for t in ts}
-    tables = [t for t in sorted(affected, key=lambda t: t.dfn)
-              if t.complete or t in pending]
+    tables = [t for t in affected if t.complete or t in pending]
     # asserts wait together; a retract waits alone, for complete tables
     follow = all(kind == "assert" for kind, _, _ in deltas) \
         if op == "assert" else not deltas and len(tables) == len(affected)
@@ -153,8 +153,9 @@ def _recompute(engine: Engine,
     return tables
 
 
-def _affected(readers: Iterable[SubgoalTable]) -> Set[SubgoalTable]:
-    """Reverse reachability from the direct readers of changed facts."""
+def _affected(readers: Iterable[SubgoalTable]) -> List[SubgoalTable]:
+    """Reverse reachability from the direct readers of changed facts, in
+    creation order."""
     frontier = list(readers)
     out: Set[SubgoalTable] = set()
     while frontier:
@@ -162,15 +163,15 @@ def _affected(readers: Iterable[SubgoalTable]) -> Set[SubgoalTable]:
         if t not in out:
             out.add(t)
             frontier.extend(c for c in t.dep_in if c not in out)
-    return out
+    return sorted(out, key=attrgetter("dfn"))
 
 
-def _validate(affected: Set[SubgoalTable]) -> None:
+def _validate(affected: List[SubgoalTable]) -> None:
     """Refuse a change that some affected table cannot follow.  Both
     checks read the tables in creation order, so the table an error
     names does not depend on where tables sit in memory: an unsupported
-    one is the oldest."""
-    affected = sorted(affected, key=lambda t: t.dfn)
+    one is the oldest.  Without a negative edge there is no negative
+    loop to look for."""
     for t in affected:
         if t.pred.tabling == "subsumptive":
             raise EvalError(
@@ -181,6 +182,8 @@ def _validate(affected: Set[SubgoalTable]) -> None:
                 "incremental_unsupported",
                 f"affected table {term_to_str(t.subgoal)} is not "
                 "declared incremental")
+    if not any(neg for t in affected for neg in t.dep_out.values()):
+        return
     for scc in tarjan_sccs(affected, lambda t: t.dep_out):
         members = set(scc)
         for t in scc:

@@ -1508,13 +1508,24 @@ class TestCutOverIncompleteTable:
         a :- tnot r. a.
         """
     FIRST = ":- table p/1. p(1). p(2). q(X) :- p(X), !."
+    # the clause after the cut runs while the cut's clause waits on r(_)
+    PICK = """
+        :- table first/1, r/1.
+        first(X) :- pick(X).
+        pick(X) :- r(X), !.
+        pick(none).
+        r(X) :- e(X).
+        e(1).
+        """
 
     @pytest.mark.parametrize("src,goal,strategy,want", [
         (CONSUMER, "p(X).", "local", None),
         (WAITER, "p.", "local", None),
         (FIRST, "q(X).", "local", ["q(1)"]),
         (FIRST, "q(X).", "batched", None),
-    ], ids=["consumer", "negation_waiter", "first_local", "first_batched"])
+        (PICK, "first(X).", "batched", None),
+    ], ids=["consumer", "negation_waiter", "first_local", "first_batched",
+            "pick_batched"])
     def test_cut_over_incomplete_table(self, src, goal, strategy, want):
         # under batched scheduling p(1) reaches the cut while p(X) is
         # still incomplete; under local scheduling p(X) completes first
@@ -1527,6 +1538,17 @@ class TestCutOverIncompleteTable:
             else:
                 assert solutions(eng, goal) == want
             assert all(t.complete for t in eng.space.tables)
+
+    @pytest.mark.xfail(strict=True, reason="under local the cut runs only "
+                       "once r(_) completes, after pick(none) has answered")
+    def test_cut_after_a_later_clause_ran_under_local(self):
+        eng = make(self.PICK)
+        try:
+            got = solutions(eng, "first(X).")
+        except EvalError as err:
+            assert err.kind == "cut_over_incomplete_table"
+        else:
+            assert got == ["first(1)"]
 
 
 class TestEngineGuards:

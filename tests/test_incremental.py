@@ -7,6 +7,8 @@ import sys
 import pytest
 
 from tlpe import cli
+from tlpe import engine as engine_module
+from tlpe import incremental as incremental_module
 from tlpe.engine import Engine
 from tlpe.errors import DirectiveError, EvalError
 from tlpe.incremental import (incr_assert, incr_invalidate, incr_retract,
@@ -50,6 +52,11 @@ node(N) :- e(N,_).
 node(N) :- e(_,N).
 un(X) :- node(X), tnot reach(1,X).
 """
+
+# without un/1, every table an assert marks is monotone: the assert is
+# followed by its delta, and only a retract resets tables
+MONOTONE_RULES = RULES.replace(":- table un/1 as incremental.\n", "") \
+    .replace("un(X) :- node(X), tnot reach(1,X).\n", "")
 
 
 def facts(edges):
@@ -220,6 +227,30 @@ class TestRejectedUpdate:
             incr_invalidate(eng, "assert(e(2)).")
         assert err.value.kind == "incremental_unsupported"
         assert "p0(_G0)" in str(err.value)
+
+    def test_negative_edge_outside_a_loop_is_accepted(self, monkeypatch):
+        # un(X) reads reach(1,X) through tnot, in no loop; the search for
+        # a negative loop runs only where an affected table has such an
+        # edge
+        searched = []
+
+        def tarjan_sccs(nodes, succ):
+            searched.append(nodes)
+            return real(nodes, succ)
+
+        real = incremental_module.tarjan_sccs
+        monkeypatch.setattr(incremental_module, "tarjan_sccs", tarjan_sccs)
+        edges = {(1, 2), (2, 3), (4, 4)}
+        eng = make(RULES + facts(edges))
+        answer_set(eng, "reach(1,Y).")
+        incr_invalidate(eng, "assert(e(3,5)).")
+        assert searched == []
+        answer_set(eng, "un(X).")
+        marked = incr_invalidate(eng, "assert(e(2,4)).")
+        assert "un(_G0)" in {term_to_str(t.subgoal) for t in marked}
+        assert len(searched) == 1
+        edges |= {(3, 5), (2, 4)}
+        assert answer_set(eng, "un(X).") == fresh(edges, "un(X).")
 
 
 class TestRecovery:
@@ -618,6 +649,93 @@ class TestRetractCheck:
         assert answer_set(eng, "p(1,Y).") == want
         assert recomputations(eng) == 0
 
+    # a fact join over static facts, and a table of non-ground answers
+    JOIN = """
+    :- use_incremental_dynamic e/2.
+    :- table p/2 as incremental.
+    :- table q/2 as incremental.
+    p(X,Y) :- e(X,Z), q(Z,W), s(W,Y).
+    q(X,Y) :- e(X,Y).
+    s(2,5). s(3,6). s(3,7). s(1,8).
+    e(1,2). e(2,3). e(1,3). e(3,1).
+    """
+    OPEN = """
+    :- use_incremental_dynamic e/2.
+    :- table n/2 as incremental.
+    :- table m/2 as incremental.
+    n(X,f(Y,Y)) :- e(X,_).
+    n(X,g(X)) :- e(_,X).
+    m(X,Y) :- e(X,Z), n(Z,Y).
+    e(1,2). e(2,3). e(3,1).
+    """
+    SHAPES = {"last call": (MONOTONE_RULES + facts(
+                  {(1, 2), (2, 3), (3, 1), (1, 3), (3, 4)}), GOALS),
+              "fact join": (JOIN, ("p(1,Y).", "p(X,Y).")),
+              "non-ground answers": (OPEN, ("m(1,Y).", "m(X,Y)."))}
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_fused_returns_give_the_general_derivations(
+            self, shape, strategy, monkeypatch):
+        src, goals = self.SHAPES[shape]
+        eng = make(src, strategy=strategy)
+        for goal in goals:
+            assert answer_set(eng, goal)
+        real = engine_module._return_plan
+        taken = []
+
+        def check(plans):
+            # each complete table's derivations, and the nodes and
+            # operations that reading them counted
+            def return_plan(*args):
+                plan = real(*args) if plans else None
+                taken.append(plan is not None)
+                return plan
+
+            monkeypatch.setattr(engine_module, "_return_plan", return_plan)
+            k, counters = eng.K, dict(eng.counters)
+            maps = {term_to_str(t.subgoal): eng._derivations(t)
+                    for t in eng.space.tables if t.complete}
+            return maps, eng.K - k, {c: n - counters[c]
+                                     for c, n in eng.counters.items()}
+
+        fused = check(True)
+        assert any(taken)
+        assert check(False) == fused
+        assert fused[1] == fused[2]["positive_return"] > 0
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    def test_check_over_reach_makes_no_general_return(self, strategy,
+                                                       monkeypatch):
+        # every reader in a reach table's clauses is a last call, so the
+        # fused returns hand the check each derivation
+        count = {"checks": 0, "returns": 0}
+        derivations, return_answer = Engine._derivations, \
+            Engine._return_answer
+
+        def spied_derivations(self, table):
+            count["checks"] += 1
+            return derivations(self, table)
+
+        def spied_return(self, consumer, ans):
+            count["returns"] += type(consumer.cont.owner) is \
+                engine_module.Collector
+            return return_answer(self, consumer, ans)
+
+        monkeypatch.setattr(Engine, "_derivations", spied_derivations)
+        monkeypatch.setattr(Engine, "_return_answer", spied_return)
+        edges = {(1, 2), (2, 3), (3, 1), (3, 4), (1, 3)}
+        goals = ("reach(1,Y).", "reach(2,Y).", "reach(3,Y).")
+        eng = CheckedEngine(strategy=strategy)
+        eng.consult(MONOTONE_RULES + facts(edges))
+        for goal in goals:
+            answer_set(eng, goal)
+        incr_invalidate(eng, "retract(e(3,4)).")
+        for goal in goals:
+            assert answer_set(eng, goal) == fresh(edges - {(3, 4)}, goal)
+        assert count["checks"] > 0 and count["returns"] == 0
+        assert recomputations(eng) == 0
+
 
 class TestCyclicTerms:
     SRC = ":- table p/1, r/1. p(X) :- r(X), X = f(X). r(Z)."
@@ -669,10 +787,6 @@ FUZZ_GOALS = ("reach(1,Y).", "reach(X,Y).", "reach(2,Y).", "rl(1,Y).",
               "rl(X,Y).", "un(X).")
 FUZZ_SEEDS = 20
 
-# without un/1, every table an assert marks is monotone: the assert is
-# followed by its delta, and only a retract resets tables
-MONOTONE_RULES = RULES.replace(":- table un/1 as incremental.\n", "") \
-    .replace("un(X) :- node(X), tnot reach(1,X).\n", "")
 MONOTONE_GOALS = FUZZ_GOALS[:-1]
 
 FUZZ_RUNS = [(RULES, FUZZ_GOALS, "local")] + [
