@@ -48,7 +48,10 @@ Facts join in clause order, and one whose answer pushes entries (a
 batched feed) leaves the facts still to join beneath them, so answers,
 their order, K and the traces are those of the inline path.  The
 retract check's collector takes these returns too, and holds each as
-the bindings of a derivation with the records it consumed.
+the bindings of a derivation with the records it consumed.  The same
+plan and join run a tabled clause at entry where a ground call binds
+its head of variables: the fact call and tail may then end with a
+ground ``tnot``, and no frame nor per-fact continuation is made.
 
 Scheduling maintains a completion stack of exactly the incomplete
 tables, the scheduler's only registry of them: a completed SCC leaves
@@ -143,7 +146,8 @@ class Cont:
     A state the run stack would pop next runs at once instead: a clause
     body, each answer of a feed, and the goal after a builtin that
     succeeds or a ``tnot`` of a complete table, which moves the state on
-    in place.
+    in place.  A clause that runs by its plan at entry (``ReturnPlan``)
+    makes one state for all its facts, which a suspended ``tnot`` copies.
     """
 
     __slots__ = ("owner", "ans", "goals", "delays", "scopes", "k", "nv",
@@ -196,7 +200,8 @@ class Consumer:
     A variant call of a table's clause keeps ``plan``, a ``ReturnPlan``
     made with the consumer, when the rest of the clause has a fixed
     shape; ``Engine._resume`` then hands each answer's result straight
-    to the owner's table in its feed loop, and the rest never runs."""
+    to the owner's table in its feed loop, and the rest never runs.  The
+    same plan type, kept on the clause, runs a clause at entry."""
 
     __slots__ = ("table", "cont", "cursor", "scopes", "heap", "terms",
                  "vars", "seen", "plan")
@@ -211,28 +216,29 @@ class Consumer:
         self.vars = ids if len(ids) == len(terms) else None
         self.seen = {} if self.vars is None else None
         self.plan = None
-        if self.vars is not None and (type(cont.owner) is not Collector
-                                      or cont.owner.supports):
-            self.plan = _return_plan(cont, ids, program)
+        goals = cont.goals or ((), 0, 0, None, None)
+        if self.vars is not None and goals[4] is None \
+                and (type(cont.owner) is not Collector or cont.owner.supports):
+            self.plan = _return_plan(goals[0], ids, cont.ans.args, program)
         self.cursor = 0
         self.scopes = cont.scopes
         self.heap = [] if table.pred.subsumption is not None else None
 
 
 class ReturnPlan(NamedTuple):
-    """How a consumer's answers make its owner's answers.  A row holds
-    an answer's bindings; ``proj`` picks the owner's answer from it.  A
-    last call (the call ends the clause) has no ``pred``.  Otherwise the
-    clause goes on with one call of ``pred``, a static predicate of
-    ground facts only, then ``is/2`` goals that bind fresh variables, and
-    the row goes on with a fact's arguments, then the value of each
-    ``arith`` function in turn.  ``probe`` is that call, an int reading
-    the row and a variable an output, and ``checks`` pairs each argument
-    position with the row slot it must equal.  ``direct``, where the
-    predicate's first index reads one argument that the row binds at
-    ``slot``, is ``(lookup_atomic, slot)``: a row with an atom or an
-    integer there finds by one probe what the general lookup finds.
-    Every argument of the call and of the owner's answer is a variable."""
+    """How a row, an answer's bindings or, at clause entry, those of a
+    ground call's head, makes the owner's answers, ``proj`` picking them
+    out.  A last call (the call ends the clause) has no ``pred``.  Else
+    the clause goes on with one call of ``pred``, a static predicate of
+    ground facts, then ``is/2`` goals that bind fresh variables, and at
+    entry perhaps ``neg``, a ``tnot`` of a tabled predicate as
+    ``(predicate, template)``; the row goes on with a fact's arguments,
+    then each ``arith`` value.  ``probe`` is the call, an int reading
+    the row and a variable an output, and ``checks`` pairs argument
+    positions with the row slots they must equal.  ``direct``, where
+    the first index reads one argument the row binds at ``slot``, is
+    ``(lookup_atomic, slot)``: an atom or an integer there finds them by
+    one probe.  The call's and the answer's arguments are variables."""
 
     pred: Optional[PredicateInfo]
     probe: tuple
@@ -240,23 +246,37 @@ class ReturnPlan(NamedTuple):
     arith: tuple
     proj: Callable[[tuple], tuple]
     direct: Optional[tuple]
+    neg: Optional[tuple]
 
-    def call(self, row: tuple) -> Struct:
-        """The fact call of ``row``."""
-        return Struct(self.pred.name, tuple([row[x] if type(x) is int else x
-                                             for x in self.probe]))
+    def facts(self, row: tuple, program: Program) -> list:
+        """The facts the call of ``row`` may meet, in program order."""
+        lookup, slot = self.direct or (None, 0)
+        a = row[slot] if lookup else None
+        # by ``direct``, unless a consult has replaced the index since
+        if (type(a) is Atom or type(a) is Int) \
+                and lookup.__self__ in self.pred.indexes:
+            return lookup(a)
+        return program._candidates(self.pred, _row_goal(
+            self.pred.name, self.probe, row))[1]
 
 
-def _return_plan(cont: Cont, ids: tuple, program: Program):
-    """The ``ReturnPlan`` of a consumer whose variables are ``ids`` and
-    whose continuation is ``cont``; None if these lack its shape."""
+def _row_goal(name: str, template: tuple, row: tuple) -> Struct:
+    """The goal ``name`` of ``template``, its ints read from ``row``."""
+    return Struct(name, tuple([row[x] if type(x) is int else x
+                               for x in template]))
+
+
+def _return_plan(lits: tuple, ids: tuple, ans: Optional[tuple],
+                 program: Program):
+    """The ``ReturnPlan`` of ``lits`` on a row of the variables ``ids``
+    to make the owner's answer ``ans``, or None at entry, where a ground
+    ``tnot`` may end ``lits``; None if these lack its shape."""
     slot = {v: j for j, v in enumerate(ids)}    # variable -> row slot
     n = len(ids)
-    pi, probe, checks, arith, direct = None, [], [], [], None
-    if cont.goals is not None:
-        lits, _, _, _, rest = cont.goals
+    pi, probe, checks, arith, direct, neg = None, [], [], [], None, None
+    if lits:
         call = lits[0]
-        if rest is not None or call.neg or type(call.goal) is not Struct:
+        if call.neg or type(call.goal) is not Struct:
             return None
         pi = call.call or _decode(call, program)
         if type(pi) is not PredicateInfo or pi.tabled \
@@ -274,7 +294,10 @@ def _return_plan(cont: Cont, ids: tuple, program: Program):
         ix = pi.indexes[0] if pi.indexes else None
         if ix is not None and ix.probe and type(probe[ix.argnos[0]]) is int:
             direct = ix.lookup_atomic, probe[ix.argnos[0]]
-        for lit in lits[1:]:
+        tail = lits[1:]
+        if ans is None and tail and tail[-1].neg:
+            neg, tail = tail[-1], tail[:-1]
+        for lit in tail:
             g = lit.goal
             if lit.neg or type(g) is not Struct or g.name != "is" \
                     or len(g.args) != 2 or type(g.args[0]) is not Var \
@@ -282,16 +305,26 @@ def _return_plan(cont: Cont, ids: tuple, program: Program):
                 return None
             arith.append(compile_arith(g.args[1], slot))
             slot[g.args[0].id] = n + len(args) + len(arith) - 1
-    ans = cont.ans.args
+    if neg is not None:
+        npi, g = neg.call or _decode(neg, program), neg.goal
+        if type(npi) is not PredicateInfo or not npi.tabled \
+                or npi.subsumption is not None or type(g) is not Struct \
+                or not all(a.ground or type(a) is Var and a.id in slot
+                           for a in g.args):
+            return None
+        neg = npi, tuple([slot[a.id] if type(a) is Var else a
+                          for a in g.args])
     if None in arith or not all(type(a) is Var and a.id in slot
-                                for a in ans):
+                                for a in ans or ()):
         return None
-    slots = [slot[a.id] for a in ans]
+    # at entry ``Engine._enter`` reads the whole row
+    slots = [slot[a.id] for a in ans] if ans is not None \
+        else list(range(n + len(probe) + len(arith)))
     j = slots[0] if slots else 0        # a run of slots picks a slice
     proj = itemgetter(slice(j, j + len(slots))) \
         if slots == list(range(j, j + len(slots))) else itemgetter(*slots)
     return ReturnPlan(pi, tuple(probe), tuple(checks), tuple(arith), proj,
-                      direct)
+                      direct, neg)
 
 
 def _instancer(t: Term) -> Callable[[tuple], Term]:
@@ -733,7 +766,9 @@ class Engine:
                 table.consumers.append(consumer)
             self._push_returns(consumer, answers)
             return
-        self._register_consumer(table, consumer)
+        table.consumers.append(consumer)
+        if self._round is not None:
+            self._round.dirty.add(table)
         if self.strategy == "batched":
             self._feed_consumer(consumer)
 
@@ -775,18 +810,13 @@ class Engine:
             self._query_lits = lits if len(lits) == 1 else None
             self.stack.append((self._step_cont, cont))
             return
-        # the root continuation of the table's producers: no goals, no
-        # cut scopes (a tabled clause cannot cut), answers are bindings
-        root = Cont(table, _answer_vars(table), None, (), (), self.K,
-                    table.nvars, {})
-        for clause, env in reversed(self.program.lookup_clauses(
-                table.subgoal, root.nv, self.occurs_check)):
-            self.stack.append((self._resolve_clause, root, clause, env))
+        self._push_clauses(table, table, self.stack)
 
     def _push_clauses(self, table: SubgoalTable, owner, stack: list):
         """Push on ``stack`` what resolves the clauses of ``table`` for
-        ``owner``, as ``_activate`` does, but outside the hot path; the
-        clause of a collector is no new node."""
+        ``owner``; the clause of a collector is no new node."""
+        # the root continuation of the producers: no goals, no cut scopes
+        # (a tabled clause cannot cut), answers are bindings
         root = Cont(owner, _answer_vars(table), None, (), (), self.K,
                     table.nvars, {})
         for clause, env in reversed(self.program.lookup_clauses(
@@ -796,9 +826,27 @@ class Engine:
                          (self._push_body, root, clause, env, None, root.k))
 
     def _resolve_clause(self, root: Cont, clause: Clause, env) -> None:
-        """Resolve a clause of the producer of ``root.owner``."""
+        """Resolve a clause of the producer of ``root.owner``: by its plan
+        where ``root`` ends with no variables, else by ``_push_body``."""
         k = self._op("clause_resolution", "PROGRAM_CLAUSE_RESOLUTION",
                      root.owner)
+        plan = clause.plan
+        if plan is None:    # a row of the head's variables, its first ones
+            head = clause.head.args if type(clause.head) is Struct else ()
+            ids = range(len(head))
+            plan = clause.plan = clause.body and head == tuple(map(Var, ids)) \
+                and _return_plan(clause.body, ids, None, self.program) or False
+        pi = plan and plan.pred     # which a consult may have changed
+        if plan and root.goals is None and not root.nv and not (
+                pi.tabled or pi.dynamic or pi.general_clauses) \
+                and (plan.neg is None or plan.neg[0].tabled):
+            base = tuple([env[j] for j in range(len(env))])
+            state = Cont(root.owner, root.ans, None, root.delays,
+                         root.scopes, k, clause.nvars, {})
+            self._join_facts(state, plan, base, root.delays,
+                             plan.facts(base, self.program), 0,
+                             partial(self._enter, state, k, plan.neg), None)
+            return
         self._push_body(root, clause, env, None, k)
 
     def _body_cont(self, owner, ans: Term, body: Term, nv: int) -> Cont:
@@ -831,12 +879,6 @@ class Engine:
             frame, limit = _compact(frame, goals, cont.ans)
         self._step_cont(Cont(cont.owner, cont.ans, goals, cont.delays,
                              cont.scopes, k, off + clause.nvars, frame, limit))
-
-    def _register_consumer(self, table: SubgoalTable,
-                           consumer: Consumer) -> None:
-        table.consumers.append(consumer)
-        if self._round is not None:
-            self._round.dirty.add(table)
 
     # ------------------------------------------------------------------
     # answer return
@@ -902,8 +944,8 @@ class Engine:
             return
         hold = bool(consumer.scopes)
         if plan is not None:
-            owner, delays, proj = consumer.cont.owner, consumer.cont.delays, \
-                plan.proj
+            cont = consumer.cont
+            owner, delays, proj = cont.owner, cont.delays, plan.proj
             sups = type(owner) is Collector     # supports are records
             if sups:
                 produce, index = Collector.derive, None
@@ -937,10 +979,9 @@ class Engine:
                         produce(owner, proj(b), d)
                 else:
                     a = b[slot] if lookup else None
-                    self._join_facts(consumer, b, d, lookup(a)
+                    self._join_facts(cont, plan, b, d, lookup(a)
                                      if type(a) is Atom or type(a) is Int
-                                     else self.program._candidates(
-                                         pi, plan.call(b))[1], 0,
+                                     else plan.facts(b, self.program), 0,
                                      produce, index)
             if hold or len(stack) > mark:
                 if not hold and i < n:
@@ -980,17 +1021,16 @@ class Engine:
         self._step_cont(Cont(cont.owner, cont.ans, cont.goals, delays,
                              cont.scopes, k, nv + ans.nvars, env))
 
-    def _join_facts(self, consumer: Consumer, base: tuple, delays: tuple,
-                    facts: list, i: int, produce, index) -> None:
-        """Hand the owner of ``consumer`` the answer of each fact from
-        ``facts[i]`` on that joins the ground row ``base``
-        (``ReturnPlan``) through ``produce``, but a duplicate that one
-        probe of ``index`` finds would change nothing.  An answer that
-        pushes entries (a batched feed) leaves an entry for the facts
-        still to join beneath them: they run first, as before each next
-        fact of an inline call."""
-        plan = consumer.plan
-        owner = consumer.cont.owner
+    def _join_facts(self, cont: Cont, plan: ReturnPlan, base: tuple,
+                    delays: tuple, facts: list, i: int, produce,
+                    index) -> None:
+        """Hand ``cont.owner`` the answer of each fact from ``facts[i]``
+        on that joins the ground row ``base`` (``plan``) through
+        ``produce``, but a duplicate that one probe of ``index`` finds
+        would change nothing.  A fact whose work pushes entries (a batched
+        feed, a new table) leaves an entry for the facts still to join
+        beneath them: they run first, as before each next fact inline."""
+        owner = cont.owner
         checks, arith, proj = plan.checks, plan.arith, plan.proj
         stack = self.stack
         n = len(facts)
@@ -1012,9 +1052,20 @@ class Engine:
                 mark = len(stack)
                 produce(owner, row, delays)
                 if len(stack) > mark and i < n:
-                    stack.insert(mark, (self._join_facts, consumer, base,
+                    stack.insert(mark, (self._join_facts, cont, plan, base,
                                         delays, facts, i, produce, index))
                     return
+
+    def _enter(self, cont: Cont, k: int, neg, owner, row: tuple,
+               delays: tuple) -> None:
+        """``produce`` at clause entry, ``cont`` at node ``k``: the answer
+        ``()`` once ``row``'s ``tnot`` passes."""
+        if neg is not None:     # each fact's ``tnot`` starts afresh
+            cont.k, cont.delays = k, delays
+            goal = _row_goal(neg[0].name, neg[1], row)
+            delays = self._negate(cont, neg[0], goal, None) and cont.delays
+        if delays is not None:
+            self.insert_reduced(owner, (), delays)
 
     # ------------------------------------------------------------------
     # inline (non-tabled) resolution
@@ -1096,6 +1147,12 @@ class Engine:
                 "negation_untabled",
                 f"tnot {term_to_str(goal)}: predicate {name}/{arity} is "
                 "not tabled")
+        return self._negate(cont, pi, goal, rest)
+
+    def _negate(self, cont: Cont, pi: PredicateInfo, goal: Term,
+                rest) -> Optional[Cont]:
+        """The ground half of ``tnot goal``: ``cont``, if a complete table
+        resolves it, else None (it fails, or ``cont`` waits for ``rest``)."""
         # a ground negative call reads a table of exactly its atom, or,
         # under answer subsumption, of its plain arguments
         table = self._intern(pi, goal, variant=True)

@@ -57,6 +57,8 @@ class Clause:
     nvars: int
     seq: int
     term: Term  # canonical whole-clause term, for printing and retract
+    # the engine's plan at entry: None until it is made, then one or False
+    plan: object = field(default=None, repr=False)
 
     @property
     def is_fact(self) -> bool:
