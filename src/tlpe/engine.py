@@ -219,7 +219,8 @@ class Consumer:
         goals = cont.goals or ((), 0, 0, None, None)
         if self.vars is not None and goals[4] is None \
                 and (type(cont.owner) is not Collector or cont.owner.supports):
-            self.plan = _return_plan(goals[0], ids, cont.ans.args, program)
+            self.plan = _return_plan(goals[0], ids, cont.ans.args,
+                                     program) or None
         self.cursor = 0
         self.scopes = cont.scopes
         self.heap = [] if table.pred.subsumption is not None else None
@@ -270,22 +271,23 @@ def _return_plan(lits: tuple, ids: tuple, ans: Optional[tuple],
                  program: Program):
     """The ``ReturnPlan`` of ``lits`` on a row of the variables ``ids``
     to make the owner's answer ``ans``, or None at entry, where a ground
-    ``tnot`` may end ``lits``; None if these lack its shape."""
+    ``tnot`` may end ``lits``; False if these lack its shape, None if a
+    predicate they call is undefined, which a consult may define."""
     slot = {v: j for j, v in enumerate(ids)}    # variable -> row slot
     n = len(ids)
     pi, probe, checks, arith, direct, neg = None, [], [], [], None, None
     if lits:
         call = lits[0]
         if call.neg or type(call.goal) is not Struct:
-            return None
+            return False
         pi = call.call or _decode(call, program)
         if type(pi) is not PredicateInfo or pi.tabled \
                 or pi.general_clauses or pi.dynamic:
-            return None
+            return pi and False     # None for an undefined predicate
         args = call.goal.args
         for p, a in enumerate(args):
             if type(a) is not Var:
-                return None
+                return False
             if a.id in slot:
                 checks.append((p, slot[a.id]))
             else:
@@ -302,7 +304,7 @@ def _return_plan(lits: tuple, ids: tuple, ans: Optional[tuple],
             if lit.neg or type(g) is not Struct or g.name != "is" \
                     or len(g.args) != 2 or type(g.args[0]) is not Var \
                     or g.args[0].id in slot:
-                return None
+                return False
             arith.append(compile_arith(g.args[1], slot))
             slot[g.args[0].id] = n + len(args) + len(arith) - 1
     if neg is not None:
@@ -311,12 +313,12 @@ def _return_plan(lits: tuple, ids: tuple, ans: Optional[tuple],
                 or npi.subsumption is not None or type(g) is not Struct \
                 or not all(a.ground or type(a) is Var and a.id in slot
                            for a in g.args):
-            return None
+            return npi and False
         neg = npi, tuple([slot[a.id] if type(a) is Var else a
                           for a in g.args])
     if None in arith or not all(type(a) is Var and a.id in slot
                                 for a in ans or ()):
-        return None
+        return False
     # at entry ``Engine._enter`` reads the whole row
     slots = [slot[a.id] for a in ans] if ans is not None \
         else list(range(n + len(probe) + len(arith)))
@@ -834,8 +836,9 @@ class Engine:
         if plan is None:    # a row of the head's variables, its first ones
             head = clause.head.args if type(clause.head) is Struct else ()
             ids = range(len(head))
-            plan = clause.plan = clause.body and head == tuple(map(Var, ids)) \
-                and _return_plan(clause.body, ids, None, self.program) or False
+            plan = clause.plan = _return_plan(
+                clause.body, ids, None, self.program) \
+                if clause.body and head == tuple(map(Var, ids)) else False
         pi = plan and plan.pred     # which a consult may have changed
         if plan and root.goals is None and not root.nv and not (
                 pi.tabled or pi.dynamic or pi.general_clauses) \

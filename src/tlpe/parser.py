@@ -1,21 +1,42 @@
 """Reader for the canonical program syntax.
 
-Hand-written lexer plus a precedence-climbing term parser.  The operator
-table is fixed (not user-extensible): rule/directive neck, conjunction,
-`tnot`, `as`, arithmetic and comparison operators, and `/` so that
-predicate indicators like p/2 read as ordinary terms.  Everything else is
-functional notation.  Errors carry line and column.
+One compiled token pattern, run by ``finditer``, plus a
+precedence-climbing term parser.  A token keeps only its offset in the
+text; the line and column of an error or of an item's start are found
+where they are read, by bisecting the offsets of the text's newlines.
+The operator table is fixed (not user-extensible): rule/directive neck,
+conjunction, `tnot`, `as`, arithmetic and comparison operators, and `/`
+so that predicate indicators like p/2 read as ordinary terms.
+Everything else is functional notation.  Errors carry line and column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from bisect import bisect_left
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ParseError
 from .terms import Atom, Int, Struct, Term, Var
 
-_SYMBOL_CHARS = set("+-*/\\^<>=~:?@#&")
+# one alternative per token class; layout and comments name no group.
+# ``\w`` is a character that passes ``str.isalnum`` or ``_``, ``\d`` one
+# that ``int`` reads; a name that starts with neither ``_`` nor a letter
+# (a numeral like '½' or '²') is refused by ``tokenize``
+_TOKEN = re.compile(r"""
+    [ \t\r\n]+ | %[^\n]*
+  | (?P<int> \d+ (?: \.\d+ )? )
+  | (?P<name> [^\W\d]\w* )
+  | '(?P<quoted> (?: [^'\\] | \\. )* )'
+  | (?P<end> \. ) (?= [ \t\r\n%] | \Z )
+  | (?P<punct> [()\[\]|] )
+  | (?P<comma> , )
+  | (?P<symbol> [!;] | [-+*/\\^<>=~:?@#&]+ )
+  | (?P<bad> . )
+""", re.VERBOSE | re.DOTALL)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_NEWLINE = re.compile("\n")
 
 # name -> (precedence, type); type in {xfx, xfy, yfx}
 _INFIX = {
@@ -52,12 +73,11 @@ _PREFIX = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str          # atom var int end punct eof
     value: object
-    line: int
-    col: int
+    pos: int           # offset in the text
     paren: bool = False  # '(' immediately follows with no layout
 
 
@@ -72,129 +92,60 @@ class ParsedItem:
     is_directive: bool = False
 
 
+def _line_col(newlines: List[int], pos: int) -> Tuple[int, int]:
+    """The line and column of offset ``pos``, ``newlines`` the offsets
+    of the text's newlines."""
+    line = bisect_left(newlines, pos)
+    return line + 1, pos - (newlines[line - 1] if line else -1)
+
+
+def _newlines(text: str) -> List[int]:
+    return [m.start() for m in _NEWLINE.finditer(text)]
+
+
 def tokenize(text: str) -> List[Token]:
     toks: List[Token] = []
-    i, n = 0, len(text)
-    line, col = 1, 1
-
-    def bump(k: int):
-        nonlocal i, line, col
-        for _ in range(k):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            bump(1)
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:        # layout or a comment
             continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                bump(1)
-            continue
-        ln, cl = line, col
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                # decimal literal: scaled integer, 4 declared decimal places
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                whole = int(text[i:j])
-                frac = text[j + 1:k]
-                scaled = whole * 10000 + _scale_frac(frac)
-                bump(k - i)
-                toks.append(Token("int", scaled, ln, cl))
-            else:
-                v = int(text[i:j])
-                bump(j - i)
-                toks.append(Token("int", v, ln, cl))
-            continue
-        if c == "_" or c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            name = text[i:j]
-            bump(j - i)
-            if name[0] == "_" or name[0].isupper():
-                toks.append(Token("var", name, ln, cl))
-            else:
-                toks.append(Token("atom", name, ln, cl,
-                                  paren=i < n and text[i] == "("))
-            continue
-        if c == "'":
-            j = i + 1
-            buf = []
-            while j < n:
-                if text[j] == "\\" and j + 1 < n:
-                    esc = text[j + 1]
-                    buf.append({"n": "\n", "t": "\t"}.get(esc, esc))
-                    j += 2
-                    continue
-                if text[j] == "'":
-                    break
-                buf.append(text[j])
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated quoted atom", ln, cl)
-            bump(j + 1 - i)
-            toks.append(Token("atom", "".join(buf), ln, cl,
-                              paren=i < n and text[i] == "("))
-            continue
-        if c == ".":
-            nxt = text[i + 1] if i + 1 < n else ""
-            if nxt == "" or nxt in " \t\r\n%":
-                bump(1)
-                toks.append(Token("end", ".", ln, cl))
-                continue
-            raise ParseError("unexpected '.'", ln, cl)
-        if c in "()[]|,":
-            bump(1)
-            if c == ",":
-                toks.append(Token("atom", ",", ln, cl))
-            else:
-                toks.append(Token("punct", c, ln, cl))
-            continue
-        if c in "!;":
-            bump(1)
-            toks.append(Token("atom", c, ln, cl,
-                              paren=i < n and text[i] == "("))
-            continue
-        if c in _SYMBOL_CHARS:
-            j = i
-            while j < n and text[j] in _SYMBOL_CHARS:
-                j += 1
-            name = text[i:j]
-            bump(j - i)
-            toks.append(Token("atom", name, ln, cl,
-                              paren=i < n and text[i] == "("))
-            continue
-        raise ParseError(f"unexpected character {c!r}", ln, cl)
-    toks.append(Token("eof", None, line, col))
+        s, pos = m.group(kind), m.start()
+        if kind == "int":
+            whole, _, frac = s.partition(".")
+            v = int(whole)
+            if frac:    # a scaled integer, 4 places, rounded half up
+                v = v * 10000 + int((frac + "0000")[:4]) \
+                    + (len(frac) > 4 and frac[4] >= "5")
+            toks.append(Token("int", v, pos))
+        elif kind == "name" and (s[0] == "_" or s[0].isupper()):
+            toks.append(Token("var", s, pos))
+        elif kind == "bad" or kind == "name" and not s[0].isalpha():
+            msg = "unterminated quoted atom" if s == "'" else \
+                "unexpected '.'" if s == "." else \
+                f"unexpected character {s[0]!r}"
+            raise ParseError(msg, *_line_col(_newlines(text), pos))
+        elif kind in ("end", "punct", "comma"):
+            toks.append(Token("atom" if kind == "comma" else kind, s, pos))
+        else:
+            if kind == "quoted":
+                s = _ESCAPE.sub(lambda e: {"n": "\n", "t": "\t"}.get(
+                    e[1], e[1]), s)
+            toks.append(Token("atom", s, pos, text.startswith("(", m.end())))
+    toks.append(Token("eof", None, len(text)))
     return toks
 
 
-def _scale_frac(frac: str) -> int:
-    digits = (frac + "0000")[:4]
-    v = int(digits)
-    if len(frac) > 4 and frac[4] >= "5":
-        v += 1
-    return v
-
-
 class _Parser:
-    def __init__(self, toks: List[Token]):
+    def __init__(self, toks: List[Token], text: str):
         self.toks = toks
+        self.newlines = _newlines(text)
         self.pos = 0
         self.vars: Dict[str, int] = {}
         self.names: Dict[int, str] = {}
         self.nvars = 0
+
+    def where(self, t: Token) -> Tuple[int, int]:
+        return _line_col(self.newlines, t.pos)
 
     def reset_clause(self):
         self.vars = {}
@@ -212,7 +163,7 @@ class _Parser:
     def expect_punct(self, ch: str):
         t = self.next()
         if t.kind != "punct" or t.value != ch:
-            raise ParseError(f"expected {ch!r}", t.line, t.col)
+            raise ParseError(f"expected {ch!r}", *self.where(t))
 
     def fresh_var(self, name: Optional[str]) -> Var:
         if name is None or name == "_":
@@ -252,7 +203,7 @@ class _Parser:
         if tok.value == "tnot" and len(args) == 1 and \
                 type(args[0]) is Struct and args[0].name == "tnot":
             raise ParseError("double negation tnot(tnot(..)) is not allowed",
-                             tok.line, tok.col)
+                             *self.where(tok))
         return Struct(tok.value, args)
 
     def parse_primary(self, max_prec: int) -> Term:
@@ -268,7 +219,7 @@ class _Parser:
                 return inner
             if t.value == "[":
                 return self.parse_list()
-            raise ParseError(f"unexpected {t.value!r}", t.line, t.col)
+            raise ParseError(f"unexpected {t.value!r}", *self.where(t))
         if t.kind == "atom":
             name = t.value
             if t.paren:
@@ -288,7 +239,7 @@ class _Parser:
                         return Int(-arg.value)
                     return self._mk_op(t, (arg,))
             return Atom(name)
-        raise ParseError("unexpected end of input", t.line, t.col)
+        raise ParseError("unexpected end of input", *self.where(t))
 
     def _starts_term(self) -> bool:
         t = self.peek()
@@ -306,13 +257,9 @@ class _Parser:
             self.next()
             return Atom("[]")
         elems = [self.parse_term(999)]
-        while True:
-            t = self.peek()
-            if t.kind == "atom" and t.value == ",":
-                self.next()
-                elems.append(self.parse_term(999))
-                continue
-            break
+        while self.peek().kind == "atom" and self.peek().value == ",":
+            self.next()
+            elems.append(self.parse_term(999))
         tail: Term = Atom("[]")
         t = self.peek()
         if t.kind == "punct" and t.value == "|":
@@ -333,31 +280,31 @@ class _Parser:
             term = self.parse_term(1200)
             t = self.next()
             if t.kind != "end":
-                raise ParseError("expected '.' at end of clause", t.line, t.col)
+                raise ParseError("expected '.' at end of clause",
+                                 *self.where(t))
             is_directive = (type(term) is Struct and term.name == ":-"
                             and len(term.args) == 1)
             if is_directive:
                 term = term.args[0]
             items.append(ParsedItem(term, dict(self.names), self.nvars,
-                                    start.line, start.col, is_directive))
+                                    *self.where(start), is_directive))
         return items
 
 
 def parse_program(text: str) -> List[ParsedItem]:
     """Parse program text into clauses and directives."""
-    return _Parser(tokenize(text)).parse_items()
+    return _Parser(tokenize(text), text).parse_items()
 
 
 def parse_goal(text: str) -> ParsedItem:
     """Parse a single goal (a query body); the trailing '.' is optional."""
-    toks = tokenize(text)
-    p = _Parser(toks)
+    p = _Parser(tokenize(text), text)
     term = p.parse_term(1200)
     t = p.next()
     if t.kind == "end":
         t = p.next()
     if t.kind != "eof":
-        raise ParseError("trailing input after goal", t.line, t.col)
+        raise ParseError("trailing input after goal", *p.where(t))
     return ParsedItem(term, dict(p.names), p.nvars, 1, 1, False)
 
 

@@ -57,7 +57,8 @@ class Clause:
     nvars: int
     seq: int
     term: Term  # canonical whole-clause term, for printing and retract
-    # the engine's plan at entry: None until it is made, then one or False
+    # the engine's plan at entry, one or False; None until it is made,
+    # and while a predicate it calls is undefined
     plan: object = field(default=None, repr=False)
 
     @property

@@ -1,13 +1,17 @@
 """Independent reference implementations the test suite checks against.
 
 Everything here is deliberately naive: breadth-first closures, a
-textbook alternating-fixpoint computation, heap Dijkstra.  None of it
-shares code with the engine.
+textbook alternating-fixpoint computation, heap Dijkstra, a lexer that
+walks the text one character at a time.  None of it shares code with the
+engine, apart from the lexer raising its `ParseError`.
 """
 
 import heapq
 import random
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+
+from tlpe.errors import ParseError
 
 Atom = str
 Rule = Tuple[Atom, Tuple[Atom, ...], Tuple[Atom, ...]]   # head, pos, neg
@@ -172,3 +176,139 @@ def program_text(rules: Sequence[Rule]) -> str:
         lines.append(f"{head} :- {', '.join(body)}." if body
                      else f"{head}.")
     return "\n".join(lines) + "\n"
+
+
+# ----------------------------------------------------------------------
+# the reader's lexer as it was before its token pattern: a character
+# loop that tracks line and column per character, kept as the reference
+# for `tlpe.parser.tokenize`.  Its one known fault: it reads a digit
+# that is not decimal ('²') as part of a number, where int() raises a
+# bare ValueError on it, or, in the fifth decimal place, it rounds up.
+
+_SYMBOL_CHARS = set("+-*/\\^<>=~:?@#&")
+
+
+@dataclass
+class Token:
+    kind: str          # atom var int end punct eof
+    value: object
+    line: int
+    col: int
+    paren: bool = False  # '(' immediately follows with no layout
+
+
+def tokenize(text: str) -> List[Token]:
+    toks: List[Token] = []
+    i, n = 0, len(text)
+    line, col = 1, 1
+
+    def bump(k: int):
+        nonlocal i, line, col
+        for _ in range(k):
+            if text[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        c = text[i]
+        if c in " \t\r\n":
+            bump(1)
+            continue
+        if c == "%":
+            while i < n and text[i] != "\n":
+                bump(1)
+            continue
+        ln, cl = line, col
+        if c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
+                # decimal literal: scaled integer, 4 declared decimal places
+                k = j + 1
+                while k < n and text[k].isdigit():
+                    k += 1
+                whole = int(text[i:j])
+                frac = text[j + 1:k]
+                scaled = whole * 10000 + _scale_frac(frac)
+                bump(k - i)
+                toks.append(Token("int", scaled, ln, cl))
+            else:
+                v = int(text[i:j])
+                bump(j - i)
+                toks.append(Token("int", v, ln, cl))
+            continue
+        if c == "_" or c.isalpha():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            name = text[i:j]
+            bump(j - i)
+            if name[0] == "_" or name[0].isupper():
+                toks.append(Token("var", name, ln, cl))
+            else:
+                toks.append(Token("atom", name, ln, cl,
+                                  paren=i < n and text[i] == "("))
+            continue
+        if c == "'":
+            j = i + 1
+            buf = []
+            while j < n:
+                if text[j] == "\\" and j + 1 < n:
+                    esc = text[j + 1]
+                    buf.append({"n": "\n", "t": "\t"}.get(esc, esc))
+                    j += 2
+                    continue
+                if text[j] == "'":
+                    break
+                buf.append(text[j])
+                j += 1
+            if j >= n:
+                raise ParseError("unterminated quoted atom", ln, cl)
+            bump(j + 1 - i)
+            toks.append(Token("atom", "".join(buf), ln, cl,
+                              paren=i < n and text[i] == "("))
+            continue
+        if c == ".":
+            nxt = text[i + 1] if i + 1 < n else ""
+            if nxt == "" or nxt in " \t\r\n%":
+                bump(1)
+                toks.append(Token("end", ".", ln, cl))
+                continue
+            raise ParseError("unexpected '.'", ln, cl)
+        if c in "()[]|,":
+            bump(1)
+            if c == ",":
+                toks.append(Token("atom", ",", ln, cl))
+            else:
+                toks.append(Token("punct", c, ln, cl))
+            continue
+        if c in "!;":
+            bump(1)
+            toks.append(Token("atom", c, ln, cl,
+                              paren=i < n and text[i] == "("))
+            continue
+        if c in _SYMBOL_CHARS:
+            j = i
+            while j < n and text[j] in _SYMBOL_CHARS:
+                j += 1
+            name = text[i:j]
+            bump(j - i)
+            toks.append(Token("atom", name, ln, cl,
+                              paren=i < n and text[i] == "("))
+            continue
+        raise ParseError(f"unexpected character {c!r}", ln, cl)
+    toks.append(Token("eof", None, line, col))
+    return toks
+
+
+def _scale_frac(frac: str) -> int:
+    digits = (frac + "0000")[:4]
+    v = int(digits)
+    if len(frac) > 4 and frac[4] >= "5":
+        v += 1
+    return v
+

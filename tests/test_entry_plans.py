@@ -187,6 +187,28 @@ def test_a_consult_between_queries_takes_effect(change, planned, strategy,
     assert got == want and ("move" not in seen) == planned
 
 
+@pytest.mark.parametrize("query_level", [True, False])
+@pytest.mark.parametrize("strategy", ["local", "batched"])
+def test_a_plan_is_made_once_the_facts_are_defined(strategy, query_level):
+    # a clause first resolved while ``move/2`` is undefined is left
+    # without a plan (None, not False), so it gets one once ``move/2``
+    # is consulted
+    options = {"strategy": strategy, "query_level_tabling": query_level}
+    rules, facts = WIN.split("move(1,2)")
+    facts = "move(1,2)" + facts
+    eng = Engine(**options)
+    eng.consult(rules)
+    assert eng.query("win(1).") == []
+    [clause] = eng.program.preds[("win", 1)].clauses
+    assert clause.plan is None
+    eng.consult(facts)
+    got = [(term_to_str(a.goal), a.truth) for a in eng.query("win(X).")]
+    # as sets: after an earlier query, the order without query-level
+    # tabling may differ from a fresh engine's, with or without plans
+    assert sorted(got) == sorted(fresh(WIN, "win(X).", **options))
+    assert type(clause.plan) is engine_module.ReturnPlan
+
+
 def main(argv=None):
     """Run the entry-plan check over a range of seeds:
     ``python tests/test_entry_plans.py FIRST LAST`` (inclusive) prints
