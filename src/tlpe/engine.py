@@ -1468,12 +1468,23 @@ class Engine:
             return
         tables = {t for _, _, ts in deltas for t in ts}
         self._reopen(sorted(tables, key=attrgetter("dfn")), tables)
-        resumed = [(self._resolve_clause, cont, clause, env)
-                   for _, clause, ts in deltas for t in ts
-                   for goal, cont in t.reads if (env := _head_unifier(
-                       clause.head, cont.nv, goal, self.occurs_check))
-                   is not None]
+        resumed = [(self._resolve_clause, read[1], clause, env)
+                   for _, clause, ts in deltas for t in ts for read in t.reads
+                   if (env := self._read_env(clause.head, read)) is not None]
         self.stack.extend(reversed(resumed))    # to run in order
+
+    def _read_env(self, fact: Term, read: tuple) -> Optional[dict]:
+        """The unifier of a changed ``fact`` with the goal of a stored
+        ``read``, or None.  Atoms and integers are interned, so one of
+        the goal's first argument that is not ``fact``'s, which is no
+        variable, fails by one identity test."""
+        goal, cont = read
+        if type(goal) is Struct:
+            a, b = goal.args[0], fact.args[0]
+            if (type(a) is Atom or type(a) is Int) and a is not b \
+                    and type(b) is not Var:
+                return None
+        return _head_unifier(fact, cont.nv, goal, self.occurs_check)
 
     def _reopen(self, tables: List[SubgoalTable], owners) -> None:
         """Put ``tables`` back on the completion stack with their answers,
@@ -1511,24 +1522,13 @@ class Engine:
     def _retract_check(self, fact: Term, tables: List[SubgoalTable]):
         """The tables with a stored read that the retracted ``fact``
         unifies with, and the answers of ``tables`` left without a
-        derivation: the check in stamp order of ``incremental``."""
-        derivs: Dict[SubgoalTable, tuple] = {}
-
-        def derivations(t):
-            if t not in derivs:
-                derivs[t] = self._derivations(t)
-            return derivs[t]
-
-        def gives(c):       # the supports of each derivation of ``c``
-            return derivations(c.table)[0].get(c, ())
-
-        def users(c):       # the answers of callers derived from ``c``
-            return [u for t in c.table.dep_in
-                    for u in derivations(t)[1].get(c, ())]
-
-        readers = [t for t in tables if any(
-            _head_unifier(fact, cont.nv, goal, self.occurs_check) is not None
-            for goal, cont in t.reads)]
+        derivation: the check in stamp order of ``incremental``.  Those
+        tables derive their answers whole: their kept readers may have
+        come through ``fact``."""
+        readers = [t for t in tables
+                   if any(self._read_env(fact, read) is not None
+                          for read in t.reads)]
+        probes = dict.fromkeys(readers, False)
         heap = [(a.seq, a) for t in readers for a in t.answers
                 if not a.deleted]
         queued = {a for _, a in heap}
@@ -1537,10 +1537,10 @@ class Engine:
         while heap:
             seq, c = heappop(heap)
             if any(all(s.seq < seq and s not in doomed for s in sup)
-                   for sup in gives(c)):
+                   for sup in self._gives(c, probes)):
                 continue
             doomed[c] = None
-            for u in users(c):
+            for u in self._users(c):
                 if u.seq > seq and u not in queued:
                     queued.add(u)
                     heappush(heap, (u.seq, u))
@@ -1548,35 +1548,108 @@ class Engine:
         while work:
             c = work.pop()
             if c in doomed and any(all(s not in doomed for s in sup)
-                                   for sup in gives(c)):
+                                   for sup in self._gives(c, probes)):
                 del doomed[c]
                 self.space._ans_seq += 1
                 c.seq = self.space._ans_seq
-                work.extend(u for u in users(c) if u in doomed)
+                work.extend(u for u in self._users(c) if u in doomed)
         return readers, doomed
 
-    def _derivations(self, table: SubgoalTable) -> tuple:
+    def _gives(self, c, probes: dict) -> list:
+        """The supports of each derivation of the answer ``c``: by index
+        probes where ``_probes`` of its table are exact for it, else from
+        ``_derivations``.  ``probes`` keeps either per table for one
+        check; False there marks a table to derive whole."""
+        t, b = c.table, c.bindings
+        p = probes.get(t)
+        if p is None:
+            p = probes[t] = self._probes(t)
+        if type(p) is not dict and (p is False or c.nvars):
+            p = probes[t] = self._derivations(t)
+        if type(p) is dict:
+            return p.get(c, ())
+        facts, reads = p
+        out = []
+        for pi, goal in facts:      # each fact that is ``c``'s instance
+            g = substitute(goal, b)
+            out += [() for f in self.program._candidates(pi, g)[1]
+                    if f.head.args == g.args]
+        return out + [(s,) for index, inv in reads
+                      if (s := index.get(tuple([b[i] for i in inv])))]
+
+    def _probes(self, t: SubgoalTable):
+        """How an answer of ``t`` finds its derivations by index probes:
+        ``(facts, reads)``, the call of each clause that is one call of
+        ground facts, over ``t``'s variables, and each reader ``t`` kept,
+        a last call, as its callee's index and the answer slot of each
+        of its row's; False where a probe may miss a derivation."""
+        facts, reads = [], []
+        for clause, _ in self.program.lookup_clauses(
+                t.subgoal, t.nvars, self.occurs_check):
+            lit = clause.body[-1] if clause.body else None
+            pi = lit and (lit.call or _decode(lit, self.program))
+            if type(pi) is PredicateInfo and pi.tabled and not lit.neg:
+                continue        # by the readers of this last call
+            env = match(clause.head, t.subgoal)
+            if len(clause.body) != 1 or lit.neg or env is None \
+                    or type(pi) is not PredicateInfo or pi.general_clauses \
+                    or type(lit.goal) is not Struct \
+                    or any(v not in env for v in term_vars(lit.goal)):
+                return False
+            facts.append((pi, substitute(lit.goal, env)))
+        for callee in t.dep_out:
+            mine = [r for r in callee.consumers if r.cont.owner is t]
+            row = tuple(range(callee.nvars))
+            if not callee.complete or not mine:
+                return False
+            for r in mine:
+                if r.plan is None or r.plan.pred is not None \
+                        or r.cont.delays \
+                        or sorted(slots := r.plan.proj(row)) != list(row):
+                    return False
+                reads.append((callee.index, [slots.index(j) for j in row]))
+        return facts, reads
+
+    def _users(self, c) -> list:
+        """The answers that a derivation through the answer ``c`` may give
+        its table's readers' owners, by the readers kept on it: one probe
+        of the owner's index for a last call, the facts ``c``'s row joins
+        for a fact join, every answer of the owner for any other reader.
+        Too many is safe: ``_gives`` decides."""
+        out, b = [], c.bindings
+        for r in c.table.consumers:
+            owner, plan = r.cont.owner, r.plan
+            if plan is None or c.nvars:
+                out += owner.answers
+            elif plan.pred is None:
+                out.append(owner.index.get(plan.proj(b)))
+            else:
+                rows: list = []
+                self._join_facts(r.cont, plan, b, (),
+                                 plan.facts(b, self.program), 0,
+                                 lambda _, row, __: rows.append(row), None)
+                out += map(owner.index.get, rows)
+        return [u for u in out if u is not None and not u.deleted]
+
+    def _derivations(self, table: SubgoalTable) -> dict:
         """Each derivation of the clauses of ``table`` from the facts and
         the answers the tables hold now, with its supports, the answers it
-        consumed: ``({answer: [supports]}, {support: [answers]})``.  A
-        fused return gives a derivation as bindings and records, the
-        general path as a term and delay literals."""
+        consumed: ``{answer: [supports]}``.  A fused return gives a
+        derivation as bindings and records, the general path as a term
+        and delay literals."""
         collector = Collector(None, supports=True)
         entries: list = []
         self._push_clauses(table, collector, entries)
         self._sub_run(entries)
         index = table.index
         gives: dict = {}
-        uses: dict = {}
         for row, sup in collector.results:
             if type(row) is Struct:     # by the general path
                 row, sup = row.args, tuple([d.ans for d in sup])
             # one probe finds a ground row; a row with variables is renamed
             c = index.get(row) or index.get(variant_tuple(row)[0])
             gives.setdefault(c, []).append(sup)
-            for s in sup:
-                uses.setdefault(s, []).append(c)
-        return gives, uses
+        return gives
 
     # ------------------------------------------------------------------
     # join / leq evaluation for answer subsumption

@@ -22,7 +22,12 @@ Backward/Forward algorithm (Motik et al., AAAI 2015): those of the
 tables that read the fact, then those of callers that a doomed answer
 helped to derive.  An answer stays if a derivation rests on older
 answers not doomed; a doomed answer that any derivation from answers not
-doomed still gives is restored; the rest are deleted.  Each table that
+doomed still gives is restored; the rest are deleted.  A table that
+read the fact runs its clauses again to derive its answers; any other
+answer finds its derivations by index probes, one per reader its table
+kept, each a last call, and one per clause of one call of ground facts,
+and a doomed answer finds its callers' answers through the readers kept
+on it.  Each table that
 read the fact, and each caller of one that lost an answer, resolves its
 clauses again to make its readers anew.  Any other change, an abolish, a
 consult or a failed evaluation drops the waiting deltas; the call then

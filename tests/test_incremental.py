@@ -3,6 +3,7 @@ error recovery, each checked against a fresh evaluation."""
 
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -612,11 +613,11 @@ class TestRetractCheck:
         answer_set(eng, "reach(1,Y).")
         incr_invalidate(eng, "retract(e(3,1)).")
 
-        def fail(self, table):
+        def fail(self, c, probes):
             raise EvalError("resource_exhausted", "in the check")
 
         with monkeypatch.context() as m:
-            m.setattr(Engine, "_derivations", fail)
+            m.setattr(Engine, "_gives", fail)
             with pytest.raises(EvalError):
                 eng.query("reach(1,Y).")
         assert eng.space.deltas == []
@@ -708,13 +709,14 @@ class TestRetractCheck:
     def test_check_over_reach_makes_no_general_return(self, strategy,
                                                        monkeypatch):
         # every reader in a reach table's clauses is a last call, so the
-        # fused returns hand the check each derivation
-        count = {"checks": 0, "returns": 0}
+        # fused returns hand the check each derivation of reach(3,_), the
+        # one table that read e(3,4); the others are read by probes
+        count = {"derived": [], "returns": 0}
         derivations, return_answer = Engine._derivations, \
             Engine._return_answer
 
         def spied_derivations(self, table):
-            count["checks"] += 1
+            count["derived"].append(term_to_str(table.subgoal))
             return derivations(self, table)
 
         def spied_return(self, consumer, ans):
@@ -733,8 +735,54 @@ class TestRetractCheck:
         incr_invalidate(eng, "retract(e(3,4)).")
         for goal in goals:
             assert answer_set(eng, goal) == fresh(edges - {(3, 4)}, goal)
-        assert count["checks"] > 0 and count["returns"] == 0
+        assert len(count["derived"]) == 1 \
+            and count["derived"][0].startswith("reach(3,")
+        assert count["returns"] == 0
         assert recomputations(eng) == 0
+
+    @pytest.mark.parametrize("strategy", ["local", "batched"])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_answer_probes_give_the_table_derivations(self, shape,
+                                                      strategy):
+        # per answer, the probes give the derivations of the whole table,
+        # and the kept readers at least its uses
+        src, goals = self.SHAPES[shape]
+        eng = make(src, strategy=strategy)
+        for goal in goals:
+            assert answer_set(eng, goal)
+        tables = [t for t in eng.space.tables if t.complete]
+        derived = {t: eng._derivations(t) for t in tables}
+        assert any(eng._probes(t) for t in tables)
+        for t in tables:
+            for c in t.index.values():
+                assert Counter(eng._gives(c, {})) \
+                    == Counter(derived[t].get(c, ()))
+                uses = {u for caller in t.dep_in
+                        for u, sups in derived[caller].items()
+                        if any(c in sup for sup in sups)}
+                assert uses <= set(eng._users(c))
+
+    def test_check_work_does_not_grow_with_the_ring(self, monkeypatch):
+        # around a ring, the answers a chord gave first are doomed and
+        # restored table by table; only reach(1,_) read the chord
+        runs = []
+        sub_run = Engine._sub_run
+
+        def spied(self, entries):
+            runs[-1] += 1
+            return sub_run(self, entries)
+
+        monkeypatch.setattr(Engine, "_sub_run", spied)
+        for n in (10, 40):
+            edges = {(i, i % n + 1) for i in range(1, n + 1)} | {(1, n // 2)}
+            eng = make(MONOTONE_RULES + facts(edges))
+            answer_set(eng, "reach(1,Y).")
+            incr_invalidate(eng, f"retract(e(1,{n // 2})).")
+            runs.append(0)
+            assert answer_set(eng, "reach(1,Y).") == fresh(
+                edges - {(1, n // 2)}, "reach(1,Y).")
+            assert recomputations(eng) == 0
+        assert runs[0] == runs[1] > 0
 
 
 class TestCyclicTerms:
