@@ -1479,7 +1479,7 @@ class Engine:
         the goal's first argument that is not ``fact``'s, which is no
         variable, fails by one identity test."""
         goal, cont = read
-        if type(goal) is Struct:
+        if type(goal) is Struct and type(fact) is Struct:
             a, b = goal.args[0], fact.args[0]
             if (type(a) is Atom or type(a) is Int) and a is not b \
                     and type(b) is not Var:
